@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench check serve-smoke dynamic-smoke load-smoke soak-smoke scale-smoke parallel-smoke cluster-smoke cluster-serve-smoke
+.PHONY: all build test race vet fmt fmt-check bench bench-check check serve-smoke dynamic-smoke load-smoke soak-smoke scale-smoke parallel-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -30,6 +30,13 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The benchmark harness is a module of its own (bench/go.mod), so the
+# root `go test ./...` never builds it. Its tests include the Step-shim
+# corpus gate, which checks that the outboxes nodes return replay into
+# exactly the inboxes Step received.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end smoke of the dimaserve binary over curl: submit, poll to
 # done, cancel a large job mid-run, drain on SIGTERM (docs/SERVING.md).

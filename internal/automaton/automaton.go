@@ -157,6 +157,8 @@ func (m *Machine) MustTransition(t State) {
 // addressed to node u ("mine") and those overheard ("others") — the
 // grouping the R state of Algorithm 2 calls group a and group b. The
 // input order (canonical inbox order) is preserved within each group.
+// It allocates both groups; hot paths that need only one group walk the
+// inbox in place with IsInviteFor instead.
 func SplitInvites(u int, inbox []msg.Message) (mine, others []msg.Message) {
 	for _, m := range inbox {
 		if m.Kind != msg.KindInvite {
@@ -171,19 +173,19 @@ func SplitInvites(u int, inbox []msg.Message) (mine, others []msg.Message) {
 	return mine, others
 }
 
+// IsInviteFor reports whether m is an invitation addressed to node u.
+func IsInviteFor(m msg.Message, u int) bool {
+	return m.Kind == msg.KindInvite && m.To == u
+}
+
 // FindResponse returns the response in the inbox addressed to node u for
-// the given edge, if any; other responses are overheard and returned in
-// overheard order.
-func FindResponse(u, edge int, inbox []msg.Message) (accepted msg.Message, ok bool, overheard []msg.Message) {
+// the given edge, if any. When several match, the last in inbox order
+// wins.
+func FindResponse(u, edge int, inbox []msg.Message) (accepted msg.Message, ok bool) {
 	for _, m := range inbox {
-		if m.Kind != msg.KindResponse {
-			continue
-		}
-		if m.To == u && m.Edge == edge {
+		if m.Kind == msg.KindResponse && m.To == u && m.Edge == edge {
 			accepted, ok = m, true
-		} else {
-			overheard = append(overheard, m)
 		}
 	}
-	return accepted, ok, overheard
+	return accepted, ok
 }

@@ -155,16 +155,11 @@ func TestFindResponse(t *testing.T) {
 		{Kind: msg.KindInvite, From: 4, To: 0, Edge: 7, Color: 2},
 		{Kind: msg.KindResponse, From: 5, To: 0, Edge: 6, Color: 0},
 	}
-	acc, ok, overheard := FindResponse(0, 7, inbox)
+	acc, ok := FindResponse(0, 7, inbox)
 	if !ok || acc.From != 2 {
 		t.Fatalf("accepted = %v ok=%v", acc, ok)
 	}
-	// The response for a different edge and the one addressed elsewhere
-	// are overheard; the invite is not a response at all.
-	if len(overheard) != 2 {
-		t.Fatalf("overheard = %v", overheard)
-	}
-	_, ok, _ = FindResponse(0, 99, inbox[:2])
+	_, ok = FindResponse(0, 99, inbox[:2])
 	if ok {
 		t.Fatal("found response for wrong edge")
 	}

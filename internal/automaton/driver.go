@@ -169,7 +169,7 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 	default:
 		switch d.mach.State() {
 		case Wait:
-			if m, ok, _ := FindResponse(d.id, d.inviteEdge, inbox); ok && m.From == d.inviteTo {
+			if m, ok := FindResponse(d.id, d.inviteEdge, inbox); ok && m.From == d.inviteTo {
 				d.p.Complete(m)
 				d.clearPending()
 			} else if d.rec.Enabled {
@@ -200,9 +200,11 @@ func (d *Driver) reaffirm(inbox []msg.Message) []msg.Message {
 	if !ok {
 		return nil
 	}
-	mine, _ := SplitInvites(d.id, inbox)
 	var out []msg.Message
-	for _, inv := range mine {
+	for _, inv := range inbox {
+		if !IsInviteFor(inv, d.id) {
+			continue
+		}
 		if m, ok := ref.Reaffirm(inv); ok {
 			m.From = d.id
 			m.Seq = inv.Seq

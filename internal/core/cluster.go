@@ -3,12 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"dima/internal/graph"
 	"dima/internal/metrics"
 	"dima/internal/net"
-	"dima/internal/rng"
 )
 
 // Cluster support for the multi-process TCP engine (net.RunTCP).
@@ -141,10 +141,10 @@ func edgeClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, er
 	if err != nil {
 		return nil, err
 	}
-	base := rng.New(opt.Seed)
-	nodes := make([]net.Node, 0, hi-lo)
-	for u := lo; u < hi; u++ {
-		nodes = append(nodes, newECNode(g, u, base.Derive(uint64(u)), opt))
+	ecs := newECNodes(g, lo, hi, opt)
+	nodes := make([]net.Node, len(ecs))
+	for i := range ecs {
+		nodes[i] = &ecs[i]
 	}
 	return nodes, nil
 }
@@ -154,11 +154,10 @@ func strongClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, 
 	if err != nil {
 		return nil, err
 	}
-	d := graph.NewSymmetric(g)
-	base := rng.New(opt.Seed)
-	nodes := make([]net.Node, 0, hi-lo)
-	for u := lo; u < hi; u++ {
-		nodes = append(nodes, newSCNode(d, u, base.Derive(uint64(u)), opt))
+	scs := newSCNodes(graph.NewSymmetric(g), lo, hi, opt)
+	nodes := make([]net.Node, len(scs))
+	for i := range scs {
+		nodes[i] = &scs[i]
 	}
 	return nodes, nil
 }
@@ -173,7 +172,7 @@ func strongClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, 
 func (n *ecNode) AppendState(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.defensiveRejects))
 	buf = appendRecCounters(buf, &n.recC)
-	buf = appendColorMap(buf, n.colors)
+	buf = appendColors(buf, n.colors, func(i int) int { return int(n.inc[i]) })
 	buf = appendBoolLog(buf, n.paired)
 	return appendTelemetryLog(buf, &n.tel)
 }
@@ -182,7 +181,7 @@ func (n *ecNode) RestoreState(data []byte) error {
 	d := stateDec{buf: data}
 	n.defensiveRejects = d.count("defensive rejects")
 	d.recCounters(&n.recC)
-	d.colorMapEdge(n.colors)
+	d.colors("edge", func(e int) int { return n.slot(graph.EdgeID(e)) }, n.colors)
 	n.paired = d.boolLog("participation log")
 	d.telemetryLog(&n.tel)
 	return d.finish("edge node state")
@@ -192,7 +191,7 @@ func (n *scNode) AppendState(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n.defensiveRejects))
 	buf = binary.AppendUvarint(buf, uint64(n.conflictsDropped))
 	buf = appendRecCounters(buf, &n.recC)
-	buf = appendColorMapArc(buf, n.colors)
+	buf = appendColors(buf, n.colors, func(s int) int { return int(n.arcAt(s)) })
 	buf = appendBoolLog(buf, n.paired)
 	return appendTelemetryLog(buf, &n.tel)
 }
@@ -202,7 +201,7 @@ func (n *scNode) RestoreState(data []byte) error {
 	n.defensiveRejects = d.count("defensive rejects")
 	n.conflictsDropped = d.count("conflicts dropped")
 	d.recCounters(&n.recC)
-	d.colorMapArc(n.colors)
+	d.colors("arc", func(a int) int { return n.slot(graph.ArcID(a)) }, n.colors)
 	n.paired = d.boolLog("participation log")
 	d.telemetryLog(&n.tel)
 	return d.finish("strong node state")
@@ -215,32 +214,22 @@ func appendRecCounters(buf []byte, c *recCounters) []byte {
 	return binary.AppendUvarint(buf, uint64(c.probes))
 }
 
-// appendColorMap encodes an id → color map sorted by id, so the
-// encoding is deterministic regardless of map iteration order.
-func appendColorMap(buf []byte, m map[graph.EdgeID]int) []byte {
-	keys := make([]int, 0, len(m))
-	for e := range m {
-		keys = append(keys, int(e))
+// appendColors encodes a node's colored slots as (id, color) pairs
+// sorted by id, where id(s) is the edge or arc id of slot s: the same
+// bytes the id → color map this state once was encoded as.
+func appendColors(buf []byte, colors []int32, id func(s int) int) []byte {
+	type pair struct{ id, color int }
+	var pairs []pair
+	for s, c := range colors {
+		if c >= 0 {
+			pairs = append(pairs, pair{id(s), int(c)})
+		}
 	}
-	sort.Ints(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, e := range keys {
-		buf = binary.AppendUvarint(buf, uint64(e))
-		buf = binary.AppendUvarint(buf, uint64(m[graph.EdgeID(e)]))
-	}
-	return buf
-}
-
-func appendColorMapArc(buf []byte, m map[graph.ArcID]int) []byte {
-	keys := make([]int, 0, len(m))
-	for a := range m {
-		keys = append(keys, int(a))
-	}
-	sort.Ints(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, a := range keys {
-		buf = binary.AppendUvarint(buf, uint64(a))
-		buf = binary.AppendUvarint(buf, uint64(m[graph.ArcID(a)]))
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
+	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+	for _, p := range pairs {
+		buf = binary.AppendUvarint(buf, uint64(p.id))
+		buf = binary.AppendUvarint(buf, uint64(p.color))
 	}
 	return buf
 }
@@ -324,21 +313,23 @@ func (d *stateDec) recCounters(c *recCounters) {
 	c.probes = d.count("probe counter")
 }
 
-func (d *stateDec) colorMapEdge(m map[graph.EdgeID]int) {
+// colors decodes appendColors' pairs into a node's slot colors; slot
+// maps an edge or arc id to its slot, or -1 when the id is not one of
+// the node's.
+func (d *stateDec) colors(what string, slot func(id int) int, colors []int32) {
 	count := d.count("color count")
 	for i := 0; i < count && d.err == nil; i++ {
-		e := d.count("edge id")
-		c := d.count("edge color")
-		m[graph.EdgeID(e)] = c
-	}
-}
-
-func (d *stateDec) colorMapArc(m map[graph.ArcID]int) {
-	count := d.count("color count")
-	for i := 0; i < count && d.err == nil; i++ {
-		a := d.count("arc id")
-		c := d.count("arc color")
-		m[graph.ArcID(a)] = c
+		id := d.count(what + " id")
+		c := d.count(what + " color")
+		if d.err != nil {
+			return
+		}
+		s := slot(id)
+		if s < 0 || c > math.MaxInt32 {
+			d.err = fmt.Errorf("core: %s %d color %d does not belong to this node", what, id, c)
+			return
+		}
+		colors[s] = int32(c)
 	}
 }
 

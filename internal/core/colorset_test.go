@@ -166,3 +166,48 @@ func TestQuickCountMatchesDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestColorSetInlineWordNeverAllocates(t *testing.T) {
+	var s, t2 ColorSet
+	allocs := testing.AllocsPerRun(100, func() {
+		for c := 0; c < 64; c++ {
+			s.Add(c)
+		}
+		t2.AddSet(&s)
+		_ = LowestFree(&s, &t2)
+	})
+	if allocs != 0 {
+		t.Fatalf("colors below 64 allocated %v times", allocs)
+	}
+	if s.Count() != 64 || s.Max() != 63 || LowestFree(&s) != 64 {
+		t.Fatalf("full inline word: count %d max %d lowest free %d", s.Count(), s.Max(), LowestFree(&s))
+	}
+}
+
+// TestQuickNthFreeMatchesFreeBelow pins the buffer-free draw of the
+// random color rules to the list it replaces.
+func TestQuickNthFreeMatchesFreeBelow(t *testing.T) {
+	f := func(a, b []uint8, rawBound uint8) bool {
+		var sa, sb ColorSet
+		for _, c := range a {
+			sa.Add(int(c))
+		}
+		for _, c := range b {
+			sb.Add(int(c) * 3)
+		}
+		bound := int(rawBound) + 1
+		free := FreeBelow(bound, &sa, &sb, nil)
+		if CountFreeBelow(bound, &sa, &sb, nil) != len(free) {
+			return false
+		}
+		for k, c := range free {
+			if NthFreeBelow(bound, k, &sa, &sb, nil) != c {
+				return false
+			}
+		}
+		return NthFreeBelow(bound, len(free), &sa, &sb, nil) == -1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

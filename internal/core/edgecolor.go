@@ -57,15 +57,13 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 			return nil, err
 		}
 	}
-	base := rng.New(opt.Seed)
+	ecs := newECNodes(g, 0, g.N(), &opt)
 	nodes := make([]net.Node, g.N())
-	ecs := make([]*ecNode, g.N())
-	for u := 0; u < g.N(); u++ {
-		ecs[u] = newECNode(g, u, base.Derive(uint64(u)), &opt)
+	for u := range ecs {
 		if forbidden != nil {
 			ecs[u].seedForbidden(forbidden)
 		}
-		nodes[u] = ecs[u]
+		nodes[u] = &ecs[u]
 	}
 	var traffic []net.RoundTraffic
 	var observe net.RoundObserver
@@ -101,13 +99,18 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 	// both endpoints agree — the distributed analogue of Proposition 2's
 	// "v, w color the edge (v, w) with different colors" case.
 	endpoints := make([]int8, g.M())
-	for _, n := range ecs {
+	for u := range ecs {
+		n := &ecs[u]
 		res.DefensiveRejects += n.defensiveRejects
 		res.Retransmits += n.recC.retransmits
 		res.Repairs += n.recC.repairs
 		res.Reverts += n.recC.reverts
 		res.Probes += n.recC.probes
-		for e, c := range n.colors {
+		for i, c32 := range n.colors {
+			if c32 < 0 {
+				continue
+			}
+			e, c := n.inc[i], int(c32)
 			endpoints[e]++
 			if res.Colors[e] == -1 {
 				res.Colors[e] = c
@@ -129,8 +132,8 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 	}
 	if opt.Metrics != nil {
 		tels := make([]*nodeTelemetry, len(ecs))
-		for i, n := range ecs {
-			tels[i] = &n.tel
+		for i := range ecs {
+			tels[i] = &ecs[i].tel
 		}
 		emitRoundStats(opt.Metrics, traffic, tels, ecPhases, g.M(), g.N())
 	}
@@ -145,27 +148,34 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 	return res, nil
 }
 
-// ecNode is one vertex of Algorithm 1.
+// ecNode is one vertex of Algorithm 1. Per-neighbor state lives in
+// slot-indexed windows of run-wide arrays (see arena.go): slot i is
+// Neighbors(u)[i] and its edge IncidentEdges(u)[i].
 type ecNode struct {
 	id   int
 	g    *graph.Graph
 	opt  *Options
-	r    *rng.Rand
-	mach *automaton.Machine
+	r    rng.Rand
+	mach automaton.Machine
 
-	colors    map[graph.EdgeID]int // colors of own incident edges
-	uncolored []graph.EdgeID       // own incident edges not yet colored
-	usedSelf  ColorSet             // colors on own colored edges (live complement)
-	usedNbr   []ColorSet           // usedNbr[i]: colors used by Neighbors(u)[i] (the dead list)
-	nbrIndex  map[int]int          // neighbor vertex -> index in Neighbors(u)
-	forbid    *ColorSet            // externally forbidden colors (ColorEdgesConstrained), folded into usedSelf
+	inc       []graph.EdgeID // IncidentEdges(u)
+	adj       adjacency      // neighbor vertex -> slot
+	colors    []int32        // colors[i]: color of edge inc[i], -1 while uncolored
+	uncolored []int32        // slots of own edges not yet colored
+	usedSelf  ColorSet       // colors on own colored edges (live complement)
+	usedNbr   []ColorSet     // usedNbr[i]: colors used by Neighbors(u)[i] (the dead list)
+	forbid    *ColorSet      // externally forbidden colors (ColorEdgesConstrained), folded into usedSelf
 
 	// Current invitation, valid while the machine is in I/W.
 	inviteEdge  graph.EdgeID
 	inviteTo    int
 	inviteColor int
 
-	pendingPaints []msg.Paint // colors assigned this round, to broadcast in E
+	paints paintSlab // colors assigned, the unsent tail broadcast in E
+
+	// out is the outbox Step returns, reused every round: it stays valid
+	// until this node's next Step, per the net.Node contract.
+	out []msg.Message
 
 	defensiveRejects int
 
@@ -174,6 +184,7 @@ type ecNode struct {
 	// broadcast; retransQ holds Responses queued for the next respond
 	// phase; attempts counts failed invitations per edge so stale
 	// proposals widen their color window instead of looping forever.
+	// All three stay nil when recovery is off.
 	pendingAck map[graph.EdgeID]*ecPending
 	retransQ   []msg.Message
 	attempts   map[graph.EdgeID]int
@@ -190,35 +201,57 @@ type ecNode struct {
 	paired []bool
 }
 
-func newECNode(g *graph.Graph, u int, r *rng.Rand, opt *Options) *ecNode {
-	n := &ecNode{
-		id:       u,
-		g:        g,
-		opt:      opt,
-		obs:      opt.Metrics != nil,
-		r:        r,
-		mach:     automaton.NewMachine(u, opt.Hook),
-		colors:   make(map[graph.EdgeID]int, g.Degree(u)),
-		usedNbr:  make([]ColorSet, g.Degree(u)),
-		nbrIndex: make(map[int]int, g.Degree(u)),
+// newECNodes builds the nodes of vertices [lo, hi) with their per-vertex
+// state carved from run-wide arrays. Node u draws from the stream
+// rng.New(opt.Seed).Derive(u), so a shard built by a node process
+// matches the coordinator's nodes exactly.
+func newECNodes(g *graph.Graph, lo, hi int, opt *Options) []ecNode {
+	base := rng.New(opt.Seed)
+	c := newIncidence(g, lo, hi)
+	total := c.total()
+	colors := make([]int32, total)
+	for i := range colors {
+		colors[i] = -1
 	}
-	if opt.Recovery.Enabled {
-		n.pendingAck = make(map[graph.EdgeID]*ecPending)
-		n.attempts = make(map[graph.EdgeID]int)
-	}
-	for i, v := range g.Neighbors(u) {
-		n.nbrIndex[v] = i
-	}
-	n.uncolored = append(n.uncolored, g.IncidentEdges(u)...)
-	if len(n.uncolored) == 0 {
-		// Isolated vertex: walk a legal path straight to Done so the
-		// machine invariant (all terminations pass through D) holds.
-		for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
-			automaton.Update, automaton.Exchange, automaton.Done} {
-			n.mach.MustTransition(s)
+	uncolored := make([]int32, total)
+	usedNbr := make([]ColorSet, total)
+	paints := make([]msg.Paint, total)
+	outs := make([]msg.Message, hi-lo)
+	nodes := make([]ecNode, hi-lo)
+	for u := lo; u < hi; u++ {
+		n := &nodes[u-lo]
+		*n = ecNode{
+			id:        u,
+			g:         g,
+			opt:       opt,
+			obs:       opt.Metrics != nil,
+			r:         *base.Derive(uint64(u)),
+			mach:      *automaton.NewMachine(u, opt.Hook),
+			inc:       g.IncidentEdges(u),
+			adj:       c.adjacency(g, u),
+			colors:    window(colors, &c, u),
+			uncolored: window(uncolored, &c, u),
+			usedNbr:   window(usedNbr, &c, u),
+			paints:    paintSlab{buf: window(paints, &c, u)[:0]},
+			out:       outs[u-lo : u-lo : u-lo+1],
+		}
+		if opt.Recovery.Enabled {
+			n.pendingAck = make(map[graph.EdgeID]*ecPending)
+			n.attempts = make(map[graph.EdgeID]int)
+		}
+		for i := range n.uncolored {
+			n.uncolored[i] = int32(i)
+		}
+		if len(n.uncolored) == 0 {
+			// Isolated vertex: walk a legal path straight to Done so the
+			// machine invariant (all terminations pass through D) holds.
+			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
+				automaton.Update, automaton.Exchange, automaton.Done} {
+				n.mach.MustTransition(s)
+			}
 		}
 	}
-	return n
+	return nodes
 }
 
 // seedForbidden folds externally forbidden colors (per vertex) into the
@@ -227,7 +260,7 @@ func newECNode(g *graph.Graph, u int, r *rng.Rand, opt *Options) *ecNode {
 // colors already broadcast by that neighbor. The set is kept on the node
 // so recovery's rebuildUsedSelf cannot drop it.
 func (n *ecNode) seedForbidden(forbidden []*ColorSet) {
-	if f := forbidden[n.id]; f != nil && len(f.words) > 0 {
+	if f := forbidden[n.id]; f != nil && f.Max() >= 0 {
 		n.forbid = f.Clone()
 		n.usedSelf.AddSet(n.forbid)
 	}
@@ -246,20 +279,21 @@ func (n *ecNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if n.obs {
 		n.curRound = round / ecPhases
 	}
-	if n.Done() {
-		if !n.recOn() {
-			return nil
+	out := n.out[:0]
+	switch {
+	case n.Done():
+		if n.recOn() {
+			out = n.stepDone(round%ecPhases, inbox, out)
 		}
-		return n.stepDone(round%ecPhases, inbox)
-	}
-	switch round % ecPhases {
-	case 0:
-		return n.phaseChooseInvite(inbox)
-	case 1:
-		return n.phaseRespond(inbox)
+	case round%ecPhases == 0:
+		out = n.phaseChooseInvite(inbox, out)
+	case round%ecPhases == 1:
+		out = n.phaseRespond(inbox, out)
 	default:
-		return n.phaseUpdateExchange(inbox)
+		out = n.phaseUpdateExchange(inbox, out)
 	}
+	n.out = out
+	return out
 }
 
 // stepDone services recovery traffic after the node finished: a finished
@@ -267,23 +301,23 @@ func (n *ecNode) Step(round int, inbox []msg.Message) []msg.Message {
 // invitations for them, and a negative acknowledgement (its partner
 // could not adopt a one-sided assignment) reverts the edge and
 // resurrects the node as a listener for the rest of the current cycle.
-func (n *ecNode) stepDone(phase int, inbox []msg.Message) []msg.Message {
+func (n *ecNode) stepDone(phase int, inbox, out []msg.Message) []msg.Message {
 	if phase == 2 {
-		return nil // acknowledgements and invitations never land here
+		return out // acknowledgements and invitations never land here
 	}
 	before := len(n.uncolored)
 	n.absorbAcks(inbox)
 	if len(n.uncolored) > before {
-		n.mach = automaton.NewMachine(n.id, n.opt.Hook)
+		n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
 		n.mach.MustTransition(automaton.Listen)
 		if phase == 1 {
 			n.mach.MustTransition(automaton.Respond)
 		}
 	}
 	if phase == 1 {
-		return n.answerColoredInvites(inbox, nil)
+		return n.answerColoredInvites(inbox, out)
 	}
-	return nil
+	return out
 }
 
 // phaseChooseInvite applies neighbor updates from the previous exchange,
@@ -291,8 +325,7 @@ func (n *ecNode) stepDone(phase int, inbox []msg.Message) []msg.Message {
 // became an inviter. Under recovery it first settles acknowledgements:
 // incoming acks, partner paints that implicitly acknowledge or repair an
 // assignment, and the aging of its own unacknowledged assignments.
-func (n *ecNode) phaseChooseInvite(inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
 		n.absorbAcks(inbox)
 	}
@@ -300,7 +333,7 @@ func (n *ecNode) phaseChooseInvite(inbox []msg.Message) []msg.Message {
 		if m.Kind != msg.KindUpdate {
 			continue
 		}
-		if i, ok := n.nbrIndex[m.From]; ok {
+		if i, ok := n.adj.index(m.From); ok {
 			for _, p := range m.Paints {
 				n.usedNbr[i].Add(p.Color)
 			}
@@ -334,9 +367,9 @@ func (n *ecNode) phaseChooseInvite(inbox []msg.Message) []msg.Message {
 		if ev != nil {
 			ev.invited++
 		}
-		e := n.uncolored[n.r.Intn(len(n.uncolored))]
-		v := n.g.EdgeAt(e).Other(n.id)
-		c := n.proposeColor(e, &n.usedNbr[n.nbrIndex[v]])
+		i := n.uncolored[n.r.Intn(len(n.uncolored))]
+		e, v := n.inc[i], n.adj.nbrs[i]
+		c := n.proposeColor(e, &n.usedNbr[i])
 		if n.recOn() {
 			n.attempts[e]++
 		}
@@ -421,17 +454,12 @@ func (n *ecNode) proposeColor(e graph.EdgeID, target *ColorSet) int {
 	if n.recOn() {
 		widen = n.attempts[e] / 4
 	}
-	if n.opt.ColorRule == RandomAvailable {
-		bound := MaxOf(&n.usedSelf, target) + 2 + widen
-		free := FreeBelow(bound, &n.usedSelf, target)
-		return free[n.r.Intn(len(free))] // nonempty: bound exceeds max used
-	}
-	if widen == 0 {
+	if widen == 0 && n.opt.ColorRule != RandomAvailable {
 		return LowestFree(&n.usedSelf, target)
 	}
 	bound := MaxOf(&n.usedSelf, target) + 2 + widen
-	free := FreeBelow(bound, &n.usedSelf, target)
-	return free[n.r.Intn(len(free))]
+	k := n.r.Intn(CountFreeBelow(bound, &n.usedSelf, target)) // nonzero: bound exceeds max used
+	return NthFreeBelow(bound, k, &n.usedSelf, target)
 }
 
 // phaseRespond handles the L→R side (accept one invitation) and the I→W
@@ -439,8 +467,7 @@ func (n *ecNode) proposeColor(e graph.EdgeID, target *ColorSet) int {
 // it first settles negative acknowledgements from the previous choose
 // phase, drains queued retransmissions, and answers invitations for
 // already-committed edges with their authoritative color.
-func (n *ecNode) phaseRespond(inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
 		n.absorbAcks(inbox)
 		out = append(out, n.retransQ...)
@@ -451,16 +478,18 @@ func (n *ecNode) phaseRespond(inbox []msg.Message) []msg.Message {
 		return out
 	}
 	n.mach.MustTransition(automaton.Respond)
-	mine, _ := automaton.SplitInvites(n.id, inbox)
 	// Defensive validation: an invitation is acceptable only if its
 	// color is unused here and its edge is still uncolored. The protocol
 	// invariants guarantee this under reliable delivery (the inviter
 	// proposed from current one-hop knowledge); under injected faults
 	// stale invitations are rejected here.
-	valid := mine[:0:0]
-	for _, m := range mine {
+	valid := 0
+	for _, m := range inbox {
+		if !automaton.IsInviteFor(m, n.id) {
+			continue
+		}
 		if n.recOn() {
-			if c, ok := n.colors[graph.EdgeID(m.Edge)]; ok && n.incidentFrom(graph.EdgeID(m.Edge), m.From) {
+			if c, ok := n.colorOf(graph.EdgeID(m.Edge)); ok && n.incidentFrom(graph.EdgeID(m.Edge), m.From) {
 				// The inviter renegotiates an edge this node already
 				// committed: its earlier Response (or the inviter's
 				// acceptance) was lost. Re-respond with the committed
@@ -473,18 +502,28 @@ func (n *ecNode) phaseRespond(inbox []msg.Message) []msg.Message {
 				continue
 			}
 		}
-		if !n.usedSelf.Has(m.Color) && n.isUncolored(graph.EdgeID(m.Edge)) {
-			valid = append(valid, m)
+		if n.acceptable(m) {
+			valid++
 		} else {
 			n.reject()
 		}
 	}
-	if len(valid) == 0 {
+	if valid == 0 {
 		return out
 	}
 	// R state: accept one invitation uniformly at random (line 1.21)
-	// and assign the color immediately (line 1.23).
-	m := valid[n.r.Intn(len(valid))]
+	// and assign the color immediately (line 1.23). The chosen one is
+	// found again by a second pass, so the phase needs no buffer.
+	k := n.r.Intn(valid)
+	var m msg.Message
+	for _, m = range inbox {
+		if automaton.IsInviteFor(m, n.id) && n.acceptable(m) {
+			if k == 0 {
+				break
+			}
+			k--
+		}
+	}
 	n.assign(graph.EdgeID(m.Edge), m.Color, m.From)
 	if n.recOn() {
 		n.pendingAck[graph.EdgeID(m.Edge)] = &ecPending{color: m.Color, partner: m.From}
@@ -494,18 +533,24 @@ func (n *ecNode) phaseRespond(inbox []msg.Message) []msg.Message {
 	})
 }
 
+// acceptable reports whether invitation m may be accepted: its color is
+// unused here and its edge still uncolored.
+func (n *ecNode) acceptable(m msg.Message) bool {
+	return !n.usedSelf.Has(m.Color) && n.isUncolored(graph.EdgeID(m.Edge))
+}
+
 // phaseUpdateExchange closes the round: inviters apply an acceptance if
 // one arrived (W→U), everyone broadcasts newly used colors (U→E), and
 // the machine loops to C or stops at D. Under recovery the response
 // handling generalizes from the one expected reply to any Response for
 // an incident edge (adopting, acknowledging, or refusing it), and the
 // node stays live while assignments await acknowledgement.
-func (n *ecNode) phaseUpdateExchange(inbox []msg.Message) []msg.Message {
+func (n *ecNode) phaseUpdateExchange(inbox, out []msg.Message) []msg.Message {
 	wasWait := n.mach.State() == automaton.Wait
 	switch n.mach.State() {
 	case automaton.Wait:
 		if !n.recOn() {
-			if m, ok, _ := automaton.FindResponse(n.id, int(n.inviteEdge), inbox); ok {
+			if m, ok := automaton.FindResponse(n.id, int(n.inviteEdge), inbox); ok {
 				if m.From == n.inviteTo && m.Color == n.inviteColor {
 					n.assign(n.inviteEdge, m.Color, m.From)
 				} else {
@@ -523,16 +568,14 @@ func (n *ecNode) phaseUpdateExchange(inbox []msg.Message) []msg.Message {
 	}
 	n.mach.MustTransition(automaton.Exchange)
 
-	var out []msg.Message
 	if n.recOn() {
-		out = n.recoverResponses(inbox, wasWait)
+		out = n.recoverResponses(inbox, wasWait, out)
 	}
-	if len(n.pendingPaints) > 0 {
+	if len(n.paints.pending()) > 0 {
 		out = append(out, msg.Message{
 			Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-			Edge: -1, Color: -1, Paints: n.pendingPaints,
+			Edge: -1, Color: -1, Paints: n.paints.take(),
 		})
-		n.pendingPaints = nil
 	}
 	if len(n.uncolored) == 0 && !(n.recOn() && len(n.pendingAck) > 0) {
 		n.mach.MustTransition(automaton.Done)
@@ -550,8 +593,7 @@ func (n *ecNode) phaseUpdateExchange(inbox []msg.Message) []msg.Message {
 // negative acknowledgement so the sender reverts. The one response the
 // reliable protocol expects (fresh acceptance of this round's invitation)
 // is not counted as a repair.
-func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool) []msg.Message {
-	var out []msg.Message
+func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
 		if m.Kind != msg.KindResponse || m.To != n.id {
 			continue
@@ -560,7 +602,7 @@ func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool) []msg.Messa
 		if !n.incidentFrom(e, m.From) || m.Color < 0 {
 			continue
 		}
-		if c, ok := n.colors[e]; ok {
+		if c, ok := n.colorOf(e); ok {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, c == m.Color))
 			continue
 		}
@@ -608,17 +650,17 @@ func (n *ecNode) absorbAcks(inbox []msg.Message) {
 // after the partner refused it. Stale reverts (the edge has moved on to
 // a different color, or was never colored here) are ignored.
 func (n *ecNode) revert(e graph.EdgeID, c int) {
-	cur, ok := n.colors[e]
-	if !ok || cur != c {
+	i := n.slot(e)
+	if i < 0 || int(n.colors[i]) != c {
 		return
 	}
-	delete(n.colors, e)
+	n.colors[i] = -1
 	delete(n.pendingAck, e)
-	n.uncolored = append(n.uncolored, e)
+	n.uncolored = append(n.uncolored, int32(i))
 	n.rebuildUsedSelf()
-	for i, p := range n.pendingPaints {
+	for k, p := range n.paints.pending() {
 		if graph.EdgeID(p.Edge) == e {
-			n.pendingPaints = append(n.pendingPaints[:i], n.pendingPaints[i+1:]...)
+			n.paints.remove(k)
 			break
 		}
 	}
@@ -635,7 +677,9 @@ func (n *ecNode) rebuildUsedSelf() {
 	n.usedSelf = ColorSet{}
 	n.usedSelf.AddSet(n.forbid)
 	for _, c := range n.colors {
-		n.usedSelf.Add(c)
+		if c >= 0 {
+			n.usedSelf.Add(int(c))
+		}
 	}
 }
 
@@ -643,13 +687,15 @@ func (n *ecNode) rebuildUsedSelf() {
 // already committed — the finished node's half of the authoritative
 // re-response mechanism.
 func (n *ecNode) answerColoredInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	mine, _ := automaton.SplitInvites(n.id, inbox)
-	for _, m := range mine {
+	for _, m := range inbox {
+		if !automaton.IsInviteFor(m, n.id) {
+			continue
+		}
 		e := graph.EdgeID(m.Edge)
 		if !n.incidentFrom(e, m.From) {
 			continue
 		}
-		c, ok := n.colors[e]
+		c, ok := n.colorOf(e)
 		if !ok {
 			continue
 		}
@@ -706,29 +752,55 @@ func (n *ecNode) assign(e graph.EdgeID, c int, partner int) {
 		n.tel.at(n.curRound).paired++
 		n.tel.assigns = append(n.tel.assigns, assignEvent{round: n.curRound, item: int(e), color: c})
 	}
-	n.colors[e] = c
+	i := n.slot(e)
+	n.colors[i] = int32(c)
 	n.usedSelf.Add(c)
 	if n.recOn() {
 		delete(n.attempts, e)
 	}
-	if i, ok := n.nbrIndex[partner]; ok {
-		n.usedNbr[i].Add(c) // the partner uses c now too
+	if j, ok := n.adj.index(partner); ok {
+		n.usedNbr[j].Add(c) // the partner uses c now too
 	}
-	for i, id := range n.uncolored {
-		if id == e {
-			n.uncolored[i] = n.uncolored[len(n.uncolored)-1]
+	for k, s := range n.uncolored {
+		if int(s) == i {
+			n.uncolored[k] = n.uncolored[len(n.uncolored)-1]
 			n.uncolored = n.uncolored[:len(n.uncolored)-1]
 			break
 		}
 	}
-	n.pendingPaints = append(n.pendingPaints, msg.Paint{Edge: int(e), Color: c})
+	n.paints.add(msg.Paint{Edge: int(e), Color: c})
+}
+
+// slot returns the incidence slot of edge e at this node, or -1 if e is
+// not one of its edges.
+func (n *ecNode) slot(e graph.EdgeID) int {
+	if e < 0 || int(e) >= n.g.EdgeIDBound() {
+		return -1
+	}
+	ed := n.g.EdgeAt(e)
+	v := ed.U
+	if v == n.id {
+		v = ed.V
+	} else if ed.V != n.id {
+		return -1
+	}
+	i, ok := n.adj.index(v)
+	if !ok || n.inc[i] != e {
+		return -1
+	}
+	return i
+}
+
+// colorOf returns the color of own edge e, with ok == false while e is
+// uncolored or not incident.
+func (n *ecNode) colorOf(e graph.EdgeID) (int, bool) {
+	if i := n.slot(e); i >= 0 && n.colors[i] >= 0 {
+		return int(n.colors[i]), true
+	}
+	return 0, false
 }
 
 func (n *ecNode) isUncolored(e graph.EdgeID) bool {
-	for _, id := range n.uncolored {
-		if id == e {
-			return true
-		}
-	}
-	return false
+	i := n.slot(e)
+	return i >= 0 && n.colors[i] < 0
 }

@@ -50,12 +50,10 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 			return nil, err
 		}
 	}
-	base := rng.New(opt.Seed)
+	scs := newSCNodes(d, 0, g.N(), &opt)
 	nodes := make([]net.Node, g.N())
-	scs := make([]*scNode, g.N())
-	for u := 0; u < g.N(); u++ {
-		scs[u] = newSCNode(d, u, base.Derive(uint64(u)), &opt)
-		nodes[u] = scs[u]
+	for u := range scs {
+		nodes[u] = &scs[u]
 	}
 	var traffic []net.RoundTraffic
 	var observe net.RoundObserver
@@ -87,14 +85,19 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 		res.Colors[i] = -1
 	}
 	endpoints := make([]int8, d.A())
-	for _, n := range scs {
+	for u := range scs {
+		n := &scs[u]
 		res.DefensiveRejects += n.defensiveRejects
 		res.ConflictsDropped += n.conflictsDropped
 		res.Retransmits += n.recC.retransmits
 		res.Repairs += n.recC.repairs
 		res.Reverts += n.recC.reverts
 		res.Probes += n.recC.probes
-		for a, c := range n.colors {
+		for i, c32 := range n.colors {
+			if c32 < 0 {
+				continue
+			}
+			a, c := n.arcAt(i), int(c32)
 			endpoints[a]++
 			if res.Colors[a] == -1 {
 				res.Colors[a] = c
@@ -116,8 +119,8 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 	}
 	if opt.Metrics != nil {
 		tels := make([]*nodeTelemetry, len(scs))
-		for i, n := range scs {
-			tels[i] = &n.tel
+		for i := range scs {
+			tels[i] = &scs[i].tel
 		}
 		emitRoundStats(opt.Metrics, traffic, tels, scPhases, d.A(), g.N())
 	}
@@ -142,46 +145,56 @@ type scClaim struct {
 	compRound int // computation round the claim formed in (telemetry)
 }
 
-// scNode is one vertex of Algorithm 2.
+// scNode is one vertex of Algorithm 2. Per-neighbor state lives in
+// slot-indexed windows of run-wide arrays (see arena.go): slot i is
+// Neighbors(u)[i], whose edge IncidentEdges(u)[i] carries the out arc
+// of slot i and the in arc of slot deg+i.
 type scNode struct {
 	id   int
 	d    *graph.Digraph
 	opt  *Options
-	r    *rng.Rand
-	mach *automaton.Machine
+	r    rng.Rand
+	mach automaton.Machine
 
-	colors       map[graph.ArcID]int // colors of incident arcs (both directions)
-	uncoloredOut []graph.ArcID       // outgoing arcs not yet colored
-	remaining    int                 // incident arcs (in+out) still uncolored
-	colorsAt     []ColorSet          // colorsAt[i]: colors on arcs incident to Neighbors(u)[i]
-	colorsSelf   ColorSet            // colors on arcs incident to u itself
-	nbrIndex     map[int]int
+	inc          []graph.EdgeID // IncidentEdges(u)
+	adj          adjacency      // neighbor vertex -> slot
+	colors       []int32        // colors[s]: color of the arc of slot s (out then in), -1 while uncolored
+	uncoloredOut []int32        // slots of outgoing arcs not yet colored
+	remaining    int            // incident arcs (in+out) still uncolored
+	colorsNbr    ColorSet       // colors on arcs incident to any neighbor
+	colorsSelf   ColorSet       // colors on arcs incident to u itself
 
 	// Dead-list relay: the E state exchanges each node's *color list* —
 	// the channels no longer usable for it, which already aggregates its
 	// one-hop knowledge. Relaying the list gives each inviter a view of
 	// the responder's forbidden set through one-hop messages only
-	// (Algorithm 2 lines 2.23–2.24 and Procedure 2-c).
+	// (Algorithm 2 lines 2.23–2.24 and Procedure 2-c). Newly dead colors
+	// wait as the unsent tail of the paint slab until the next exchange.
 	deadNbr   []ColorSet // deadNbr[i]: colors Neighbors(u)[i] announced as dead for itself
 	announced ColorSet   // colors this node has already announced dead
-	deadQueue []int      // newly dead colors awaiting the next exchange
+	paints    paintSlab
 
 	// In-flight invitation (valid in I/W).
 	inviteArc   graph.ArcID
 	inviteTo    int
 	inviteColor int
 
-	// attempts counts failed invitations per outgoing arc. The responder
-	// may hold forbidden colors the inviter cannot see (used by the
-	// responder's other neighbors), so a fixed lowest-free proposal can
-	// be rejected forever. After a failure the proposal is drawn
+	// attempts[i] counts failed invitations on the out arc of slot i. The
+	// responder may hold forbidden colors the inviter cannot see (used by
+	// the responder's other neighbors), so a fixed lowest-free proposal
+	// can be rejected forever. After a failure the proposal is drawn
 	// uniformly from a window that grows with the attempt count, which
 	// makes every arc colorable with probability 1. Procedure 2-a only
 	// requires "an open channel", so this selection rule is a faithful
 	// refinement (see DESIGN.md).
-	attempts map[graph.ArcID]int
+	attempts []int32
 
-	claim *scClaim // tentative pairing this round, nil if none
+	claim     *scClaim // tentative pairing this round (points at claimSlot), nil if none
+	claimSlot scClaim
+
+	// out is the outbox Step returns, reused every round: it stays valid
+	// until this node's next Step, per the net.Node contract.
+	out []msg.Message
 
 	// Recovery state (Options.Recovery; see recovery.go). reaffirmQ holds
 	// keep-Decides re-announcing committed colors (after an adoption, or
@@ -206,33 +219,99 @@ type scNode struct {
 	paired []bool
 }
 
-func newSCNode(d *graph.Digraph, u int, r *rng.Rand, opt *Options) *scNode {
+// scOutboxCap is the outbox window each node starts with: the decide
+// phase sends a dead-list delta and a decision.
+const scOutboxCap = 2
+
+// scPaintWindow is the first paint-slab chunk of a degree-deg vertex
+// whose neighbors' degrees sum to nbrDeg. A vertex announces every
+// color on an arc within its closed neighborhood as dead exactly once;
+// there are at most 2(deg + nbrDeg) such arcs, and on random graphs
+// about half as many distinct colors. The cap keeps a hub's leaves from
+// reserving the hub's whole neighborhood; a full chunk is replaced by a
+// fresh one of twice the size.
+func scPaintWindow(deg, nbrDeg int) int {
+	return min(deg+nbrDeg, 16*deg)
+}
+
+// scSetWords is how many words beyond the inline one each of a node's
+// color sets reserves up front. Strong colorings of random graphs use
+// about 6.5Δ colors, so sets sized for 8Δ rarely grow past their
+// reservation. The reservation stops at 256 colors: it costs every set
+// of the run, and on high-degree graphs sets grow on demand instead.
+func scSetWords(maxDeg int) int {
+	return min(3, max(0, (8*maxDeg+63)/64-1))
+}
+
+// newSCNodes builds the nodes of vertices [lo, hi) of the symmetric
+// digraph d, with per-vertex state carved from run-wide arrays. Node u
+// draws from the stream rng.New(opt.Seed).Derive(u), so a shard built by
+// a node process matches the coordinator's nodes exactly.
+func newSCNodes(d *graph.Digraph, lo, hi int, opt *Options) []scNode {
 	g := d.Under()
-	n := &scNode{
-		id:        u,
-		d:         d,
-		opt:       opt,
-		obs:       opt.Metrics != nil,
-		r:         r,
-		mach:      automaton.NewMachine(u, opt.Hook),
-		colors:    make(map[graph.ArcID]int, 2*g.Degree(u)),
-		remaining: 2 * g.Degree(u),
-		colorsAt:  make([]ColorSet, g.Degree(u)),
-		nbrIndex:  make(map[int]int, g.Degree(u)),
-		attempts:  make(map[graph.ArcID]int),
+	base := rng.New(opt.Seed)
+	c := newIncidence(g, lo, hi)
+	total := c.total()
+	colors := make([]int32, 2*total)
+	for i := range colors {
+		colors[i] = -1
 	}
-	n.deadNbr = make([]ColorSet, g.Degree(u))
-	for i, v := range g.Neighbors(u) {
-		n.nbrIndex[v] = i
+	uncolored := make([]int32, total)
+	attempts := make([]int32, total)
+	deadNbr := make([]ColorSet, total)
+	paintTotal := 0
+	for u := lo; u < hi; u++ {
+		paintTotal += scPaintWindow(g.Degree(u), nbrDegrees(g, u))
 	}
-	n.uncoloredOut = append(n.uncoloredOut, d.OutArcs(u)...)
-	if n.remaining == 0 {
-		for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
-			automaton.Update, automaton.Exchange, automaton.Done} {
-			n.mach.MustTransition(s)
+	paints := make([]msg.Paint, paintTotal)
+	sw := scSetWords(g.MaxDegree())
+	words := make([]uint64, sw*(total+3*(hi-lo)))
+	reserve := func(s *ColorSet) {
+		s.hi, words = words[:0:sw], words[sw:]
+	}
+	for i := range deadNbr {
+		reserve(&deadNbr[i])
+	}
+	outs := make([]msg.Message, scOutboxCap*(hi-lo))
+	nodes := make([]scNode, hi-lo)
+	p := 0
+	for u := lo; u < hi; u++ {
+		a, b := c.span(u)
+		o := scOutboxCap * (u - lo)
+		pw := scPaintWindow(b-a, nbrDegrees(g, u))
+		n := &nodes[u-lo]
+		*n = scNode{
+			id:           u,
+			d:            d,
+			opt:          opt,
+			obs:          opt.Metrics != nil,
+			r:            *base.Derive(uint64(u)),
+			mach:         *automaton.NewMachine(u, opt.Hook),
+			inc:          g.IncidentEdges(u),
+			adj:          c.adjacency(g, u),
+			colors:       colors[2*a : 2*b : 2*b],
+			uncoloredOut: window(uncolored, &c, u),
+			remaining:    2 * (b - a),
+			deadNbr:      window(deadNbr, &c, u),
+			paints:       paintSlab{buf: paints[p : p : p+pw]},
+			attempts:     window(attempts, &c, u),
+			out:          outs[o : o : o+scOutboxCap],
+		}
+		p += pw
+		reserve(&n.colorsSelf)
+		reserve(&n.colorsNbr)
+		reserve(&n.announced)
+		for i := range n.uncoloredOut {
+			n.uncoloredOut[i] = int32(i)
+		}
+		if n.remaining == 0 {
+			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
+				automaton.Update, automaton.Exchange, automaton.Done} {
+				n.mach.MustTransition(s)
+			}
 		}
 	}
-	return n
+	return nodes
 }
 
 func (n *scNode) ID() int { return n.id }
@@ -245,22 +324,23 @@ func (n *scNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if n.obs {
 		n.curRound = round / scPhases
 	}
-	if n.Done() {
-		if !n.recOn() {
-			return nil
+	out := n.out[:0]
+	switch {
+	case n.Done():
+		if n.recOn() {
+			out = n.stepDone(round/scPhases, round%scPhases, inbox, out)
 		}
-		return n.stepDone(round/scPhases, round%scPhases, inbox)
-	}
-	switch round % scPhases {
-	case 0:
-		return n.phaseChooseInvite(round/scPhases, inbox)
-	case 1:
-		return n.phaseRespond(inbox)
-	case 2:
-		return n.phaseClaim(inbox)
+	case round%scPhases == 0:
+		out = n.phaseChooseInvite(round/scPhases, inbox, out)
+	case round%scPhases == 1:
+		out = n.phaseRespond(inbox, out)
+	case round%scPhases == 2:
+		out = n.phaseClaim(inbox, out)
 	default:
-		return n.phaseDecide(round/scPhases, inbox)
+		out = n.phaseDecide(round/scPhases, inbox, out)
 	}
+	n.out = out
+	return out
 }
 
 // stepDone services recovery traffic after the node finished. A finished
@@ -269,31 +349,31 @@ func (n *scNode) Step(round int, inbox []msg.Message) []msg.Message {
 // late-detected conflicts, and — when a negative acknowledgement or a
 // lost conflict reverts one of its arcs — resurrects as a listener so
 // the arc renegotiates.
-func (n *scNode) stepDone(compRound, phase int, inbox []msg.Message) []msg.Message {
+func (n *scNode) stepDone(compRound, phase int, inbox, out []msg.Message) []msg.Message {
 	switch phase {
 	case 0:
 		// Neighbor keep-decides and re-announcements: fold into knowledge
 		// and check them against this node's committed arcs.
 		before := n.remaining
-		out := n.scanAnnouncements(compRound, inbox, nil)
+		out = n.scanAnnouncements(compRound, inbox, out)
 		if n.remaining > before {
-			n.mach = automaton.NewMachine(n.id, n.opt.Hook)
+			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
 			n.mach.MustTransition(automaton.Listen)
 		}
 		return out
 	case 1:
 		before := n.remaining
-		out := n.processAcks(inbox)
+		out = n.processAcks(inbox, out)
 		out = n.answerCommittedInvites(inbox, out)
 		if n.remaining > before {
-			n.mach = automaton.NewMachine(n.id, n.opt.Hook)
+			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
 			n.mach.MustTransition(automaton.Listen)
 			n.mach.MustTransition(automaton.Respond)
 		}
 		return out
 	case 3:
 		before := n.remaining
-		out := n.processAcks(inbox)
+		out = n.processAcks(inbox, out)
 		out = append(out, n.reaffirmQ...)
 		n.reaffirmQ = nil
 		if compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
@@ -302,7 +382,7 @@ func (n *scNode) stepDone(compRound, phase int, inbox []msg.Message) []msg.Messa
 			}
 		}
 		if n.remaining > before {
-			n.mach = automaton.NewMachine(n.id, n.opt.Hook)
+			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
 			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
 				automaton.Update, automaton.Exchange, automaton.Choose} {
 				n.mach.MustTransition(s)
@@ -310,19 +390,23 @@ func (n *scNode) stepDone(compRound, phase int, inbox []msg.Message) []msg.Messa
 		}
 		return out
 	}
-	return nil
+	return out
 }
 
-// forbidden returns the color sets whose union covers every color used
-// on arcs within u's closed neighborhood — u's half of the distance-1
-// conflict set of any arc incident to u.
-func (n *scNode) forbidden() []*ColorSet {
-	sets := make([]*ColorSet, 0, len(n.colorsAt)+1)
-	sets = append(sets, &n.colorsSelf)
-	for i := range n.colorsAt {
-		sets = append(sets, &n.colorsAt[i])
+// nbrDegrees returns the summed degree of u's neighbors.
+func nbrDegrees(g *graph.Graph, u int) int {
+	s := 0
+	for _, v := range g.Neighbors(u) {
+		s += g.Degree(v)
 	}
-	return sets
+	return s
+}
+
+// forbids reports whether channel c is used on an arc within u's closed
+// neighborhood — u's half of the distance-1 conflict set of any arc
+// incident to u.
+func (n *scNode) forbids(c int) bool {
+	return n.colorsSelf.Has(c) || n.colorsNbr.Has(c)
 }
 
 // phaseChooseInvite finalizes the previous round's claims from the
@@ -331,18 +415,19 @@ func (n *scNode) forbidden() []*ColorSet {
 // (lost partner decisions, late-detected conflicts), and a node whose
 // remaining work is a half-colored incoming arc periodically probes the
 // arc's owner for its committed state.
-func (n *scNode) phaseChooseInvite(compRound int, inbox []msg.Message) []msg.Message {
-	out := n.applyDecides(compRound, inbox)
+func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []msg.Message {
+	out = n.applyDecides(compRound, inbox, out)
 	if n.recOn() && n.remaining > 0 && len(n.uncoloredOut) == 0 &&
 		compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
 		// Every uncolored incoming arc is awaited from its owner. If the
 		// owner committed it one-sidedly (a lost decide), no invitation
 		// will ever arrive — ask for its status.
-		for _, a := range n.d.InArcs(n.id) {
-			if _, ok := n.colors[a]; ok {
+		deg := len(n.inc)
+		for i, v := range n.adj.nbrs {
+			if n.colors[deg+i] >= 0 {
 				continue
 			}
-			out = append(out, ackMsg(n.id, n.d.ArcAt(a).From, int(a), -1, false))
+			out = append(out, ackMsg(n.id, v, int(n.arcAt(deg+i)), -1, false))
 			n.recC.probes++
 			if n.obs {
 				n.tel.at(compRound).probes++
@@ -374,10 +459,10 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox []msg.Message) []msg.Mes
 		if ev != nil {
 			ev.invited++
 		}
-		a := n.uncoloredOut[n.r.Intn(len(n.uncoloredOut))]
-		v := n.d.ArcAt(a).To
-		c := n.proposeColor(a, v)
-		n.attempts[a]++
+		i := n.uncoloredOut[n.r.Intn(len(n.uncoloredOut))]
+		a, v := n.arcAt(int(i)), n.adj.nbrs[i]
+		c := n.proposeColor(i)
+		n.attempts[i]++
 		n.inviteArc, n.inviteTo, n.inviteColor = a, v, c
 		return append(out, msg.Message{
 			Kind: msg.KindInvite, From: n.id, To: v, Edge: int(a), Color: c,
@@ -398,20 +483,20 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox []msg.Message) []msg.Mes
 // eventual overlap with the responder's true free set even while relay
 // updates are in flight. Under the RandomAvailable rule every attempt is
 // randomized.
-func (n *scNode) proposeColor(a graph.ArcID, v int) int {
-	sets := append(n.forbidden(), &n.deadNbr[n.nbrIndex[v]])
+func (n *scNode) proposeColor(i int32) int {
+	dead := &n.deadNbr[i]
 	// Most invitation failures are benign (the target was not listening
 	// or chose another suitor), and on average an arc needs ~4 attempts
 	// even without channel disagreement, so the window widens only every
 	// fourth failure. Until then the lowest free channel keeps the
 	// palette compact.
-	widen := n.attempts[a] / 4
+	widen := int(n.attempts[i] / 4)
 	if widen == 0 && n.opt.ColorRule == LowestFirst {
-		return LowestFree(sets...)
+		return LowestFree(&n.colorsSelf, &n.colorsNbr, dead)
 	}
-	bound := MaxOf(sets...) + 2 + widen
-	free := FreeBelow(bound, sets...)
-	return free[n.r.Intn(len(free))] // nonempty: bound exceeds max used
+	bound := MaxOf(&n.colorsSelf, &n.colorsNbr, dead) + 2 + widen
+	k := n.r.Intn(CountFreeBelow(bound, &n.colorsSelf, &n.colorsNbr, dead)) // nonzero: bound exceeds max used
+	return NthFreeBelow(bound, k, &n.colorsSelf, &n.colorsNbr, dead)
 }
 
 // applyDecides processes the keep/drop broadcasts of the previous
@@ -423,11 +508,10 @@ func (n *scNode) proposeColor(a graph.ArcID, v int) int {
 // broadcast this node never heard outranks the claim, and when a
 // neighbor announcement reveals a conflict with an already-committed arc
 // (conflictCheck).
-func (n *scNode) applyDecides(compRound int, inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *scNode) applyDecides(compRound int, inbox, out []msg.Message) []msg.Message {
 	var partnerKeep, partnerSeen, rivalWins bool
 	for _, m := range inbox {
-		i, nbr := n.nbrIndex[m.From]
+		i, nbr := n.adj.index(m.From)
 		if m.Kind == msg.KindUpdate {
 			// A neighbor's dead-list delta: channels no longer usable
 			// for it (relayed one-hop knowledge). Under recovery, paints
@@ -436,7 +520,7 @@ func (n *scNode) applyDecides(compRound int, inbox []msg.Message) []msg.Message 
 				for _, p := range m.Paints {
 					n.deadNbr[i].Add(p.Color)
 					if n.recOn() && p.Edge >= 0 {
-						n.addColorAt(i, p.Color)
+						n.addColorAt(p.Color)
 						out = n.conflictCheck(graph.ArcID(p.Edge), p.Color, out)
 					}
 				}
@@ -455,7 +539,7 @@ func (n *scNode) applyDecides(compRound int, inbox []msg.Message) []msg.Message 
 		// conservative — never incorrect (see DESIGN.md).
 		if m.Keep {
 			if nbr {
-				n.addColorAt(i, m.Color)
+				n.addColorAt(m.Color)
 				if n.recOn() {
 					out = n.conflictCheck(graph.ArcID(m.Edge), m.Color, out)
 				}
@@ -537,10 +621,10 @@ func (n *scNode) reject() {
 // disabled).
 func (n *scNode) partIdx() int { return len(n.paired) - 1 }
 
-// addColorAt records that neighbor i has color c on an incident arc,
+// addColorAt records that a neighbor has color c on an incident arc,
 // which also kills c for this node.
-func (n *scNode) addColorAt(i, c int) {
-	n.colorsAt[i].Add(c)
+func (n *scNode) addColorAt(c int) {
+	n.colorsNbr.Add(c)
 	n.markDead(c)
 }
 
@@ -549,23 +633,27 @@ func (n *scNode) addColorAt(i, c int) {
 func (n *scNode) markDead(c int) {
 	if !n.announced.Has(c) {
 		n.announced.Add(c)
-		n.deadQueue = append(n.deadQueue, c)
+		n.paints.add(msg.Paint{Edge: -1, Color: c})
 	}
 }
 
 // finalize records the color of an incident arc.
 func (n *scNode) finalize(a graph.ArcID, c int) {
-	if _, dup := n.colors[a]; dup {
+	if _, dup := n.colorOf(a); dup {
 		n.reject()
 		return
 	}
-	n.colors[a] = c
+	s := n.slot(a)
+	n.colors[s] = int32(c)
 	n.colorsSelf.Add(c)
 	n.markDead(c)
 	n.remaining--
-	delete(n.attempts, a)
+	if s >= len(n.inc) {
+		return // an in arc: no attempts, not in uncoloredOut
+	}
+	n.attempts[s] = 0
 	for i, id := range n.uncoloredOut {
-		if id == a {
+		if int(id) == s {
 			n.uncoloredOut[i] = n.uncoloredOut[len(n.uncoloredOut)-1]
 			n.uncoloredOut = n.uncoloredOut[:len(n.uncoloredOut)-1]
 			break
@@ -579,10 +667,9 @@ func (n *scNode) finalize(a graph.ArcID, c int) {
 // answering invitations for already-committed arcs authoritatively —
 // inviters included, since a Waiting node is still the authority for its
 // other arcs.
-func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
-		out = n.processAcks(inbox)
+		out = n.processAcks(inbox, out)
 		out = n.answerCommittedInvites(inbox, out)
 	}
 	if n.mach.State() == automaton.Invite {
@@ -590,67 +677,93 @@ func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
 		return out
 	}
 	n.mach.MustTransition(automaton.Respond)
-	mine, others := automaton.SplitInvites(n.id, inbox)
-	// A proposed channel is acceptable only if it is free in this node's
-	// closed neighborhood. Any invitation overheard from a neighbor is
-	// connected to this node's arcs by the link it arrived on, so — per
-	// Procedure 2-b — a color collision with an overheard invitation
-	// disqualifies an invitation addressed here.
-	sets := n.forbidden()
-	valid := mine[:0:0]
-	for _, m := range mine {
-		a := graph.ArcID(m.Edge)
-		if _, already := n.colors[a]; already || n.d.ArcAt(a).To != n.id {
-			if n.recOn() && already {
+	// Acceptable invitations are counted in a first pass, which also
+	// counts the defensive rejections, and the randomly chosen one is
+	// found again in a second pass, so the phase needs no buffer.
+	valid := 0
+	for _, m := range inbox {
+		if !automaton.IsInviteFor(m, n.id) {
+			continue
+		}
+		if !n.arcOpen(m) {
+			if _, already := n.colorOf(graph.ArcID(m.Edge)); n.recOn() && already {
 				continue // answered authoritatively above
 			}
 			n.reject()
 			continue
 		}
-		// A channel forbidden in this node's closed neighborhood is a
-		// normal Procedure 2-b rejection, not a protocol anomaly: the
-		// inviter cannot see colors held by this node's other neighbors.
-		bad := false
-		for _, s := range sets {
-			if s.Has(m.Color) {
-				bad = true
-				break
-			}
-		}
-		if !n.opt.DisableOverhearFilter {
-			for _, o := range others {
-				if o.Color == m.Color {
-					bad = true
-					break
-				}
-			}
-		}
-		if !bad {
-			valid = append(valid, m)
+		if n.acceptable(m, inbox) {
+			valid++
 		}
 	}
-	if len(valid) == 0 {
+	if valid == 0 {
 		return out
 	}
-	m := valid[n.r.Intn(len(valid))]
-	n.claim = &scClaim{arc: graph.ArcID(m.Edge), color: m.Color, partner: m.From, keep: true,
-		roundIdx: n.partIdx(), compRound: n.curRound}
+	k := n.r.Intn(valid)
+	var m msg.Message
+	for _, m = range inbox {
+		if automaton.IsInviteFor(m, n.id) && n.arcOpen(m) && n.acceptable(m, inbox) {
+			if k == 0 {
+				break
+			}
+			k--
+		}
+	}
+	n.setClaim(scClaim{arc: graph.ArcID(m.Edge), color: m.Color, partner: m.From, keep: true,
+		roundIdx: n.partIdx(), compRound: n.curRound})
 	return append(out, msg.Message{
 		Kind: msg.KindResponse, From: n.id, To: m.From, Edge: m.Edge, Color: m.Color,
 	})
+}
+
+// arcOpen reports whether invitation m names an uncolored arc into this
+// node; anything else is a defensive rejection (or, under recovery, a
+// re-invitation answered from committed state).
+func (n *scNode) arcOpen(m msg.Message) bool {
+	a := graph.ArcID(m.Edge)
+	_, already := n.colorOf(a)
+	return !already && n.d.ArcAt(a).To == n.id
+}
+
+// acceptable applies Procedure 2-b to an open invitation m. A proposed
+// channel is acceptable only if it is free in this node's closed
+// neighborhood — a forbidden channel is a normal rejection, not a
+// protocol anomaly: the inviter cannot see colors held by this node's
+// other neighbors. Any invitation overheard from a neighbor is connected
+// to this node's arcs by the link it arrived on, so a color collision
+// with an overheard invitation also disqualifies m.
+func (n *scNode) acceptable(m msg.Message, inbox []msg.Message) bool {
+	if n.forbids(m.Color) {
+		return false
+	}
+	if !n.opt.DisableOverhearFilter {
+		for _, o := range inbox {
+			if o.Kind == msg.KindInvite && o.To != n.id && o.Color == m.Color {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// setClaim records this round's tentative pairing in the node's claim
+// slot.
+func (n *scNode) setClaim(cl scClaim) {
+	n.claimSlot = cl
+	n.claim = &n.claimSlot
 }
 
 // phaseClaim: inviters look for an acceptance; both members of each
 // tentative pair broadcast a claim (first exchange sub-round). Under
 // UnsafeNoConfirm pairs finalize immediately, as in the paper, and
 // broadcast a plain color update instead.
-func (n *scNode) phaseClaim(inbox []msg.Message) []msg.Message {
+func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
-		if m, ok, _ := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
+		if m, ok := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
 			if m.From == n.inviteTo && m.Color == n.inviteColor && (!n.recOn() || m.Seq == 0) {
-				n.claim = &scClaim{arc: n.inviteArc, color: n.inviteColor, partner: n.inviteTo, keep: true,
-					roundIdx: n.partIdx(), compRound: n.curRound}
+				n.setClaim(scClaim{arc: n.inviteArc, color: n.inviteColor, partner: n.inviteTo, keep: true,
+					roundIdx: n.partIdx(), compRound: n.curRound})
 			} else if !n.recOn() {
 				n.reject()
 			}
@@ -664,9 +777,8 @@ func (n *scNode) phaseClaim(inbox []msg.Message) []msg.Message {
 		panic(fmt.Sprintf("core: node %d in state %v at claim phase", n.id, n.mach.State()))
 	}
 	n.mach.MustTransition(automaton.Exchange)
-	var out []msg.Message
 	if n.recOn() {
-		out = n.adoptResponses(inbox)
+		out = n.adoptResponses(inbox, out)
 	}
 	if n.claim == nil {
 		return out
@@ -697,7 +809,7 @@ func (n *scNode) phaseClaim(inbox []msg.Message) []msg.Message {
 // heard a conflicting claim of higher priority; every claim heard from a
 // neighbor with the same color conflicts, because the link it was heard
 // on connects the two arcs (Definition 2).
-func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
+func (n *scNode) phaseDecide(compRound int, inbox, out []msg.Message) []msg.Message {
 	defer func() {
 		if n.remaining == 0 && n.claim == nil {
 			n.mach.MustTransition(automaton.Done)
@@ -705,13 +817,12 @@ func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
 			n.mach.MustTransition(automaton.Choose)
 		}
 	}()
-	var out []msg.Message
 	if n.recOn() {
 		// Negative acknowledgements from the claim phase's adoption scan
 		// arrive here; re-announcements queued by adoptions and won
 		// conflicts go out with the knowledge traffic, plus the periodic
 		// full re-announcement that heals lost-broadcast knowledge gaps.
-		out = n.processAcks(inbox)
+		out = n.processAcks(inbox, out)
 		out = append(out, n.reaffirmQ...)
 		n.reaffirmQ = nil
 		if compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
@@ -726,16 +837,16 @@ func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
 			if m.Kind != msg.KindUpdate {
 				continue
 			}
-			if i, ok := n.nbrIndex[m.From]; ok {
+			if _, ok := n.adj.index(m.From); ok {
 				for _, p := range m.Paints {
-					n.addColorAt(i, p.Color)
+					n.addColorAt(p.Color)
 				}
 			}
 		}
-		return append(out, n.deadListDelta()...)
+		return n.appendDeadListDelta(out)
 	}
 	if n.claim == nil {
-		return append(out, n.deadListDelta()...)
+		return n.appendDeadListDelta(out)
 	}
 	myPrio := claimPriority(compRound, n.claim.arc)
 	for _, m := range inbox {
@@ -748,27 +859,23 @@ func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
 			break
 		}
 	}
-	return append(append(out, n.deadListDelta()...), msg.Message{
+	return append(n.appendDeadListDelta(out), msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
 		Edge: int(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
 	})
 }
 
-// deadListDelta drains the queue of newly dead channels into an exchange
-// broadcast (nil if nothing changed) — the UPDATECOLORS step.
-func (n *scNode) deadListDelta() []msg.Message {
-	if len(n.deadQueue) == 0 {
-		return nil
+// appendDeadListDelta drains the newly dead channels into an exchange
+// broadcast appended to out (nothing if nothing changed) — the
+// UPDATECOLORS step.
+func (n *scNode) appendDeadListDelta(out []msg.Message) []msg.Message {
+	if len(n.paints.pending()) == 0 {
+		return out
 	}
-	paints := make([]msg.Paint, len(n.deadQueue))
-	for i, c := range n.deadQueue {
-		paints[i] = msg.Paint{Edge: -1, Color: c}
-	}
-	n.deadQueue = n.deadQueue[:0]
-	return []msg.Message{{
+	return append(out, msg.Message{
 		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-		Edge: -1, Color: -1, Paints: paints,
-	}}
+		Edge: -1, Color: -1, Paints: n.paints.take(),
+	})
 }
 
 // claimPriority orders same-color claims deterministically; both
@@ -784,7 +891,7 @@ func claimPriority(compRound int, a graph.ArcID) uint64 {
 // this node's committed arcs.
 func (n *scNode) scanAnnouncements(compRound int, inbox []msg.Message, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
-		i, nbr := n.nbrIndex[m.From]
+		i, nbr := n.adj.index(m.From)
 		if !nbr {
 			continue
 		}
@@ -793,13 +900,13 @@ func (n *scNode) scanAnnouncements(compRound int, inbox []msg.Message, out []msg
 			for _, p := range m.Paints {
 				n.deadNbr[i].Add(p.Color)
 				if p.Edge >= 0 {
-					n.addColorAt(i, p.Color)
+					n.addColorAt(p.Color)
 					out = n.conflictCheck(graph.ArcID(p.Edge), p.Color, out)
 				}
 			}
 		case msg.KindDecide:
 			if m.Keep {
-				n.addColorAt(i, m.Color)
+				n.addColorAt(m.Color)
 				out = n.conflictCheck(graph.ArcID(m.Edge), m.Color, out)
 			}
 		}
@@ -817,11 +924,12 @@ func (n *scNode) conflictCheck(b graph.ArcID, c int, out []msg.Message) []msg.Me
 	if b < 0 || int(b) >= n.d.A() {
 		return out
 	}
-	for _, a := range n.incidentArcs() {
-		if a == b {
+	for s, cc := range n.colors {
+		if cc < 0 || int(cc) != c {
 			continue
 		}
-		if cc, ok := n.colors[a]; !ok || cc != c {
+		a := n.arcAt(s)
+		if a == b {
 			continue
 		}
 		if !n.d.ArcsConflict(a, b) {
@@ -854,8 +962,7 @@ func staleWins(a, b graph.ArcID) bool {
 // processAcks applies incoming KindAck traffic: a negative ack with a
 // color reverts the named one-sided commitment; a probe (color -1) is
 // answered from committed state with an authoritative Seq-1 Response.
-func (n *scNode) processAcks(inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *scNode) processAcks(inbox, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
 		if m.Kind != msg.KindAck || m.To != n.id || m.Keep {
 			continue
@@ -868,7 +975,7 @@ func (n *scNode) processAcks(inbox []msg.Message) []msg.Message {
 			n.revertArc(a, m.Color)
 			continue
 		}
-		if c, ok := n.colors[a]; ok {
+		if c, ok := n.colorOf(a); ok {
 			out = append(out, msg.Message{
 				Kind: msg.KindResponse, From: n.id, To: m.From,
 				Edge: m.Edge, Color: c, Seq: 1,
@@ -883,13 +990,15 @@ func (n *scNode) processAcks(inbox []msg.Message) []msg.Message {
 // already committed, with the committed color and a nonzero Seq so the
 // inviter routes the reply through its adoption scan.
 func (n *scNode) answerCommittedInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	mine, _ := automaton.SplitInvites(n.id, inbox)
-	for _, m := range mine {
+	for _, m := range inbox {
+		if !automaton.IsInviteFor(m, n.id) {
+			continue
+		}
 		a := graph.ArcID(m.Edge)
 		if !n.arcWith(a, m.From) {
 			continue
 		}
-		c, ok := n.colors[a]
+		c, ok := n.colorOf(a)
 		if !ok {
 			continue
 		}
@@ -907,8 +1016,7 @@ func (n *scNode) answerCommittedInvites(inbox []msg.Message, out []msg.Message) 
 // arc is uncolored here and the color passes this node's forbidden sets,
 // otherwise demand a revert. Fresh tentative responses (Seq == 0) belong
 // to the claim path and are never adopted directly.
-func (n *scNode) adoptResponses(inbox []msg.Message) []msg.Message {
-	var out []msg.Message
+func (n *scNode) adoptResponses(inbox, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
 		if m.Kind != msg.KindResponse || m.To != n.id || m.Seq == 0 || m.Color < 0 {
 			continue
@@ -917,22 +1025,13 @@ func (n *scNode) adoptResponses(inbox []msg.Message) []msg.Message {
 		if !n.arcWith(a, m.From) {
 			continue
 		}
-		if c, ok := n.colors[a]; ok {
+		if c, ok := n.colorOf(a); ok {
 			if c != m.Color {
 				out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			}
 			continue
 		}
-		bad := n.claim != nil && n.claim.color == m.Color
-		if !bad {
-			for _, s := range n.forbidden() {
-				if s.Has(m.Color) {
-					bad = true
-					break
-				}
-			}
-		}
-		if bad {
+		if (n.claim != nil && n.claim.color == m.Color) || n.forbids(m.Color) {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			continue
 		}
@@ -962,9 +1061,9 @@ func (n *scNode) adopt(a graph.ArcID, c int) {
 // nodes.
 func (n *scNode) reannounceMsg() (msg.Message, bool) {
 	var paints []msg.Paint
-	for _, a := range n.incidentArcs() {
-		if c, ok := n.colors[a]; ok {
-			paints = append(paints, msg.Paint{Edge: int(a), Color: c})
+	for s, c := range n.colors {
+		if c >= 0 {
+			paints = append(paints, msg.Paint{Edge: int(n.arcAt(s)), Color: int(c)})
 		}
 	}
 	if len(paints) == 0 {
@@ -992,21 +1091,23 @@ func (n *scNode) reaffirm(a graph.ArcID, c int) {
 
 // revertArc undoes this node's commitment of color c to arc a. Stale
 // requests (the arc moved on, or was never committed here) are ignored.
-// Neighbor knowledge (announced dead lists, colorsAt) is left as is:
+// Neighbor knowledge (announced dead lists, colorsNbr) is left as is:
 // over-approximating a dead color is always safe.
 func (n *scNode) revertArc(a graph.ArcID, c int) {
-	cur, ok := n.colors[a]
-	if !ok || cur != c {
+	s := n.slot(a)
+	if s < 0 || int(n.colors[s]) != c {
 		return
 	}
-	delete(n.colors, a)
+	n.colors[s] = -1
 	n.remaining++
-	if n.d.ArcAt(a).From == n.id {
-		n.uncoloredOut = append(n.uncoloredOut, a)
+	if s < len(n.inc) {
+		n.uncoloredOut = append(n.uncoloredOut, int32(s))
 	}
 	n.colorsSelf = ColorSet{}
 	for _, cc := range n.colors {
-		n.colorsSelf.Add(cc)
+		if cc >= 0 {
+			n.colorsSelf.Add(int(cc))
+		}
 	}
 	n.recC.reverts++
 	if n.obs {
@@ -1023,11 +1124,53 @@ func (n *scNode) retransmit() {
 	}
 }
 
-// incidentArcs returns this node's incident arcs (out then in) in a
-// deterministic order for recovery scans.
-func (n *scNode) incidentArcs() []graph.ArcID {
-	out := append([]graph.ArcID{}, n.d.OutArcs(n.id)...)
-	return append(out, n.d.InArcs(n.id)...)
+// arcAt returns the arc of slot s: the out arc to Neighbors(u)[s] for
+// s < deg, the in arc from Neighbors(u)[s-deg] otherwise — the out-then-in
+// order recovery scans iterate in.
+func (n *scNode) arcAt(s int) graph.ArcID {
+	deg := len(n.inc)
+	in := s >= deg
+	if in {
+		s -= deg
+	}
+	e := n.inc[s]
+	a := graph.ArcID(2 * e)
+	if n.d.Under().EdgeAt(e).U != n.id {
+		a++
+	}
+	if in {
+		a ^= 1
+	}
+	return a
+}
+
+// slot returns the slot of arc a at this node, or -1 if a is not one of
+// its arcs.
+func (n *scNode) slot(a graph.ArcID) int {
+	if a < 0 || int(a) >= n.d.A() {
+		return -1
+	}
+	arc := n.d.ArcAt(a)
+	v, base := arc.To, 0
+	if arc.To == n.id {
+		v, base = arc.From, len(n.inc)
+	} else if arc.From != n.id {
+		return -1
+	}
+	i, ok := n.adj.index(v)
+	if !ok || n.inc[i] != n.d.EdgeOf(a) {
+		return -1
+	}
+	return base + i
+}
+
+// colorOf returns the color of incident arc a, with ok == false while a
+// is uncolored or not incident.
+func (n *scNode) colorOf(a graph.ArcID) (int, bool) {
+	if s := n.slot(a); s >= 0 && n.colors[s] >= 0 {
+		return int(n.colors[s]), true
+	}
+	return 0, false
 }
 
 // arcWith reports whether a is an arc between this node and from — the

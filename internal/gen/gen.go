@@ -42,16 +42,38 @@ func ErdosRenyiGNP(r *rng.Rand, n int, p float64) (*graph.Graph, error) {
 		}
 		return g, nil
 	}
-	// Walk the linearized pair index with geometric jumps.
+	// Walk the linearized pair index with geometric jumps. The index only
+	// grows, so a row cursor follows it instead of re-deriving the row
+	// from 0 for every edge: O(n + m) rather than O(n·m).
 	idx := -1
+	cur := pairCursor{rowLen: n - 1}
 	for {
 		idx += r.Geometric(p)
 		if idx >= total {
 			return g, nil
 		}
-		u, v := pairFromIndex(idx, n)
+		u, v := cur.pair(idx)
 		g.MustAddEdge(u, v)
 	}
+}
+
+// pairCursor maps a non-decreasing sequence of linear pair indices to
+// pairs, the incremental form of pairFromIndex: row u of the upper
+// triangle starts at index rowStart and holds rowLen pairs. Start it at
+// pairCursor{rowLen: n - 1}.
+type pairCursor struct {
+	u, rowStart, rowLen int
+}
+
+// pair returns pairFromIndex(idx, n); idx must not be smaller than the
+// previous call's.
+func (c *pairCursor) pair(idx int) (int, int) {
+	for idx-c.rowStart >= c.rowLen {
+		c.rowStart += c.rowLen
+		c.u++
+		c.rowLen--
+	}
+	return c.u, c.u + 1 + idx - c.rowStart
 }
 
 // pairFromIndex maps a linear index in [0, n(n-1)/2) to the unordered

@@ -30,6 +30,79 @@ func TestPairFromIndexBijective(t *testing.T) {
 	}
 }
 
+// closedFormPair is the textbook closed-form inverse of the row-major
+// upper-triangle index, evaluated in float64: exact for the small n the
+// tests use it at, and independent of both integer implementations.
+func closedFormPair(idx, n int) (int, int) {
+	u := n - 2 - int(math.Floor(math.Sqrt(float64(-8*idx+4*n*(n-1)-7))/2-0.5))
+	v := idx + u + 1 - n*(n-1)/2 + (n-u)*((n-u)-1)/2
+	return u, v
+}
+
+func TestPairCursorMatchesClosedForm(t *testing.T) {
+	for n := 2; n <= 40; n++ {
+		total := n * (n - 1) / 2
+		cur := pairCursor{rowLen: n - 1}
+		for idx := 0; idx < total; idx++ {
+			wu, wv := closedFormPair(idx, n)
+			if u, v := pairFromIndex(idx, n); u != wu || v != wv {
+				t.Fatalf("pairFromIndex(%d,%d) = (%d,%d), closed form (%d,%d)", idx, n, u, v, wu, wv)
+			}
+			if u, v := cur.pair(idx); u != wu || v != wv {
+				t.Fatalf("cursor at %d (n=%d) = (%d,%d), closed form (%d,%d)", idx, n, u, v, wu, wv)
+			}
+		}
+	}
+	// Jumps that skip whole rows land on the same pairs.
+	n := 50
+	cur := pairCursor{rowLen: n - 1}
+	for _, idx := range []int{0, 3, 200, 201, 900, 1224} {
+		u, v := cur.pair(idx)
+		if wu, wv := closedFormPair(idx, n); u != wu || v != wv {
+			t.Fatalf("cursor jump to %d = (%d,%d), closed form (%d,%d)", idx, u, v, wu, wv)
+		}
+	}
+}
+
+// gnpReference is the G(n,p) walk as first written, deriving every
+// pair from index 0: the cursor walk must add the same edges in the
+// same order for every seed.
+func gnpReference(r *rng.Rand, n int, p float64) []graph.Edge {
+	var edges []graph.Edge
+	total := n * (n - 1) / 2
+	for idx := -1; ; {
+		idx += r.Geometric(p)
+		if idx >= total {
+			return edges
+		}
+		u, v := pairFromIndex(idx, n)
+		edges = append(edges, graph.Edge{U: u, V: v})
+	}
+}
+
+func TestGNPMatchesReferenceWalk(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		p    float64
+		seed uint64
+	}{{2, 0.5, 1}, {30, 0.2, 2}, {200, 0.04, 3}, {1000, 0.008, 4}, {1000, 0.3, 5}, {3000, 0.001, 6}} {
+		g, err := ErdosRenyiGNP(rng.New(c.seed), c.n, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gnpReference(rng.New(c.seed), c.n, c.p)
+		got := g.Edges()
+		if len(got) != len(want) {
+			t.Fatalf("G(%d,%v) seed %d: %d edges, reference %d", c.n, c.p, c.seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("G(%d,%v) seed %d: edge %d is %v, reference %v", c.n, c.p, c.seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestGNPExtremes(t *testing.T) {
 	r := rng.New(1)
 	g, err := ErdosRenyiGNP(r, 10, 0)

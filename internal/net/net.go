@@ -16,7 +16,9 @@
 //
 // Given nodes whose behavior is a deterministic function of (round,
 // sorted inbox, per-node RNG), all engines produce identical executions;
-// this equivalence is property-tested in the core package.
+// this equivalence is property-tested in the core package. Every engine
+// copies a node's outbox before that node steps again, so nodes may
+// reuse one outbox slice across rounds (see Node.Step).
 package net
 
 import (
@@ -42,6 +44,16 @@ type Node interface {
 	// The inbox slice is owned by the engine and reused across rounds:
 	// implementations may copy Message values out of it but must not
 	// retain the slice itself.
+	//
+	// The returned slice is owned by the node and valid only until the
+	// node's next Step: a node may append each round's messages into
+	// one reused outbox. Engines copy the messages out before that next
+	// Step — RunSync and RunShard copy the values into their inboxes
+	// and buckets during the round, RunChan receivers copy each batch
+	// before the round barrier, and a RunTCP node process copies them
+	// into its outbox frame. The Paints a message carries are shared,
+	// not copied, so a node must never rewrite paints it has sent; it
+	// may carve them from an append-only slab.
 	Step(round int, inbox []msg.Message) []msg.Message
 	// Done reports whether this node has completed all of its work and
 	// flushed every message its neighbors still need.

@@ -350,8 +350,12 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					for i := 0; i < size; i++ {
 						nxt.off[i+1] = nxt.off[i] + cnt[i]
 					}
+					// Grow geometrically: inbox volume swings by phase
+					// (invitations, responses, exchanges), and sizing to
+					// each round's exact total would reallocate every time
+					// the volume climbs.
 					if cap(nxt.buf) < int(total) {
-						nxt.buf = make([]msg.Message, total)
+						nxt.buf = make([]msg.Message, total, max(int(total), 2*cap(nxt.buf)))
 					} else {
 						nxt.buf = nxt.buf[:total]
 					}
