@@ -164,7 +164,9 @@ func decodeMessageBlock(buf []byte) ([]Message, []byte, error) {
 
 // Wire protocol version of the cluster handshake. Bump on any change to
 // the frame grammar; coordinator and node refuse mismatched peers.
-const HandshakeVersion = 1
+// Version 2 replaced the round frame's per-delivery (vertex, message)
+// pairs with per-shard (sender, message, drop list) records.
+const HandshakeVersion = 2
 
 // helloMagic opens every handshake so a stray connection (or a peer
 // speaking a different protocol entirely) is rejected on the first

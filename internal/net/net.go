@@ -98,17 +98,17 @@ type Config struct {
 }
 
 // ShardStats reports internal counters of one RunShard execution. The
-// interesting ratio is Records / Result.Messages: on the reliable fast
-// path the engine buffers one record per (message, destination shard)
-// rather than one per delivery, so the ratio is bounded by the worker
-// count instead of the average degree (Result.Deliveries / Messages).
+// interesting ratio is Records / Result.Messages: the engine buffers
+// one record per (message, destination shard) rather than one per
+// delivery, so the ratio is bounded by the worker count instead of the
+// average degree (Result.Deliveries / Messages).
 type ShardStats struct {
 	// Workers is the resolved worker count (after clamping to [1, N]).
 	Workers int
 	// Records is the number of shardDelivery records buffered between
-	// the step and merge phases. Reliable runs buffer one record per
-	// (message, destination shard); faulty runs one per surviving
-	// delivery, so Records <= Result.Deliveries always.
+	// the step and merge phases: one per (message, destination shard)
+	// with at least one surviving receiver, so Records <=
+	// Result.Deliveries always.
 	Records int64
 	// MergeScans counts (source, destination) buckets actually drained
 	// by merge phases; MergeSkips counts the empty buckets the non-empty

@@ -15,17 +15,30 @@ const (
 	cmdStop  = -2
 )
 
-// shardDelivery is one delivery record buffered between the step and
-// merge phases. On the reliable fast path one record covers a whole
-// (message, destination shard) pair: lo/hi bound the destination
-// shard's slice of the sender's shard-grouped neighbor array
-// (shardSegments.flat), and the merge phase expands the record into
-// those neighbors' inboxes. With a fault injector configured,
-// deliveries are filtered per receiver at fan-out instead, so each
-// record carries exactly one receiver vertex in lo (hi is unused).
+// shardDelivery is one delivery record: a message plus the receivers
+// it reaches in one destination shard, flat[lo:hi] — the sender's
+// neighbor segment for that shard (shardSegments.flat). The fill
+// phase expands each record into those neighbors' inboxes, so a
+// broadcast costs one record per destination shard, not one per
+// delivery.
 type shardDelivery struct {
 	lo, hi int32
 	m      msg.Message
+}
+
+// dropSpan locates one record's drop list, drops[lo:hi] of its batch.
+type dropSpan struct{ lo, hi int32 }
+
+// recordBatch is a run of records in ascending sender order. When a
+// fault injector is configured, spans[i] locates recs[i]'s drop list:
+// the receivers in its segment that the injector dropped, in segment
+// order. Reliable batches leave spans empty. RunShard keeps one batch
+// per (source worker, destination shard); a TCP node process decodes
+// one per round frame.
+type recordBatch struct {
+	recs  []shardDelivery
+	spans []dropSpan
+	drops []int32
 }
 
 // shardStatus is one worker's end-of-step report: the shared nodeStatus
@@ -39,12 +52,89 @@ type shardStatus struct {
 // shardInbox is one shard's inbox arena: the messages of every vertex
 // the shard owns, laid out back to back in one flat buffer. Vertex
 // lo+i's inbox is buf[off[i]:off[i+1]]. The buffer and offset table are
-// reused across rounds (double-buffered per shard), so steady-state
-// rounds allocate nothing — the struct-of-arrays replacement for the
-// per-vertex ragged [][]msg.Message layout.
+// reused across rounds, so steady-state rounds allocate nothing — the
+// struct-of-arrays replacement for the per-vertex ragged
+// [][]msg.Message layout.
 type shardInbox struct {
 	buf []msg.Message
 	off []int32
+}
+
+// inbox returns the inbox of the shard's i-th vertex.
+func (a *shardInbox) inbox(i int) []msg.Message {
+	return a.buf[a.off[i]:a.off[i+1]]
+}
+
+// fill rebuilds the arena of the shard whose first vertex is base from
+// the records of batches, taken in order; cnt is scratch of one entry
+// per vertex. Two passes: count per-vertex arrivals, prefix-sum into
+// the offset table, then place messages — a dense arena fill with no
+// per-vertex slice bookkeeping. When the records arrive in ascending
+// sender order, as both RunShard's merge and RunTCP's round frames
+// guarantee, every inbox fills in ascending sender id: exactly the
+// append order RunSync produces.
+func (a *shardInbox) fill(base int32, cnt, flat []int32, batches []recordBatch) {
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	total := int32(0)
+	for _, b := range batches {
+		for i, r := range b.recs {
+			total += r.hi - r.lo
+			if len(b.spans) == 0 {
+				for _, v := range flat[r.lo:r.hi] {
+					cnt[v-base]++
+				}
+				continue
+			}
+			sp := b.spans[i]
+			total -= sp.hi - sp.lo
+			drops := b.drops[sp.lo:sp.hi]
+			for _, v := range flat[r.lo:r.hi] {
+				if len(drops) > 0 && drops[0] == v {
+					drops = drops[1:]
+					continue
+				}
+				cnt[v-base]++
+			}
+		}
+	}
+	size := len(cnt)
+	a.off[0] = 0
+	for i := 0; i < size; i++ {
+		a.off[i+1] = a.off[i] + cnt[i]
+	}
+	// Grow geometrically: inbox volume swings by phase (invitations,
+	// responses, exchanges), and sizing to each round's exact total
+	// would reallocate every time the volume climbs.
+	if cap(a.buf) < int(total) {
+		a.buf = make([]msg.Message, total, max(int(total), 2*cap(a.buf)))
+	} else {
+		a.buf = a.buf[:total]
+	}
+	copy(cnt, a.off[:size])
+	buf := a.buf
+	for _, b := range batches {
+		for i, r := range b.recs {
+			if len(b.spans) == 0 {
+				for _, v := range flat[r.lo:r.hi] {
+					buf[cnt[v-base]] = r.m
+					cnt[v-base]++
+				}
+				continue
+			}
+			sp := b.spans[i]
+			drops := b.drops[sp.lo:sp.hi]
+			for _, v := range flat[r.lo:r.hi] {
+				if len(drops) > 0 && drops[0] == v {
+					drops = drops[1:]
+					continue
+				}
+				buf[cnt[v-base]] = r.m
+				cnt[v-base]++
+			}
+		}
+	}
 }
 
 // nbrSeg is one segment of a vertex's shard-grouped neighbor list: the
@@ -57,14 +147,47 @@ type nbrSeg struct {
 // shardSegments is the per-run CSR of shard-grouped neighbor lists:
 // vertex u's segments are segs[segOf[u]:segOf[u+1]], each naming a
 // destination shard and a slice of flat holding u's neighbors in that
-// shard. Built once per run (reliable path only), it is what lets the
-// step phase buffer one record per (message, destination shard) and
-// the merge phase expand records to receivers without the sender ever
-// touching per-neighbor state.
+// shard. Built once per run, it is what lets a sender emit one record
+// per (message, destination shard) and the fill phase expand records
+// to receivers without the sender ever touching per-neighbor state.
 type shardSegments struct {
 	flat  []int32
 	segs  []nbrSeg
 	segOf []int32
+}
+
+// of returns vertex u's segments in ascending destination order.
+func (ss *shardSegments) of(u int) []nbrSeg {
+	return ss.segs[ss.segOf[u]:ss.segOf[u+1]]
+}
+
+// segment returns the range of flat holding u's neighbors in shard d;
+// ok is false when d holds none of them.
+func (ss *shardSegments) segment(u int, d int32) (lo, hi int32, ok bool) {
+	for _, sg := range ss.of(u) {
+		if sg.dst == d {
+			return sg.lo, sg.hi, true
+		}
+	}
+	return 0, 0, false
+}
+
+// shardBounds splits n vertices into k contiguous ascending shards:
+// shard s owns [bounds[s], bounds[s+1]), and owner[v] names v's shard.
+// Concatenating per-shard outputs in shard order therefore reproduces
+// RunSync's ascending-vertex order.
+func shardBounds(n, k int) (bounds []int, owner []int32) {
+	bounds = make([]int, k+1)
+	for s := 0; s <= k; s++ {
+		bounds[s] = s * n / k
+	}
+	owner = make([]int32, n)
+	for s := 0; s < k; s++ {
+		for u := bounds[s]; u < bounds[s+1]; u++ {
+			owner[u] = int32(s)
+		}
+	}
+	return bounds, owner
 }
 
 // buildShardSegments groups every vertex's neighbor list by owning
@@ -113,6 +236,30 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegment
 	return ss
 }
 
+// askDrops asks f about every delivery of m from a sender with
+// neighbor list adj, in adjacency order — RunSync's call order — and
+// appends the dropped receivers to buf in that order.
+func askDrops(f FaultInjector, round int, m msg.Message, adj []int, buf []int32) []int32 {
+	for _, v := range adj {
+		if f.Drop(round, m, v) {
+			buf = append(buf, int32(v))
+		}
+	}
+	return buf
+}
+
+// appendOwned appends the vertices of dropped that shard d owns, in
+// order: one segment's drop list, since a segment keeps its receivers
+// in adjacency order.
+func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
+	for _, v := range dropped {
+		if owner[v] == d {
+			buf = append(buf, v)
+		}
+	}
+	return buf
+}
+
 // RunShardCtx is RunShard with an explicit context: the coordinator
 // stops the run at the next round barrier after ctx is canceled,
 // releases every worker goroutine, and returns the partial Result with
@@ -134,18 +281,21 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 //  1. Step: every worker steps its own vertices in id order, sorting
 //     each inbox with msg.Sort first, and buffers each outbound
 //     broadcast as one shardDelivery per destination shard that holds
-//     a neighbor of the sender (per surviving delivery when a fault
-//     injector is configured). Workers touch only their own vertices'
-//     inboxes and their own outbound buckets, so the phase is
-//     data-race free by partitioning.
+//     a surviving receiver. A fault injector is asked about every
+//     delivery at fan-out, where the sender's adjacency order fixes
+//     the call order; its verdicts ride along as per-record drop
+//     lists. Workers touch only their own vertices' inboxes and their
+//     own outbound buckets, so the phase is data-race free by
+//     partitioning.
 //  2. Merge: every worker rebuilds the next-round inbox arena of its
-//     own shard by draining the non-empty buckets addressed to it in
-//     sender shard order (the coordinator hands each worker the exact
-//     source list, so empty (src,dst) buckets are never visited),
-//     expanding each record to the sender's neighbors inside this
-//     shard. Within one sender shard the records are already in sender
-//     id order (workers step in id order), so each inbox fills in
-//     ascending sender id — exactly the append order RunSync produces.
+//     own shard from the non-empty buckets addressed to it in sender
+//     shard order (the coordinator hands each worker the exact source
+//     list, so empty (src,dst) buckets are never visited), expanding
+//     each record to the sender's neighbors inside this shard
+//     (shardInbox.fill, shared with the TCP node processes). Within
+//     one sender shard the records are already in sender id order
+//     (workers step in id order), so each inbox fills in ascending
+//     sender id — exactly the append order RunSync produces.
 //     Identical pre-sort inboxes plus the shared msg.Sort make the
 //     executions byte-identical: same final colorings, same Result,
 //     same per-round RoundTraffic stream, for any Workers.
@@ -189,34 +339,15 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		*cfg.ShardStats = ShardStats{Workers: workers}
 	}
 
-	// Contiguous shards: shard s owns [bounds[s], bounds[s+1]). The
-	// owner array answers "which shard holds vertex v" in O(1).
-	bounds := make([]int, workers+1)
-	for s := 0; s <= workers; s++ {
-		bounds[s] = s * n / workers
-	}
-	owner := make([]int32, n)
-	for s := 0; s < workers; s++ {
-		for u := bounds[s]; u < bounds[s+1]; u++ {
-			owner[u] = int32(s)
-		}
-	}
-
-	// The reliable fast path expands records to neighbors at merge
-	// time; a fault injector forces per-delivery filtering at fan-out,
-	// where the per-receiver Drop verdicts are decided.
-	expand := cfg.Fault == nil
-	var segs shardSegments
-	if expand {
-		segs = buildShardSegments(g, owner, workers)
-	}
+	bounds, owner := shardBounds(n, workers)
+	segs := buildShardSegments(g, owner, workers)
 
 	// out[s][d] buffers shard s's records addressed to shard d. Buckets
 	// are truncated lazily: each worker remembers which of its buckets
 	// it filled (touched[s]) and clears exactly those at its next step.
-	out := make([][][]shardDelivery, workers)
+	out := make([][]recordBatch, workers)
 	for s := range out {
-		out[s] = make([][]shardDelivery, workers)
+		out[s] = make([]recordBatch, workers)
 	}
 	touched := make([][]int32, workers)
 
@@ -240,15 +371,16 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	for s := 0; s < workers; s++ {
 		go func(s int) {
 			lo, hi := bounds[s], bounds[s+1]
-			size := hi - lo
-			// Double-buffered inbox arenas plus the counting scratch,
-			// all worker-local: the only cross-worker traffic is the
-			// out buckets, synchronized by the phase barriers.
-			cur := shardInbox{off: make([]int32, size+1)}
-			nxt := shardInbox{off: make([]int32, size+1)}
-			cnt := make([]int32, size)
+			// Double-buffered inbox arenas, worker-local: the only
+			// cross-worker traffic is the out buckets, synchronized by
+			// the phase barriers.
+			cur := shardInbox{off: make([]int32, hi-lo+1)}
+			nxt := shardInbox{off: make([]int32, hi-lo+1)}
+			cnt := make([]int32, hi-lo)
 			myOut := out[s]
 			var tl []int32
+			var dropped []int32
+			var batches []recordBatch
 			for {
 				c := <-cmd[s]
 				switch {
@@ -256,62 +388,52 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					var st shardStatus
 					st.done = true
 					for _, d := range tl {
-						myOut[d] = myOut[d][:0]
+						myOut[d].recs = myOut[d].recs[:0]
+						myOut[d].spans = myOut[d].spans[:0]
+						myOut[d].drops = myOut[d].drops[:0]
 					}
 					tl = tl[:0]
 					for u := lo; u < hi; u++ {
-						inbox := cur.buf[cur.off[u-lo]:cur.off[u-lo+1]]
+						inbox := cur.inbox(u - lo)
 						msg.Sort(inbox)
 						msgs := nodes[u].Step(c, inbox)
 						if len(msgs) == 0 {
 							continue
 						}
 						st.messages += int64(len(msgs))
-						if expand {
-							deg := int64(g.Degree(u))
-							usegs := segs.segs[segs.segOf[u]:segs.segOf[u+1]]
-							for _, m := range msgs {
-								sz := int64(m.Size())
-								st.bytes += sz
-								st.deliveries += deg
-								st.records += int64(len(usegs))
-								for _, sg := range usegs {
-									if len(myOut[sg.dst]) == 0 {
-										tl = append(tl, sg.dst)
-									}
-									myOut[sg.dst] = append(myOut[sg.dst], shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
-								}
-								if observing {
-									k := &st.kinds[m.Kind]
-									k.Messages++
-									k.Bytes += sz
-									k.Deliveries += deg
-								}
+						deg := int64(g.Degree(u))
+						usegs := segs.of(u)
+						for _, m := range msgs {
+							sz := int64(m.Size())
+							st.bytes += sz
+							if cfg.Fault != nil {
+								dropped = askDrops(cfg.Fault, c, m, g.Neighbors(u), dropped[:0])
 							}
-						} else {
-							for _, m := range msgs {
-								sz := int64(m.Size())
-								st.bytes += sz
-								var delivered int64
-								for _, v := range g.Neighbors(u) {
-									if cfg.Fault.Drop(c, m, v) {
+							delivered := deg - int64(len(dropped))
+							st.deliveries += delivered
+							for _, sg := range usegs {
+								b := &myOut[sg.dst]
+								if cfg.Fault != nil {
+									dlo := int32(len(b.drops))
+									b.drops = appendOwned(b.drops, dropped, owner, sg.dst)
+									if int32(len(b.drops))-dlo == sg.hi-sg.lo {
+										// Every receiver in this shard dropped.
+										b.drops = b.drops[:dlo]
 										continue
 									}
-									d := owner[v]
-									if len(myOut[d]) == 0 {
-										tl = append(tl, d)
-									}
-									myOut[d] = append(myOut[d], shardDelivery{lo: int32(v), m: m})
-									delivered++
+									b.spans = append(b.spans, dropSpan{lo: dlo, hi: int32(len(b.drops))})
 								}
-								st.deliveries += delivered
-								st.records += delivered
-								if observing {
-									k := &st.kinds[m.Kind]
-									k.Messages++
-									k.Bytes += sz
-									k.Deliveries += delivered
+								if len(b.recs) == 0 {
+									tl = append(tl, sg.dst)
 								}
+								b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
+								st.records++
+							}
+							if observing {
+								k := &st.kinds[m.Kind]
+								k.Messages++
+								k.Bytes += sz
+								k.Deliveries += delivered
 							}
 						}
 					}
@@ -325,57 +447,11 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					touched[s] = tl
 					rep[s] <- struct{}{}
 				case c == cmdMerge:
-					// Two passes over this shard's incoming records: count
-					// per-vertex arrivals, prefix-sum into the offset
-					// table, then place messages — a dense arena fill with
-					// no per-vertex slice bookkeeping.
-					for i := range cnt {
-						cnt[i] = 0
-					}
-					total := int32(0)
+					batches = batches[:0]
 					for _, src := range srcLists[s] {
-						for _, rec := range out[src][s] {
-							if expand {
-								for _, v := range segs.flat[rec.lo:rec.hi] {
-									cnt[v-int32(lo)]++
-								}
-								total += rec.hi - rec.lo
-							} else {
-								cnt[rec.lo-int32(lo)]++
-								total++
-							}
-						}
+						batches = append(batches, out[src][s])
 					}
-					nxt.off[0] = 0
-					for i := 0; i < size; i++ {
-						nxt.off[i+1] = nxt.off[i] + cnt[i]
-					}
-					// Grow geometrically: inbox volume swings by phase
-					// (invitations, responses, exchanges), and sizing to
-					// each round's exact total would reallocate every time
-					// the volume climbs.
-					if cap(nxt.buf) < int(total) {
-						nxt.buf = make([]msg.Message, total, max(int(total), 2*cap(nxt.buf)))
-					} else {
-						nxt.buf = nxt.buf[:total]
-					}
-					copy(cnt, nxt.off[:size])
-					buf := nxt.buf
-					for _, src := range srcLists[s] {
-						for _, rec := range out[src][s] {
-							if expand {
-								for _, v := range segs.flat[rec.lo:rec.hi] {
-									i := v - int32(lo)
-									buf[cnt[i]] = rec.m
-									cnt[i]++
-								}
-							} else {
-								i := rec.lo - int32(lo)
-								buf[cnt[i]] = rec.m
-								cnt[i]++
-							}
-						}
-					}
+					nxt.fill(int32(lo), cnt, segs.flat, batches)
 					cur, nxt = nxt, cur
 					rep[s] <- struct{}{}
 				default: // cmdStop

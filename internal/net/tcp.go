@@ -93,7 +93,8 @@ func (tc *TCPCluster) Engine(spec NodeSpec) Engine {
 // NodeError is the typed failure of one node process: which shard, in
 // which communication round (-1 during setup), and why. A node killed
 // mid-run surfaces as a NodeError wrapping the broken connection, never
-// as a silent partial result.
+// as a silent partial result. Shard is -1 for a connection that failed
+// the handshake before naming a valid shard.
 type NodeError struct {
 	Shard int
 	Round int
@@ -101,6 +102,9 @@ type NodeError struct {
 }
 
 func (e *NodeError) Error() string {
+	if e.Shard < 0 {
+		return fmt.Sprintf("net: tcp node connection failed during setup: %v", e.Err)
+	}
 	if e.Round < 0 {
 		return fmt.Sprintf("net: tcp node %d failed during setup: %v", e.Shard, e.Err)
 	}
@@ -118,11 +122,16 @@ const (
 )
 
 // RunTCP executes the protocol across tc.Nodes separate OS processes
-// connected over TCP. The coordinator mirrors RunSync exactly: it owns
-// routing, fault injection, traffic accounting, and the round barrier,
-// while node processes step their vertex shards; per-round outboxes are
-// re-delivered in canonical ascending-sender order. Results, colorings,
-// and per-round telemetry are byte-identical to RunSync at every shard
+// connected over TCP. The coordinator mirrors RunSync's loop: it owns
+// fault injection, traffic accounting, and the round barrier, while
+// node processes step their vertex shards. Routing is split: for each
+// broadcast the coordinator sends one record per destination shard
+// holding a surviving receiver — the sender, the message bytes as the
+// node sent them, and the receivers the fault injector dropped — and
+// each node process expands the records over its own copy of the graph
+// into a flat inbox arena. Records travel in ascending sender order,
+// so every inbox fills in RunSync's order. Results, colorings, and
+// per-round telemetry are byte-identical to RunSync at every shard
 // count, including under faults and mid-round cancel.
 //
 // The nodes slice plays the role it does for the in-process engines —
@@ -170,19 +179,11 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	if shards > g.N() {
 		shards = g.N()
 	}
-	// Shard bounds identical to RunShard: contiguous ascending ranges,
-	// so concatenating per-shard outboxes in shard order reproduces
-	// RunSync's ascending-sender order.
-	bounds := make([]int, shards+1)
-	for s := 0; s <= shards; s++ {
-		bounds[s] = s * g.N() / shards
-	}
-	owner := make([]int, g.N())
-	for s := 0; s < shards; s++ {
-		for u := bounds[s]; u < bounds[s+1]; u++ {
-			owner[u] = s
-		}
-	}
+	// Shard bounds identical to RunShard, so concatenating per-shard
+	// outboxes in shard order reproduces RunSync's ascending-sender
+	// order.
+	bounds, owner := shardBounds(g.N(), shards)
+	router := newTCPRouter(g, owner, shards, cfg.Fault)
 
 	run, err := launchCluster(tc, shards)
 	if err != nil {
@@ -209,14 +210,13 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 		}
 	}
 
-	pending := make([][]delivery, shards)
+	var bs []broadcast
 	for round := 0; round < maxRounds; round++ {
 		for s := 0; s < shards; s++ {
-			run.buf = appendRound(run.buf[:0], round, pending[s])
+			run.buf = router.frame(run.buf[:0], round, s)
 			if err := run.send(s, frameRound, run.buf); err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
-			pending[s] = pending[s][:0]
 		}
 		var rt RoundTraffic
 		doneAll := true
@@ -225,7 +225,9 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			if err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
-			r, done, bs, err := decodeOutbox(payload)
+			var r int
+			var done bool
+			r, done, bs, err = decodeOutbox(payload, bs[:0])
 			if err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
@@ -242,21 +244,13 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 						Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
 							b.from, bounds[s], bounds[s+1])}
 				}
-				m := b.m
-				sz := int64(m.Size())
+				sz := int64(b.m.Size())
 				res.Messages++
 				res.Bytes += sz
-				var delivered int64
-				for _, v := range g.Neighbors(b.from) {
-					if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
-						continue
-					}
-					pending[owner[v]] = append(pending[owner[v]], delivery{to: v, m: m})
-					delivered++
-				}
+				delivered := router.route(round, b)
 				res.Deliveries += delivered
 				if cfg.Observe != nil {
-					k := &rt.Kinds[m.Kind]
+					k := &rt.Kinds[b.m.Kind]
 					k.Messages++
 					k.Bytes += sz
 					k.Deliveries += delivered
@@ -319,6 +313,64 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 		}
 	}
 	return res, nil
+}
+
+// tcpRouter is the coordinator's routing stage. Each broadcast becomes
+// one record per destination shard holding a surviving receiver,
+// encoded straight into that shard's next round frame. The fault
+// injector is asked about every delivery here, in RunSync's call
+// order (ascending sender, then adjacency order), and its verdicts
+// travel as drop lists, so node processes never see it.
+type tcpRouter struct {
+	g        *graph.Graph
+	owner    []int32
+	segs     shardSegments
+	fault    FaultInjector
+	body     [][]byte // per destination shard: the next round frame's records
+	count    []int    // per destination shard: records in body
+	dropped  []int32  // one broadcast's dropped receivers, adjacency order
+	segDrops []int32  // the part of dropped inside one segment
+}
+
+func newTCPRouter(g *graph.Graph, owner []int32, shards int, fault FaultInjector) *tcpRouter {
+	return &tcpRouter{
+		g:     g,
+		owner: owner,
+		segs:  buildShardSegments(g, owner, shards),
+		fault: fault,
+		body:  make([][]byte, shards),
+		count: make([]int, shards),
+	}
+}
+
+// route appends b's records to the pending round frames and returns
+// how many of its deliveries survived the fault injector.
+func (r *tcpRouter) route(round int, b broadcast) int64 {
+	if r.fault != nil {
+		r.dropped = askDrops(r.fault, round, b.m, r.g.Neighbors(b.from), r.dropped[:0])
+	}
+	for _, sg := range r.segs.of(b.from) {
+		drops := r.segDrops[:0]
+		if len(r.dropped) > 0 {
+			drops = appendOwned(drops, r.dropped, r.owner, sg.dst)
+			r.segDrops = drops
+			if int32(len(drops)) == sg.hi-sg.lo {
+				continue // every receiver in this shard dropped
+			}
+		}
+		r.body[sg.dst] = appendRecord(r.body[sg.dst], b.from, b.raw, drops)
+		r.count[sg.dst]++
+	}
+	return int64(r.g.Degree(b.from) - len(r.dropped))
+}
+
+// frame appends shard d's round frame payload to buf and empties d's
+// pending records.
+func (r *tcpRouter) frame(buf []byte, round, d int) []byte {
+	buf = appendRound(buf, round, r.count[d], r.body[d])
+	r.body[d] = r.body[d][:0]
+	r.count[d] = 0
+	return buf
 }
 
 // tcpRun is the coordinator's live cluster: listener, one connection
@@ -409,7 +461,8 @@ func (run *tcpRun) spawn(tc *TCPCluster, shards int, token uint64) error {
 }
 
 // handshake accepts one connection per shard and validates each hello:
-// token, shard-count agreement, in-range shard index, no duplicates.
+// version, token, shard-count agreement, in-range shard index, no
+// duplicates. A rejected hello is a setup NodeError.
 func (run *tcpRun) handshake(shards int, token uint64) error {
 	deadline := time.Now().Add(run.timeout)
 	if tl, ok := run.ln.(*gonet.TCPListener); ok {
@@ -428,8 +481,12 @@ func (run *tcpRun) handshake(shards int, token uint64) error {
 			err = fmt.Errorf("first frame is %s, want hello", frameKindName(kind))
 		}
 		var h msg.Hello
+		shard := -1 // the NodeError's shard: unknown until the hello decodes
 		if err == nil {
 			h, err = msg.DecodeHello(payload)
+			if err == nil && h.Shard < shards {
+				shard = h.Shard
+			}
 		}
 		if err == nil {
 			switch {
@@ -445,7 +502,7 @@ func (run *tcpRun) handshake(shards int, token uint64) error {
 		}
 		if err != nil {
 			conn.Close()
-			return fmt.Errorf("net: cluster handshake: %w", err)
+			return &NodeError{Shard: shard, Round: -1, Err: fmt.Errorf("net: cluster handshake: %w", err)}
 		}
 		run.conns[h.Shard] = conn
 		run.frs[h.Shard] = fr

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	stdnet "net"
 	"os"
 	"reflect"
@@ -515,4 +516,283 @@ func freeLoopbackAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// dialRetry dials addr until the coordinator has bound its listener.
+func dialRetry(addr string) (stdnet.Conn, error) {
+	var err error
+	for i := 0; i < 200; i++ {
+		var c stdnet.Conn
+		if c, err = stdnet.DialTimeout("tcp", addr, time.Second); err == nil {
+			return c, nil
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nil, err
+}
+
+// TestRunTCPExternalOldHandshake: a node built against the version-1
+// frame grammar (per-delivery round frames) must be refused at setup
+// with a typed NodeError, not misread later.
+func TestRunTCPExternalOldHandshake(t *testing.T) {
+	if msg.HandshakeVersion == 1 {
+		t.Fatal("handshake version still 1")
+	}
+	defer leakCheck(t)()
+	g := testGraph(10)
+	addr := freeLoopbackAddr(t)
+	tc := &net.TCPCluster{Nodes: 2, External: true, Listen: addr, BarrierTimeout: 10 * time.Second}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := dialRetry(addr)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		hello := msg.Hello{Shard: 0, Shards: 2}.Append(nil)
+		hello[4] = 1 // the version byte follows the 4-byte magic
+		if msg.WriteFrame(conn, 0x01, hello) == nil {
+			io.Copy(io.Discard, conn) // until the coordinator hangs up
+		}
+	}()
+	_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(3)},
+		g, gossipNodes(g, 3), net.Config{})
+	wg.Wait()
+	var ne *net.NodeError
+	if !errors.As(err, &ne) {
+		t.Fatalf("want *net.NodeError, got %v", err)
+	}
+	if ne.Round != -1 || !strings.Contains(err.Error(), "handshake version 1") {
+		t.Errorf("want a setup failure naming the handshake version, got round %d: %v", ne.Round, err)
+	}
+}
+
+// faultCall is one FaultInjector.Drop invocation.
+type faultCall struct {
+	round int
+	m     msg.Message
+	to    int
+}
+
+// recordingFault logs every Drop call of the injector it wraps, in
+// order — the sequence a stateful injector would observe.
+type recordingFault struct {
+	inner net.FaultInjector
+	calls []faultCall
+}
+
+func (r *recordingFault) Drop(round int, m msg.Message, to int) bool {
+	r.calls = append(r.calls, faultCall{round: round, m: m, to: to})
+	return r.inner.Drop(round, m, to)
+}
+
+// wholeSegmentDropped reports whether side cuts some sender off from
+// every one of its neighbors in some shard of a k-way split, so the
+// coordinator has a record whose whole segment is dropped.
+func wholeSegmentDropped(g *graph.Graph, side []bool, k int) bool {
+	n := g.N()
+	for u := 0; u < n; u++ {
+		for s := 0; s < k; s++ {
+			lo, hi := s*n/k, (s+1)*n/k
+			seen, cut := 0, 0
+			for _, v := range g.Neighbors(u) {
+				if v >= lo && v < hi {
+					seen++
+					if side[v] != side[u] {
+						cut++
+					}
+				}
+			}
+			if seen > 0 && cut == seen {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRunTCPFaultCallOrder holds RunTCP to the promise in
+// docs/CLUSTER.md: Fault.Drop is called with the same (round, message,
+// receiver) sequence as RunSync, so even stateful injectors behave
+// identically; Result, traffic, and node state match too.
+func TestRunTCPFaultCallOrder(t *testing.T) {
+	g := testGraph(23)
+	side := make([]bool, g.N())
+	side[13], side[15] = true, true
+	faults := []struct {
+		name  string
+		fault net.FaultInjector
+	}{
+		{"droprate", net.DropRate{Seed: 7, P: 0.2}},
+		{"partition", net.Partition{Side: side}},
+	}
+	for _, fc := range faults {
+		want := &recordingFault{inner: fc.fault}
+		var wantTraffic []net.RoundTraffic
+		syncNodes := gossipNodes(g, 6)
+		wantRes, err := net.RunSync(g, syncNodes, net.Config{
+			Fault:   want,
+			Observe: func(rt net.RoundTraffic) { wantTraffic = append(wantTraffic, rt) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3, 5} {
+			t.Run(fmt.Sprintf("%s/shards=%d", fc.name, shards), func(t *testing.T) {
+				if fc.name == "partition" && !wholeSegmentDropped(g, side, shards) {
+					t.Fatalf("partition drops no whole segment at %d shards", shards)
+				}
+				defer leakCheck(t)()
+				got := &recordingFault{inner: fc.fault}
+				var gotTraffic []net.RoundTraffic
+				tcpNodes := gossipNodes(g, 6)
+				gotRes, err := net.RunTCP(&net.TCPCluster{Nodes: shards},
+					net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(6)}, g, tcpNodes, net.Config{
+						Fault:   got,
+						Observe: func(rt net.RoundTraffic) { gotTraffic = append(gotTraffic, rt) },
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.calls, want.calls) {
+					t.Errorf("Drop call sequence differs: tcp %d calls, sync %d", len(got.calls), len(want.calls))
+				}
+				if gotRes != wantRes {
+					t.Errorf("Result mismatch:\n tcp  %+v\n sync %+v", gotRes, wantRes)
+				}
+				if !reflect.DeepEqual(gotTraffic, wantTraffic) {
+					t.Errorf("round traffic mismatch:\n tcp  %+v\n sync %+v", gotTraffic, wantTraffic)
+				}
+				for u := range tcpNodes {
+					got, want := tcpNodes[u].(*gossipNode), syncNodes[u].(*gossipNode)
+					if got.sum != want.sum || !reflect.DeepEqual(got.log, want.log) {
+						t.Fatalf("node %d state: tcp sum=%d log=%v, sync sum=%d log=%v",
+							u, got.sum, got.log, want.sum, want.log)
+					}
+				}
+			})
+		}
+	}
+}
+
+// hostileRound hand-encodes a round frame carrying one record: uvarint
+// round, uvarint record count, then uvarint sender, the message,
+// uvarint drop count, and the dropped vertices.
+func hostileRound(from int, drops []int) []byte {
+	buf := binary.AppendUvarint(nil, 0)
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(from))
+	buf = msg.Message{Kind: msg.KindInvite, From: from, To: msg.Broadcast, Edge: 1}.Append(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(drops)))
+	for _, v := range drops {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return buf
+}
+
+// serveThroughProxy runs shard 0's node half behind a man in the middle
+// that relays every frame but swaps the first round frame for round. It
+// returns the node's ServeNode error once everything has shut down.
+func serveThroughProxy(addr string, shards int, round []byte) <-chan error {
+	res := make(chan error, 1)
+	go func() {
+		coord, err := dialRetry(addr)
+		if err != nil {
+			res <- err
+			return
+		}
+		nodeEnd, proxyEnd := stdnet.Pipe()
+		served := make(chan error, 1)
+		go func() { served <- net.ServeNode(nodeEnd, 0, shards, 0) }()
+		copied := make(chan struct{})
+		go func() {
+			io.Copy(coord, proxyEnd)
+			close(copied)
+		}()
+		fr := msg.NewFrameReader(coord, 0)
+		swapped := false
+		for {
+			kind, payload, err := fr.Next()
+			if err != nil {
+				break
+			}
+			if kind == 0x04 && !swapped {
+				payload, swapped = round, true
+			}
+			if msg.WriteFrame(proxyEnd, kind, payload) != nil {
+				break
+			}
+		}
+		proxyEnd.Close()
+		coord.Close()
+		<-copied
+		res <- <-served
+	}()
+	return res
+}
+
+// TestRunTCPHostileRoundFrame feeds a node process round frames the
+// coordinator can never send. Each must end the node with an error
+// frame and surface as a NodeError for shard 0, round 0 — never a
+// panic, never a silent misdelivery.
+func TestRunTCPHostileRoundFrame(t *testing.T) {
+	g := testGraph(14) // 2 shards: [0, 7) and [7, 14)
+	// Vertex 7's neighbors in shard 0, in adjacency order.
+	var seg []int
+	for _, v := range g.Neighbors(7) {
+		if v < 7 {
+			seg = append(seg, v)
+		}
+	}
+	if len(seg) < 2 || g.HasEdge(7, 5) || g.HasEdge(12, 6) || g.Degree(12) == 0 {
+		t.Fatalf("test graph lost its shape: vertex 7 neighbors %v", g.Neighbors(7))
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"sender out of range", hostileRound(14, nil), "graph has 14"},
+		{"sender without neighbor in shard", hostileRound(12, nil), "no neighbor in shard"},
+		{"drop outside shard", hostileRound(7, []int{8}), "vertex 8 is not its next neighbor"},
+		{"drop of non-neighbor", hostileRound(7, []int{5}), "vertex 5 is not its next neighbor"},
+		{"drops out of order", hostileRound(7, []int{seg[1], seg[0]}), fmt.Sprintf("vertex %d is not its next neighbor", seg[0])},
+		{"duplicate drop", hostileRound(7, []int{seg[0], seg[0]}), fmt.Sprintf("vertex %d is not its next neighbor", seg[0])},
+		{"trailing bytes", append(hostileRound(7, nil), 0), "trailing bytes"},
+		{"truncated record", hostileRound(7, []int{seg[0]})[:5], "net: "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer leakCheck(t)()
+			addr := freeLoopbackAddr(t)
+			tc := &net.TCPCluster{Nodes: 2, External: true, Listen: addr, BarrierTimeout: 10 * time.Second}
+			node0 := serveThroughProxy(addr, 2, c.frame)
+			node1 := make(chan error, 1)
+			go func() {
+				conn, err := dialRetry(addr)
+				if err != nil {
+					node1 <- err
+					return
+				}
+				node1 <- net.ServeNode(conn, 1, 2, 0)
+			}()
+			_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(4)},
+				g, gossipNodes(g, 4), net.Config{})
+			nodeErr := <-node0
+			<-node1
+			var ne *net.NodeError
+			if !errors.As(err, &ne) {
+				t.Fatalf("want *net.NodeError, got %v", err)
+			}
+			if ne.Shard != 0 || ne.Round != 0 || !strings.Contains(err.Error(), "node reported") ||
+				!strings.Contains(err.Error(), c.want) {
+				t.Errorf("want shard 0 round 0 relaying %q, got %v", c.want, err)
+			}
+			if nodeErr == nil || !strings.Contains(nodeErr.Error(), c.want) {
+				t.Errorf("node returned %v, want an error containing %q", nodeErr, c.want)
+			}
+		})
+	}
 }

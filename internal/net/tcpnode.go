@@ -117,6 +117,14 @@ func ServeNode(conn gonet.Conn, shard, shards int, token uint64) error {
 	return nil
 }
 
+// serveNode is the node process's side of RunTCP: handshake, build
+// the shard's nodes from the welcome frame, then answer round frames
+// until harvest and shutdown. Each round frame's records are expanded
+// over the shard's neighbor segments into one flat inbox arena, with
+// the fill RunShard's merge runs; inboxes are sorted and the shard's
+// vertices stepped in ascending id order, and their broadcasts go back
+// in one outbox frame. The coordinator keeps fault decisions and
+// traffic accounting; the node only applies the drop lists it is sent.
 func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 	// No read deadlines here: the coordinator owns the barrier timeout,
 	// and a dead coordinator closes the connection (or the kernel does),
@@ -165,7 +173,7 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 		return fmt.Errorf("send ready: %w", err)
 	}
 
-	inboxes := make([][]msg.Message, len(nodes))
+	in := newNodeInbox(w.g, w.lo, w.hi)
 	var outb []broadcast
 	var buf []byte
 	for {
@@ -175,24 +183,15 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 		}
 		switch kind {
 		case frameRound:
-			for i := range inboxes {
-				inboxes[i] = inboxes[i][:0]
-			}
-			round, err := decodeRound(payload, func(to int, m msg.Message) error {
-				if to < w.lo || to >= w.hi {
-					return fmt.Errorf("net: delivery to vertex %d outside shard [%d, %d)", to, w.lo, w.hi)
-				}
-				inboxes[to-w.lo] = append(inboxes[to-w.lo], m)
-				return nil
-			})
+			round, err := in.receive(payload)
 			if err != nil {
 				return err
 			}
 			outb = outb[:0]
 			for i, n := range nodes {
-				in := inboxes[i]
-				msg.Sort(in)
-				for _, m := range n.Step(round, in) {
+				inbox := in.arena.inbox(i)
+				msg.Sort(inbox)
+				for _, m := range n.Step(round, inbox) {
 					outb = append(outb, broadcast{from: w.lo + i, m: m})
 				}
 			}
@@ -230,4 +229,94 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 			return fmt.Errorf("unexpected coordinator frame %s", frameKindName(kind))
 		}
 	}
+}
+
+// nodeInbox is a node process's receiving side: it decodes round
+// frames and expands their records over the shard's neighbor segments
+// into one flat inbox arena.
+type nodeInbox struct {
+	lo, hi int
+	// segs splits every neighbor list two ways: segment 0 holds the
+	// neighbors inside [lo, hi) in adjacency order, the order the
+	// coordinator lists drops in.
+	segs  shardSegments
+	recs  []roundRecord
+	batch [1]recordBatch
+	arena shardInbox
+	cnt   []int32 // fill scratch
+}
+
+func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
+	owner := make([]int32, g.N())
+	for v := range owner {
+		if v < lo || v >= hi {
+			owner[v] = 1
+		}
+	}
+	return &nodeInbox{
+		lo:    lo,
+		hi:    hi,
+		segs:  buildShardSegments(g, owner, 2),
+		arena: shardInbox{off: make([]int32, hi-lo+1)},
+		cnt:   make([]int32, hi-lo),
+	}
+}
+
+// receive decodes one round frame into the arena and returns its
+// round. Records the coordinator cannot have sent are errors: a sender
+// outside the graph or out of ascending order, a sender with no
+// neighbor in this shard, or a drop list that is not a subsequence of
+// the sender's neighbors here.
+func (ni *nodeInbox) receive(payload []byte) (int, error) {
+	b := &ni.batch[0]
+	round, recs, drops, err := decodeRound(payload, ni.recs[:0], b.drops[:0])
+	ni.recs, b.drops = recs, drops
+	if err != nil {
+		return 0, err
+	}
+	n := len(ni.segs.segOf) - 1
+	b.recs = b.recs[:0]
+	b.spans = b.spans[:0]
+	prev := 0
+	for _, r := range recs {
+		if r.from >= n {
+			return 0, fmt.Errorf("net: record from vertex %d, graph has %d", r.from, n)
+		}
+		if r.from < prev {
+			return 0, fmt.Errorf("net: record from vertex %d after vertex %d", r.from, prev)
+		}
+		prev = r.from
+		lo, hi, ok := ni.segs.segment(r.from, 0)
+		if !ok {
+			return 0, fmt.Errorf("net: record from vertex %d, which has no neighbor in shard [%d, %d)", r.from, ni.lo, ni.hi)
+		}
+		if err := ni.checkDrops(r.from, ni.segs.flat[lo:hi], drops[r.drops.lo:r.drops.hi]); err != nil {
+			return 0, err
+		}
+		b.recs = append(b.recs, shardDelivery{lo: lo, hi: hi, m: r.m})
+		// A frame without drops fills as a reliable batch.
+		if len(drops) > 0 {
+			b.spans = append(b.spans, r.drops)
+		}
+	}
+	ni.arena.fill(int32(ni.lo), ni.cnt, ni.segs.flat, ni.batch[:])
+	return round, nil
+}
+
+// checkDrops verifies that drops is a subsequence of seg, sender
+// from's neighbors in this shard, which is what the fill's skip walk
+// relies on.
+func (ni *nodeInbox) checkDrops(from int, seg, drops []int32) error {
+	k := 0
+	for _, v := range drops {
+		for k < len(seg) && seg[k] != v {
+			k++
+		}
+		if k == len(seg) {
+			return fmt.Errorf("net: drop list of sender %d: vertex %d is not its next neighbor in shard [%d, %d)",
+				from, v, ni.lo, ni.hi)
+		}
+		k++
+	}
+	return nil
 }

@@ -16,7 +16,7 @@ const (
 	frameHello    msg.FrameKind = 0x01 // node → coord: msg.Hello
 	frameWelcome  msg.FrameKind = 0x02 // coord → node: spec + graph + shard bounds
 	frameReady    msg.FrameKind = 0x03 // node → coord: nodes constructed
-	frameRound    msg.FrameKind = 0x04 // coord → node: round number + deliveries
+	frameRound    msg.FrameKind = 0x04 // coord → node: round number + (sender, message, drop list) records
 	frameOutbox   msg.FrameKind = 0x05 // node → coord: round number + broadcasts + done bit
 	frameHarvest  msg.FrameKind = 0x06 // coord → node: export final node state
 	frameState    msg.FrameKind = 0x07 // node → coord: per-vertex state blobs
@@ -144,58 +144,87 @@ func decodeWelcome(buf []byte) (welcome, error) {
 	return w, nil
 }
 
-// delivery is one routed message: the broadcast m must land in vertex
-// to's next inbox. vertex ids ride next to the message because the
-// Message.To field is the protocol addressee (possibly Broadcast), not
-// the transport destination.
-type delivery struct {
-	to int
-	m  msg.Message
-}
+// maxVertex bounds every vertex id a round or outbox frame may carry:
+// engines index int32 arrays by vertex.
+const maxVertex = 1<<31 - 1
 
 // appendRound appends a round frame payload: uvarint round, uvarint
-// delivery count, then (uvarint vertex, message) pairs.
-func appendRound(buf []byte, round int, ds []delivery) []byte {
+// record count, then body, which holds count records encoded by
+// appendRecord in ascending sender order.
+func appendRound(buf []byte, round, count int, body []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(len(ds)))
-	for _, d := range ds {
-		buf = binary.AppendUvarint(buf, uint64(d.to))
-		buf = d.m.Append(buf)
+	buf = binary.AppendUvarint(buf, uint64(count))
+	return append(buf, body...)
+}
+
+// appendRecord appends one round-frame record: uvarint sender vertex,
+// the message encoding m exactly as the sender's node process sent it,
+// uvarint drop count, then the dropped receivers as uvarints. A record
+// stands for every delivery of the broadcast to the sender's
+// neighbors in the destination shard; drops lists the ones the fault
+// injector dropped, in adjacency order.
+func appendRecord(buf []byte, from int, m []byte, drops []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(from))
+	buf = append(buf, m...)
+	buf = binary.AppendUvarint(buf, uint64(len(drops)))
+	for _, v := range drops {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return buf
 }
 
-// decodeRound parses a round frame, delivering each message through
-// deliver(to, m) to avoid materializing a second slice. Strict: the
-// payload must be consumed exactly.
-func decodeRound(buf []byte, deliver func(to int, m msg.Message) error) (round int, err error) {
+// roundRecord is one decoded round-frame record. Its drop list is
+// drops[drops.lo:drops.hi] of the drop arena decodeRound filled
+// alongside.
+type roundRecord struct {
+	from  int
+	drops dropSpan
+	m     msg.Message
+}
+
+// decodeRound parses a round frame strictly, appending its records to
+// recs and their drop lists to drops; callers pass both back truncated
+// to reuse them across rounds. Vertex ids are only range-checked
+// against maxVertex here: whether they fit the graph and shard is the
+// receiving node's check.
+func decodeRound(buf []byte, recs []roundRecord, drops []int32) (round int, _ []roundRecord, _ []int32, err error) {
 	dec := wireDec{buf: buf}
 	round = int(dec.uvarint("round"))
-	count := dec.uvarint("delivery count")
+	count := dec.uvarint("record count")
 	if dec.err != nil {
-		return 0, dec.err
+		return 0, recs, drops, dec.err
 	}
 	if count > uint64(len(dec.buf)) {
-		return 0, fmt.Errorf("net: implausible delivery count %d for %d remaining bytes", count, len(dec.buf))
+		return 0, recs, drops, fmt.Errorf("net: implausible record count %d for %d remaining bytes", count, len(dec.buf))
 	}
 	for i := uint64(0); i < count; i++ {
-		to := dec.uvarint("delivery vertex")
+		from := dec.vertex("record sender")
 		if dec.err != nil {
-			return 0, dec.err
+			return 0, recs, drops, dec.err
 		}
 		m, used, err := msg.Decode(dec.buf)
 		if err != nil {
-			return 0, fmt.Errorf("net: delivery %d of %d: %w", i, count, err)
+			return 0, recs, drops, fmt.Errorf("net: record %d of %d: %w", i, count, err)
 		}
 		dec.buf = dec.buf[used:]
-		if err := deliver(int(to), m); err != nil {
-			return 0, err
+		nd := dec.uvarint("drop count")
+		if dec.err == nil && nd > uint64(len(dec.buf)) {
+			return 0, recs, drops, fmt.Errorf("net: implausible drop count %d for %d remaining bytes", nd, len(dec.buf))
 		}
+		r := roundRecord{from: int(from), drops: dropSpan{lo: int32(len(drops))}, m: m}
+		for j := uint64(0); j < nd; j++ {
+			drops = append(drops, int32(dec.vertex("dropped vertex")))
+		}
+		if dec.err != nil {
+			return 0, recs, drops, dec.err
+		}
+		r.drops.hi = int32(len(drops))
+		recs = append(recs, r)
 	}
 	if len(dec.buf) != 0 {
-		return 0, fmt.Errorf("net: %d trailing bytes after round frame", len(dec.buf))
+		return 0, recs, drops, fmt.Errorf("net: %d trailing bytes after round frame", len(dec.buf))
 	}
-	return round, nil
+	return round, recs, drops, nil
 }
 
 // outboxFlagDone marks a shard whose every node reported Done after
@@ -221,42 +250,46 @@ func appendOutbox(buf []byte, round int, done bool, bs []broadcast) []byte {
 }
 
 // broadcast is one sent message paired with its sending vertex — the
-// routing key the coordinator fans out over g.Neighbors(from).
+// routing key the coordinator fans out over the sender's neighbor
+// segments. raw is the message's encoding as decodeOutbox found it in
+// the frame (nil on the node side), which the coordinator forwards
+// verbatim; it aliases the frame buffer.
 type broadcast struct {
 	from int
 	m    msg.Message
+	raw  []byte
 }
 
-// decodeOutbox parses an outbox frame strictly.
-func decodeOutbox(buf []byte) (round int, done bool, bs []broadcast, err error) {
+// decodeOutbox parses an outbox frame strictly, appending its
+// broadcasts to bs (pass it back truncated to reuse it across rounds).
+func decodeOutbox(buf []byte, bs []broadcast) (round int, done bool, _ []broadcast, err error) {
 	dec := wireDec{buf: buf}
 	round = int(dec.uvarint("round"))
 	flags := dec.byte("flags")
 	count := dec.uvarint("broadcast count")
 	if dec.err != nil {
-		return 0, false, nil, dec.err
+		return 0, false, bs, dec.err
 	}
 	if flags&^byte(outboxFlagDone) != 0 {
-		return 0, false, nil, fmt.Errorf("net: unknown outbox flag bits %#x", flags)
+		return 0, false, bs, fmt.Errorf("net: unknown outbox flag bits %#x", flags)
 	}
 	if count > uint64(len(dec.buf)) {
-		return 0, false, nil, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.buf))
+		return 0, false, bs, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.buf))
 	}
-	bs = make([]broadcast, 0, count)
 	for i := uint64(0); i < count; i++ {
-		from := dec.uvarint("sender vertex")
+		from := dec.vertex("sender vertex")
 		if dec.err != nil {
-			return 0, false, nil, dec.err
+			return 0, false, bs, dec.err
 		}
 		m, used, err := msg.Decode(dec.buf)
 		if err != nil {
-			return 0, false, nil, fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
+			return 0, false, bs, fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}
+		bs = append(bs, broadcast{from: int(from), m: m, raw: dec.buf[:used:used]})
 		dec.buf = dec.buf[used:]
-		bs = append(bs, broadcast{from: int(from), m: m})
 	}
 	if len(dec.buf) != 0 {
-		return 0, false, nil, fmt.Errorf("net: %d trailing bytes after outbox frame", len(dec.buf))
+		return 0, false, bs, fmt.Errorf("net: %d trailing bytes after outbox frame", len(dec.buf))
 	}
 	return round, flags&outboxFlagDone != 0, bs, nil
 }
@@ -318,6 +351,16 @@ func (d *wireDec) uvarint(what string) uint64 {
 		return 0
 	}
 	d.buf = d.buf[n:]
+	return v
+}
+
+// vertex reads a uvarint vertex id, rejecting ids above maxVertex.
+func (d *wireDec) vertex(what string) uint64 {
+	v := d.uvarint(what)
+	if d.err == nil && v > maxVertex {
+		d.err = fmt.Errorf("net: %s %d out of range", what, v)
+		return 0
+	}
 	return v
 }
 

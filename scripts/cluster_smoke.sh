@@ -4,7 +4,8 @@
 # color a ~10^5-edge Erdős–Rényi graph, and every output that can be
 # diffed is diffed against the sequential sync reference — coloring
 # JSON, per-round telemetry JSONL, and the result line — for both
-# algorithms. A second arm drives the operator-launched layout through
+# algorithms, plus a lossy Algorithm 1 arm (5% delivery loss with the
+# recovery layer) that drives the round frames' drop lists. A second arm drives the operator-launched layout through
 # cmd/dimanode against a fixed port. Finally the script asserts no node
 # process outlived its run. POSIX sh.
 set -eu
@@ -68,6 +69,7 @@ run_pair() {
 
 run_pair alg1
 run_pair alg2 -strong
+run_pair alg1-lossy -drop 0.05 -recover
 
 # Operator-launched arm: the coordinator waits with -external -listen
 # and four dimanode processes dial in, on a smaller instance (this arm
@@ -106,4 +108,4 @@ if pgrep -f "$TMP/" > /dev/null 2>&1; then
     pgrep -af "$TMP/" || true
     die "leaked node or coordinator processes"
 fi
-say "OK: tcp engine byte-identical to sync on both algorithms, no leaked processes"
+say "OK: tcp engine byte-identical to sync on both algorithms and under loss, no leaked processes"
