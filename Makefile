@@ -1,6 +1,7 @@
 # Verify loop for the dima module. `make check` is the full gate run
 # before every commit: build, vet, the complete test suite, and the
-# goroutine runtime under the race detector.
+# internal packages under the race detector, where the tests run the
+# shard engine with several worker goroutines.
 
 GO ?= go
 

@@ -211,17 +211,21 @@ func BenchmarkAblationOverhearFilter(b *testing.B) {
 }
 
 // BenchmarkEngines compares the deterministic sequential runtime with
-// the goroutine-per-vertex channel runtime on an identical workload.
+// the three-worker shard runtime on an identical workload.
 func BenchmarkEngines(b *testing.B) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(5), 200, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for name, eng := range map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan} {
-		eng := eng
+	for name, opt := range map[string]core.Options{
+		"sync":    {Engine: net.RunSync},
+		"shard-3": {Engine: net.RunShard, Workers: 3},
+	} {
+		opt := opt
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ColorEdges(g, core.Options{Seed: uint64(i), Engine: eng}); err != nil {
+				opt.Seed = uint64(i)
+				if _, err := core.ColorEdges(g, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

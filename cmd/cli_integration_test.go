@@ -82,7 +82,7 @@ func TestStrongPipeline(t *testing.T) {
 	if _, stderr, err := run(t, "graphgen", "-family", "geometric", "-n", "40", "-radius", "0.3", "-seed", "4", "-o", gpath); err != nil {
 		t.Fatalf("graphgen: %v\n%s", err, stderr)
 	}
-	stdout, stderr, err := run(t, "dimacolor", "-in", gpath, "-strong", "-engine", "chan", "-json", cpath)
+	stdout, stderr, err := run(t, "dimacolor", "-in", gpath, "-strong", "-engine", "shard", "-json", cpath)
 	if err != nil {
 		t.Fatalf("dimacolor -strong: %v\n%s", err, stderr)
 	}
@@ -92,6 +92,11 @@ func TestStrongPipeline(t *testing.T) {
 	stdout, _, err = run(t, "dimaverify", "-graph", gpath, "-coloring", cpath)
 	if err != nil || !strings.Contains(stdout, "valid arc coloring") {
 		t.Fatalf("dimaverify: %v %s", err, stdout)
+	}
+	// An engine name dimacolor does not know is a usage error.
+	_, stderr, err = run(t, "dimacolor", "-in", gpath, "-strong", "-engine", "chan")
+	if code := exitCode(err); code != 2 || !strings.Contains(stderr, "unknown engine") {
+		t.Fatalf("-engine chan: exit %d, stderr %q; want exit 2 naming an unknown engine", code, stderr)
 	}
 }
 

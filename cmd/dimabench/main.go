@@ -84,7 +84,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "fraction of the paper's 50 repetitions per cell (for -exp scale: graph-size multiplier)")
 		seed     = flag.Uint64("seed", 2012, "master seed")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS); for -exp scale: shard engine worker count")
-		engSel   = flag.String("engine", "", "scale experiment: comma-separated engines to benchmark (default sync,chan,shard)")
+		engSel   = flag.String("engine", "", "scale experiment: comma-separated engines to benchmark (default sync,shard)")
 		wkrsSet  = flag.String("workers-set", "", "parallel experiment: comma-separated shard worker counts to sweep (0 = GOMAXPROCS; default 1,2,4,8,0)")
 		nodesSet = flag.String("nodes-set", "", "cluster experiment: comma-separated node-process counts to sweep (default 1,2,4)")
 		benchOut = flag.String("bench-out", "", "scale experiment: write the report as JSON to this file (e.g. BENCH_PR3.json)")

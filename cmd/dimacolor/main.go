@@ -4,7 +4,7 @@
 // Usage:
 //
 //	graphgen -family er -n 200 -deg 8 | dimacolor -seed 7
-//	dimacolor -in er.graph -strong -engine chan -json out.json
+//	dimacolor -in er.graph -strong -engine shard -json out.json
 //	dimacolor -in small.graph -trace
 //	dimacolor -in er.graph -mutate edits.txt -json mutated.json
 //	dimacolor -in er.graph -mutate edits.txt -maintain
@@ -47,7 +47,7 @@ func main() {
 		strong   = flag.Bool("strong", false, "run Algorithm 2 (strong distance-2 coloring)")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		reps     = flag.Int("reps", 1, "run this many seeds (seed, seed+1, ...) and report statistics")
-		engine   = flag.String("engine", "sync", "runtime: sync (sequential), chan (goroutine per vertex), shard (worker shards), or tcp (node processes over TCP)")
+		engine   = flag.String("engine", "sync", "runtime: sync (sequential), shard (worker shards), or tcp (node processes over TCP)")
 		workers  = flag.Int("workers", 0, "shard engine worker count (0 = GOMAXPROCS; only with -engine shard)")
 		nodes    = flag.Int("nodes", 0, "tcp engine node process count (only with -engine tcp)")
 		listen   = flag.String("listen", "", "tcp engine coordinator listen address (default: a kernel-assigned loopback port; only with -engine tcp)")
@@ -89,8 +89,6 @@ func main() {
 	switch *engine {
 	case "sync":
 		opt.Engine = net.RunSync
-	case "chan":
-		opt.Engine = net.RunChan
 	case "shard":
 		opt.Engine = net.RunShard
 		opt.Workers = *workers

@@ -18,10 +18,11 @@
 //   - MaximalMatching: the automaton's original application, plus the
 //     induced 2-approximate vertex cover.
 //
-// Protocols run over either of two interchangeable synchronous runtimes:
-// a deterministic sequential scheduler (default) and a goroutine-per-
-// vertex runtime with channels as links (Chan option). Runs are exactly
-// reproducible from a single seed on both runtimes.
+// Protocols run over three interchangeable synchronous runtimes: a
+// deterministic sequential scheduler (default), a sharded runtime whose
+// worker goroutines each own a vertex shard (Shard), and node processes
+// over TCP (TCPCluster). Runs are exactly reproducible from a single
+// seed on every runtime.
 //
 // The subpackages under internal/ carry the full machinery (graph
 // substrate, generators, message layer, verifiers, baselines, experiment
@@ -86,11 +87,6 @@ func NewSymmetric(g *Graph) *Digraph { return graph.NewSymmetric(g) }
 
 // NewRand returns a seeded deterministic generator (xoshiro256**).
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
-
-// Chan is the goroutine-per-vertex runtime: assign it to Options.Engine
-// to execute each compute node as a goroutine communicating over
-// channels. Results are identical to the default sequential runtime.
-var Chan = net.RunChan
 
 // Shard is the sharded runtime for large graphs: Options.Workers
 // goroutines (0 = GOMAXPROCS) each own a contiguous vertex shard, with
@@ -395,8 +391,8 @@ type (
 
 // Makespan computes the wall-clock completion time of a rounds-round
 // synchronous execution over g when each node advances as soon as its
-// neighbors' messages arrive (the α-synchronizer realized by the Chan
-// runtime) under the given link-delay model.
+// neighbors' messages arrive (an α-synchronizer) under the given
+// link-delay model.
 func Makespan(g *Graph, rounds int, lat LatencyModel) (float64, error) {
 	return net.Makespan(g, rounds, lat)
 }

@@ -37,7 +37,7 @@ func TestFacadeStrongColoring(t *testing.T) {
 	}
 }
 
-func TestFacadeChanEngine(t *testing.T) {
+func TestFacadeShardEngine(t *testing.T) {
 	g, err := SmallWorld(NewRand(5), 40, 2, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestFacadeChanEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ColorEdges(g, Options{Seed: 6, Engine: Chan})
+	b, err := ColorEdges(g, Options{Seed: 6, Engine: Shard, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

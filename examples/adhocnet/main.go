@@ -29,9 +29,9 @@ func main() {
 	fmt.Printf("ad-hoc network: %d radios, %d bidirectional links, %d directed links, Δ=%d\n",
 		g.N(), g.M(), d.A(), g.MaxDegree())
 
-	// Distributed assignment: every radio runs the DiMa2Ed automaton,
-	// one goroutine per radio, channels as radio links.
-	res, err := dima.ColorStrong(d, dima.Options{Seed: seed, Engine: dima.Chan})
+	// Distributed assignment: every radio runs the DiMa2Ed automaton;
+	// the shard runtime steps the radios on three worker goroutines.
+	res, err := dima.ColorStrong(d, dima.Options{Seed: seed, Engine: dima.Shard, Workers: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-// Asynchronous-time analysis: the paper's model is synchronous, and the
-// goroutine runtime realizes it over asynchronous channels with an
-// α-synchronizer (a node advances once all neighbor messages for the
-// round arrived). This example asks what that costs in *time* rather
+// Asynchronous-time analysis: the paper's model is synchronous, and an
+// asynchronous network realizes it with an α-synchronizer (a node
+// advances once all neighbor messages for the round arrived). This example asks what that costs in *time* rather
 // than rounds: given heterogeneous link delays, the completion time is a
 // critical path through the delay graph, not rounds × slowest-link.
 //

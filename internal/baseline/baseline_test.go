@@ -284,7 +284,10 @@ func TestTreeWaveEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TreeWave(g, net.RunChan)
+	b, err := TreeWave(g, func(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
+		cfg.Workers = 3
+		return net.RunShard(g, nodes, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func TestCancelPartialColoringIdenticalAcrossEngines(t *testing.T) {
 	}
 	const cancelRound = 7 // mid-run: some edges colored, some not
 	var want *Result
-	for _, name := range []string{"sync", "chan", "shard"} {
-		engine := map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan, "shard": net.RunShard}[name]
+	for _, name := range []string{"sync", "shard", "shard-3"} {
+		engine := map[string]net.Engine{"sync": net.RunSync, "shard": net.RunShard, "shard-3": shardWorkers(3)}[name]
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := Options{Seed: 42, Engine: cancelAfter(engine, cancelRound, cancel)}
 		res, err := ColorEdgesCtx(ctx, g, opt)
@@ -85,8 +85,8 @@ func TestCancelStrongPartialAcrossEngines(t *testing.T) {
 	d := graph.NewSymmetric(g)
 	const cancelRound = 9
 	var want *Result
-	for _, name := range []string{"sync", "chan", "shard"} {
-		engine := map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan, "shard": net.RunShard}[name]
+	for _, name := range []string{"sync", "shard", "shard-3"} {
+		engine := map[string]net.Engine{"sync": net.RunSync, "shard": net.RunShard, "shard-3": shardWorkers(3)}[name]
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := Options{Seed: 9, Engine: cancelAfter(engine, cancelRound, cancel)}
 		res, err := ColorStrongCtx(ctx, d, opt)

@@ -38,17 +38,12 @@ func init() {
 
 // clusterEngine validates that the configured cluster run is possible
 // and returns the TCP engine closed over this algorithm's factory.
-// constrained marks the ColorEdgesConstrained path, whose forbidden
-// sets do not travel in the options blob.
-func (o *Options) clusterEngine(factory string, constrained bool) (net.Engine, error) {
+func (o *Options) clusterEngine(factory string) (net.Engine, error) {
 	if o.Engine != nil {
 		return nil, fmt.Errorf("core: Options.Engine and Options.Cluster are mutually exclusive")
 	}
 	if o.Hook != nil {
 		return nil, fmt.Errorf("core: automaton hooks cannot cross process boundaries; unset Options.Hook for cluster runs")
-	}
-	if constrained {
-		return nil, fmt.Errorf("core: constrained coloring is not supported on the tcp engine")
 	}
 	return o.Cluster.Engine(net.NodeSpec{
 		Factory: factory,

@@ -263,7 +263,7 @@ func TestClusterOptionConflicts(t *testing.T) {
 	g.AddEdge(2, 3)
 	cluster := &net.TCPCluster{Nodes: 2}
 
-	if _, err := ColorEdges(g, Options{Cluster: cluster, Engine: net.RunChan}); err == nil {
+	if _, err := ColorEdges(g, Options{Cluster: cluster, Engine: net.RunShard}); err == nil {
 		t.Fatal("Engine+Cluster accepted")
 	}
 	hook := automaton.Hook(func(node int, from, to automaton.State) {})

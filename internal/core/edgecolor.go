@@ -50,12 +50,9 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 		return nil, fmt.Errorf("core: graph has removal holes (%d ids, %d edges); compact before coloring",
 			g.EdgeIDBound(), g.M())
 	}
-	engine := opt.engine()
-	if opt.Cluster != nil {
-		var err error
-		if engine, err = opt.clusterEngine(edgeFactoryName, forbidden != nil); err != nil {
-			return nil, err
-		}
+	// The forbidden sets do not travel in the cluster options blob.
+	if forbidden != nil && opt.Cluster != nil {
+		return nil, fmt.Errorf("core: constrained coloring is not supported on the tcp engine")
 	}
 	ecs := newECNodes(g, 0, g.N(), &opt)
 	nodes := make([]net.Node, g.N())
@@ -65,35 +62,9 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 		}
 		nodes[u] = &ecs[u]
 	}
-	var traffic []net.RoundTraffic
-	var observe net.RoundObserver
-	if opt.Metrics != nil {
-		observe = func(rt net.RoundTraffic) { traffic = append(traffic, rt) }
-	}
-	netRes, err := engine(g, nodes, net.Config{
-		MaxRounds:  ecPhases * opt.maxCompRounds(),
-		Ctx:        ctx,
-		Fault:      opt.Fault,
-		Observe:    observe,
-		Workers:    opt.Workers,
-		ShardStats: opt.ShardStats,
-	})
+	res, traffic, err := opt.run(ctx, g, nodes, edgeFactoryName, ecPhases, g.M())
 	if err != nil {
 		return nil, err
-	}
-
-	res := &Result{
-		Colors:     make([]int, g.M()),
-		CommRounds: netRes.Rounds,
-		CompRounds: (netRes.Rounds + ecPhases - 1) / ecPhases,
-		Messages:   netRes.Messages,
-		Deliveries: netRes.Deliveries,
-		Bytes:      netRes.Bytes,
-		Terminated: netRes.Terminated,
-		Aborted:    netRes.Aborted,
-	}
-	for i := range res.Colors {
-		res.Colors[i] = -1
 	}
 	// Assemble edge colors from node-local assignments, verifying that
 	// both endpoints agree — the distributed analogue of Proposition 2's

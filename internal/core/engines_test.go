@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"dima/internal/graph"
 	"dima/internal/net"
 )
@@ -15,15 +17,16 @@ func shardWorkers(workers int) net.Engine {
 	}
 }
 
-// testEngines is the engine triple every cross-engine property test
+// testEngines is the engine set every cross-engine property test
 // iterates: the equivalence guarantee is that all of them replay the
-// sequential engine exactly.
+// sequential engine exactly. shard-oversub runs more workers than
+// GOMAXPROCS, so worker goroutines interleave on shared processors.
 var testEngines = []struct {
 	name string
 	run  net.Engine
 }{
 	{"sync", net.RunSync},
-	{"chan", net.RunChan},
 	{"shard-1", shardWorkers(1)},
 	{"shard-3", shardWorkers(3)},
+	{"shard-oversub", shardWorkers(runtime.GOMAXPROCS(0) + 2)},
 }

@@ -170,19 +170,3 @@ func TestStressLargeGraphs(t *testing.T) {
 		t.Fatalf("strong coloring used %d colors below the structural bound %d", sres.NumColors, lb)
 	}
 }
-
-// The goroutine runtime under stress with many nodes, exercising the
-// coordinator and link-channel machinery at scale.
-func TestStressChanEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test skipped in -short mode")
-	}
-	g, err := gen.ErdosRenyiAvgDegree(rng.New(51), 800, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := mustColorEdges(t, g, Options{Seed: 52, Engine: net.RunChan})
-	if res.DefensiveRejects != 0 {
-		t.Fatalf("defensive rejects on chan engine: %d", res.DefensiveRejects)
-	}
-}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+
 	"dima/internal/automaton"
+	"dima/internal/graph"
 	"dima/internal/metrics"
 	"dima/internal/net"
 )
@@ -36,11 +39,10 @@ func (r ColorRule) String() string {
 // the paper's color rule and overhearing filter).
 type Options struct {
 	// Seed determines every random choice of the run. Runs with equal
-	// seeds and inputs are identical, on either engine.
+	// seeds and inputs are identical, on every engine.
 	Seed uint64
-	// Engine executes the protocol; nil means net.RunSync. net.RunChan
-	// runs one goroutine per vertex; net.RunShard runs Workers shard
-	// goroutines.
+	// Engine executes the protocol; nil means net.RunSync.
+	// net.RunShard runs Workers shard goroutines.
 	Engine net.Engine
 	// Workers is the shard count passed to the engine via
 	// net.Config.Workers; 0 means GOMAXPROCS. Only net.RunShard uses it.
@@ -96,7 +98,7 @@ type Options struct {
 	// computation round after the run completes: automaton activity,
 	// pairing and palette progress, and traffic split by message kind.
 	// Summed over the stream, the traffic and conflict fields equal this
-	// Result's aggregates, on either engine. Nil (the default) skips all
+	// Result's aggregates, on every engine. Nil (the default) skips all
 	// per-round accounting.
 	Metrics metrics.Sink
 }
@@ -110,11 +112,53 @@ type Participation struct {
 
 const defaultMaxCompRounds = 100_000
 
-func (o *Options) engine() net.Engine {
-	if o.Engine == nil {
-		return net.RunSync
+// run executes nodes on the engine the options select — Engine, where
+// nil means net.RunSync, or the TCP engine closed over the algorithm's
+// node factory when Cluster is set — bounded at phases communication
+// rounds per computation round. It returns the Result header, with
+// items colors all unassigned, and the per-round traffic when Metrics
+// is set.
+func (o *Options) run(ctx context.Context, g *graph.Graph, nodes []net.Node, factory string, phases, items int) (*Result, []net.RoundTraffic, error) {
+	engine := o.Engine
+	if engine == nil {
+		engine = net.RunSync
 	}
-	return o.Engine
+	if o.Cluster != nil {
+		var err error
+		if engine, err = o.clusterEngine(factory); err != nil {
+			return nil, nil, err
+		}
+	}
+	var traffic []net.RoundTraffic
+	var observe net.RoundObserver
+	if o.Metrics != nil {
+		observe = func(rt net.RoundTraffic) { traffic = append(traffic, rt) }
+	}
+	netRes, err := engine(g, nodes, net.Config{
+		MaxRounds:  phases * o.maxCompRounds(),
+		Ctx:        ctx,
+		Fault:      o.Fault,
+		Observe:    observe,
+		Workers:    o.Workers,
+		ShardStats: o.ShardStats,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &Result{
+		Colors:     make([]int, items),
+		CommRounds: netRes.Rounds,
+		CompRounds: (netRes.Rounds + phases - 1) / phases,
+		Messages:   netRes.Messages,
+		Deliveries: netRes.Deliveries,
+		Bytes:      netRes.Bytes,
+		Terminated: netRes.Terminated,
+		Aborted:    netRes.Aborted,
+	}
+	for i := range res.Colors {
+		res.Colors[i] = -1
+	}
+	return res, traffic, nil
 }
 
 func (o *Options) maxCompRounds() int {

@@ -54,7 +54,7 @@ func TestConstrainedRespectsForbidden(t *testing.T) {
 	for _, eng := range []struct {
 		name string
 		e    net.Engine
-	}{{"sync", net.RunSync}, {"chan", net.RunChan}, {"shard", net.RunShard}} {
+	}{{"sync", net.RunSync}, {"shard-3", shardWorkers(3)}, {"shard", net.RunShard}} {
 		t.Run(eng.name, func(t *testing.T) {
 			g := mustGNM(t, 40, 120, 3)
 			forbidden := make([]*ColorSet, g.N())

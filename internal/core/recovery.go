@@ -51,7 +51,7 @@ func ackMsg(from, to, edge, color int, keep bool) msg.Message {
 }
 
 // sortedEdgeKeys returns the map's keys in ascending order, so recovery
-// loops iterate deterministically under both engines.
+// loops iterate deterministically under every engine.
 func sortedEdgeKeys(m map[graph.EdgeID]*ecPending) []graph.EdgeID {
 	keys := make([]graph.EdgeID, 0, len(m))
 	for e := range m {

@@ -126,7 +126,7 @@ func TestRecoveryDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// Under faults with recovery enabled, the two engines must still be
+// Under faults with recovery enabled, the engines must still be
 // observationally identical: the full Result and the entire per-round
 // telemetry stream (which folds net.RoundTraffic round by round,
 // traffic split by kind included) match field for field.

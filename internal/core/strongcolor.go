@@ -43,46 +43,14 @@ func ColorStrong(d *graph.Digraph, opt Options) (*Result, error) {
 // options, on every engine.
 func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result, error) {
 	g := d.Under()
-	engine := opt.engine()
-	if opt.Cluster != nil {
-		var err error
-		if engine, err = opt.clusterEngine(strongFactoryName, false); err != nil {
-			return nil, err
-		}
-	}
 	scs := newSCNodes(d, 0, g.N(), &opt)
 	nodes := make([]net.Node, g.N())
 	for u := range scs {
 		nodes[u] = &scs[u]
 	}
-	var traffic []net.RoundTraffic
-	var observe net.RoundObserver
-	if opt.Metrics != nil {
-		observe = func(rt net.RoundTraffic) { traffic = append(traffic, rt) }
-	}
-	netRes, err := engine(g, nodes, net.Config{
-		MaxRounds:  scPhases * opt.maxCompRounds(),
-		Ctx:        ctx,
-		Fault:      opt.Fault,
-		Observe:    observe,
-		Workers:    opt.Workers,
-		ShardStats: opt.ShardStats,
-	})
+	res, traffic, err := opt.run(ctx, g, nodes, strongFactoryName, scPhases, d.A())
 	if err != nil {
 		return nil, err
-	}
-	res := &Result{
-		Colors:     make([]int, d.A()),
-		CommRounds: netRes.Rounds,
-		CompRounds: (netRes.Rounds + scPhases - 1) / scPhases,
-		Messages:   netRes.Messages,
-		Deliveries: netRes.Deliveries,
-		Bytes:      netRes.Bytes,
-		Terminated: netRes.Terminated,
-		Aborted:    netRes.Aborted,
-	}
-	for i := range res.Colors {
-		res.Colors[i] = -1
 	}
 	endpoints := make([]int8, d.A())
 	for u := range scs {

@@ -27,7 +27,7 @@ type assignEvent struct {
 
 // nodeTelemetry is a node's private event log. Only the owning node
 // mutates it (node goroutines never share state), so no synchronization
-// is needed under either engine; the logs are folded into per-round
+// is needed under any engine; the logs are folded into per-round
 // stats after the run completes.
 type nodeTelemetry struct {
 	rounds  []nodeRoundEvents

@@ -43,9 +43,9 @@ func runWithMetrics(t *testing.T, algo string, g *graph.Graph, opt Options) (*Re
 
 // TestRoundStatsTotalsMatchResult is the headline acceptance check:
 // RoundStats summed over the stream reproduces the Result aggregates,
-// for both algorithms on both engines.
+// for both algorithms on the sync and a multi-worker shard engine.
 func TestRoundStatsTotalsMatchResult(t *testing.T) {
-	engines := map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan}
+	engines := map[string]net.Engine{"sync": net.RunSync, "shard-3": shardWorkers(3)}
 	for gname, g := range telemetryGraphs(t) {
 		for _, algo := range []string{"edges", "strong"} {
 			for ename, eng := range engines {

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dima/internal/core"
@@ -87,9 +88,10 @@ func assertValid(t *testing.T, rc *Recolorer) {
 // mutated graph.
 func TestRecolorerPropertyChurn(t *testing.T) {
 	engines := []struct {
-		name string
-		e    net.Engine
-	}{{"sync", net.RunSync}, {"chan", net.RunChan}, {"shard", net.RunShard}}
+		name    string
+		e       net.Engine
+		workers int
+	}{{"sync", net.RunSync, 0}, {"shard", net.RunShard, 3}, {"shard-oversub", net.RunShard, runtime.GOMAXPROCS(0) + 2}}
 	for _, eng := range engines {
 		for _, recovery := range []bool{false, true} {
 			name := eng.name
@@ -97,7 +99,7 @@ func TestRecolorerPropertyChurn(t *testing.T) {
 				name += "-recovery"
 			}
 			t.Run(name, func(t *testing.T) {
-				copt := core.Options{Seed: 5, Engine: eng.e, Workers: 3}
+				copt := core.Options{Seed: 5, Engine: eng.e, Workers: eng.workers}
 				copt.Recovery.Enabled = recovery
 				g, res := coldColor(t, 60, 150, 17, copt)
 				// A tight palette cap (the cold palette) forces real

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dima/internal/core"
@@ -65,12 +66,13 @@ func paletteWithinBound(t *testing.T, rc *Recolorer) {
 // under every engine.
 func TestMaintainProperty(t *testing.T) {
 	engines := []struct {
-		name string
-		e    net.Engine
-	}{{"sync", net.RunSync}, {"chan", net.RunChan}, {"shard", net.RunShard}}
+		name    string
+		e       net.Engine
+		workers int
+	}{{"sync", net.RunSync, 0}, {"shard", net.RunShard, 3}, {"shard-oversub", net.RunShard, runtime.GOMAXPROCS(0) + 2}}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			copt := core.Options{Seed: 5, Engine: eng.e, Workers: 3}
+			copt := core.Options{Seed: 5, Engine: eng.e, Workers: eng.workers}
 			g, res := coldColor(t, 80, 220, 17, copt)
 			rc, err := New(g, res.Colors, Options{Seed: 9, Repair: copt})
 			if err != nil {

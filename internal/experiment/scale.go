@@ -35,14 +35,10 @@ type ScaleConfig struct {
 	Sizes []int
 	// AvgDeg is the Erdős–Rényi average degree of every instance.
 	AvgDeg float64
-	// Engines selects which engines run; subset of sync, chan, shard.
+	// Engines selects which engines run; subset of sync, shard.
 	Engines []string
 	// Workers is the shard engine's worker count (0 = GOMAXPROCS).
 	Workers int
-	// ChanCap skips the chan engine on sizes above it: a goroutine and
-	// per-link channels per vertex stop being measurable long before the
-	// ladder tops out. 0 means no cap.
-	ChanCap int
 	// VerifyCap bounds full coloring verification; above it only the
 	// cross-engine equality check runs. 0 means verify everything.
 	VerifyCap int
@@ -67,8 +63,7 @@ func DefaultScaleConfig(seed uint64, scale float64) ScaleConfig {
 		Seed:      seed,
 		Sizes:     sizes,
 		AvgDeg:    8,
-		Engines:   []string{"sync", "chan", "shard"},
-		ChanCap:   150_000,
+		Engines:   []string{"sync", "shard"},
 		VerifyCap: 20_000,
 	}
 }
@@ -118,7 +113,7 @@ func ScaleSweepCtx(ctx context.Context, cfg ScaleConfig, progress func(ScaleRow)
 	if cfg.AvgDeg <= 0 {
 		return nil, fmt.Errorf("experiment: scale sweep needs a positive average degree, got %g", cfg.AvgDeg)
 	}
-	engines := map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan, "shard": net.RunShard}
+	engines := map[string]net.Engine{"sync": net.RunSync, "shard": net.RunShard}
 	for _, name := range cfg.Engines {
 		if engines[name] == nil {
 			return nil, fmt.Errorf("experiment: unknown engine %q in scale sweep", name)
@@ -142,9 +137,6 @@ func ScaleSweepCtx(ctx context.Context, cfg ScaleConfig, progress func(ScaleRow)
 		runSeed := gr.Uint64()
 		var reference []int
 		for _, name := range cfg.Engines {
-			if name == "chan" && cfg.ChanCap > 0 && n > cfg.ChanCap {
-				continue
-			}
 			opt := core.Options{Seed: runSeed, Engine: engines[name]}
 			if name == "shard" {
 				opt.Workers = cfg.Workers

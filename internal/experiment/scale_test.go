@@ -10,17 +10,16 @@ func TestScaleSweepSmall(t *testing.T) {
 		Seed:    5,
 		Sizes:   []int{120, 300},
 		AvgDeg:  6,
-		Engines: []string{"sync", "chan", "shard"},
+		Engines: []string{"sync", "shard"},
 		Workers: 2,
-		ChanCap: 200, // exercise the cap: chan must skip n=300
 	}
 	var seen []ScaleRow
 	rep, err := ScaleSweep(cfg, func(row ScaleRow) { seen = append(seen, row) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 5 {
-		t.Fatalf("got %d rows, want 5 (chan skipped above ChanCap): %+v", len(rep.Rows), rep.Rows)
+	if len(rep.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (2 engines × 2 sizes): %+v", len(rep.Rows), rep.Rows)
 	}
 	if len(seen) != len(rep.Rows) {
 		t.Fatalf("progress callback saw %d rows, report has %d", len(seen), len(rep.Rows))
@@ -46,8 +45,10 @@ func TestScaleSweepSmall(t *testing.T) {
 			}
 		}
 	}
-	if rows := bySize[300]; len(rows) != 2 {
-		t.Fatalf("n=300 should have sync+shard only, got %+v", rows)
+	for _, n := range cfg.Sizes {
+		if rows := bySize[n]; len(rows) != 2 {
+			t.Fatalf("n=%d should have a sync and a shard row, got %+v", n, rows)
+		}
 	}
 }
 

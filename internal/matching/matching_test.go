@@ -72,13 +72,19 @@ func TestMatchingFamilies(t *testing.T) {
 	}
 }
 
+// shard3 runs net.RunShard on three workers, whatever GOMAXPROCS is.
+func shard3(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
+	cfg.Workers = 3
+	return net.RunShard(g, nodes, cfg)
+}
+
 func TestMatchingDeterministicAndEngines(t *testing.T) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(7), 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := mustMatch(t, g, Options{Seed: 8, Engine: net.RunSync})
-	b := mustMatch(t, g, Options{Seed: 8, Engine: net.RunChan})
+	b := mustMatch(t, g, Options{Seed: 8, Engine: shard3})
 	if len(a.Edges) != len(b.Edges) {
 		t.Fatalf("engines diverged: %d vs %d edges", len(a.Edges), len(b.Edges))
 	}
@@ -187,7 +193,7 @@ func TestMatchingRecoveryUnderBlackout(t *testing.T) {
 
 // Recovery runs must stay deterministic and engine-independent: faults
 // are deterministic injectors and recovery decisions are functions of
-// (state, sorted inbox, own RNG), so RunSync and RunChan agree.
+// (state, sorted inbox, own RNG), so RunSync and RunShard agree.
 func TestMatchingRecoveryEngineEquivalence(t *testing.T) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(25), 50, 5)
 	if err != nil {
@@ -200,7 +206,7 @@ func TestMatchingRecoveryEngineEquivalence(t *testing.T) {
 	}
 	opt.Engine = net.RunSync
 	a := mustMatch(t, g, opt)
-	opt.Engine = net.RunChan
+	opt.Engine = shard3
 	b := mustMatch(t, g, opt)
 	if len(a.Edges) != len(b.Edges) || a.CompRounds != b.CompRounds || a.Messages != b.Messages {
 		t.Fatalf("engines diverged under faults: %+v vs %+v", a, b)
@@ -324,7 +330,7 @@ func TestWeightedMatchingDeterministicEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaximalMatching(g, Options{Seed: 41, Weights: w, Engine: net.RunChan})
+	b, err := MaximalMatching(g, Options{Seed: 41, Weights: w, Engine: shard3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@
 // core.Options.Metrics wires a Sink into a run; with a nil sink the
 // protocols skip all event logging, so the disabled cost is near zero.
 //
-// Instruments are safe for concurrent use (the goroutine engine runs one
-// goroutine per vertex); RoundStats emission is sequential and ordered.
+// Instruments are safe for concurrent use (the shard engine steps nodes
+// on several worker goroutines); RoundStats emission is sequential and
+// ordered.
 package metrics
 
 import (

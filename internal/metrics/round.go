@@ -19,7 +19,7 @@ type Traffic struct {
 // RoundStats is one computation round of a coloring run — the record a
 // Sink receives once per round, in round order. Summed over all rounds,
 // the traffic and conflict fields equal the end-of-run aggregates of
-// core.Result, on either engine.
+// core.Result, on every engine.
 type RoundStats struct {
 	// Round is the 0-based computation round.
 	Round int `json:"round"`

@@ -80,7 +80,7 @@ func TestStrongDeterministicAndEngines(t *testing.T) {
 	}
 	d := graph.NewSymmetric(g)
 	a := mustStrong(t, d, Options{Seed: 6, Engine: net.RunSync})
-	b := mustStrong(t, d, Options{Seed: 6, Engine: net.RunChan})
+	b := mustStrong(t, d, Options{Seed: 6, Engine: shard3})
 	if a.Rounds != b.Rounds || a.Messages != b.Messages {
 		t.Fatalf("engines diverged: %d/%d rounds %d/%d msgs", a.Rounds, b.Rounds, a.Messages, b.Messages)
 	}

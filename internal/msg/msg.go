@@ -109,8 +109,8 @@ func (m Message) String() string {
 // order is total: inboxes are sorted with Less before being handed to
 // protocol logic, and any pair of distinct messages — including two
 // Decide or Update messages from the same sender differing only in Keep
-// or Paints — must sort the same way under both engines for the
-// RunSync/RunChan equivalence to hold.
+// or Paints — must sort the same way under every engine for the
+// cross-engine equivalence to hold.
 func Less(a, b Message) bool {
 	if a.From != b.From {
 		return a.From < b.From

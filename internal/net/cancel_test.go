@@ -12,10 +12,12 @@ import (
 
 // chatterNode broadcasts every round until round `lifetime`, so a run
 // lasts a known number of rounds — long enough to cancel mid-flight.
+// It reuses one outbox, so its steps allocate nothing.
 type chatterNode struct {
 	id       int
 	lifetime int
 	round    int
+	out      []msg.Message
 }
 
 func (c *chatterNode) ID() int { return c.id }
@@ -25,7 +27,8 @@ func (c *chatterNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if round >= c.lifetime {
 		return nil
 	}
-	return []msg.Message{{Kind: msg.KindUpdate, From: c.id, To: msg.Broadcast, Edge: -1, Color: -1}}
+	c.out = append(c.out[:0], msg.Message{Kind: msg.KindUpdate, From: c.id, To: msg.Broadcast, Edge: -1, Color: -1})
+	return c.out
 }
 
 func (c *chatterNode) Done() bool { return c.round >= c.lifetime }
@@ -38,21 +41,20 @@ func chatterNodes(n, lifetime int) []Node {
 	return nodes
 }
 
-// ctxEngines maps each engine to its Ctx entry point, covering both the
-// wrapper and the Config.Ctx plumbing underneath.
+// ctxEngines maps each engine to a run of chatter nodes whose
+// context rides in Config.Ctx.
 func ctxEngines() map[string]func(ctx context.Context, cfg Config) (Result, error) {
 	g := gen.Cycle(8)
+	withCtx := func(run Engine) func(ctx context.Context, cfg Config) (Result, error) {
+		return func(ctx context.Context, cfg Config) (Result, error) {
+			cfg.Ctx = ctx
+			return run(g, chatterNodes(8, 20), cfg)
+		}
+	}
 	return map[string]func(ctx context.Context, cfg Config) (Result, error){
-		"sync": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunSyncCtx(ctx, g, chatterNodes(8, 20), cfg)
-		},
-		"chan": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunChanCtx(ctx, g, chatterNodes(8, 20), cfg)
-		},
-		"shard": func(ctx context.Context, cfg Config) (Result, error) {
-			cfg.Workers = 3
-			return RunShardCtx(ctx, g, chatterNodes(8, 20), cfg)
-		},
+		"sync":          withCtx(RunSync),
+		"shard":         withCtx(shardWith(3)),
+		"shard-oversub": withCtx(shardWith(oversubscribed())),
 	}
 }
 
@@ -79,7 +81,7 @@ func TestCancelBeforeStartAbortsImmediately(t *testing.T) {
 func TestCancelMidRunIdenticalAcrossEngines(t *testing.T) {
 	const cancelRound = 5
 	var want Result
-	for i, name := range []string{"sync", "chan", "shard"} {
+	for i, name := range []string{"sync", "shard", "shard-oversub"} {
 		run := ctxEngines()[name]
 		ctx, cancel := context.WithCancel(context.Background())
 		res, err := run(ctx, Config{Observe: func(rt RoundTraffic) {
@@ -114,7 +116,7 @@ func TestCancelAfterDoneReportsTerminated(t *testing.T) {
 	// Terminated wins and Aborted stays false (they are exclusive).
 	const lifetime = 6
 	g := gen.Cycle(8)
-	for name, engine := range map[string]Engine{"sync": RunSync, "chan": RunChan, "shard": RunShard} {
+	for name, engine := range map[string]Engine{"sync": RunSync, "shard": RunShard, "shard-3": shardWith(3)} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := Config{Ctx: ctx, Observe: func(rt RoundTraffic) {
 			if rt.Round == lifetime {
@@ -133,25 +135,12 @@ func TestCancelAfterDoneReportsTerminated(t *testing.T) {
 }
 
 func TestContextlessRunsUnchanged(t *testing.T) {
-	// The Ctx-less entry points must stay byte-identical to the Ctx
-	// variants under a background context.
+	// A nil Config.Ctx must behave byte-identically to an explicit
+	// background context.
 	g := gen.Cycle(8)
-	for name, pair := range map[string][2]func() (Result, error){
-		"sync": {
-			func() (Result, error) { return RunSync(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunSyncCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-		"chan": {
-			func() (Result, error) { return RunChan(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunChanCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-		"shard": {
-			func() (Result, error) { return RunShard(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunShardCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-	} {
-		plain, err1 := pair[0]()
-		withCtx, err2 := pair[1]()
+	for name, run := range engines() {
+		plain, err1 := run(g, chatterNodes(8, 10), Config{})
+		withCtx, err2 := run(g, chatterNodes(8, 10), Config{Ctx: context.Background()})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", name, err1, err2)
 		}
@@ -170,12 +159,13 @@ func TestContextlessRunsUnchanged(t *testing.T) {
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	g := gen.Cycle(64)
 	for name, run := range map[string]func(ctx context.Context, cfg Config) (Result, error){
-		"chan": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunChanCtx(ctx, g, chatterNodes(64, 1000), cfg)
-		},
 		"shard": func(ctx context.Context, cfg Config) (Result, error) {
-			cfg.Workers = 4
-			return RunShardCtx(ctx, g, chatterNodes(64, 1000), cfg)
+			cfg.Ctx, cfg.Workers = ctx, 4
+			return RunShard(g, chatterNodes(64, 1000), cfg)
+		},
+		"shard-oversub": func(ctx context.Context, cfg Config) (Result, error) {
+			cfg.Ctx, cfg.Workers = ctx, oversubscribed()
+			return RunShard(g, chatterNodes(64, 1000), cfg)
 		},
 	} {
 		runtime.GC()

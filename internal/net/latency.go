@@ -7,12 +7,12 @@ import (
 	"dima/internal/rng"
 )
 
-// The batch-per-round discipline of RunChan is exactly an α-synchronizer
-// over a reliable asynchronous network: a node advances to round r+1
-// the moment it holds all of its neighbors' round-r batches. Under that
-// discipline, the wall-clock completion time of a synchronous protocol
-// over links with heterogeneous delays is determined by a critical path,
-// not by (rounds × slowest link). LatencyModel computes it.
+// Running a synchronous protocol over a reliable asynchronous network
+// with an α-synchronizer — each node sends one (possibly empty) batch
+// per link per round and advances to round r+1 the moment it holds all
+// of its neighbors' round-r batches — makes the wall-clock completion
+// time over links with heterogeneous delays a critical path, not
+// (rounds × slowest link). LatencyModel computes it.
 
 // LatencyModel assigns a fixed positive delay to each directed link.
 type LatencyModel interface {

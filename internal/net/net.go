@@ -5,20 +5,24 @@
 //
 // Three interchangeable engines execute the same Node protocol logic:
 //
-//   - RunSync: a deterministic sequential scheduler, used by tests,
-//     benchmarks, and experiments for speed and reproducibility.
-//   - RunChan: a goroutine per node with channels as links, synchronized
-//     by the batch-per-round discipline — the natural Go embodiment of
-//     the message-passing model.
+//   - RunSync: a deterministic sequential scheduler, the executable
+//     specification the other engines reproduce.
 //   - RunShard: Config.Workers goroutines, each owning a contiguous
 //     vertex shard, with a deterministic two-phase merge barrier — the
 //     scale engine for million-vertex graphs.
+//   - RunTCP: vertex shards as separate OS processes exchanging round
+//     frames with a coordinator over TCP.
 //
-// Given nodes whose behavior is a deterministic function of (round,
-// sorted inbox, per-node RNG), all engines produce identical executions;
-// this equivalence is property-tested in the core package. Every engine
-// copies a node's outbox before that node steps again, so nodes may
-// reuse one outbox slice across rounds (see Node.Step).
+// All three share one round loop (runRounds), which owns the round
+// barrier: the max-rounds bound, the initial all-done and cancel
+// checks, the per-round traffic fold into Result and Config.Observe,
+// and the exit conditions. An engine supplies only how one round is
+// stepped and routed. Given nodes whose behavior is a deterministic
+// function of (round, sorted inbox, per-node RNG), all engines produce
+// identical executions; this equivalence is property-tested in the
+// core package. Every engine copies a node's outbox before that node
+// steps again, so nodes may reuse one outbox slice across rounds (see
+// Node.Step).
 package net
 
 import (
@@ -49,11 +53,10 @@ type Node interface {
 	// node's next Step: a node may append each round's messages into
 	// one reused outbox. Engines copy the messages out before that next
 	// Step — RunSync and RunShard copy the values into their inboxes
-	// and buckets during the round, RunChan receivers copy each batch
-	// before the round barrier, and a RunTCP node process copies them
-	// into its outbox frame. The Paints a message carries are shared,
-	// not copied, so a node must never rewrite paints it has sent; it
-	// may carve them from an append-only slab.
+	// and buckets during the round, and a RunTCP node process copies
+	// them into its outbox frame. The Paints a message carries are
+	// shared, not copied, so a node must never rewrite paints it has
+	// sent; it may carve them from an append-only slab.
 	Step(round int, inbox []msg.Message) []msg.Message
 	// Done reports whether this node has completed all of its work and
 	// flushed every message its neighbors still need.
@@ -75,20 +78,20 @@ type Config struct {
 	// default of 1,000,000. If the bound is hit the run reports
 	// Terminated == false rather than failing.
 	MaxRounds int
-	// Ctx, when non-nil, allows abandoning the run: every engine checks
-	// it once per communication round, at the round barrier, and returns
-	// the partial Result accumulated so far with Aborted set. Nil means
-	// context.Background() (never canceled). The RunSyncCtx/RunChanCtx/
-	// RunShardCtx wrappers populate it; rounds executed before the
+	// Ctx, when non-nil, allows abandoning the run: the round loop
+	// checks it once before the first round and once per completed
+	// round, at the round barrier, and returns the partial Result
+	// accumulated so far with Aborted set. Nil means
+	// context.Background() (never canceled). Rounds executed before the
 	// cancellation are byte-identical to an uncanceled run.
 	Ctx context.Context
 	// Fault optionally drops deliveries. Nil means reliable delivery.
 	Fault FaultInjector
 	// Observe, when non-nil, receives one RoundTraffic per communication
-	// round (see RoundObserver). Nil skips all per-round accounting.
+	// round (see RoundObserver).
 	Observe RoundObserver
 	// Workers is the number of shard goroutines RunShard uses; 0 means
-	// runtime.GOMAXPROCS(0). RunSync and RunChan ignore it.
+	// runtime.GOMAXPROCS(0). The other engines ignore it.
 	Workers int
 	// ShardStats, when non-nil, is filled by RunShard with internal
 	// hot-path counters (buffered delivery records, merge-phase bucket
@@ -126,9 +129,10 @@ type KindTraffic struct {
 }
 
 // RoundTraffic is one communication round's traffic snapshot. Traffic
-// is attributed to the round in which the message was *sent* — both
-// engines agree on this, so for deterministic nodes the per-round
-// streams are identical between RunSync and RunChan.
+// is attributed to the round in which the message was *sent*, and the
+// shared round loop builds the snapshot the same way for every engine,
+// so for deterministic nodes the per-round streams are identical across
+// engines. Engines also use it as their per-round tally.
 type RoundTraffic struct {
 	// Round is the 0-based communication round.
 	Round int
@@ -140,9 +144,9 @@ type RoundTraffic struct {
 	Kinds [msg.KindCount]KindTraffic
 }
 
-// RoundObserver receives per-round traffic. Both engines invoke it from
-// their coordinating goroutine, sequentially and in round order, after
-// every node has executed the round.
+// RoundObserver receives per-round traffic. The shared round loop
+// invokes it on the engine's coordinating goroutine, sequentially and
+// in round order, after every node has executed the round.
 type RoundObserver func(RoundTraffic)
 
 const defaultMaxRounds = 1_000_000
@@ -168,9 +172,10 @@ type Result struct {
 	Aborted bool
 }
 
-// Engine runs a protocol over a topology; RunSync, RunChan, and
-// RunShard satisfy it. Cancellation rides in Config.Ctx so that code
-// holding an Engine value needs no second signature.
+// Engine runs a protocol over a topology; RunSync and RunShard satisfy
+// it, and TCPCluster.Engine adapts RunTCP to it. Cancellation rides in
+// Config.Ctx so that code holding an Engine value needs no second
+// signature.
 type Engine func(g *graph.Graph, nodes []Node, cfg Config) (Result, error)
 
 // ctx returns the run's context, defaulting to Background.
@@ -181,10 +186,7 @@ func (c Config) ctx() context.Context {
 	return c.Ctx
 }
 
-// canceled reports whether the run should abort. All engines call it at
-// the same evaluation points — once before the first round and once per
-// completed round, after the all-done check — so canceled runs produce
-// identical partial Results on every engine.
+// canceled reports whether the run should abort.
 func canceled(ctx context.Context) bool {
 	select {
 	case <-ctx.Done():
@@ -218,89 +220,126 @@ func allDone(nodes []Node) bool {
 	return true
 }
 
-// RunSyncCtx is RunSync with an explicit context: the run stops at the
-// next round barrier after ctx is canceled and returns the partial
-// Result with Aborted set.
-func RunSyncCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	cfg.Ctx = ctx
-	return RunSync(g, nodes, cfg)
+// roundFunc executes one engine's communication round: every node
+// steps with its sorted inbox, and the round's broadcasts are routed
+// toward the next round's inboxes and tallied into rt with count. It
+// reports whether every node is done after the round, evaluated after
+// all of them stepped.
+type roundFunc func(round int, rt *RoundTraffic) (done bool, err error)
+
+// count tallies one broadcast of kind k and encoded size sz that
+// reached delivered receivers.
+func (rt *RoundTraffic) count(k msg.Kind, sz, delivered int64) {
+	kt := &rt.Kinds[k]
+	kt.Messages++
+	kt.Bytes += sz
+	kt.Deliveries += delivered
 }
 
-// RunSync executes the protocol with a deterministic sequential
-// scheduler: one goroutine, vertices stepped in id order each round.
-func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	if err := validate(g, nodes); err != nil {
-		return Result{}, err
+// add folds another tally's per-kind traffic into rt.
+func (rt *RoundTraffic) add(o *RoundTraffic) {
+	for k := range rt.Kinds {
+		rt.Kinds[k].Messages += o.Kinds[k].Messages
+		rt.Kinds[k].Deliveries += o.Kinds[k].Deliveries
+		rt.Kinds[k].Bytes += o.Kinds[k].Bytes
 	}
-	ctx := cfg.ctx()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
+}
+
+// runRounds is the round barrier every engine shares; engines differ
+// only in the round they supply. The all-done and cancel checks run
+// before start, so a run that is over before round 0 starts nothing;
+// start sets the engine up and returns its round. After each round the
+// per-kind tally becomes the round's totals, is folded into the Result
+// and handed to cfg.Observe, and the run ends at the first of: every
+// node done (Terminated), the context canceled (Aborted), or
+// cfg.MaxRounds rounds. The evaluation points are identical on every
+// engine, so canceled and truncated runs carry identical partial
+// Results.
+func runRounds(nodes []Node, cfg Config, start func() (roundFunc, error)) (Result, error) {
 	var res Result
-	// Double-buffered inboxes: the current round's inboxes are consumed
-	// while the next round's fill, then the buffers swap and truncate.
-	// Message values are structs, so nodes copying them out of a reused
-	// slice stay valid.
-	inboxes := make([][]msg.Message, g.N())
-	next := make([][]msg.Message, g.N())
 	if allDone(nodes) {
 		res.Terminated = true
 		return res, nil
 	}
+	ctx := cfg.ctx()
 	if canceled(ctx) {
 		res.Aborted = true
 		return res, nil
 	}
+	step, err := start()
+	if err != nil {
+		return Result{}, err
+	}
+	maxRounds := cfg.MaxRounds
+	if maxRounds <= 0 {
+		maxRounds = defaultMaxRounds
+	}
+	var rt RoundTraffic
 	for round := 0; round < maxRounds; round++ {
-		var rt RoundTraffic
-		for u := 0; u < g.N(); u++ {
-			in := inboxes[u]
-			msg.Sort(in)
-			out := nodes[u].Step(round, in)
-			for _, m := range out {
-				sz := int64(m.Size())
-				res.Messages++
-				res.Bytes += sz
-				var delivered int64
-				for _, v := range g.Neighbors(u) {
-					if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
-						continue
-					}
-					next[v] = append(next[v], m)
-					delivered++
-				}
-				res.Deliveries += delivered
-				if cfg.Observe != nil {
-					k := &rt.Kinds[m.Kind]
-					k.Messages++
-					k.Bytes += sz
-					k.Deliveries += delivered
-				}
-			}
+		rt = RoundTraffic{Round: round}
+		done, err := step(round, &rt)
+		if err != nil {
+			return Result{}, err
 		}
+		for _, k := range rt.Kinds {
+			rt.Messages += k.Messages
+			rt.Deliveries += k.Deliveries
+			rt.Bytes += k.Bytes
+		}
+		res.Messages += rt.Messages
+		res.Deliveries += rt.Deliveries
+		res.Bytes += rt.Bytes
 		if cfg.Observe != nil {
-			rt.Round = round
-			for _, k := range rt.Kinds {
-				rt.Messages += k.Messages
-				rt.Deliveries += k.Deliveries
-				rt.Bytes += k.Bytes
-			}
 			cfg.Observe(rt)
 		}
-		inboxes, next = next, inboxes
-		for u := range next {
-			next[u] = next[u][:0]
-		}
 		res.Rounds = round + 1
-		if allDone(nodes) {
+		if done {
 			res.Terminated = true
-			return res, nil
+			break
 		}
 		if canceled(ctx) {
 			res.Aborted = true
-			return res, nil
+			break
 		}
 	}
 	return res, nil
+}
+
+// RunSync executes the protocol with a deterministic sequential
+// scheduler: one goroutine, vertices stepped in id order each round.
+// It is the reference the other engines must reproduce.
+func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
+	if err := validate(g, nodes); err != nil {
+		return Result{}, err
+	}
+	return runRounds(nodes, cfg, func() (roundFunc, error) {
+		// Double-buffered inboxes: the current round's inboxes are
+		// consumed while the next round's fill, then the buffers swap
+		// and truncate. Message values are structs, so nodes copying
+		// them out of a reused slice stay valid.
+		inboxes := make([][]msg.Message, g.N())
+		next := make([][]msg.Message, g.N())
+		return func(round int, rt *RoundTraffic) (bool, error) {
+			for u := 0; u < g.N(); u++ {
+				in := inboxes[u]
+				msg.Sort(in)
+				for _, m := range nodes[u].Step(round, in) {
+					var delivered int64
+					for _, v := range g.Neighbors(u) {
+						if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
+							continue
+						}
+						next[v] = append(next[v], m)
+						delivered++
+					}
+					rt.count(m.Kind, int64(m.Size()), delivered)
+				}
+			}
+			inboxes, next = next, inboxes
+			for u := range next {
+				next[u] = next[u][:0]
+			}
+			return allDone(nodes), nil
+		}, nil
+	})
 }

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,13 +54,18 @@ func shardWith(workers int) Engine {
 	}
 }
 
+// oversubscribed is a shard worker count above GOMAXPROCS, so the
+// workers' goroutines interleave on shared processors (under -race
+// too).
+func oversubscribed() int { return runtime.GOMAXPROCS(0) + 2 }
+
 func engines() map[string]Engine {
 	return map[string]Engine{
-		"sync":    RunSync,
-		"chan":    RunChan,
-		"shard":   RunShard,
-		"shard-1": shardWith(1),
-		"shard-3": shardWith(3),
+		"sync":          RunSync,
+		"shard":         RunShard,
+		"shard-1":       shardWith(1),
+		"shard-3":       shardWith(3),
+		"shard-oversub": shardWith(oversubscribed()),
 	}
 }
 
@@ -277,5 +283,25 @@ func TestBytesCounted(t *testing.T) {
 			t.Fatalf("%s: bytes = %d, want %d", name, res.Bytes, m.Size())
 		}
 		sent = false
+	}
+}
+
+// TestRoundsAllocateNothing checks that, once its buffers reach their
+// steady size, a round allocates nothing: not in the shared round loop
+// and not in the in-process engines' rounds. A run ten times longer
+// must cost no more allocations.
+func TestRoundsAllocateNothing(t *testing.T) {
+	g := gen.Cycle(8)
+	for name, run := range map[string]Engine{"sync": RunSync, "shard-3": shardWith(3)} {
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := run(g, chatterNodes(8, rounds), Config{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(20), allocs(200); long > short {
+			t.Errorf("%s: %v allocations for 20 rounds but %v for 200", name, short, long)
+		}
 	}
 }

@@ -133,7 +133,7 @@ func TestOutboxReuseContract(t *testing.T) {
 			t.Fatalf("%s: degenerate reference run %+v", fc.name, want.res)
 		}
 		for name, run := range map[string]Engine{
-			"sync": RunSync, "chan": RunChan, "shard-1": shardWith(1), "shard-3": shardWith(3),
+			"sync": RunSync, "shard-1": shardWith(1), "shard-3": shardWith(3), "shard-oversub": shardWith(oversubscribed()),
 		} {
 			for _, reuse := range []bool{false, true} {
 				got := runOutboxNodes(t, run, reuse, fc.fault)

@@ -1,7 +1,6 @@
 package net
 
 import (
-	"context"
 	"runtime"
 
 	"dima/internal/graph"
@@ -39,14 +38,6 @@ type recordBatch struct {
 	recs  []shardDelivery
 	spans []dropSpan
 	drops []int32
-}
-
-// shardStatus is one worker's end-of-step report: the shared nodeStatus
-// fields the coordinator folds into Result/RoundTraffic, plus the
-// count of delivery records the worker buffered this round.
-type shardStatus struct {
-	nodeStatus
-	records int64
 }
 
 // shardInbox is one shard's inbox arena: the messages of every vertex
@@ -260,25 +251,27 @@ func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
 	return buf
 }
 
-// RunShardCtx is RunShard with an explicit context: the coordinator
-// stops the run at the next round barrier after ctx is canceled,
-// releases every worker goroutine, and returns the partial Result with
-// Aborted set.
-func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	cfg.Ctx = ctx
-	return RunShard(g, nodes, cfg)
-}
-
 // RunShard executes the protocol with cfg.Workers goroutines, each
 // owning a contiguous shard of the vertex range. It is the scale
-// engine: where RunChan spends a goroutine and a channel per vertex,
-// RunShard's costs grow with Workers, so million-vertex graphs run
-// without collapsing under scheduler pressure, and on multi-core
-// machines the per-round work parallelizes across the shards.
+// engine: its costs grow with Workers rather than with the vertex
+// count, so million-vertex graphs run without scheduler pressure, and
+// on multi-core machines the per-round work parallelizes across the
+// shards.
 //
 // Each round has two barrier-separated phases:
 //
-//  1. Step: every worker steps its own vertices in id order, sorting
+//  1. Merge (every round but the first): every worker rebuilds the
+//     inbox arena of its own shard from the non-empty buckets the
+//     previous round addressed to it, in sender shard order (the
+//     coordinator hands each worker the exact source list, so empty
+//     (src,dst) buckets are never visited), expanding each record to
+//     the sender's neighbors inside this shard (shardInbox.fill,
+//     shared with the TCP node processes). Within one sender shard the
+//     records are already in sender id order (workers step in id
+//     order), so each inbox fills in ascending sender id — exactly the
+//     append order RunSync produces. The merge belongs to the round
+//     that reads the inboxes because only a following round needs it.
+//  2. Step: every worker steps its own vertices in id order, sorting
 //     each inbox with msg.Sort first, and buffers each outbound
 //     broadcast as one shardDelivery per destination shard that holds
 //     a surviving receiver. A fault injector is asked about every
@@ -287,22 +280,12 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 //     lists. Workers touch only their own vertices' inboxes and their
 //     own outbound buckets, so the phase is data-race free by
 //     partitioning.
-//  2. Merge: every worker rebuilds the next-round inbox arena of its
-//     own shard from the non-empty buckets addressed to it in sender
-//     shard order (the coordinator hands each worker the exact source
-//     list, so empty (src,dst) buckets are never visited), expanding
-//     each record to the sender's neighbors inside this shard
-//     (shardInbox.fill, shared with the TCP node processes). Within
-//     one sender shard the records are already in sender id order
-//     (workers step in id order), so each inbox fills in ascending
-//     sender id — exactly the append order RunSync produces.
-//     Identical pre-sort inboxes plus the shared msg.Sort make the
-//     executions byte-identical: same final colorings, same Result,
-//     same per-round RoundTraffic stream, for any Workers.
 //
-// The coordinator folds worker statistics in shard order between the
-// phases and invokes cfg.Observe sequentially in round order, matching
-// the other engines' observer contract.
+// Identical pre-sort inboxes plus the shared msg.Sort make the
+// executions byte-identical to RunSync: same final colorings, same
+// Result, same per-round RoundTraffic stream, for any Workers. Each
+// worker tallies its shard's traffic in a RoundTraffic, and the
+// coordinator adds the tallies in shard order.
 //
 // cfg.Fault, when non-nil, is called concurrently from all workers and
 // must be safe for concurrent use; the injectors in this package are
@@ -313,238 +296,183 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
 		return Result{}, err
 	}
-	ctx := cfg.ctx()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	if allDone(nodes) {
-		return Result{Terminated: true}, nil
-	}
-	if canceled(ctx) {
-		return Result{Aborted: true}, nil
-	}
-	n := g.N()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if cfg.ShardStats != nil {
-		*cfg.ShardStats = ShardStats{Workers: workers}
-	}
+	var cmd []chan int
+	defer func() {
+		// Release the workers, which are parked on cmd between rounds.
+		for _, c := range cmd {
+			c <- cmdStop
+		}
+	}()
+	return runRounds(nodes, cfg, func() (roundFunc, error) {
+		n := g.N()
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = max(min(workers, n), 1)
+		stats := cfg.ShardStats
+		if stats != nil {
+			*stats = ShardStats{Workers: workers}
+		}
 
-	bounds, owner := shardBounds(n, workers)
-	segs := buildShardSegments(g, owner, workers)
+		bounds, owner := shardBounds(n, workers)
+		segs := buildShardSegments(g, owner, workers)
 
-	// out[s][d] buffers shard s's records addressed to shard d. Buckets
-	// are truncated lazily: each worker remembers which of its buckets
-	// it filled (touched[s]) and clears exactly those at its next step.
-	out := make([][]recordBatch, workers)
-	for s := range out {
-		out[s] = make([]recordBatch, workers)
-	}
-	touched := make([][]int32, workers)
+		// out[s][d] buffers shard s's records addressed to shard d.
+		// Buckets are truncated lazily: each worker remembers which of
+		// its buckets it filled (touched[s]) and clears exactly those at
+		// its next step.
+		out := make([][]recordBatch, workers)
+		for s := range out {
+			out[s] = make([]recordBatch, workers)
+		}
+		touched := make([][]int32, workers)
 
-	// srcLists[d] is the ascending list of source shards with a
-	// non-empty bucket for destination d this round. The coordinator
-	// rebuilds it between the step and merge barriers from the touched
-	// lists, so merge workers skip empty buckets entirely instead of
-	// scanning all workers² of them.
-	srcLists := make([][]int32, workers)
-	var usedDsts []int32
+		// srcLists[d] is the ascending list of source shards with a
+		// non-empty bucket for destination d. The coordinator rebuilds
+		// it before each merge from the touched lists, so merge workers
+		// skip empty buckets entirely instead of scanning all workers²
+		// of them.
+		srcLists := make([][]int32, workers)
+		var usedDsts []int32
 
-	observing := cfg.Observe != nil
-	stats := make([]shardStatus, workers)
-	cmd := make([]chan int, workers)
-	rep := make([]chan struct{}, workers)
-	for s := 0; s < workers; s++ {
-		cmd[s] = make(chan int, 1)
-		rep[s] = make(chan struct{}, 1)
-	}
+		tally := make([]RoundTraffic, workers)
+		done := make([]bool, workers)
+		cmd = make([]chan int, workers)
+		rep := make([]chan struct{}, workers)
+		for s := 0; s < workers; s++ {
+			cmd[s] = make(chan int, 1)
+			rep[s] = make(chan struct{}, 1)
+		}
 
-	for s := 0; s < workers; s++ {
-		go func(s int) {
-			lo, hi := bounds[s], bounds[s+1]
-			// Double-buffered inbox arenas, worker-local: the only
-			// cross-worker traffic is the out buckets, synchronized by
-			// the phase barriers.
-			cur := shardInbox{off: make([]int32, hi-lo+1)}
-			nxt := shardInbox{off: make([]int32, hi-lo+1)}
-			cnt := make([]int32, hi-lo)
-			myOut := out[s]
-			var tl []int32
-			var dropped []int32
-			var batches []recordBatch
-			for {
-				c := <-cmd[s]
-				switch {
-				case c >= 0: // step phase for round c
-					var st shardStatus
-					st.done = true
-					for _, d := range tl {
-						myOut[d].recs = myOut[d].recs[:0]
-						myOut[d].spans = myOut[d].spans[:0]
-						myOut[d].drops = myOut[d].drops[:0]
-					}
-					tl = tl[:0]
-					for u := lo; u < hi; u++ {
-						inbox := cur.inbox(u - lo)
-						msg.Sort(inbox)
-						msgs := nodes[u].Step(c, inbox)
-						if len(msgs) == 0 {
-							continue
+		for s := 0; s < workers; s++ {
+			go func(s int) {
+				lo, hi := bounds[s], bounds[s+1]
+				// Double-buffered inbox arenas, worker-local: the only
+				// cross-worker traffic is the out buckets, synchronized
+				// by the phase barriers.
+				cur := shardInbox{off: make([]int32, hi-lo+1)}
+				nxt := shardInbox{off: make([]int32, hi-lo+1)}
+				cnt := make([]int32, hi-lo)
+				myOut := out[s]
+				var tl []int32
+				var dropped []int32
+				var batches []recordBatch
+				for {
+					c := <-cmd[s]
+					switch {
+					case c >= 0: // step phase for round c
+						var t RoundTraffic
+						for _, d := range tl {
+							myOut[d].recs = myOut[d].recs[:0]
+							myOut[d].spans = myOut[d].spans[:0]
+							myOut[d].drops = myOut[d].drops[:0]
 						}
-						st.messages += int64(len(msgs))
-						deg := int64(g.Degree(u))
-						usegs := segs.of(u)
-						for _, m := range msgs {
-							sz := int64(m.Size())
-							st.bytes += sz
-							if cfg.Fault != nil {
-								dropped = askDrops(cfg.Fault, c, m, g.Neighbors(u), dropped[:0])
+						tl = tl[:0]
+						for u := lo; u < hi; u++ {
+							inbox := cur.inbox(u - lo)
+							msg.Sort(inbox)
+							msgs := nodes[u].Step(c, inbox)
+							if len(msgs) == 0 {
+								continue
 							}
-							delivered := deg - int64(len(dropped))
-							st.deliveries += delivered
-							for _, sg := range usegs {
-								b := &myOut[sg.dst]
+							deg := int64(g.Degree(u))
+							usegs := segs.of(u)
+							for _, m := range msgs {
 								if cfg.Fault != nil {
-									dlo := int32(len(b.drops))
-									b.drops = appendOwned(b.drops, dropped, owner, sg.dst)
-									if int32(len(b.drops))-dlo == sg.hi-sg.lo {
-										// Every receiver in this shard dropped.
-										b.drops = b.drops[:dlo]
-										continue
+									dropped = askDrops(cfg.Fault, c, m, g.Neighbors(u), dropped[:0])
+								}
+								t.count(m.Kind, int64(m.Size()), deg-int64(len(dropped)))
+								for _, sg := range usegs {
+									b := &myOut[sg.dst]
+									if cfg.Fault != nil {
+										dlo := int32(len(b.drops))
+										b.drops = appendOwned(b.drops, dropped, owner, sg.dst)
+										if int32(len(b.drops))-dlo == sg.hi-sg.lo {
+											// Every receiver in this shard dropped.
+											b.drops = b.drops[:dlo]
+											continue
+										}
+										b.spans = append(b.spans, dropSpan{lo: dlo, hi: int32(len(b.drops))})
 									}
-									b.spans = append(b.spans, dropSpan{lo: dlo, hi: int32(len(b.drops))})
+									if len(b.recs) == 0 {
+										tl = append(tl, sg.dst)
+									}
+									b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
 								}
-								if len(b.recs) == 0 {
-									tl = append(tl, sg.dst)
-								}
-								b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
-								st.records++
-							}
-							if observing {
-								k := &st.kinds[m.Kind]
-								k.Messages++
-								k.Bytes += sz
-								k.Deliveries += delivered
 							}
 						}
+						// Done is evaluated here, after the shard's steps
+						// and before any next-round delivery — the same
+						// evaluation point as RunSync.
+						d := true
+						for u := lo; u < hi && d; u++ {
+							d = nodes[u].Done()
+						}
+						tally[s], done[s], touched[s] = t, d, tl
+						rep[s] <- struct{}{}
+					case c == cmdMerge:
+						batches = batches[:0]
+						for _, src := range srcLists[s] {
+							batches = append(batches, out[src][s])
+						}
+						nxt.fill(int32(lo), cnt, segs.flat, batches)
+						cur, nxt = nxt, cur
+						rep[s] <- struct{}{}
+					default: // cmdStop
+						return
 					}
-					// Done is evaluated here, after the shard's steps and
-					// before any next-round delivery — the same evaluation
-					// point as RunSync.
-					for u := lo; u < hi && st.done; u++ {
-						st.done = nodes[u].Done()
-					}
-					stats[s] = st
-					touched[s] = tl
-					rep[s] <- struct{}{}
-				case c == cmdMerge:
-					batches = batches[:0]
-					for _, src := range srcLists[s] {
-						batches = append(batches, out[src][s])
-					}
-					nxt.fill(int32(lo), cnt, segs.flat, batches)
-					cur, nxt = nxt, cur
-					rep[s] <- struct{}{}
-				default: // cmdStop
-					return
 				}
-			}
-		}(s)
-	}
+			}(s)
+		}
 
-	broadcast := func(c int) {
-		for s := 0; s < workers; s++ {
-			cmd[s] <- c
+		broadcast := func(c int) {
+			for s := 0; s < workers; s++ {
+				cmd[s] <- c
+			}
+			for s := 0; s < workers; s++ {
+				<-rep[s]
+			}
 		}
-		if c == cmdStop {
-			return
-		}
-		for s := 0; s < workers; s++ {
-			<-rep[s]
-		}
-	}
 
-	var res Result
-	var records, mergeScans, mergeSkips int64
-	for round := 0; round < maxRounds; round++ {
-		broadcast(round)
-		done := true
-		var rt RoundTraffic
-		for s := 0; s < workers; s++ {
-			st := &stats[s]
-			if !st.done {
-				done = false
-			}
-			res.Messages += st.messages
-			res.Deliveries += st.deliveries
-			res.Bytes += st.bytes
-			records += st.records
-			if observing {
-				for k := range rt.Kinds {
-					rt.Kinds[k].Messages += st.kinds[k].Messages
-					rt.Kinds[k].Deliveries += st.kinds[k].Deliveries
-					rt.Kinds[k].Bytes += st.kinds[k].Bytes
+		return func(round int, rt *RoundTraffic) (bool, error) {
+			if round > 0 {
+				// Rebuild the per-destination source lists from the
+				// touched buckets. Iterating sources in ascending order
+				// keeps each list sorted, which is what fixes the merge
+				// fill order.
+				for _, d := range usedDsts {
+					srcLists[d] = srcLists[d][:0]
 				}
-				rt.Messages += st.messages
-				rt.Deliveries += st.deliveries
-				rt.Bytes += st.bytes
-			}
-		}
-		if observing {
-			rt.Round = round
-			cfg.Observe(rt)
-		}
-		res.Rounds = round + 1
-		if done {
-			res.Terminated = true
-			break
-		}
-		// Cancellation point: same barrier position as the other engines
-		// (after the done verdict, before the merge commits the next
-		// round). The cmdStop broadcast below releases the workers, which
-		// are parked on cmd here.
-		if canceled(ctx) {
-			res.Aborted = true
-			break
-		}
-		if round == maxRounds-1 {
-			break
-		}
-		// Rebuild the per-destination source lists from the touched
-		// buckets. Iterating sources in ascending order keeps each list
-		// sorted, which is what fixes the merge fill order.
-		for _, d := range usedDsts {
-			srcLists[d] = srcLists[d][:0]
-		}
-		usedDsts = usedDsts[:0]
-		pairs := int64(0)
-		for s := 0; s < workers; s++ {
-			for _, d := range touched[s] {
-				if len(srcLists[d]) == 0 {
-					usedDsts = append(usedDsts, d)
+				usedDsts = usedDsts[:0]
+				pairs := int64(0)
+				for s := 0; s < workers; s++ {
+					for _, d := range touched[s] {
+						if len(srcLists[d]) == 0 {
+							usedDsts = append(usedDsts, d)
+						}
+						srcLists[d] = append(srcLists[d], int32(s))
+						pairs++
+					}
 				}
-				srcLists[d] = append(srcLists[d], int32(s))
-				pairs++
+				if stats != nil {
+					stats.MergeScans += pairs
+					stats.MergeSkips += int64(workers)*int64(workers) - pairs
+				}
+				broadcast(cmdMerge)
 			}
-		}
-		mergeScans += pairs
-		mergeSkips += int64(workers)*int64(workers) - pairs
-		broadcast(cmdMerge)
-	}
-	broadcast(cmdStop)
-	if cfg.ShardStats != nil {
-		cfg.ShardStats.Records = records
-		cfg.ShardStats.MergeScans = mergeScans
-		cfg.ShardStats.MergeSkips = mergeSkips
-	}
-	return res, nil
+			broadcast(round)
+			finished := true
+			for s := 0; s < workers; s++ {
+				rt.add(&tally[s])
+				finished = finished && done[s]
+				if stats != nil {
+					for _, d := range touched[s] {
+						stats.Records += int64(len(out[s][d].recs))
+					}
+				}
+			}
+			return finished, nil
+		}, nil
+	})
 }

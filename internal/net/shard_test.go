@@ -113,27 +113,6 @@ func TestShardMatchesSync(t *testing.T) {
 	}
 }
 
-// The chan engine must agree with the same reference runs.
-func TestChanMatchesSync(t *testing.T) {
-	const n, limit = 47, 12
-	for fname, fault := range map[string]FaultInjector{
-		"reliable": nil,
-		"droprate": DropRate{Seed: 9, P: 0.2},
-	} {
-		want := captureRun(t, RunSync, n, limit, 5, fault)
-		got := captureRun(t, RunChan, n, limit, 5, fault)
-		if got.res != want.res {
-			t.Fatalf("%s: Result differs:\nchan: %+v\nsync: %+v", fname, got.res, want.res)
-		}
-		if !reflect.DeepEqual(got.rounds, want.rounds) {
-			t.Fatalf("%s: RoundTraffic streams differ", fname)
-		}
-		if !reflect.DeepEqual(got.heard, want.heard) {
-			t.Fatalf("%s: inbox histories differ", fname)
-		}
-	}
-}
-
 // Shard runs must be reproducible run-to-run for a fixed worker count:
 // the merge barrier imposes a deterministic delivery order even though
 // worker goroutines race to the barrier.

@@ -8,6 +8,7 @@ import (
 	gonet "net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"time"
 
@@ -122,17 +123,23 @@ const (
 )
 
 // RunTCP executes the protocol across tc.Nodes separate OS processes
-// connected over TCP. The coordinator mirrors RunSync's loop: it owns
-// fault injection, traffic accounting, and the round barrier, while
-// node processes step their vertex shards. Routing is split: for each
-// broadcast the coordinator sends one record per destination shard
-// holding a surviving receiver — the sender, the message bytes as the
-// node sent them, and the receivers the fault injector dropped — and
-// each node process expands the records over its own copy of the graph
-// into a flat inbox arena. Records travel in ascending sender order,
-// so every inbox fills in RunSync's order. Results, colorings, and
-// per-round telemetry are byte-identical to RunSync at every shard
-// count, including under faults and mid-round cancel.
+// connected over TCP. The coordinator supplies the shared round loop
+// with a round that sends round frames out and reads outboxes in: it
+// owns fault injection and traffic accounting, while node processes
+// step their vertex shards. Routing is split: for each broadcast the
+// coordinator sends one record per destination shard holding a
+// surviving receiver — the sender, the message bytes as the node sent
+// them, and the receivers the fault injector dropped — and each node
+// process expands the records over its own copy of the graph into a
+// flat inbox arena. Records travel in ascending sender order, so every
+// inbox fills in RunSync's order. Results, colorings, and per-round
+// telemetry are byte-identical to RunSync at every shard count,
+// including under faults and mid-round cancel.
+//
+// Node processes rebuild the graph from its edge list in edge-id
+// order, so RunTCP requires a graph whose adjacency lists are in that
+// order too: no removal holes, and no edge ids recycled by RemoveEdge
+// and AddEdge. graph.Compacted rebuilds any graph into that form.
 //
 // The nodes slice plays the role it does for the in-process engines —
 // except these instances are never stepped; after the run each remote
@@ -146,6 +153,11 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 		return Result{}, fmt.Errorf("net: graph has removal holes (%d ids, %d edges); compact before a cluster run",
 			g.EdgeIDBound(), g.M())
 	}
+	for u := 0; u < g.N(); u++ {
+		if !slices.IsSorted(g.IncidentEdges(u)) {
+			return Result{}, fmt.Errorf("net: vertex %d lists its edges out of edge-id order (ids recycled by RemoveEdge); rebuild the graph with graph.Compacted before a cluster run", u)
+		}
+	}
 	for i, n := range nodes {
 		if _, ok := n.(StateNode); !ok {
 			return Result{}, fmt.Errorf("net: node %d (%T) does not implement StateNode", i, n)
@@ -157,124 +169,84 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	if _, ok := lookupNodeFactory(spec.Factory); !ok {
 		return Result{}, fmt.Errorf("net: node factory %q not registered", spec.Factory)
 	}
-	ctx := cfg.ctx()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	var res Result
-	// The initial all-done and cancel checks run on the local twins
-	// before any process spawns: construction is deterministic, so the
-	// twins' initial state equals the remote instances'.
-	if allDone(nodes) {
-		res.Terminated = true
-		return res, nil
-	}
-	if canceled(ctx) {
-		res.Aborted = true
-		return res, nil
-	}
 
-	shards := tc.Nodes
-	if shards > g.N() {
-		shards = g.N()
-	}
+	shards := min(tc.Nodes, g.N())
 	// Shard bounds identical to RunShard, so concatenating per-shard
 	// outboxes in shard order reproduces RunSync's ascending-sender
 	// order.
 	bounds, owner := shardBounds(g.N(), shards)
-	router := newTCPRouter(g, owner, shards, cfg.Fault)
-
-	run, err := launchCluster(tc, shards)
-	if err != nil {
-		return Result{}, err
-	}
-	defer run.teardown()
-
-	for s := 0; s < shards; s++ {
-		run.buf = welcome{
-			factory: spec.Factory,
-			spec:    spec.Spec,
-			shards:  shards,
-			lo:      bounds[s],
-			hi:      bounds[s+1],
-			g:       g,
-		}.append(run.buf[:0])
-		if err := run.send(s, frameWelcome, run.buf); err != nil {
-			return Result{}, &NodeError{Shard: s, Round: -1, Err: err}
+	var run *tcpRun
+	defer func() {
+		if run != nil {
+			run.teardown()
 		}
-	}
-	for s := 0; s < shards; s++ {
-		if _, err := run.recv(s, frameReady); err != nil {
-			return Result{}, &NodeError{Shard: s, Round: -1, Err: err}
+	}()
+	// runRounds makes its initial all-done and cancel checks on the
+	// local twins before start spawns any process: construction is
+	// deterministic, so the twins' initial state equals the remote
+	// instances'.
+	res, err := runRounds(nodes, cfg, func() (roundFunc, error) {
+		var err error
+		if run, err = launchCluster(tc, shards); err != nil {
+			return nil, err
 		}
-	}
-
-	var bs []broadcast
-	for round := 0; round < maxRounds; round++ {
 		for s := 0; s < shards; s++ {
-			run.buf = router.frame(run.buf[:0], round, s)
-			if err := run.send(s, frameRound, run.buf); err != nil {
-				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
+			run.buf = welcome{
+				factory: spec.Factory,
+				spec:    spec.Spec,
+				shards:  shards,
+				lo:      bounds[s],
+				hi:      bounds[s+1],
+				g:       g,
+			}.append(run.buf[:0])
+			if err := run.send(s, frameWelcome, run.buf); err != nil {
+				return nil, &NodeError{Shard: s, Round: -1, Err: err}
 			}
 		}
-		var rt RoundTraffic
-		doneAll := true
 		for s := 0; s < shards; s++ {
-			payload, err := run.recv(s, frameOutbox)
-			if err != nil {
-				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
+			if _, err := run.recv(s, frameReady); err != nil {
+				return nil, &NodeError{Shard: s, Round: -1, Err: err}
 			}
-			var r int
-			var done bool
-			r, done, bs, err = decodeOutbox(payload, bs[:0])
-			if err != nil {
-				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
-			}
-			if r != round {
-				return Result{}, &NodeError{Shard: s, Round: round,
-					Err: fmt.Errorf("outbox for round %d, want %d", r, round)}
-			}
-			if !done {
-				doneAll = false
-			}
-			for _, b := range bs {
-				if b.from < bounds[s] || b.from >= bounds[s+1] {
-					return Result{}, &NodeError{Shard: s, Round: round,
-						Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
-							b.from, bounds[s], bounds[s+1])}
-				}
-				sz := int64(b.m.Size())
-				res.Messages++
-				res.Bytes += sz
-				delivered := router.route(round, b)
-				res.Deliveries += delivered
-				if cfg.Observe != nil {
-					k := &rt.Kinds[b.m.Kind]
-					k.Messages++
-					k.Bytes += sz
-					k.Deliveries += delivered
+		}
+		router := newTCPRouter(g, owner, shards, cfg.Fault)
+		var bs []broadcast
+		return func(round int, rt *RoundTraffic) (bool, error) {
+			for s := 0; s < shards; s++ {
+				run.buf = router.frame(run.buf[:0], round, s)
+				if err := run.send(s, frameRound, run.buf); err != nil {
+					return false, &NodeError{Shard: s, Round: round, Err: err}
 				}
 			}
-		}
-		if cfg.Observe != nil {
-			rt.Round = round
-			for _, k := range rt.Kinds {
-				rt.Messages += k.Messages
-				rt.Deliveries += k.Deliveries
-				rt.Bytes += k.Bytes
+			doneAll := true
+			for s := 0; s < shards; s++ {
+				payload, err := run.recv(s, frameOutbox)
+				if err != nil {
+					return false, &NodeError{Shard: s, Round: round, Err: err}
+				}
+				var r int
+				var done bool
+				r, done, bs, err = decodeOutbox(payload, bs[:0])
+				if err == nil && r != round {
+					err = fmt.Errorf("outbox for round %d, want %d", r, round)
+				}
+				if err != nil {
+					return false, &NodeError{Shard: s, Round: round, Err: err}
+				}
+				doneAll = doneAll && done
+				for _, b := range bs {
+					if b.from < bounds[s] || b.from >= bounds[s+1] {
+						return false, &NodeError{Shard: s, Round: round,
+							Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
+								b.from, bounds[s], bounds[s+1])}
+					}
+					rt.count(b.m.Kind, int64(b.m.Size()), router.route(round, b))
+				}
 			}
-			cfg.Observe(rt)
-		}
-		res.Rounds = round + 1
-		if doneAll {
-			res.Terminated = true
-			break
-		}
-		if canceled(ctx) {
-			res.Aborted = true
-			break
-		}
+			return doneAll, nil
+		}, nil
+	})
+	if err != nil || run == nil {
+		return res, err
 	}
 
 	// Harvest: restore every remote node's final state into its local

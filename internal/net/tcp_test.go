@@ -437,6 +437,26 @@ func TestRunTCPValidation(t *testing.T) {
 			t.Error("graph with removal holes accepted")
 		}
 	})
+	t.Run("recycled edge ids", func(t *testing.T) {
+		// RemoveEdge + AddEdge refills the hole with the same id but
+		// appends the edge to both adjacency lists: hole-free, yet out
+		// of the edge-id order node processes rebuild the graph in.
+		h := testGraph(6)
+		for _, id := range []graph.EdgeID{0, 3} {
+			e := h.EdgeAt(id)
+			if _, err := h.RemoveEdge(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			h.MustAddEdge(e.U, e.V)
+		}
+		if h.EdgeIDBound() != h.M() {
+			t.Fatal("recycling left removal holes")
+		}
+		_, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, h, gossipNodes(h, 2), net.Config{})
+		if err == nil || !strings.Contains(err.Error(), "graph.Compacted") {
+			t.Errorf("graph with recycled edge ids: err = %v, want a pointer to graph.Compacted", err)
+		}
+	})
 }
 
 type plainNode struct{ id int }

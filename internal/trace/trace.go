@@ -1,7 +1,7 @@
 // Package trace records automaton state transitions during a run and
 // renders per-node timelines — the debugging view of the matching
 // automaton. A Recorder plugs into core.Options.Hook and is safe for
-// concurrent use (the goroutine runtime fires hooks from many
+// concurrent use (the shard engine fires hooks from its worker
 // goroutines).
 package trace
 
@@ -17,8 +17,8 @@ import (
 // Event is one recorded state transition.
 type Event struct {
 	// Seq is the global sequence number, in observation order. Under the
-	// goroutine runtime observation order across nodes is nondeterministic;
-	// per-node order is always faithful.
+	// shard engine with several workers, observation order across shards
+	// is nondeterministic; per-node order is always faithful.
 	Seq  int
 	Node int
 	From automaton.State

@@ -1,11 +1,11 @@
 #!/bin/sh
 # scale_smoke.sh — abbreviated engine scale sweep for CI, in two arms.
 #
-# Arm 1 is the historical smoke: all three engines over the reduced
-# ladder at the runner's default GOMAXPROCS. Arm 2 exists because the
-# single-arm job had never exercised the multi-worker shard path it
-# claims to benchmark: it reruns sync+shard with an explicit worker
-# count > 1, so cross-shard merges happen, and the sweep's built-in
+# Arm 1 runs the default engines, sync and shard, over the reduced
+# ladder at the runner's default GOMAXPROCS. Arm 2 exercises the
+# multi-worker shard path on any runner: it reruns sync+shard with an
+# explicit worker count > 1, so cross-shard merges happen, and the
+# sweep's built-in
 # cross-engine check asserts the shard coloring equals the sync
 # reference on every rung. A zero exit is the verdict. POSIX sh.
 set -eu
@@ -16,7 +16,7 @@ WORKERS="${SCALE_SMOKE_WORKERS:-4}"
 say() { echo "scale-smoke: $*"; }
 die() { say "FAIL: $*"; exit 1; }
 
-say "arm 1: all engines, default workers (scale $SCALE)"
+say "arm 1: sync and shard, default workers (scale $SCALE)"
 go run ./cmd/dimabench -exp scale -scale "$SCALE" \
     || die "scale sweep failed"
 
