@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-check check serve-smoke dynamic-smoke load-smoke soak-smoke scale-smoke parallel-smoke cluster-smoke cluster-serve-smoke
+.PHONY: all build test race vet fmt fmt-check bench bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -55,27 +55,6 @@ dynamic-smoke:
 # (docs/OBSERVABILITY.md). Writes BENCH_PR6.json.
 load-smoke:
 	sh scripts/load_smoke.sh
-
-# Churn soak smoke: ~10^4 mutations of temporal workloads through the
-# dynamic recolorer with maintenance on; epoch invariants (palette cap,
-# hole ratio, validity) and replay determinism are asserted inside the
-# sweep (docs/PERFORMANCE.md). Writes BENCH_PR7.ci.json.
-soak-smoke:
-	sh scripts/soak_smoke.sh
-
-# Engine scale smoke: the reduced ladder on all engines, plus a
-# multi-worker sync-vs-shard arm whose coloring cross-check proves the
-# parallel path reproduces the sequential reference
-# (docs/PERFORMANCE.md).
-scale-smoke:
-	sh scripts/scale_smoke.sh
-
-# Shard worker-scaling smoke under the race detector: the reduced
-# parallel sweep at workers 1 and 8, colorings cross-checked against
-# RunSync inside the sweep (docs/PERFORMANCE.md). Writes
-# BENCH_PR8.ci.json.
-parallel-smoke:
-	sh scripts/parallel_smoke.sh
 
 # Multi-process tcp engine smoke: a coordinator plus 4 node processes
 # over loopback color a ~10^5-edge graph, outputs diffed byte-for-byte

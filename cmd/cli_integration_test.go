@@ -177,10 +177,6 @@ func TestDimabenchQuick(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, stdout)
 		}
 	}
-	// Unknown experiment errors out.
-	if _, _, err := run(t, "dimabench", "-exp", "nonsense"); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
 }
 
 func TestDimabenchCSV(t *testing.T) {
@@ -531,23 +527,13 @@ func TestDimanodeExternalPipeline(t *testing.T) {
 	}
 }
 
-func TestDimabenchDynamicQuick(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "bench.json")
-	stdout, stderr, err := run(t, "dimabench", "-exp", "dynamic", "-scale", "0.002", "-bench-out", out)
-	if err != nil {
-		t.Fatalf("dimabench -exp dynamic: %v\n%s", err, stderr)
-	}
-	for _, want := range []string{"== dynamic", "speedup", "deterministic=true"} {
-		if !strings.Contains(stdout, want) {
-			t.Fatalf("missing %q in:\n%s", want, stdout)
+// TestDimabenchUnknownExperiment: an -exp value outside the paper
+// experiments is a usage error (exit 2), before anything runs.
+func TestDimabenchUnknownExperiment(t *testing.T) {
+	for _, exp := range []string{"scale", "parallel", "cluster", "dynamic", "soak", "bogus", "fig3,bogus"} {
+		_, stderr, err := run(t, "dimabench", "-exp", exp)
+		if code := exitCode(err); code != 2 || !strings.Contains(stderr, "unknown experiment") {
+			t.Fatalf("-exp %s: exit %d, stderr %q; want exit 2 naming an unknown experiment", exp, code, stderr)
 		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"deterministic": true`) {
-		t.Fatalf("report: %s", data)
 	}
 }

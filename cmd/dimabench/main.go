@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 	"dima/internal/gen"
 	"dima/internal/graph"
 	"dima/internal/metrics"
-	"dima/internal/net"
 	"dima/internal/rng"
 	"dima/internal/stats"
 	"dima/internal/trace"
@@ -74,23 +71,18 @@ func figures() []figure {
 	}
 }
 
+// experiments lists every -exp value besides "all", for help and errors.
+const experiments = "fig3, fig4, fig5, fig6, compare, converge, pairprob, fits, telemetry, faults"
+
 func main() {
-	// A cluster-experiment coordinator spawning node processes re-execs
-	// this binary with the DIMA_NODE_* environment set; such a process is
-	// a cluster node, not a CLI, and never reaches flag parsing.
-	net.MaybeNodeMain()
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig3, fig4, fig5, fig6, compare, converge, pairprob, fits, telemetry, faults, scale, parallel, cluster, dynamic, soak, or all")
-		scale    = flag.Float64("scale", 1.0, "fraction of the paper's 50 repetitions per cell (for -exp scale: graph-size multiplier)")
-		seed     = flag.Uint64("seed", 2012, "master seed")
-		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS); for -exp scale: shard engine worker count")
-		engSel   = flag.String("engine", "", "scale experiment: comma-separated engines to benchmark (default sync,shard)")
-		wkrsSet  = flag.String("workers-set", "", "parallel experiment: comma-separated shard worker counts to sweep (0 = GOMAXPROCS; default 1,2,4,8,0)")
-		nodesSet = flag.String("nodes-set", "", "cluster experiment: comma-separated node-process counts to sweep (default 1,2,4)")
-		benchOut = flag.String("bench-out", "", "scale experiment: write the report as JSON to this file (e.g. BENCH_PR3.json)")
-		csvPath  = flag.String("csv", "", "also write the rounds series as CSV")
-		savePth  = flag.String("save", "", "persist raw runs as JSON (per figure: <fig>-<name>)")
-		plot     = flag.Bool("plot", true, "render ASCII rounds-vs-Δ scatter plots")
+		exp     = flag.String("exp", "all", "experiment: "+experiments+", or all")
+		scale   = flag.Float64("scale", 1.0, "fraction of the paper's 50 repetitions per cell")
+		seed    = flag.Uint64("seed", 2012, "master seed")
+		workers = flag.Int("workers", 0, "parallel workers running the repetitions (0 = GOMAXPROCS)")
+		csvPath = flag.String("csv", "", "also write the rounds series as CSV")
+		savePth = flag.String("save", "", "persist raw runs as JSON (per figure: <fig>-<name>)")
+		plot    = flag.Bool("plot", true, "render ASCII rounds-vs-Δ scatter plots")
 
 		metricsOut = flag.String("metrics-out", "", "telemetry experiment: write per-round JSONL (files prefixed alg1-/alg2-)")
 		traceOut   = flag.String("trace-out", "", "telemetry experiment: write Chrome traces (files prefixed alg1-/alg2-)")
@@ -105,6 +97,20 @@ func main() {
 		usage(fmt.Errorf("-workers wants a non-negative count, got %d", *workers))
 	}
 
+	known := map[string]bool{"all": true}
+	for _, name := range strings.Split(experiments, ", ") {
+		known[name] = true
+	}
+	selected := map[string]bool{}
+	for _, f := range strings.Split(*exp, ",") {
+		name := strings.TrimSpace(f)
+		if !known[name] {
+			usage(fmt.Errorf("unknown experiment %q (want %s, or all)", name, experiments))
+		}
+		selected[name] = true
+	}
+	runAll := selected["all"]
+
 	var reg *metrics.Registry
 	if *pprofAddr != "" {
 		reg = metrics.NewRegistry()
@@ -116,18 +122,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dimabench: pprof and /metrics at http://%s\n", ds.Addr())
 	}
 
-	selected := map[string]bool{}
-	for _, f := range strings.Split(*exp, ",") {
-		selected[strings.TrimSpace(f)] = true
-	}
-	runAll := selected["all"]
-
-	anyRan := false
 	for _, fig := range figures() {
 		if !runAll && !selected[fig.name] {
 			continue
 		}
-		anyRan = true
 		start := time.Now()
 		runs, err := experiment.RunGrid(fig.specs(*scale), experiment.Config{
 			Seed: *seed, Workers: *workers,
@@ -185,7 +183,6 @@ func main() {
 		}
 	}
 	if runAll || selected["fits"] {
-		anyRan = true
 		fmt.Println("== fits — the conclusion's headline constants: rounds ≈ 2Δ (Algorithm 1) and ≈ 4Δ (Algorithm 2)")
 		for _, arm := range []struct {
 			name  string
@@ -209,7 +206,6 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["converge"] {
-		anyRan = true
 		reps := int(10**scale + 0.5)
 		if reps < 2 {
 			reps = 2
@@ -244,7 +240,6 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["pairprob"] {
-		anyRan = true
 		reps := int(20**scale + 0.5)
 		if reps < 2 {
 			reps = 2
@@ -267,7 +262,6 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["compare"] {
-		anyRan = true
 		start := time.Now()
 		reps := int(10**scale + 0.5)
 		if reps < 2 {
@@ -298,42 +292,9 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["telemetry"] {
-		anyRan = true
 		runTelemetry(*seed, reg, *metricsOut, *traceOut)
 	}
-	// The scale sweep is explicit-only: at scale 1 it colors a million-
-	// vertex graph per engine, far too heavy to ride along with "all".
-	if selected["scale"] {
-		anyRan = true
-		runScale(*seed, *scale, *workers, *engSel, *benchOut)
-	}
-	// The parallel sweep is explicit-only for the same reason: at scale 1
-	// it colors a 10⁷-edge graph once per worker count.
-	if selected["parallel"] {
-		anyRan = true
-		runParallel(*seed, *scale, *wkrsSet, *benchOut)
-	}
-	// The cluster sweep is explicit-only: every rung spawns real node
-	// processes per cell and pushes the whole message volume through
-	// loopback sockets.
-	if selected["cluster"] {
-		anyRan = true
-		runCluster(*seed, *scale, *nodesSet, *benchOut)
-	}
-	// The dynamic sweep is explicit-only for the same reason: each batch
-	// costs a full recolor of the 10⁵-vertex instance for comparison.
-	if selected["dynamic"] {
-		anyRan = true
-		runDynamic(*seed, *scale, *workers, *benchOut)
-	}
-	// The soak sweep is explicit-only too: at scale 1 it streams a
-	// million-plus mutations (and replays them all for determinism).
-	if selected["soak"] {
-		anyRan = true
-		runSoak(*seed, *scale, *workers, *benchOut)
-	}
 	if runAll || selected["faults"] {
-		anyRan = true
 		start := time.Now()
 		cfg := experiment.DefaultFaultConfig(*seed, *scale)
 		cfg.Workers = *workers
@@ -349,286 +310,6 @@ func main() {
 		fmt.Println("complete valid colorings, paying rounds and retransmissions that grow with P.")
 		fmt.Println()
 	}
-	if !anyRan {
-		fatal(fmt.Errorf("unknown experiment %q (want fig3, fig4, fig5, fig6, compare, converge, pairprob, fits, telemetry, faults, scale, parallel, cluster, dynamic, soak, or all)", *exp))
-	}
-}
-
-// runScale executes the engine scale sweep (docs/PERFORMANCE.md): the
-// same Algorithm 1 run per engine over a graph-size ladder, recording
-// wall-clock, allocations, rounds, and traffic, cross-checking that the
-// engines agree on the coloring, and optionally persisting the report
-// (-bench-out BENCH_PR3.json is the committed baseline).
-func runScale(seed uint64, scale float64, workers int, engineList, benchOut string) {
-	cfg := experiment.DefaultScaleConfig(seed, scale)
-	cfg.Workers = workers
-	if engineList != "" {
-		cfg.Engines = nil
-		for _, e := range strings.Split(engineList, ",") {
-			cfg.Engines = append(cfg.Engines, strings.TrimSpace(e))
-		}
-	}
-	fmt.Println("== scale — engine benchmark: wall-clock, allocations, rounds, and traffic per (engine, n)")
-	fmt.Printf("   er avg-deg=%g, sizes %v, engines %v\n\n", cfg.AvgDeg, cfg.Sizes, cfg.Engines)
-	t := stats.NewTable("engine", "n", "m", "delta", "rounds", "commRounds", "colors", "messages", "wallMS", "allocs", "allocMB")
-	start := time.Now()
-	rep, err := experiment.ScaleSweep(cfg, func(row experiment.ScaleRow) {
-		name := row.Engine
-		if row.Workers > 0 {
-			name = fmt.Sprintf("%s-%d", row.Engine, row.Workers)
-		}
-		fmt.Fprintf(os.Stderr, "dimabench: scale %s n=%d done in %.0fms\n", name, row.N, row.WallMS)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rep.Rows {
-		t.AddRow(row.Engine, row.N, row.M, row.Delta, row.CompRounds, row.CommRounds,
-			row.Colors, row.Messages, fmt.Sprintf("%.1f", row.WallMS),
-			row.Allocs, fmt.Sprintf("%.1f", row.AllocMB))
-	}
-	fmt.Println(t.String())
-	fmt.Printf("%d rows in %v; colorings identical across engines per size\n",
-		len(rep.Rows), time.Since(start).Round(time.Millisecond))
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiment.WriteScaleReport(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-	fmt.Println()
-}
-
-// runParallel executes the shard worker-scaling sweep
-// (docs/PERFORMANCE.md): the same Algorithm 1 run once on the sync
-// reference engine and once per shard worker count over an edge-count
-// ladder, recording wall-clock, allocations, delivery records, and
-// merge-bucket skips, and cross-checking every shard coloring against
-// the sync reference (-bench-out BENCH_PR8.json is the committed
-// baseline).
-func runParallel(seed uint64, scale float64, workersSet, benchOut string) {
-	cfg := experiment.DefaultParallelConfig(seed, scale)
-	if workersSet != "" {
-		cfg.WorkersSet = nil
-		for _, f := range strings.Split(workersSet, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || w < 0 {
-				usage(fmt.Errorf("-workers-set wants non-negative counts, got %q", f))
-			}
-			cfg.WorkersSet = append(cfg.WorkersSet, w)
-		}
-	}
-	fmt.Println("== parallel — shard worker scaling: wall-clock, allocations, delivery records per (workers, m)")
-	fmt.Printf("   er avg-deg=%g, edge ladder %v, workers %v, gomaxprocs=%d numcpu=%d\n\n",
-		cfg.AvgDeg, cfg.Edges, cfg.WorkersSet, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	t := stats.NewTable("engine", "workers", "n", "m", "rounds", "messages",
-		"deliveries", "records", "wallMS", "speedup", "allocs/edge")
-	start := time.Now()
-	rep, err := experiment.ParallelSweep(cfg, func(row experiment.ParallelRow) {
-		fmt.Fprintf(os.Stderr, "dimabench: parallel %s workers=%d m=%d done in %.0fms\n",
-			row.Engine, row.Workers, row.M, row.WallMS)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rep.Rows {
-		speedup := "-"
-		if row.Speedup > 0 {
-			speedup = fmt.Sprintf("%.2fx", row.Speedup)
-		}
-		records := "-"
-		if row.Records > 0 {
-			records = fmt.Sprintf("%d", row.Records)
-		}
-		t.AddRow(row.Engine, row.Workers, row.N, row.M, row.CompRounds, row.Messages,
-			row.Deliveries, records, fmt.Sprintf("%.1f", row.WallMS),
-			speedup, fmt.Sprintf("%.2f", row.AllocsPerEdge))
-	}
-	fmt.Println(t.String())
-	fmt.Printf("%d rows in %v; every shard coloring byte-identical to the sync reference\n",
-		len(rep.Rows), time.Since(start).Round(time.Millisecond))
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiment.WriteParallelReport(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-	fmt.Println()
-}
-
-// runCluster executes the tcp engine's process-scaling sweep
-// (docs/CLUSTER.md): the same Algorithm 1 run once on the sync
-// reference engine and once per node-process count over an edge-count
-// ladder, recording wall-clock and wire volume and cross-checking every
-// cluster coloring against the sync reference element-wise.
-func runCluster(seed uint64, scale float64, nodesSet, benchOut string) {
-	cfg := experiment.DefaultClusterConfig(seed, scale)
-	if nodesSet != "" {
-		cfg.NodesSet = nil
-		for _, f := range strings.Split(nodesSet, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || k < 1 {
-				usage(fmt.Errorf("-nodes-set wants positive counts, got %q", f))
-			}
-			cfg.NodesSet = append(cfg.NodesSet, k)
-		}
-	}
-	fmt.Println("== cluster — tcp process scaling: wall-clock and wire volume per (nodes, m)")
-	fmt.Printf("   er avg-deg=%g, edge ladder %v, nodes %v, gomaxprocs=%d numcpu=%d\n\n",
-		cfg.AvgDeg, cfg.Edges, cfg.NodesSet, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	t := stats.NewTable("engine", "nodes", "n", "m", "rounds", "messages",
-		"deliveries", "bytes", "wallMS", "overhead")
-	start := time.Now()
-	rep, err := experiment.ClusterSweep(cfg, func(row experiment.ClusterRow) {
-		fmt.Fprintf(os.Stderr, "dimabench: cluster %s nodes=%d m=%d done in %.0fms\n",
-			row.Engine, row.Nodes, row.M, row.WallMS)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rep.Rows {
-		overhead := "-"
-		if row.Overhead > 0 {
-			overhead = fmt.Sprintf("%.2fx", row.Overhead)
-		}
-		t.AddRow(row.Engine, row.Nodes, row.N, row.M, row.CompRounds, row.Messages,
-			row.Deliveries, row.Bytes, fmt.Sprintf("%.1f", row.WallMS), overhead)
-	}
-	fmt.Println(t.String())
-	fmt.Printf("%d rows in %v; every cluster coloring byte-identical to the sync reference\n",
-		len(rep.Rows), time.Since(start).Round(time.Millisecond))
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiment.WriteClusterReport(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-	fmt.Println()
-}
-
-// runDynamic executes the dynamic recoloring benchmark (docs/DYNAMIC.md):
-// cold-color one instance, stream mutation batches of each size through
-// the incremental recolorer, and race every batch against a full recolor
-// of the same mutated graph. Every post-batch coloring is verified and
-// the streams are replayed to confirm determinism (-bench-out
-// BENCH_PR5.json is the committed baseline).
-func runDynamic(seed uint64, scale float64, workers int, benchOut string) {
-	cfg := experiment.DefaultDynamicConfig(seed, scale)
-	cfg.Workers = workers
-	fmt.Println("== dynamic — incremental repair vs full recolor: wall-clock per mutation batch")
-	fmt.Printf("   er n=%d avg-deg=%g, batch sizes %v × %d batches, tight palette\n\n",
-		cfg.N, cfg.AvgDeg, cfg.BatchSizes, cfg.BatchesPerSize)
-	t := stats.NewTable("batch", "ins", "del", "greedy", "repaired", "rounds",
-		"maxRegion", "incAvgMS", "fullAvgMS", "speedup", "colors")
-	start := time.Now()
-	rep, err := experiment.DynamicSweep(cfg, func(row experiment.DynamicRow) {
-		fmt.Fprintf(os.Stderr, "dimabench: dynamic batch=%d done (inc %.2fms vs full %.0fms per batch)\n",
-			row.BatchSize, row.IncAvgMS, row.FullAvgMS)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rep.Rows {
-		t.AddRow(row.BatchSize, row.Inserted, row.Deleted, row.Greedy, row.RepairedEdges,
-			row.RepairRounds, fmt.Sprintf("%dv/%de", row.MaxRegionSize, row.MaxRegionEdges),
-			fmt.Sprintf("%.2f", row.IncAvgMS), fmt.Sprintf("%.1f", row.FullAvgMS),
-			fmt.Sprintf("%.0fx", row.Speedup), row.IncColors)
-	}
-	fmt.Println(t.String())
-	fmt.Printf("cold run: %d colors in %.0fms (n=%d m=%d Δ=%d); %d rows in %v; deterministic=%v\n",
-		rep.ColdColors, rep.ColdWallMS, rep.N, rep.M, rep.Delta,
-		len(rep.Rows), time.Since(start).Round(time.Millisecond), rep.Deterministic)
-	if !rep.Deterministic {
-		fatal(fmt.Errorf("dynamic sweep: replay diverged from the timed run"))
-	}
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiment.WriteDynamicReport(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-	fmt.Println()
-}
-
-// runSoak executes the long-run churn soak (docs/PERFORMANCE.md): each
-// temporal workload streams its mutation budget through a recolorer
-// with auto-maintenance on, sampling palette/id-space/latency/heap per
-// epoch and hard-asserting the boundedness invariants, then replays for
-// determinism (-bench-out BENCH_PR7.json is the committed baseline).
-func runSoak(seed uint64, scale float64, workers int, benchOut string) {
-	cfg := experiment.DefaultSoakConfig(seed, scale)
-	cfg.Workers = workers
-	fmt.Println("== soak — long-run churn: palette, id-space, latency, and heap flatness under maintenance")
-	fmt.Printf("   er n=%d avg-deg=%g, %d mutations/arm in batches of %d, arms %v, %d epochs\n\n",
-		cfg.N, cfg.AvgDeg, cfg.Mutations, cfg.BatchSize, cfg.Workloads, cfg.Epochs)
-	t := stats.NewTable("workload", "epoch", "muts", "m", "idBound", "delta",
-		"colors", "maxColor", "p50us", "p99us", "passes", "heapMB")
-	start := time.Now()
-	rep, err := experiment.SoakSweep(cfg, func(w string, ep experiment.SoakEpoch) {
-		t.AddRow(w, ep.Epoch, ep.Mutations, ep.M, ep.EdgeIDBound, ep.Delta,
-			ep.Colors, ep.MaxColor, fmt.Sprintf("%.0f", ep.P50US),
-			fmt.Sprintf("%.0f", ep.P99US), ep.MaintainPasses,
-			fmt.Sprintf("%.1f", float64(ep.HeapBytes)/(1<<20)))
-		fmt.Fprintf(os.Stderr, "dimabench: soak %s epoch %d/%d (%d mutations)\n",
-			w, ep.Epoch+1, cfg.Epochs, ep.Mutations)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(t.String())
-	for _, arm := range rep.Arms {
-		last := arm.Epochs[len(arm.Epochs)-1]
-		fmt.Printf("%s: %d mutations in %.0fms, %d maintenance passes (%d compactions, %d rebalances), deterministic=%v\n",
-			arm.Workload, arm.Mutations, arm.WallMS,
-			last.MaintainPasses, last.Compactions, last.Rebalances, arm.Deterministic)
-	}
-	fmt.Printf("total %d mutations in %v; deterministic=%v\n",
-		rep.TotalMutations, time.Since(start).Round(time.Millisecond), rep.Deterministic)
-	if !rep.Deterministic {
-		fatal(fmt.Errorf("soak sweep: replay diverged from the sampled run"))
-	}
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := experiment.WriteSoakReport(f, rep); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", benchOut)
-	}
-	fmt.Println()
 }
 
 // runTelemetry executes one instrumented run of each algorithm on the

@@ -14,6 +14,7 @@ import (
 	"dima/internal/metrics"
 	"dima/internal/net"
 	"dima/internal/rng"
+	"dima/internal/verify"
 )
 
 // TestMain lets the test binary double as the cluster node binary: when
@@ -120,6 +121,9 @@ func TestClusterColorEdgesMatchesSync(t *testing.T) {
 			}
 			if !want.Terminated {
 				t.Fatalf("reference run truncated at %d rounds", want.CompRounds)
+			}
+			if bad := verify.EdgeColoring(g, want.Colors); len(bad) > 0 {
+				t.Fatalf("reference coloring invalid: %v", bad[0])
 			}
 			for _, k := range clusterNodeCounts {
 				mem := &metrics.Memory{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -164,24 +165,40 @@ func TestEdgeColorDeterministicAcrossRuns(t *testing.T) {
 
 func TestEdgeColorEngineEquivalence(t *testing.T) {
 	// The concurrent runtimes must replay the sequential runtime exactly:
-	// same seed, same coloring, same rounds and traffic.
+	// same seed, same Result, coloring and per-round RoundStats stream,
+	// and every run's coloring is verified valid. The last input is ER
+	// n=12,500 at average degree 8 (5·10⁴ edges, the edge-tcp benchmark
+	// size), large enough that multi-worker merges move real volume
+	// across shards; an 8-worker shard engine joins the set.
+	type input struct {
+		graphSeed, seed uint64
+		n               int
+		deg             float64
+	}
+	var inputs []input
 	for seed := uint64(0); seed < 5; seed++ {
-		g, err := gen.ErdosRenyiAvgDegree(rng.New(seed+100), 60, 5)
+		inputs = append(inputs, input{seed + 100, seed, 60, 5})
+	}
+	ladder := input{graphSeed: 12, seed: 5, n: 12_500, deg: 8}
+	if testing.Short() {
+		ladder.n = 2_000
+	}
+	inputs = append(inputs, ladder)
+	engines := append([]testEngine{{"shard-8", shardWorkers(8)}}, testEngines[1:]...)
+	for _, in := range inputs {
+		g, err := gen.ErdosRenyiAvgDegree(rng.New(in.graphSeed), in.n, in.deg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := mustColorEdges(t, g, Options{Seed: seed, Engine: net.RunSync})
-		for _, eng := range testEngines[1:] {
-			b := mustColorEdges(t, g, Options{Seed: seed, Engine: eng.run})
-			if a.CompRounds != b.CompRounds || a.Messages != b.Messages ||
-				a.Deliveries != b.Deliveries || a.Bytes != b.Bytes {
-				t.Fatalf("seed %d: %s diverged from sync: %d rounds %d msgs vs %d rounds %d msgs",
-					seed, eng.name, b.CompRounds, b.Messages, a.CompRounds, a.Messages)
+		want, wantRounds := runWithMetrics(t, "edges", g, Options{Seed: in.seed, Engine: net.RunSync})
+		for _, eng := range engines {
+			got, rounds := runWithMetrics(t, "edges", g, Options{Seed: in.seed, Engine: eng.run})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seed %d: %s Result diverged from sync: %d rounds %d msgs vs %d rounds %d msgs",
+					in.n, in.seed, eng.name, got.CompRounds, got.Messages, want.CompRounds, want.Messages)
 			}
-			for e := range a.Colors {
-				if a.Colors[e] != b.Colors[e] {
-					t.Fatalf("seed %d: %s diverged from sync at edge %d", seed, eng.name, e)
-				}
+			if !reflect.DeepEqual(rounds, wantRounds) {
+				t.Fatalf("n=%d seed %d: %s RoundStats stream diverged from sync", in.n, in.seed, eng.name)
 			}
 		}
 	}

@@ -17,14 +17,16 @@ func shardWorkers(workers int) net.Engine {
 	}
 }
 
+type testEngine struct {
+	name string
+	run  net.Engine
+}
+
 // testEngines is the engine set every cross-engine property test
 // iterates: the equivalence guarantee is that all of them replay the
 // sequential engine exactly. shard-oversub runs more workers than
 // GOMAXPROCS, so worker goroutines interleave on shared processors.
-var testEngines = []struct {
-	name string
-	run  net.Engine
-}{
+var testEngines = []testEngine{
 	{"sync", net.RunSync},
 	{"shard-1", shardWorkers(1)},
 	{"shard-3", shardWorkers(3)},

@@ -89,11 +89,6 @@ type Options struct {
 	// counters (Result.Participation), used to measure the pairing
 	// probability of the paper's Proposition 1 / Equation (1).
 	CollectParticipation bool
-	// ShardStats, when non-nil, is passed through to net.Config and
-	// filled by net.RunShard with its internal hot-path counters
-	// (resolved worker count, buffered delivery records, merge bucket
-	// activity). Other engines ignore it. Purely observational.
-	ShardStats *net.ShardStats
 	// Metrics, when non-nil, receives one metrics.RoundStats per
 	// computation round after the run completes: automaton activity,
 	// pairing and palette progress, and traffic split by message kind.
@@ -135,12 +130,11 @@ func (o *Options) run(ctx context.Context, g *graph.Graph, nodes []net.Node, fac
 		observe = func(rt net.RoundTraffic) { traffic = append(traffic, rt) }
 	}
 	netRes, err := engine(g, nodes, net.Config{
-		MaxRounds:  phases * o.maxCompRounds(),
-		Ctx:        ctx,
-		Fault:      o.Fault,
-		Observe:    observe,
-		Workers:    o.Workers,
-		ShardStats: o.ShardStats,
+		MaxRounds: phases * o.maxCompRounds(),
+		Ctx:       ctx,
+		Fault:     o.Fault,
+		Observe:   observe,
+		Workers:   o.Workers,
 	})
 	if err != nil {
 		return nil, nil, err

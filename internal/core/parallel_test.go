@@ -38,18 +38,16 @@ func TestShardOversubscribedFaultyRecoveryIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*Result, []metrics.RoundStats, net.ShardStats) {
+	run := func(workers int) (*Result, []metrics.RoundStats) {
 		t.Helper()
 		mem := &metrics.Memory{}
-		var ss net.ShardStats
 		res, err := ColorEdges(g, Options{
-			Seed:       13,
-			Engine:     net.RunShard,
-			Workers:    workers,
-			Fault:      net.DropRate{Seed: 4, P: 0.12},
-			Recovery:   automaton.Recovery{Enabled: true},
-			Metrics:    mem,
-			ShardStats: &ss,
+			Seed:     13,
+			Engine:   net.RunShard,
+			Workers:  workers,
+			Fault:    net.DropRate{Seed: 4, P: 0.12},
+			Recovery: automaton.Recovery{Enabled: true},
+			Metrics:  mem,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -57,26 +55,16 @@ func TestShardOversubscribedFaultyRecoveryIdentical(t *testing.T) {
 		if !res.Terminated {
 			t.Fatalf("workers=%d: truncated at %d rounds", workers, res.CompRounds)
 		}
-		return res, mem.Rounds, ss
+		return res, mem.Rounds
 	}
-	want, wantRounds, _ := run(1)
+	want, wantRounds := run(1)
 	for _, w := range oversubscribedWorkers(g.N())[1:] {
-		res, rounds, ss := run(w)
+		res, rounds := run(w)
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("workers=%d: Result diverged from workers=1:\n%+v\n%+v", w, res, want)
 		}
 		if !reflect.DeepEqual(rounds, wantRounds) {
 			t.Fatalf("workers=%d: per-round metric stream diverged from workers=1", w)
-		}
-		wantW := w
-		if wantW > g.N() {
-			wantW = g.N()
-		}
-		if ss.Workers != wantW {
-			t.Fatalf("workers=%d: ShardStats resolved %d workers, want %d", w, ss.Workers, wantW)
-		}
-		if ss.Records <= 0 || ss.Records > want.Deliveries {
-			t.Fatalf("workers=%d: records %d out of range (deliveries %d)", w, ss.Records, want.Deliveries)
 		}
 	}
 }
@@ -127,36 +115,5 @@ func TestShardOversubscribedCancelIdentical(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > base {
 		t.Fatalf("%d goroutines after canceled oversubscribed runs, baseline %d", got, base)
-	}
-}
-
-// TestShardStatsReliableAmplification pins the fast path's headline
-// property: with reliable delivery the engine buffers one record per
-// (message, destination shard), so Records/Messages is bounded by the
-// worker count and far below Deliveries/Messages (≈ average degree).
-func TestShardStatsReliableAmplification(t *testing.T) {
-	g, err := gen.ErdosRenyiAvgDegree(rng.New(31), 400, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 4} {
-		var ss net.ShardStats
-		res, err := ColorEdges(g, Options{Seed: 3, Engine: net.RunShard, Workers: w, ShardStats: &ss})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ss.Records > res.Messages*int64(w) {
-			t.Fatalf("workers=%d: %d records for %d messages — more than workers per message",
-				w, ss.Records, res.Messages)
-		}
-		if ss.Records > res.Deliveries {
-			t.Fatalf("workers=%d: records %d exceed deliveries %d", w, ss.Records, res.Deliveries)
-		}
-		if w > 1 && ss.MergeSkips <= 0 {
-			t.Fatalf("workers=%d: merge phase skipped no buckets: %+v", w, ss)
-		}
-		if ss.MergeScans <= 0 {
-			t.Fatalf("workers=%d: merge phase scanned no buckets: %+v", w, ss)
-		}
 	}
 }

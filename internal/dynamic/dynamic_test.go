@@ -150,9 +150,10 @@ func TestRecolorerPropertyChurn(t *testing.T) {
 }
 
 // TestRecolorerDeterminism: a fixed seed and a fixed mutation stream
-// reproduce the exact same coloring, byte for byte.
+// reproduce the exact same coloring, byte for byte, for single-edge and
+// multi-edge batches alike.
 func TestRecolorerDeterminism(t *testing.T) {
-	run := func() []int {
+	run := func(size int) []int {
 		copt := core.Options{Seed: 3}
 		g, res := coldColor(t, 50, 120, 8, copt)
 		rc, err := New(g, append([]int(nil), res.Colors...), Options{
@@ -163,19 +164,21 @@ func TestRecolorerDeterminism(t *testing.T) {
 		}
 		r := rng.New(1000)
 		for i := 0; i < 15; i++ {
-			if _, err := rc.Apply(randomBatch(r, rc.Graph(), 5)); err != nil {
+			if _, err := rc.Apply(randomBatch(r, rc.Graph(), size)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return rc.Colors()
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("lengths diverge: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("colors diverge at edge %d: %d vs %d", i, a[i], b[i])
+	for _, size := range []int{1, 5} {
+		a, b := run(size), run(size)
+		if len(a) != len(b) {
+			t.Fatalf("batch size %d: lengths diverge: %d vs %d", size, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("batch size %d: colors diverge at edge %d: %d vs %d", size, i, a[i], b[i])
+			}
 		}
 	}
 }

@@ -2,10 +2,12 @@ package dynamic
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"dima/internal/core"
+	"dima/internal/gen"
 	"dima/internal/graph"
 	"dima/internal/msg"
 	"dima/internal/net"
@@ -387,5 +389,126 @@ func TestMaintainDisabledIsByteIdentical(t *testing.T) {
 		if off[i] != never[i] {
 			t.Fatalf("colors diverge at edge %d: %d vs %d", i, off[i], never[i])
 		}
+	}
+}
+
+// TestSoakEpochInvariants streams each temporal workload through a
+// recolorer with auto-maintenance on and checks, at every epoch
+// boundary, the bounds maintenance exists to keep: palette within
+// 2Δ−1 (+ PaletteSlack) for the current Δ, id space within HoleRatio ×
+// live edges plus two batches of slack (a pass compacts only once the
+// trigger trips), and a valid coloring. Each arm is then replayed from
+// scratch and must reproduce the whole epoch trajectory and the final
+// colors.
+func TestSoakEpochInvariants(t *testing.T) {
+	const (
+		n, avgDeg            = 400, 8
+		mutations, batchSize = 3_000, 50
+		epochs               = 5
+		holeRatio, slack     = 1.5, 0
+	)
+	type epoch struct {
+		mutations, batches, m, idBound, delta, colors, maxColor int
+		passes, compactions, rebalances                         int
+	}
+	batchesPerEpoch := (mutations + epochs*batchSize - 1) / (epochs * batchSize)
+	sources := []struct {
+		name string
+		make func(r *rng.Rand, m0 int) (gen.MutationSource, error)
+	}{
+		{"window", func(r *rng.Rand, m0 int) (gen.MutationSource, error) {
+			return gen.NewSlidingWindow(r, m0/2, m0+m0/2)
+		}},
+		{"flash", func(r *rng.Rand, _ int) (gen.MutationSource, error) {
+			// One ramp-hold-decay cycle per epoch.
+			ramp := batchesPerEpoch * 2 / 5
+			return gen.NewFlashCrowd(r, ramp, batchesPerEpoch-2*ramp, ramp)
+		}},
+		{"growth", func(r *rng.Rand, _ int) (gen.MutationSource, error) {
+			return gen.NewPreferentialGrowth(r), nil
+		}},
+	}
+	for idx, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			run := func() ([]epoch, []int) {
+				seed := uint64(11 + idx)
+				g, err := gen.ErdosRenyiAvgDegree(rng.New(seed), n, avgDeg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copt := core.Options{Seed: seed, Engine: net.RunShard}
+				cold, err := core.ColorEdges(g, copt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cold.Terminated {
+					t.Fatal("cold run truncated")
+				}
+				rc, err := New(g, cold.Colors, Options{
+					Seed:     seed,
+					Repair:   copt,
+					Maintain: &MaintainOptions{HoleRatio: holeRatio, PaletteSlack: slack},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms, err := src.make(rng.New(seed).Derive(1), g.M())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var traj []epoch
+				var cur epoch
+				for e := 1; e <= epochs; e++ {
+					for stalls := 0; cur.mutations < e*mutations/epochs; {
+						b := ms.NextBatch(rc.Graph(), batchSize)
+						if len(b.Muts) == 0 {
+							if stalls++; stalls > 1000 {
+								t.Fatalf("source dry after %d mutations", cur.mutations)
+							}
+							continue
+						}
+						stalls = 0
+						rep, err := rc.Apply(b)
+						if err != nil {
+							t.Fatalf("batch %d: %v", cur.batches, err)
+						}
+						cur.mutations += len(b.Muts)
+						cur.batches++
+						if mr := rep.Maintenance; mr != nil {
+							cur.passes++
+							if mr.Compacted {
+								cur.compactions++
+							}
+							if mr.Rebalanced {
+								cur.rebalances++
+							}
+						}
+					}
+					rg := rc.Graph()
+					cur.m, cur.idBound, cur.delta = rg.M(), rg.EdgeIDBound(), rg.MaxDegree()
+					cur.colors, cur.maxColor = rc.NumColors(), rc.MaxColor()
+					if bound := max(2*cur.delta-1, 1) + slack; cur.maxColor+1 > bound {
+						t.Fatalf("epoch %d: max color %d over 2Δ−1+slack = %d (Δ=%d)", e, cur.maxColor, bound, cur.delta)
+					}
+					if float64(cur.idBound) > holeRatio*float64(max(cur.m, 1))+2*batchSize {
+						t.Fatalf("epoch %d: id bound %d over %.1f × %d live + 2 batches", e, cur.idBound, holeRatio, cur.m)
+					}
+					assertValid(t, rc)
+					traj = append(traj, cur)
+				}
+				return traj, append([]int(nil), rc.Colors()...)
+			}
+			traj, colors := run()
+			if src.name == "window" && traj[len(traj)-1].compactions == 0 {
+				t.Fatal("the hole-punching window workload never compacted")
+			}
+			replayTraj, replayColors := run()
+			if !reflect.DeepEqual(replayTraj, traj) {
+				t.Fatalf("replay trajectory diverged:\n%+v\n%+v", replayTraj, traj)
+			}
+			if !reflect.DeepEqual(replayColors, colors) {
+				t.Fatal("replay final colors diverged")
+			}
+		})
 	}
 }

@@ -27,12 +27,3 @@ func TestFaultSweepCtxCanceled(t *testing.T) {
 		t.Fatalf("FaultSweepCtx on canceled ctx: %v, want context.Canceled", err)
 	}
 }
-
-func TestScaleSweepCtxCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfg := DefaultScaleConfig(1, 0.01)
-	if _, err := ScaleSweepCtx(ctx, cfg, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScaleSweepCtx on canceled ctx: %v, want context.Canceled", err)
-	}
-}

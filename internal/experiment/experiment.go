@@ -16,6 +16,12 @@
 //
 // Scale < 1 shrinks the repetition counts proportionally (minimum 2)
 // for quick runs and benchmarks; scale 1 is the paper's full protocol.
+//
+// Alongside the figures the package holds the rest of the reproduction:
+// the rounds-versus-Δ fits, the prior-work comparisons, convergence
+// curves, the Proposition 1 pairing probability, and the message-loss
+// sweep. Engine and service performance is measured by the separate
+// bench module, not here.
 package experiment
 
 import (

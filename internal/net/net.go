@@ -93,31 +93,6 @@ type Config struct {
 	// Workers is the number of shard goroutines RunShard uses; 0 means
 	// runtime.GOMAXPROCS(0). The other engines ignore it.
 	Workers int
-	// ShardStats, when non-nil, is filled by RunShard with internal
-	// hot-path counters (buffered delivery records, merge-phase bucket
-	// activity). Purely observational — the counters never influence the
-	// execution — and ignored by the other engines.
-	ShardStats *ShardStats
-}
-
-// ShardStats reports internal counters of one RunShard execution. The
-// interesting ratio is Records / Result.Messages: the engine buffers
-// one record per (message, destination shard) rather than one per
-// delivery, so the ratio is bounded by the worker count instead of the
-// average degree (Result.Deliveries / Messages).
-type ShardStats struct {
-	// Workers is the resolved worker count (after clamping to [1, N]).
-	Workers int
-	// Records is the number of shardDelivery records buffered between
-	// the step and merge phases: one per (message, destination shard)
-	// with at least one surviving receiver, so Records <=
-	// Result.Deliveries always.
-	Records int64
-	// MergeScans counts (source, destination) buckets actually drained
-	// by merge phases; MergeSkips counts the empty buckets the non-empty
-	// pair tracking let the merge phases skip. Their sum is
-	// workers² × merge rounds, the cost of the old full scan.
-	MergeScans, MergeSkips int64
 }
 
 // KindTraffic aggregates one message kind's traffic within a round.

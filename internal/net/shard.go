@@ -310,10 +310,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		workers = max(min(workers, n), 1)
-		stats := cfg.ShardStats
-		if stats != nil {
-			*stats = ShardStats{Workers: workers}
-		}
 
 		bounds, owner := shardBounds(n, workers)
 		segs := buildShardSegments(g, owner, workers)
@@ -445,19 +441,13 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					srcLists[d] = srcLists[d][:0]
 				}
 				usedDsts = usedDsts[:0]
-				pairs := int64(0)
 				for s := 0; s < workers; s++ {
 					for _, d := range touched[s] {
 						if len(srcLists[d]) == 0 {
 							usedDsts = append(usedDsts, d)
 						}
 						srcLists[d] = append(srcLists[d], int32(s))
-						pairs++
 					}
-				}
-				if stats != nil {
-					stats.MergeScans += pairs
-					stats.MergeSkips += int64(workers)*int64(workers) - pairs
 				}
 				broadcast(cmdMerge)
 			}
@@ -466,11 +456,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			for s := 0; s < workers; s++ {
 				rt.add(&tally[s])
 				finished = finished && done[s]
-				if stats != nil {
-					for _, d := range touched[s] {
-						stats.Records += int64(len(out[s][d].recs))
-					}
-				}
 			}
 			return finished, nil
 		}, nil

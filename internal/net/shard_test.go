@@ -2,9 +2,11 @@ package net
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"dima/internal/gen"
+	"dima/internal/graph"
 	"dima/internal/msg"
 	"dima/internal/rng"
 )
@@ -121,5 +123,65 @@ func TestShardDeterministicAcrossRuns(t *testing.T) {
 	b := captureRun(t, shardWith(3), 33, 9, 11, DropRate{Seed: 4, P: 0.1})
 	if a.res != b.res || !reflect.DeepEqual(a.rounds, b.rounds) || !reflect.DeepEqual(a.heard, b.heard) {
 		t.Fatal("same-seed shard runs diverged")
+	}
+}
+
+// TestShardSegmentsPartitionNeighbors pins the layout behind RunShard's
+// record bound. A broadcast buffers one record per segment of its
+// sender, so if every vertex's segments partition its neighbor list
+// into at most min(workers, degree) shard-owned pieces, a run buffers
+// at most workers records per message and never more than one per
+// delivery.
+func TestShardSegmentsPartitionNeighbors(t *testing.T) {
+	dense, err := gen.ErdosRenyiAvgDegree(rng.New(31), 400, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := gen.ErdosRenyiAvgDegree(rng.New(32), 60, 1.5) // has isolated vertices
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{dense, sparse} {
+		for _, workers := range []int{1, 2, 3, 4, 8, g.N()} {
+			_, owner := shardBounds(g.N(), workers)
+			segs := buildShardSegments(g, owner, workers)
+			pos := int32(0)
+			for u := 0; u < g.N(); u++ {
+				us := segs.of(u)
+				if len(us) > min(workers, g.Degree(u)) {
+					t.Fatalf("n=%d workers=%d: vertex %d has %d segments for degree %d",
+						g.N(), workers, u, len(us), g.Degree(u))
+				}
+				got := []int{}
+				for i, sg := range us {
+					if i > 0 && sg.dst <= us[i-1].dst {
+						t.Fatalf("n=%d workers=%d: vertex %d segments not in ascending destination order: %+v",
+							g.N(), workers, u, us)
+					}
+					if sg.lo != pos || sg.hi <= sg.lo {
+						t.Fatalf("n=%d workers=%d: vertex %d segment %+v is empty or not contiguous at %d",
+							g.N(), workers, u, sg, pos)
+					}
+					pos = sg.hi
+					for _, v := range segs.flat[sg.lo:sg.hi] {
+						if owner[v] != sg.dst {
+							t.Fatalf("n=%d workers=%d: vertex %d segment for shard %d holds %d, owned by %d",
+								g.N(), workers, u, sg.dst, v, owner[v])
+						}
+						got = append(got, int(v))
+					}
+				}
+				want := append([]int{}, g.Neighbors(u)...)
+				sort.Ints(got)
+				sort.Ints(want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d workers=%d: vertex %d segments hold %v, neighbors are %v",
+						g.N(), workers, u, got, want)
+				}
+			}
+			if int(pos) != len(segs.flat) {
+				t.Fatalf("n=%d workers=%d: segments cover %d of %d flat entries", g.N(), workers, pos, len(segs.flat))
+			}
+		}
 	}
 }
