@@ -1,7 +1,8 @@
 # Verify loop for the dima module. `make check` is the full gate run
-# before every commit: build, vet, the complete test suite, and the
+# before every commit: build, vet, the complete test suite, the
 # internal packages under the race detector, where the tests run the
-# shard engine with several worker goroutines.
+# shard engine with several worker goroutines, and the benchmark
+# module's vet and tests, which compile against core.Options.
 
 GO ?= go
 
@@ -72,4 +73,4 @@ cluster-smoke:
 cluster-serve-smoke:
 	sh scripts/cluster_serve_smoke.sh
 
-check: build vet fmt-check test race
+check: build vet fmt-check test race bench-check

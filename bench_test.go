@@ -19,6 +19,7 @@ import (
 	"dima/internal/experiment"
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/mpr"
 	"dima/internal/net"
 	"dima/internal/rng"
@@ -90,14 +91,14 @@ func BenchmarkPairingProbe(b *testing.B) {
 	}
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.ColorEdges(g, core.Options{Seed: uint64(i), CollectParticipation: true})
-		if err != nil {
+		mem := &metrics.Memory{}
+		if _, err := core.ColorEdges(g, core.Options{Seed: uint64(i), Metrics: mem}); err != nil {
 			b.Fatal(err)
 		}
 		var active, paired int
-		for _, p := range res.Participation {
-			active += p.Active
-			paired += p.Paired
+		for _, rs := range mem.Rounds {
+			active += rs.Active
+			paired += rs.Paired
 		}
 		rate = float64(paired) / float64(active)
 	}

@@ -26,7 +26,7 @@ import (
 	"os"
 	"strconv"
 
-	_ "dima/internal/core" // registers the dima/edge/v1 and dima/strong/v1 node factories
+	_ "dima/internal/core" // registers the dima/edge/v2 and dima/strong/v2 node factories
 	"dima/internal/net"
 )
 

@@ -27,8 +27,8 @@ import (
 // options blob, or the state encoding must bump them so mixed-version
 // clusters fail the factory lookup instead of diverging silently.
 const (
-	edgeFactoryName   = "dima/edge/v1"
-	strongFactoryName = "dima/strong/v1"
+	edgeFactoryName   = "dima/edge/v2"
+	strongFactoryName = "dima/strong/v2"
 )
 
 func init() {
@@ -57,8 +57,7 @@ const (
 	cofNoOverhear      = 1 << 1 // DisableOverhearFilter
 	cofNoConfirm       = 1 << 2 // UnsafeNoConfirm
 	cofRecovery        = 1 << 3 // Recovery.Enabled
-	cofParticipation   = 1 << 4 // CollectParticipation
-	cofTelemetry       = 1 << 5 // Metrics != nil (nodes keep event logs)
+	cofTelemetry       = 1 << 4 // Metrics != nil (nodes keep event logs)
 )
 
 // appendClusterOptions encodes the Options fields that influence node
@@ -79,9 +78,6 @@ func appendClusterOptions(buf []byte, o *Options) []byte {
 	}
 	if o.Recovery.Enabled {
 		flags |= cofRecovery
-	}
-	if o.CollectParticipation {
-		flags |= cofParticipation
 	}
 	if o.Metrics != nil {
 		flags |= cofTelemetry
@@ -107,7 +103,7 @@ func decodeClusterOptions(spec []byte) (*Options, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after options blob", len(d.buf))
 	}
-	if flags&^byte(cofRandomColorRule|cofNoOverhear|cofNoConfirm|cofRecovery|cofParticipation|cofTelemetry) != 0 {
+	if flags&^byte(cofRandomColorRule|cofNoOverhear|cofNoConfirm|cofRecovery|cofTelemetry) != 0 {
 		return nil, fmt.Errorf("core: unknown option flag bits %#x", flags)
 	}
 	if flags&cofRandomColorRule != 0 {
@@ -116,9 +112,8 @@ func decodeClusterOptions(spec []byte) (*Options, error) {
 	o.DisableOverhearFilter = flags&cofNoOverhear != 0
 	o.UnsafeNoConfirm = flags&cofNoConfirm != 0
 	o.Recovery.Enabled = flags&cofRecovery != 0
-	o.CollectParticipation = flags&cofParticipation != 0
 	if flags&cofTelemetry != 0 {
-		// The node keeps its telemetry event log (obs == true) for the
+		// The nodes keep their per-round event logs (nodeEvents.log) for the
 		// harvest; per-round engine stats are the coordinator's job.
 		o.Metrics = discardSink{}
 	}
@@ -158,55 +153,35 @@ func strongClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, 
 }
 
 // State encodings. Only the fields the post-run assembly reads survive
-// the harvest: the color map, the defensive/recovery counters, the
-// participation log, and the telemetry event log. Mid-negotiation state
-// (pending invitations, acknowledgement clocks) dies with the process —
-// by the time a harvest happens the run is over at a round barrier, and
-// assembly never looks at it.
+// the harvest: the color map and the event record. Mid-negotiation
+// state (pending invitations, acknowledgement clocks) dies with the
+// process — by the time a harvest happens the run is over at a round
+// barrier, and assembly never looks at it.
 
 func (n *ecNode) AppendState(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(n.defensiveRejects))
-	buf = appendRecCounters(buf, &n.recC)
 	buf = appendColors(buf, n.colors, func(i int) int { return int(n.inc[i]) })
-	buf = appendBoolLog(buf, n.paired)
-	return appendTelemetryLog(buf, &n.tel)
+	return appendEvents(buf, &n.ev)
 }
 
 func (n *ecNode) RestoreState(data []byte) error {
 	d := stateDec{buf: data}
-	n.defensiveRejects = d.count("defensive rejects")
-	d.recCounters(&n.recC)
-	d.colors("edge", func(e int) int { return n.slot(graph.EdgeID(e)) }, n.colors)
-	n.paired = d.boolLog("participation log")
-	d.telemetryLog(&n.tel)
+	slot := func(e int) int { return n.slot(graph.EdgeID(e)) }
+	d.colors("edge", slot, n.colors)
+	d.events("edge", slot, &n.ev)
 	return d.finish("edge node state")
 }
 
 func (n *scNode) AppendState(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(n.defensiveRejects))
-	buf = binary.AppendUvarint(buf, uint64(n.conflictsDropped))
-	buf = appendRecCounters(buf, &n.recC)
 	buf = appendColors(buf, n.colors, func(s int) int { return int(n.arcAt(s)) })
-	buf = appendBoolLog(buf, n.paired)
-	return appendTelemetryLog(buf, &n.tel)
+	return appendEvents(buf, &n.ev)
 }
 
 func (n *scNode) RestoreState(data []byte) error {
 	d := stateDec{buf: data}
-	n.defensiveRejects = d.count("defensive rejects")
-	n.conflictsDropped = d.count("conflicts dropped")
-	d.recCounters(&n.recC)
-	d.colors("arc", func(a int) int { return n.slot(graph.ArcID(a)) }, n.colors)
-	n.paired = d.boolLog("participation log")
-	d.telemetryLog(&n.tel)
+	slot := func(a int) int { return n.slot(graph.ArcID(a)) }
+	d.colors("arc", slot, n.colors)
+	d.events("arc", slot, &n.ev)
 	return d.finish("strong node state")
-}
-
-func appendRecCounters(buf []byte, c *recCounters) []byte {
-	buf = binary.AppendUvarint(buf, uint64(c.retransmits))
-	buf = binary.AppendUvarint(buf, uint64(c.repairs))
-	buf = binary.AppendUvarint(buf, uint64(c.reverts))
-	return binary.AppendUvarint(buf, uint64(c.probes))
 }
 
 // appendColors encodes a node's colored slots as (id, color) pairs
@@ -229,28 +204,20 @@ func appendColors(buf []byte, colors []int32, id func(s int) int) []byte {
 	return buf
 }
 
-func appendBoolLog(buf []byte, log []bool) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(log)))
-	for _, b := range log {
-		v := byte(0)
-		if b {
-			v = 1
-		}
-		buf = append(buf, v)
+// appendEvents encodes a node's event record: the run totals, then the
+// per-round log and the assignments (both empty unless the node logs).
+func appendEvents(buf []byte, e *nodeEvents) []byte {
+	for _, v := range e.total {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	return buf
-}
-
-func appendTelemetryLog(buf []byte, t *nodeTelemetry) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(t.rounds)))
-	for _, ev := range t.rounds {
-		for _, v := range [...]int{ev.active, ev.invited, ev.listened, ev.paired, ev.rejects,
-			ev.dropped, ev.retransmits, ev.repairs, ev.reverts, ev.probes} {
+	buf = binary.AppendUvarint(buf, uint64(len(e.rounds)))
+	for _, ev := range e.rounds {
+		for _, v := range ev {
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.assigns)))
-	for _, a := range t.assigns {
+	buf = binary.AppendUvarint(buf, uint64(len(e.assigns)))
+	for _, a := range e.assigns {
 		buf = binary.AppendUvarint(buf, uint64(a.round))
 		buf = binary.AppendUvarint(buf, uint64(a.item))
 		buf = binary.AppendUvarint(buf, uint64(a.color))
@@ -301,13 +268,6 @@ func (d *stateDec) byte(what string) byte {
 	return b
 }
 
-func (d *stateDec) recCounters(c *recCounters) {
-	c.retransmits = d.count("retransmit counter")
-	c.repairs = d.count("repair counter")
-	c.reverts = d.count("revert counter")
-	c.probes = d.count("probe counter")
-}
-
 // colors decodes appendColors' pairs into a node's slot colors; slot
 // maps an edge or arc id to its slot, or -1 when the id is not one of
 // the node's.
@@ -328,73 +288,41 @@ func (d *stateDec) colors(what string, slot func(id int) int, colors []int32) {
 	}
 }
 
-func (d *stateDec) boolLog(what string) []bool {
-	count := d.count(what + " length")
+// events decodes appendEvents' record. Counts are bounded by the bytes
+// left, and every assignment must name one of the node's items (slot
+// maps an id to its slot, or -1), so a hostile blob cannot make the
+// post-run fold index out of range.
+func (d *stateDec) events(what string, slot func(id int) int, e *nodeEvents) {
+	for k := range e.total {
+		e.total[k] = d.count("event total")
+	}
+	// Each round record costs at least numEvents bytes, each assignment 3.
+	rounds := d.count("event round count")
+	if d.err == nil && rounds > len(d.buf)/int(numEvents) {
+		d.err = fmt.Errorf("core: implausible event round count %d", rounds)
+	}
 	if d.err != nil {
-		return nil
+		return
 	}
-	if count > len(d.buf) {
-		d.err = fmt.Errorf("core: %s of %d entries exceeds %d remaining bytes", what, count, len(d.buf))
-		return nil
-	}
-	if count == 0 {
-		return nil
-	}
-	log := make([]bool, count)
-	for i := range log {
-		switch d.buf[i] {
-		case 0:
-		case 1:
-			log[i] = true
-		default:
-			d.err = fmt.Errorf("core: bad %s byte %#x", what, d.buf[i])
-			return nil
+	e.rounds = make([][numEvents]int, rounds)
+	for r := range e.rounds {
+		for k := range e.rounds[r] {
+			e.rounds[r][k] = d.count("round event count")
 		}
 	}
-	d.buf = d.buf[count:]
-	return log
-}
-
-func (d *stateDec) telemetryLog(t *nodeTelemetry) {
-	rounds := d.count("telemetry round count")
+	assigns := d.count("assignment count")
+	if d.err == nil && assigns > len(d.buf)/3 {
+		d.err = fmt.Errorf("core: implausible assignment count %d", assigns)
+	}
 	if d.err != nil {
 		return
 	}
-	// Each round record costs at least 10 bytes on the wire.
-	if rounds > len(d.buf)/10+1 {
-		d.err = fmt.Errorf("core: implausible telemetry round count %d", rounds)
-		return
-	}
-	if rounds > 0 {
-		t.rounds = make([]nodeRoundEvents, rounds)
-		for i := range t.rounds {
-			ev := &t.rounds[i]
-			ev.active = d.count("telemetry counter")
-			ev.invited = d.count("telemetry counter")
-			ev.listened = d.count("telemetry counter")
-			ev.paired = d.count("telemetry counter")
-			ev.rejects = d.count("telemetry counter")
-			ev.dropped = d.count("telemetry counter")
-			ev.retransmits = d.count("telemetry counter")
-			ev.repairs = d.count("telemetry counter")
-			ev.reverts = d.count("telemetry counter")
-			ev.probes = d.count("telemetry counter")
-		}
-	}
-	assigns := d.count("telemetry assign count")
-	if d.err != nil {
-		return
-	}
-	if assigns > len(d.buf)/3+1 {
-		d.err = fmt.Errorf("core: implausible telemetry assign count %d", assigns)
-		return
-	}
-	if assigns > 0 {
-		t.assigns = make([]assignEvent, assigns)
-		for i := range t.assigns {
-			t.assigns[i].round = d.count("assign round")
-			t.assigns[i].item = d.count("assign item")
-			t.assigns[i].color = d.count("assign color")
+	e.assigns = make([]assignEvent, assigns)
+	for i := range e.assigns {
+		a := &e.assigns[i]
+		a.round, a.item, a.color = d.count("assignment round"), d.count(what+" id"), d.count(what+" color")
+		if d.err == nil && (slot(a.item) < 0 || a.color > math.MaxInt32) {
+			d.err = fmt.Errorf("core: assignment of %s %d color %d does not belong to this node", what, a.item, a.color)
 		}
 	}
 }

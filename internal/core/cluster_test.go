@@ -91,19 +91,19 @@ var clusterVariants = []clusterVariant{
 // per-round metric streams for comparison.
 func clusterOptions(seed uint64, v clusterVariant, mem *metrics.Memory) Options {
 	return Options{
-		Seed:                 seed,
-		Fault:                v.fault,
-		Recovery:             v.recovery,
-		CollectParticipation: true,
-		Metrics:              mem,
+		Seed:     seed,
+		Fault:    v.fault,
+		Recovery: v.recovery,
+		Metrics:  mem,
 	}
 }
 
 // TestClusterColorEdgesMatchesSync is the top-level byte-identity
 // property for Algorithm 1 on the tcp engine: for every node-count and
 // fault variant, ColorEdges through real OS processes must reproduce
-// the sequential run exactly — coloring, Result aggregates,
-// participation log, and the per-round telemetry stream.
+// the sequential run exactly — coloring, Result aggregates, and the
+// per-round telemetry stream, which must also satisfy the stream
+// invariants of assertStreamMatchesResult under loss and recovery.
 func TestClusterColorEdgesMatchesSync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns node processes")
@@ -139,6 +139,7 @@ func TestClusterColorEdgesMatchesSync(t *testing.T) {
 				if !reflect.DeepEqual(mem.Rounds, wantMem.Rounds) {
 					t.Fatalf("nodes=%d: per-round metric stream diverged from sync", k)
 				}
+				assertStreamMatchesResult(t, "nodes="+itoa(k), res, mem.Rounds, g.N())
 				assertNoChildProcesses(t)
 			}
 		})
@@ -181,6 +182,7 @@ func TestClusterColorStrongMatchesSync(t *testing.T) {
 				if !reflect.DeepEqual(mem.Rounds, wantMem.Rounds) {
 					t.Fatalf("nodes=%d: per-round metric stream diverged from sync", k)
 				}
+				assertStreamMatchesResult(t, "nodes="+itoa(k), res, mem.Rounds, d.N())
 				assertNoChildProcesses(t)
 			}
 		})

@@ -72,11 +72,7 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 	endpoints := make([]int8, g.M())
 	for u := range ecs {
 		n := &ecs[u]
-		res.DefensiveRejects += n.defensiveRejects
-		res.Retransmits += n.recC.retransmits
-		res.Repairs += n.recC.repairs
-		res.Reverts += n.recC.reverts
-		res.Probes += n.recC.probes
+		res.addEvents(&n.ev)
 		for i, c32 := range n.colors {
 			if c32 < 0 {
 				continue
@@ -96,17 +92,12 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 			res.HalfColored++
 		}
 	}
-	if opt.CollectParticipation {
-		res.Participation = aggregateParticipation(res.CompRounds, func(u int) []bool {
-			return ecs[u].paired
-		}, g.N())
-	}
 	if opt.Metrics != nil {
-		tels := make([]*nodeTelemetry, len(ecs))
+		events := make([]*nodeEvents, len(ecs))
 		for i := range ecs {
-			tels[i] = &ecs[i].tel
+			events[i] = &ecs[i].ev
 		}
-		emitRoundStats(opt.Metrics, traffic, tels, ecPhases, g.M(), g.N())
+		emitRoundStats(opt.Metrics, traffic, events, ecPhases, g.M(), g.N())
 	}
 	if res.Terminated {
 		for e, c := range res.Colors {
@@ -148,7 +139,11 @@ type ecNode struct {
 	// until this node's next Step, per the net.Node contract.
 	out []msg.Message
 
-	defensiveRejects int
+	// curRound is the computation round of the current Step; ev records
+	// the node's protocol events. Both sit next to out because every
+	// Step touches all three, and one cache line can hold them.
+	curRound int
+	ev       nodeEvents
 
 	// Recovery state (Options.Recovery; see recovery.go). pendingAck
 	// holds responder-side assignments awaiting the partner's paint
@@ -159,17 +154,6 @@ type ecNode struct {
 	pendingAck map[graph.EdgeID]*ecPending
 	retransQ   []msg.Message
 	attempts   map[graph.EdgeID]int
-	recC       recCounters
-
-	// Telemetry (Options.Metrics): obs gates all event logging, curRound
-	// is the computation round of the current Step.
-	obs      bool
-	curRound int
-	tel      nodeTelemetry
-
-	// Participation log (Options.CollectParticipation): one entry per
-	// computation round this node was active in; true if it paired.
-	paired []bool
 }
 
 // newECNodes builds the nodes of vertices [lo, hi) with their per-vertex
@@ -195,7 +179,7 @@ func newECNodes(g *graph.Graph, lo, hi int, opt *Options) []ecNode {
 			id:        u,
 			g:         g,
 			opt:       opt,
-			obs:       opt.Metrics != nil,
+			ev:        nodeEvents{log: opt.Metrics != nil},
 			r:         *base.Derive(uint64(u)),
 			mach:      *automaton.NewMachine(u, opt.Hook),
 			inc:       g.IncidentEdges(u),
@@ -247,9 +231,7 @@ func (n *ecNode) Done() bool { return n.mach.State() == automaton.Done }
 func (n *ecNode) recOn() bool { return n.opt.Recovery.Enabled }
 
 func (n *ecNode) Step(round int, inbox []msg.Message) []msg.Message {
-	if n.obs {
-		n.curRound = round / ecPhases
-	}
+	n.curRound = round / ecPhases
 	out := n.out[:0]
 	switch {
 	case n.Done():
@@ -322,22 +304,13 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 			return out
 		}
 	}
-	if n.opt.CollectParticipation {
-		n.paired = append(n.paired, false)
-	}
-	var ev *nodeRoundEvents
-	if n.obs {
-		ev = n.tel.at(n.curRound)
-		ev.active++
-	}
+	n.ev.add(evActive, n.curRound)
 	// C state: coin toss (line 1.8).
 	if n.r.Bool() {
 		// Inviter: random uncolored edge, lowest available color
 		// (lines 1.10–1.12).
 		n.mach.MustTransition(automaton.Invite)
-		if ev != nil {
-			ev.invited++
-		}
+		n.ev.add(evInvite, n.curRound)
 		i := n.uncolored[n.r.Intn(len(n.uncolored))]
 		e, v := n.inc[i], n.adj.nbrs[i]
 		c := n.proposeColor(e, &n.usedNbr[i])
@@ -350,9 +323,7 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 		})
 	}
 	n.mach.MustTransition(automaton.Listen)
-	if ev != nil {
-		ev.listened++
-	}
+	n.ev.add(evListen, n.curRound)
 	return out
 }
 
@@ -379,7 +350,7 @@ func (n *ecNode) absorbPaints(m msg.Message, out []msg.Message) []msg.Message {
 			continue
 		}
 		n.assign(e, p.Color, m.From)
-		n.repair()
+		n.ev.add(evRepair, n.curRound)
 	}
 	return out
 }
@@ -408,10 +379,7 @@ func (n *ecNode) ageAcks() {
 			Kind: msg.KindResponse, From: n.id, To: pa.partner,
 			Edge: int(e), Color: pa.color, Seq: uint32(pa.tries),
 		})
-		n.recC.retransmits++
-		if n.obs {
-			n.tel.at(n.curRound).retransmits++
-		}
+		n.ev.add(evRetransmit, n.curRound)
 	}
 }
 
@@ -469,14 +437,14 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 					Kind: msg.KindResponse, From: n.id, To: m.From,
 					Edge: m.Edge, Color: c, Seq: m.Seq + 1,
 				})
-				n.retransmit()
+				n.ev.add(evRetransmit, n.curRound)
 				continue
 			}
 		}
 		if n.acceptable(m) {
 			valid++
 		} else {
-			n.reject()
+			n.ev.add(evReject, n.curRound)
 		}
 	}
 	if valid == 0 {
@@ -527,7 +495,7 @@ func (n *ecNode) phaseUpdateExchange(inbox, out []msg.Message) []msg.Message {
 				} else {
 					// A response for my edge with mismatched partner or
 					// color cannot occur under the protocol.
-					n.reject()
+					n.ev.add(evReject, n.curRound)
 				}
 			}
 		}
@@ -585,7 +553,7 @@ func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool, out []msg.M
 		}
 		n.assign(e, m.Color, m.From)
 		if !(wasWait && e == n.inviteEdge && m.From == n.inviteTo && m.Color == n.inviteColor) {
-			n.repair()
+			n.ev.add(evRepair, n.curRound)
 		}
 	}
 	return out
@@ -635,10 +603,7 @@ func (n *ecNode) revert(e graph.EdgeID, c int) {
 			break
 		}
 	}
-	n.recC.reverts++
-	if n.obs {
-		n.tel.at(n.curRound).reverts++
-	}
+	n.ev.add(evRevert, n.curRound)
 }
 
 // rebuildUsedSelf recomputes the live-complement set from scratch;
@@ -674,25 +639,9 @@ func (n *ecNode) answerColoredInvites(inbox []msg.Message, out []msg.Message) []
 			Kind: msg.KindResponse, From: n.id, To: m.From,
 			Edge: m.Edge, Color: c, Seq: m.Seq + 1,
 		})
-		n.retransmit()
+		n.ev.add(evRetransmit, n.curRound)
 	}
 	return out
-}
-
-// repair and retransmit bump the recovery counters plus their telemetry
-// mirrors.
-func (n *ecNode) repair() {
-	n.recC.repairs++
-	if n.obs {
-		n.tel.at(n.curRound).repairs++
-	}
-}
-
-func (n *ecNode) retransmit() {
-	n.recC.retransmits++
-	if n.obs {
-		n.tel.at(n.curRound).retransmits++
-	}
 }
 
 // incidentFrom reports whether e is an edge between this node and from —
@@ -705,24 +654,10 @@ func (n *ecNode) incidentFrom(e graph.EdgeID, from int) bool {
 	return (ed.U == n.id && ed.V == from) || (ed.V == n.id && ed.U == from)
 }
 
-// reject counts a responder-side defensive rejection.
-func (n *ecNode) reject() {
-	n.defensiveRejects++
-	if n.obs {
-		n.tel.at(n.curRound).rejects++
-	}
-}
-
 // assign colors edge e with c, updating the live/dead bookkeeping and
 // queueing the exchange broadcast.
 func (n *ecNode) assign(e graph.EdgeID, c int, partner int) {
-	if n.opt.CollectParticipation && len(n.paired) > 0 {
-		n.paired[len(n.paired)-1] = true
-	}
-	if n.obs {
-		n.tel.at(n.curRound).paired++
-		n.tel.assigns = append(n.tel.assigns, assignEvent{round: n.curRound, item: int(e), color: c})
-	}
+	n.ev.assign(n.curRound, int(e), c)
 	i := n.slot(e)
 	n.colors[i] = int32(c)
 	n.usedSelf.Add(c)

@@ -421,26 +421,28 @@ func TestQuickEdgeColorAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestEdgeColorParticipation measures Proposition 1 / Equation (1) on
+// the RoundStats stream.
 func TestEdgeColorParticipation(t *testing.T) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(30), 150, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustColorEdges(t, g, Options{Seed: 31, CollectParticipation: true})
-	if len(res.Participation) != res.CompRounds {
-		t.Fatalf("participation length %d != %d rounds", len(res.Participation), res.CompRounds)
+	res, rounds := runWithMetrics(t, "edges", g, Options{Seed: 31})
+	if len(rounds) != res.CompRounds {
+		t.Fatalf("participation length %d != %d rounds", len(rounds), res.CompRounds)
 	}
 	// Proposition 1 / Equation (1): in every round the chance an active
 	// node pairs is at least ~1/4 (invitee side alone), and at most 1
 	// by definition. Check the aggregate rate over the whole run: total
 	// pairings = 2 per colored edge.
 	var active, paired int
-	for _, p := range res.Participation {
-		if p.Paired > p.Active {
-			t.Fatalf("round with more pairings than active nodes: %+v", p)
+	for _, rs := range rounds {
+		if rs.Paired > rs.Active {
+			t.Fatalf("round with more pairings than active nodes: %+v", rs)
 		}
-		active += p.Active
-		paired += p.Paired
+		active += rs.Active
+		paired += rs.Paired
 	}
 	if paired != 2*g.M() {
 		t.Fatalf("total pairings %d != 2M = %d", paired, 2*g.M())
@@ -454,9 +456,23 @@ func TestEdgeColorParticipation(t *testing.T) {
 	}
 }
 
+// TestEdgeColorParticipationDisabledByDefault: without a Metrics sink
+// the nodes keep their run totals but no per-round log.
 func TestEdgeColorParticipationDisabledByDefault(t *testing.T) {
-	res := mustColorEdges(t, gen.Cycle(6), Options{Seed: 32})
-	if res.Participation != nil {
-		t.Fatal("participation collected without opt-in")
+	g := gen.Cycle(6)
+	opt := Options{Seed: 32}
+	ecs := newECNodes(g, 0, g.N(), &opt)
+	nodes := make([]net.Node, len(ecs))
+	for i := range ecs {
+		nodes[i] = &ecs[i]
+	}
+	res, err := net.RunSync(g, nodes, net.Config{MaxRounds: 1000})
+	if err != nil || !res.Terminated {
+		t.Fatalf("run failed: %v", err)
+	}
+	for u := range ecs {
+		if e := &ecs[u].ev; e.rounds != nil || e.assigns != nil {
+			t.Fatalf("node %d logged %d rounds, %d assignments without opt-in", u, len(e.rounds), len(e.assigns))
+		}
 	}
 }

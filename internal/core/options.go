@@ -85,24 +85,15 @@ type Options struct {
 	// consumption, results — is byte-identical to the reliable-delivery
 	// implementation.
 	Recovery automaton.Recovery
-	// CollectParticipation enables per-computation-round participation
-	// counters (Result.Participation), used to measure the pairing
-	// probability of the paper's Proposition 1 / Equation (1).
-	CollectParticipation bool
 	// Metrics, when non-nil, receives one metrics.RoundStats per
 	// computation round after the run completes: automaton activity,
 	// pairing and palette progress, and traffic split by message kind.
-	// Summed over the stream, the traffic and conflict fields equal this
-	// Result's aggregates, on every engine. Nil (the default) skips all
-	// per-round accounting.
+	// Its Active and Paired fields measure the pairing probability of the
+	// paper's Proposition 1 / Equation (1). Summed over the stream, the
+	// traffic, conflict and recovery fields equal this Result's
+	// aggregates, on every engine. Nil (the default) skips all per-round
+	// accounting.
 	Metrics metrics.Sink
-}
-
-// Participation counts, for one computation round, how many nodes were
-// still active and how many of them formed a pair (colored an edge or
-// finalized an arc).
-type Participation struct {
-	Active, Paired int
 }
 
 const defaultMaxCompRounds = 100_000
@@ -207,29 +198,6 @@ type Result struct {
 	// one-sided assignments undone by a negative acknowledgement, and
 	// Probes counts status queries sent for stalled arcs.
 	Retransmits, Repairs, Reverts, Probes int
-	// Participation holds per-computation-round activity counters when
-	// Options.CollectParticipation is set (nil otherwise).
-	Participation []Participation
-}
-
-// aggregateParticipation folds per-node pairing logs into per-round
-// counters. pairedOf(u) returns node u's log: one entry per computation
-// round u was active in.
-func aggregateParticipation(rounds int, pairedOf func(u int) []bool, n int) []Participation {
-	out := make([]Participation, rounds)
-	for u := 0; u < n; u++ {
-		log := pairedOf(u)
-		for r, p := range log {
-			if r >= rounds {
-				break
-			}
-			out[r].Active++
-			if p {
-				out[r].Paired++
-			}
-		}
-	}
-	return out
 }
 
 // countColors fills NumColors and MaxColor from Colors, ignoring

@@ -37,12 +37,6 @@ type ecPending struct {
 	tries   int // retransmissions sent
 }
 
-// recCounters aggregates one node's recovery activity; folded into
-// Result and, per round, into the telemetry stream.
-type recCounters struct {
-	retransmits, repairs, reverts, probes int
-}
-
 // ackMsg builds a KindAck. keep == true acknowledges edge/color as
 // settled; keep == false with color >= 0 demands a revert; keep == false
 // with color == -1 is a status probe.

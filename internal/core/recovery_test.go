@@ -141,7 +141,6 @@ func TestRecoveryEnginesEquivalentUnderFaults(t *testing.T) {
 		mem := &metrics.Memory{}
 		opt := recoveryOptions(seed, fault, engine)
 		opt.Metrics = mem
-		opt.CollectParticipation = true
 		var res *Result
 		var err error
 		if strong {
@@ -220,8 +219,8 @@ func (d *resurrectionDetector) count() int {
 // Every engine must therefore evaluate Done() at the same point —
 // immediately after the round's steps — or the engines disagree on the
 // termination round. The test deterministically finds a run where a
-// resurrection actually happens, then requires the chan and shard
-// engines to replay the sync engine exactly on that run.
+// resurrection actually happens, then requires every shard layout to
+// replay the sync engine exactly on that run.
 func TestRecoveryDoneResurrectionEnginesAgree(t *testing.T) {
 	// Resurrections need heavy sustained loss: lighter rates repair
 	// in-flight edges before any endpoint finishes.

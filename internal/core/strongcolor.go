@@ -55,12 +55,7 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 	endpoints := make([]int8, d.A())
 	for u := range scs {
 		n := &scs[u]
-		res.DefensiveRejects += n.defensiveRejects
-		res.ConflictsDropped += n.conflictsDropped
-		res.Retransmits += n.recC.retransmits
-		res.Repairs += n.recC.repairs
-		res.Reverts += n.recC.reverts
-		res.Probes += n.recC.probes
+		res.addEvents(&n.ev)
 		for i, c32 := range n.colors {
 			if c32 < 0 {
 				continue
@@ -80,17 +75,12 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 			res.HalfColored++
 		}
 	}
-	if opt.CollectParticipation {
-		res.Participation = aggregateParticipation(res.CompRounds, func(u int) []bool {
-			return scs[u].paired
-		}, g.N())
-	}
 	if opt.Metrics != nil {
-		tels := make([]*nodeTelemetry, len(scs))
+		events := make([]*nodeEvents, len(scs))
 		for i := range scs {
-			tels[i] = &scs[i].tel
+			events[i] = &scs[i].ev
 		}
-		emitRoundStats(opt.Metrics, traffic, tels, scPhases, d.A(), g.N())
+		emitRoundStats(opt.Metrics, traffic, events, scPhases, d.A(), g.N())
 	}
 	if res.Terminated {
 		for a, c := range res.Colors {
@@ -109,8 +99,7 @@ type scClaim struct {
 	color     int
 	partner   int
 	keep      bool
-	roundIdx  int // index into the participation log (-1 when disabled)
-	compRound int // computation round the claim formed in (telemetry)
+	compRound int // computation round the claim formed in (event attribution)
 }
 
 // scNode is one vertex of Algorithm 2. Per-neighbor state lives in
@@ -164,27 +153,18 @@ type scNode struct {
 	// until this node's next Step, per the net.Node contract.
 	out []msg.Message
 
+	// curRound is the computation round of the current Step; ev records
+	// the node's protocol events. Both sit next to out because every
+	// Step touches all three, and one cache line can hold them.
+	curRound int
+	ev       nodeEvents
+
 	// Recovery state (Options.Recovery; see recovery.go). reaffirmQ holds
 	// keep-Decides re-announcing committed colors (after an adoption, or
 	// to flush out the losing side of a late-detected conflict), drained
 	// at the decide phase so they arrive with the regular knowledge
 	// traffic.
 	reaffirmQ []msg.Message
-	recC      recCounters
-
-	defensiveRejects int
-	conflictsDropped int
-
-	// Telemetry (Options.Metrics): obs gates all event logging, curRound
-	// is the computation round of the current Step.
-	obs      bool
-	curRound int
-	tel      nodeTelemetry
-
-	// Participation log (Options.CollectParticipation): one entry per
-	// computation round this node was active in; true if a claim formed
-	// in that round was finalized.
-	paired []bool
 }
 
 // scOutboxCap is the outbox window each node starts with: the decide
@@ -252,7 +232,7 @@ func newSCNodes(d *graph.Digraph, lo, hi int, opt *Options) []scNode {
 			id:           u,
 			d:            d,
 			opt:          opt,
-			obs:          opt.Metrics != nil,
+			ev:           nodeEvents{log: opt.Metrics != nil},
 			r:            *base.Derive(uint64(u)),
 			mach:         *automaton.NewMachine(u, opt.Hook),
 			inc:          g.IncidentEdges(u),
@@ -289,9 +269,7 @@ func (n *scNode) Done() bool { return n.mach.State() == automaton.Done }
 func (n *scNode) recOn() bool { return n.opt.Recovery.Enabled }
 
 func (n *scNode) Step(round int, inbox []msg.Message) []msg.Message {
-	if n.obs {
-		n.curRound = round / scPhases
-	}
+	n.curRound = round / scPhases
 	out := n.out[:0]
 	switch {
 	case n.Done():
@@ -396,10 +374,7 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []ms
 				continue
 			}
 			out = append(out, ackMsg(n.id, v, int(n.arcAt(deg+i)), -1, false))
-			n.recC.probes++
-			if n.obs {
-				n.tel.at(compRound).probes++
-			}
+			n.ev.add(evProbe, compRound)
 		}
 	}
 	// The machine is in C at every phase-0 entry (the constructor starts
@@ -411,22 +386,13 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []ms
 		n.mach.MustTransition(automaton.Listen)
 		return out
 	}
-	if n.opt.CollectParticipation {
-		n.paired = append(n.paired, false)
-	}
-	var ev *nodeRoundEvents
-	if n.obs {
-		ev = n.tel.at(compRound)
-		ev.active++
-	}
+	n.ev.add(evActive, compRound)
 	// Coin toss; a node with no uncolored outgoing arcs has nothing to
 	// invite on and always listens (its remaining incoming arcs are
 	// colored when the respective neighbors invite).
 	if n.r.Bool() && len(n.uncoloredOut) > 0 {
 		n.mach.MustTransition(automaton.Invite)
-		if ev != nil {
-			ev.invited++
-		}
+		n.ev.add(evInvite, compRound)
 		i := n.uncoloredOut[n.r.Intn(len(n.uncoloredOut))]
 		a, v := n.arcAt(int(i)), n.adj.nbrs[i]
 		c := n.proposeColor(i)
@@ -437,9 +403,7 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []ms
 		})
 	}
 	n.mach.MustTransition(automaton.Listen)
-	if ev != nil {
-		ev.listened++
-	}
+	n.ev.add(evListen, compRound)
 	return out
 }
 
@@ -538,13 +502,13 @@ func (n *scNode) applyDecides(compRound int, inbox, out []msg.Message) []msg.Mes
 	cl := n.claim
 	n.claim = nil
 	if !cl.keep {
-		n.drop(cl)
+		n.ev.add(evDrop, cl.compRound)
 		return out
 	}
 	if !partnerSeen || !partnerKeep {
 		// Partner withdrew (or, under injected faults, its decision was
 		// lost): the arc stays uncolored and is retried.
-		n.drop(cl)
+		n.ev.add(evDrop, cl.compRound)
 		if n.recOn() && !partnerSeen {
 			// The partner may have heard this node's keep and finalized
 			// one-sidedly; demand a revert (a no-op if it also dropped).
@@ -553,41 +517,14 @@ func (n *scNode) applyDecides(compRound int, inbox, out []msg.Message) []msg.Mes
 		return out
 	}
 	if rivalWins {
-		n.drop(cl)
+		n.ev.add(evDrop, cl.compRound)
 		out = append(out, ackMsg(n.id, cl.partner, int(cl.arc), cl.color, false))
 		return out
 	}
-	if cl.roundIdx >= 0 && cl.roundIdx < len(n.paired) {
-		n.paired[cl.roundIdx] = true
-	}
-	if n.obs {
-		n.tel.at(cl.compRound).paired++
-		n.tel.assigns = append(n.tel.assigns, assignEvent{round: cl.compRound, item: int(cl.arc), color: cl.color})
-	}
+	n.ev.assign(cl.compRound, int(cl.arc), cl.color)
 	n.finalize(cl.arc, cl.color)
 	return out
 }
-
-// drop withdraws a claim, attributing the conflict to the round the
-// claim formed in so the telemetry stream matches Participation.
-func (n *scNode) drop(cl *scClaim) {
-	n.conflictsDropped++
-	if n.obs {
-		n.tel.at(cl.compRound).dropped++
-	}
-}
-
-// reject counts a defensive rejection at the current round.
-func (n *scNode) reject() {
-	n.defensiveRejects++
-	if n.obs {
-		n.tel.at(n.curRound).rejects++
-	}
-}
-
-// partIdx returns the current participation-log index (-1 if logging is
-// disabled).
-func (n *scNode) partIdx() int { return len(n.paired) - 1 }
 
 // addColorAt records that a neighbor has color c on an incident arc,
 // which also kills c for this node.
@@ -608,7 +545,7 @@ func (n *scNode) markDead(c int) {
 // finalize records the color of an incident arc.
 func (n *scNode) finalize(a graph.ArcID, c int) {
 	if _, dup := n.colorOf(a); dup {
-		n.reject()
+		n.ev.add(evReject, n.curRound)
 		return
 	}
 	s := n.slot(a)
@@ -657,7 +594,7 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 			if _, already := n.colorOf(graph.ArcID(m.Edge)); n.recOn() && already {
 				continue // answered authoritatively above
 			}
-			n.reject()
+			n.ev.add(evReject, n.curRound)
 			continue
 		}
 		if n.acceptable(m, inbox) {
@@ -677,8 +614,7 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 			k--
 		}
 	}
-	n.setClaim(scClaim{arc: graph.ArcID(m.Edge), color: m.Color, partner: m.From, keep: true,
-		roundIdx: n.partIdx(), compRound: n.curRound})
+	n.setClaim(scClaim{arc: graph.ArcID(m.Edge), color: m.Color, partner: m.From, keep: true, compRound: n.curRound})
 	return append(out, msg.Message{
 		Kind: msg.KindResponse, From: n.id, To: m.From, Edge: m.Edge, Color: m.Color,
 	})
@@ -731,9 +667,9 @@ func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 		if m, ok := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
 			if m.From == n.inviteTo && m.Color == n.inviteColor && (!n.recOn() || m.Seq == 0) {
 				n.setClaim(scClaim{arc: n.inviteArc, color: n.inviteColor, partner: n.inviteTo, keep: true,
-					roundIdx: n.partIdx(), compRound: n.curRound})
+					compRound: n.curRound})
 			} else if !n.recOn() {
-				n.reject()
+				n.ev.add(evReject, n.curRound)
 			}
 			// Under recovery a Seq > 0 response is an authoritative
 			// re-response, handled by the adoption scan below.
@@ -754,13 +690,7 @@ func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 	if n.opt.UnsafeNoConfirm {
 		cl := n.claim
 		n.claim = nil
-		if cl.roundIdx >= 0 && cl.roundIdx < len(n.paired) {
-			n.paired[cl.roundIdx] = true
-		}
-		if n.obs {
-			n.tel.at(cl.compRound).paired++
-			n.tel.assigns = append(n.tel.assigns, assignEvent{round: cl.compRound, item: int(cl.arc), color: cl.color})
-		}
+		n.ev.assign(cl.compRound, int(cl.arc), cl.color)
 		n.finalize(cl.arc, cl.color)
 		return append(out, msg.Message{
 			Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1,
@@ -948,7 +878,7 @@ func (n *scNode) processAcks(inbox, out []msg.Message) []msg.Message {
 				Kind: msg.KindResponse, From: n.id, To: m.From,
 				Edge: m.Edge, Color: c, Seq: 1,
 			})
-			n.retransmit()
+			n.ev.add(evRetransmit, n.curRound)
 		}
 	}
 	return out
@@ -974,7 +904,7 @@ func (n *scNode) answerCommittedInvites(inbox []msg.Message, out []msg.Message) 
 			Kind: msg.KindResponse, From: n.id, To: m.From,
 			Edge: m.Edge, Color: c, Seq: m.Seq + 1,
 		})
-		n.retransmit()
+		n.ev.add(evRetransmit, n.curRound)
 	}
 	return out
 }
@@ -1012,11 +942,8 @@ func (n *scNode) adoptResponses(inbox, out []msg.Message) []msg.Message {
 // queues a re-announcement so the neighborhood learns the color.
 func (n *scNode) adopt(a graph.ArcID, c int) {
 	n.finalize(a, c)
-	n.recC.repairs++
-	if n.obs {
-		n.tel.at(n.curRound).repairs++
-		n.tel.assigns = append(n.tel.assigns, assignEvent{round: n.curRound, item: int(a), color: c})
-	}
+	n.ev.add(evRepair, n.curRound)
+	n.ev.assign(n.curRound, int(a), c)
 	n.reaffirm(a, c)
 }
 
@@ -1077,19 +1004,7 @@ func (n *scNode) revertArc(a graph.ArcID, c int) {
 			n.colorsSelf.Add(int(cc))
 		}
 	}
-	n.recC.reverts++
-	if n.obs {
-		n.tel.at(n.curRound).reverts++
-	}
-}
-
-// retransmit counts an authoritative re-response plus its telemetry
-// mirror.
-func (n *scNode) retransmit() {
-	n.recC.retransmits++
-	if n.obs {
-		n.tel.at(n.curRound).retransmits++
-	}
+	n.ev.add(evRevert, n.curRound)
 }
 
 // arcAt returns the arc of slot s: the out arc to Neighbors(u)[s] for

@@ -6,6 +6,7 @@ import (
 
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/net"
 	"dima/internal/rng"
 	"dima/internal/verify"
@@ -319,13 +320,14 @@ func TestQuickStrongColorAlwaysValid(t *testing.T) {
 
 func TestStrongColorParticipation(t *testing.T) {
 	d := symER(t, 33, 80, 5)
-	res := mustColorStrong(t, d, Options{Seed: 34, CollectParticipation: true})
-	if len(res.Participation) != res.CompRounds {
-		t.Fatalf("participation length %d != %d rounds", len(res.Participation), res.CompRounds)
+	mem := &metrics.Memory{}
+	res := mustColorStrong(t, d, Options{Seed: 34, Metrics: mem})
+	if len(mem.Rounds) != res.CompRounds {
+		t.Fatalf("participation length %d != %d rounds", len(mem.Rounds), res.CompRounds)
 	}
 	var paired int
-	for _, p := range res.Participation {
-		paired += p.Paired
+	for _, rs := range mem.Rounds {
+		paired += rs.Paired
 	}
 	// Each finalized arc pairs both of its endpoints exactly once.
 	if paired != 2*d.A() {

@@ -6,53 +6,103 @@ import (
 	"dima/internal/net"
 )
 
-// nodeRoundEvents counts one node's protocol events in one computation
-// round. Events that belong to a negotiation (paired, dropped) are
-// attributed to the round the negotiation *started* in, so the stream
-// lines up with Result.Participation; defensive rejects are attributed
-// to the round they were detected in.
-type nodeRoundEvents struct {
-	active, invited, listened int
-	paired, rejects, dropped  int
-	// Recovery-layer activity (Options.Recovery; see recovery.go),
-	// attributed to the round it was detected in.
-	retransmits, repairs, reverts, probes int
-}
+// event is one kind of protocol event a node records in its nodeEvents.
+type event int
+
+const (
+	// Run events: summed over the run into the Result, and per
+	// computation round into RoundStats.
+	evReject     event = iota // responder-side defensive rejection
+	evDrop                    // Algorithm 2 claim withdrawn by the confirm exchange
+	evRetransmit              // recovery: Response re-sent or answered from committed state
+	evRepair                  // recovery: assignment adopted from the partner's state
+	evRevert                  // recovery: one-sided assignment undone
+	evProbe                   // recovery: status query for a stalled arc
+	// Round events: logged per computation round only.
+	evActive // started the round with uncolored work
+	evInvite // the C-state coin made it an inviter
+	evListen // the C-state coin made it a listener
+	evPaired // a negotiation attributed to the round colored an item
+	numEvents
+)
+
+// numRunEvents is the number of run events, which come first.
+const numRunEvents = evActive
 
 // assignEvent is one item (edge or arc) receiving a color, attributed
-// to the computation round its pairing formed in.
+// to the computation round its negotiation formed in.
 type assignEvent struct {
 	round, item, color int
 }
 
-// nodeTelemetry is a node's private event log. Only the owning node
-// mutates it (node goroutines never share state), so no synchronization
-// is needed under any engine; the logs are folded into per-round
-// stats after the run completes.
-type nodeTelemetry struct {
-	rounds  []nodeRoundEvents
+// nodeEvents is a node's one record of its protocol events. The run
+// totals are always kept; the per-computation-round log and the
+// assignments only when log is set (Options.Metrics). Only the owning
+// node mutates it, so no engine needs synchronization; the records are
+// folded into the Result and the RoundStats stream after the run.
+type nodeEvents struct {
+	log     bool // first: Step reads it every round
+	total   [numRunEvents]int
+	rounds  [][numEvents]int
 	assigns []assignEvent
 }
 
-// at returns the event record for a computation round, growing the log
-// as needed.
-func (t *nodeTelemetry) at(round int) *nodeRoundEvents {
-	for len(t.rounds) <= round {
-		t.rounds = append(t.rounds, nodeRoundEvents{})
+// add records one event of kind k in computation round r. Events that
+// belong to a negotiation (drops) are attributed to the round it formed
+// in; all others to the round they happened in.
+func (e *nodeEvents) add(k event, r int) {
+	if k < numRunEvents {
+		e.total[k]++
 	}
-	return &t.rounds[round]
+	if e.log {
+		e.at(r)[k]++
+	}
+}
+
+// assign records item receiving color through a negotiation attributed
+// to round r — for Algorithm 2 the round the claim formed in. The node
+// counts as paired in r at most once, and only if it was active in r: a
+// recovery repair by a finished or lingering node colors an item without
+// a pairing event, which keeps Paired <= Active.
+func (e *nodeEvents) assign(r, item, color int) {
+	if !e.log {
+		return
+	}
+	e.assigns = append(e.assigns, assignEvent{round: r, item: item, color: color})
+	if ev := e.at(r); ev[evActive] > 0 {
+		ev[evPaired] = 1
+	}
+}
+
+// at returns the log entry of computation round r, growing the log as
+// needed.
+func (e *nodeEvents) at(r int) *[numEvents]int {
+	for len(e.rounds) <= r {
+		e.rounds = append(e.rounds, [numEvents]int{})
+	}
+	return &e.rounds[r]
+}
+
+// addEvents adds a node's run totals to the Result.
+func (res *Result) addEvents(e *nodeEvents) {
+	fields := [numRunEvents]*int{&res.DefensiveRejects, &res.ConflictsDropped,
+		&res.Retransmits, &res.Repairs, &res.Reverts, &res.Probes}
+	for k, v := range e.total {
+		*fields[k] += v
+	}
 }
 
 // emitRoundStats folds the engine's per-communication-round traffic and
-// the nodes' private event logs into one metrics.RoundStats per
-// computation round, emitted to the sink in round order.
+// the nodes' event logs into one metrics.RoundStats per computation
+// round, emitted to the sink in round order.
 //
-// Invariants (tested in telemetry_test.go): summing Messages,
-// Deliveries, Bytes, ConflictsDropped, and DefensiveRejects over the
-// stream reproduces the corresponding Result aggregates; Active and
-// Paired match Result.Participation; ColoredTotal of the last round is
-// the number of colored items.
-func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, tels []*nodeTelemetry, phases, items, nNodes int) {
+// Invariants (tested in telemetry_test.go, reliable and under
+// recovery): summing Messages, Deliveries, Bytes and the six run-event
+// fields over the stream reproduces the corresponding Result
+// aggregates; Paired <= Active and Inviters + Listeners == Active in
+// every round; ColoredTotal of the last round is the number of colored
+// items.
+func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, events []*nodeEvents, phases, items, nNodes int) {
 	compRounds := (len(traffic) + phases - 1) / phases
 	if compRounds == 0 {
 		return
@@ -91,34 +141,33 @@ func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, tels []*nodeT
 		}
 		return r
 	}
+	counts := make([][numEvents]int, compRounds)
 	assignsByRound := make([][]assignEvent, compRounds)
-	for _, tel := range tels {
-		for r, ev := range tel.rounds {
-			s := &stats[clamp(r)]
-			s.Active += ev.active
-			s.Inviters += ev.invited
-			s.Listeners += ev.listened
-			s.Paired += ev.paired
-			s.DefensiveRejects += ev.rejects
-			s.ConflictsDropped += ev.dropped
-			s.Retransmits += ev.retransmits
-			s.Repairs += ev.repairs
-			s.Reverts += ev.reverts
-			s.Probes += ev.probes
+	for _, e := range events {
+		for r, ev := range e.rounds {
+			c := &counts[clamp(r)]
+			for k, v := range ev {
+				c[k] += v
+			}
 		}
-		for _, a := range tel.assigns {
+		for _, a := range e.assigns {
 			r := clamp(a.round)
 			assignsByRound[r] = append(assignsByRound[r], a)
 		}
 	}
-	// Palette growth and colored counts, walked in round order. Both
-	// endpoints log an assignment for the same item, so distinctness is
-	// tracked per item.
+	// Event counts, palette growth and colored counts, walked in round
+	// order. Both endpoints log an assignment for the same item, so
+	// distinctness is tracked per item.
 	seen := make([]bool, items)
 	var palette ColorSet
 	maxColor, coloredTotal := -1, 0
 	for r := range stats {
 		s := &stats[r]
+		fields := [numEvents]*int{&s.DefensiveRejects, &s.ConflictsDropped, &s.Retransmits,
+			&s.Repairs, &s.Reverts, &s.Probes, &s.Active, &s.Inviters, &s.Listeners, &s.Paired}
+		for k, v := range counts[r] {
+			*fields[k] = v
+		}
 		for _, a := range assignsByRound[r] {
 			if !seen[a.item] {
 				seen[a.item] = true

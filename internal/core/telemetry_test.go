@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,78 +42,136 @@ func runWithMetrics(t *testing.T, algo string, g *graph.Graph, opt Options) (*Re
 	return res, mem.Rounds
 }
 
+// assertStreamMatchesResult checks a run's RoundStats stream against
+// its Result and the per-round invariants that hold on every run,
+// reliable or lossy with recovery: one record per computation round,
+// traffic and all six event fields summing to the Result aggregates,
+// ByKind re-summing to the round totals, Paired <= Active,
+// Inviters + Listeners == Active, Done == n - Active, and, for a
+// terminated run, ColoredTotal equal to the item count.
+func assertStreamMatchesResult(t *testing.T, name string, res *Result, rounds []metrics.RoundStats, n int) {
+	t.Helper()
+	if len(rounds) != res.CompRounds {
+		t.Fatalf("%s: %d RoundStats for %d comp rounds", name, len(rounds), res.CompRounds)
+	}
+	var sum metrics.RoundStats
+	for i, rs := range rounds {
+		if rs.Round != i {
+			t.Fatalf("%s: round %d labeled %d", name, i, rs.Round)
+		}
+		if rs.Paired > rs.Active || rs.Inviters+rs.Listeners != rs.Active || rs.Done != n-rs.Active {
+			t.Fatalf("%s: round %d active %d, inviters %d + listeners %d, paired %d, done %d of %d nodes",
+				name, i, rs.Active, rs.Inviters, rs.Listeners, rs.Paired, rs.Done, n)
+		}
+		var km, kd, kb int64
+		for _, kt := range rs.ByKind {
+			km += kt.Messages
+			kd += kt.Deliveries
+			kb += kt.Bytes
+		}
+		if km != rs.Messages || kd != rs.Deliveries || kb != rs.Bytes {
+			t.Fatalf("%s: round %d ByKind split does not re-sum: %+v", name, i, rs)
+		}
+		sum.Messages += rs.Messages
+		sum.Deliveries += rs.Deliveries
+		sum.Bytes += rs.Bytes
+		sum.CommRounds += rs.CommRounds
+		sum.DefensiveRejects += rs.DefensiveRejects
+		sum.ConflictsDropped += rs.ConflictsDropped
+		sum.Retransmits += rs.Retransmits
+		sum.Repairs += rs.Repairs
+		sum.Reverts += rs.Reverts
+		sum.Probes += rs.Probes
+	}
+	if sum.Messages != res.Messages || sum.Deliveries != res.Deliveries || sum.Bytes != res.Bytes {
+		t.Fatalf("%s: traffic %d/%d/%d != result %d/%d/%d", name,
+			sum.Messages, sum.Deliveries, sum.Bytes, res.Messages, res.Deliveries, res.Bytes)
+	}
+	if sum.CommRounds != res.CommRounds {
+		t.Fatalf("%s: comm rounds %d != %d", name, sum.CommRounds, res.CommRounds)
+	}
+	got := [6]int{sum.DefensiveRejects, sum.ConflictsDropped, sum.Retransmits, sum.Repairs, sum.Reverts, sum.Probes}
+	want := [6]int{res.DefensiveRejects, res.ConflictsDropped, res.Retransmits, res.Repairs, res.Reverts, res.Probes}
+	if got != want {
+		t.Fatalf("%s: stream rejects/dropped/retransmits/repairs/reverts/probes %v != result %v", name, got, want)
+	}
+	if res.Terminated && len(rounds) > 0 && rounds[len(rounds)-1].ColoredTotal != len(res.Colors) {
+		t.Fatalf("%s: ColoredTotal %d != %d items", name, rounds[len(rounds)-1].ColoredTotal, len(res.Colors))
+	}
+}
+
+// lossyRecovery is the recovery arm of the stream tests: 10% uniform
+// delivery loss with the loss-recovery extension enabled.
+func lossyRecovery(seed uint64, engine net.Engine) Options {
+	return recoveryOptions(seed, net.DropRate{Seed: seed + 100, P: 0.1}, engine)
+}
+
 // TestRoundStatsTotalsMatchResult is the headline acceptance check:
 // RoundStats summed over the stream reproduces the Result aggregates,
-// for both algorithms on the sync and a multi-worker shard engine.
+// for both algorithms on the sync and a multi-worker shard engine, on
+// reliable runs and on lossy runs with recovery. On reliable runs every
+// colored item is two pairing events and the final palette is the
+// Result's.
 func TestRoundStatsTotalsMatchResult(t *testing.T) {
 	engines := map[string]net.Engine{"sync": net.RunSync, "shard-3": shardWorkers(3)}
 	for gname, g := range telemetryGraphs(t) {
 		for _, algo := range []string{"edges", "strong"} {
 			for ename, eng := range engines {
-				res, rounds := runWithMetrics(t, algo, g, Options{Seed: 11, Engine: eng})
 				name := gname + "/" + algo + "/" + ename
-				if len(rounds) != res.CompRounds {
-					t.Fatalf("%s: %d RoundStats for %d comp rounds", name, len(rounds), res.CompRounds)
-				}
-				var messages, deliveries, bytes int64
-				var commRounds, conflicts, rejects, paired int
-				for i, rs := range rounds {
-					if rs.Round != i {
-						t.Fatalf("%s: round %d labeled %d", name, i, rs.Round)
-					}
-					messages += rs.Messages
-					deliveries += rs.Deliveries
-					bytes += rs.Bytes
-					commRounds += rs.CommRounds
-					conflicts += rs.ConflictsDropped
-					rejects += rs.DefensiveRejects
+				res, rounds := runWithMetrics(t, algo, g, Options{Seed: 11, Engine: eng})
+				assertStreamMatchesResult(t, name, res, rounds, g.N())
+				paired := 0
+				for _, rs := range rounds {
 					paired += rs.Paired
-					var km, kd, kb int64
-					for _, kt := range rs.ByKind {
-						km += kt.Messages
-						kd += kt.Deliveries
-						kb += kt.Bytes
-					}
-					if km != rs.Messages || kd != rs.Deliveries || kb != rs.Bytes {
-						t.Fatalf("%s: round %d ByKind split does not re-sum: %+v", name, i, rs)
-					}
 				}
-				if messages != res.Messages || deliveries != res.Deliveries || bytes != res.Bytes {
-					t.Fatalf("%s: traffic %d/%d/%d != result %d/%d/%d", name,
-						messages, deliveries, bytes, res.Messages, res.Deliveries, res.Bytes)
+				if paired != 2*len(res.Colors) {
+					t.Fatalf("%s: paired sum %d != 2×%d", name, paired, len(res.Colors))
 				}
-				if commRounds != res.CommRounds {
-					t.Fatalf("%s: comm rounds %d != %d", name, commRounds, res.CommRounds)
-				}
-				if conflicts != res.ConflictsDropped || rejects != res.DefensiveRejects {
-					t.Fatalf("%s: conflicts/rejects %d/%d != %d/%d", name,
-						conflicts, rejects, res.ConflictsDropped, res.DefensiveRejects)
-				}
-				// Each pairing colors one item and involves the two
-				// endpoints logging one assignment each, so Paired summed
-				// over rounds is twice the item count... except that each
-				// node pairs at most once per round, so Paired counts
-				// node-pairings: 2 per colored item.
 				last := rounds[len(rounds)-1]
-				wantItems := len(res.Colors)
-				if last.ColoredTotal != wantItems {
-					t.Fatalf("%s: ColoredTotal %d != %d items", name, last.ColoredTotal, wantItems)
-				}
-				if paired != 2*wantItems {
-					t.Fatalf("%s: paired sum %d != 2×%d", name, paired, wantItems)
-				}
 				if last.NumColors != res.NumColors || last.MaxColor != res.MaxColor {
 					t.Fatalf("%s: palette %d/%d != %d/%d", name,
 						last.NumColors, last.MaxColor, res.NumColors, res.MaxColor)
 				}
+
+				res, rounds = runWithMetrics(t, algo, g, lossyRecovery(11, eng))
+				if !res.Terminated {
+					t.Fatalf("%s/lossy: recovery run did not terminate", name)
+				}
+				if res.Retransmits+res.Repairs+res.Reverts+res.Probes == 0 {
+					t.Fatalf("%s/lossy: recovery never acted; the arm tests nothing", name)
+				}
+				assertStreamMatchesResult(t, name+"/lossy", res, rounds, g.N())
+			}
+		}
+	}
+}
+
+// TestRoundStatsPairedWithinActiveUnderRecovery is the regression test
+// for recovery repairs by nodes that were not active in a round (a
+// finished node resurrected by a revert, or one lingering for an
+// acknowledgement): they color items but must not count as paired, so
+// Paired <= Active and Inviters + Listeners == Active in every round of
+// lossy recovery runs, on the sync and a multi-worker shard engine.
+func TestRoundStatsPairedWithinActiveUnderRecovery(t *testing.T) {
+	engines := map[string]net.Engine{"sync": net.RunSync, "shard-3": shardWorkers(3)}
+	for seed := uint64(0); seed < 10; seed++ {
+		g, err := gen.ErdosRenyiAvgDegree(rng.New(seed), 120, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []string{"edges", "strong"} {
+			for ename, eng := range engines {
+				name := fmt.Sprintf("seed %d/%s/%s", seed, algo, ename)
+				res, rounds := runWithMetrics(t, algo, g, lossyRecovery(seed, eng))
+				assertStreamMatchesResult(t, name, res, rounds, g.N())
 			}
 		}
 	}
 }
 
 // TestRoundStatsEngineEquivalence: identical seeds produce a
-// byte-identical RoundStats stream on every engine (satellite of the
-// sync/chan/shard equivalence property).
+// byte-identical RoundStats stream on every in-process engine layout
+// (part of the engine equivalence property).
 func TestRoundStatsEngineEquivalence(t *testing.T) {
 	for gname, g := range telemetryGraphs(t) {
 		for _, algo := range []string{"edges", "strong"} {
@@ -128,58 +187,30 @@ func TestRoundStatsEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestRoundStatsMatchParticipation: with both collectors enabled, the
-// stream's Active/Paired equal Result.Participation exactly, and the
-// per-round structural invariants hold.
-func TestRoundStatsMatchParticipation(t *testing.T) {
-	for gname, g := range telemetryGraphs(t) {
-		for _, algo := range []string{"edges", "strong"} {
-			res, rounds := runWithMetrics(t, algo, g, Options{Seed: 31, CollectParticipation: true})
-			name := gname + "/" + algo
-			if len(res.Participation) != len(rounds) {
-				t.Fatalf("%s: %d participation rounds, %d RoundStats",
-					name, len(res.Participation), len(rounds))
-			}
-			for i, rs := range rounds {
-				p := res.Participation[i]
-				if rs.Active != p.Active || rs.Paired != p.Paired {
-					t.Fatalf("%s: round %d stats %d/%d != participation %d/%d",
-						name, i, rs.Active, rs.Paired, p.Active, p.Paired)
-				}
-			}
-		}
-	}
-}
-
-// TestParticipationInvariants covers Options.CollectParticipation on
-// ER and regular graphs for both algorithms: Active never increases
-// and Paired never exceeds Active.
+// TestParticipationInvariants covers the stream's participation
+// fields on ER and regular graphs for both algorithms: on reliable runs
+// Active never increases (under recovery a revert can resurrect a
+// finished node) and Paired never exceeds Active.
 func TestParticipationInvariants(t *testing.T) {
 	for gname, g := range telemetryGraphs(t) {
 		for _, algo := range []string{"edges", "strong"} {
-			opt := Options{Seed: 43, CollectParticipation: true}
-			var res *Result
-			if algo == "strong" {
-				res = mustColorStrong(t, graph.NewSymmetric(g), opt)
-			} else {
-				res = mustColorEdges(t, g, opt)
-			}
 			name := gname + "/" + algo
-			if len(res.Participation) == 0 {
+			_, rounds := runWithMetrics(t, algo, g, Options{Seed: 43})
+			if len(rounds) == 0 {
 				t.Fatalf("%s: no participation data", name)
 			}
 			prev := g.N() + 1
-			for i, p := range res.Participation {
-				if p.Active > prev {
-					t.Fatalf("%s: Active increased at round %d: %d > %d", name, i, p.Active, prev)
+			for i, rs := range rounds {
+				if rs.Active > prev {
+					t.Fatalf("%s: Active increased at round %d: %d > %d", name, i, rs.Active, prev)
 				}
-				if p.Paired > p.Active {
-					t.Fatalf("%s: round %d Paired %d > Active %d", name, i, p.Paired, p.Active)
+				if rs.Paired > rs.Active {
+					t.Fatalf("%s: round %d Paired %d > Active %d", name, i, rs.Paired, rs.Active)
 				}
-				if p.Active < 0 || p.Paired < 0 {
-					t.Fatalf("%s: negative counts at round %d: %+v", name, i, p)
+				if rs.Active < 0 || rs.Paired < 0 {
+					t.Fatalf("%s: negative counts at round %d: %+v", name, i, rs)
 				}
-				prev = p.Active
+				prev = rs.Active
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"dima/internal/core"
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/rng"
 	"dima/internal/viz"
 )
@@ -23,7 +24,7 @@ type ConvergencePoint struct {
 // fraction of colored edges (Algorithm 1) or arcs (Algorithm 2) after
 // each computation round, over reps Erdős–Rényi instances. Every pairing
 // colors one edge/arc and is logged by both endpoints, so the per-round
-// pairings from the participation counters divide by two.
+// pairings (RoundStats.Paired) divide by two.
 func Convergence(seed uint64, n int, deg float64, reps int, strong bool) ([]ConvergencePoint, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("experiment: convergence needs repetitions")
@@ -37,7 +38,8 @@ func Convergence(seed uint64, n int, deg float64, reps int, strong bool) ([]Conv
 		if err != nil {
 			return nil, err
 		}
-		opt := core.Options{Seed: r.Uint64(), CollectParticipation: true}
+		mem := &metrics.Memory{}
+		opt := core.Options{Seed: r.Uint64(), Metrics: mem}
 		var res *core.Result
 		if strong {
 			d := graph.NewSymmetric(g)
@@ -53,7 +55,7 @@ func Convergence(seed uint64, n int, deg float64, reps int, strong bool) ([]Conv
 		if !res.Terminated {
 			return nil, fmt.Errorf("experiment: convergence run truncated")
 		}
-		for i, p := range res.Participation {
+		for i, p := range mem.Rounds {
 			for len(colored) <= i {
 				colored = append(colored, 0)
 			}

@@ -33,6 +33,7 @@ import (
 	"dima/internal/core"
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/rng"
 )
 
@@ -72,7 +73,8 @@ type Config struct {
 	// Workers bounds parallel runs; 0 means GOMAXPROCS.
 	Workers int
 	// Options is the base algorithm configuration; per-run seeds are
-	// derived from Seed. CollectParticipation is forced on.
+	// derived from Seed. Each run adds a metrics.Memory to its Metrics
+	// sink and reads the pair rate from the stream.
 	Options core.Options
 }
 
@@ -153,7 +155,8 @@ func runOne(ctx context.Context, spec Spec, rep int, seed uint64, opt core.Optio
 		return Run{}, fmt.Errorf("experiment: %s rep %d: %v", spec.Group, rep, err)
 	}
 	opt.Seed = gr.Uint64()
-	opt.CollectParticipation = true
+	mem := &metrics.Memory{}
+	opt.Metrics = metrics.Multi(opt.Metrics, mem)
 	var res *core.Result
 	if spec.Strong {
 		res, err = core.ColorStrongCtx(ctx, graph.NewSymmetric(g), opt)
@@ -179,9 +182,9 @@ func runOne(ctx context.Context, spec Spec, rep int, seed uint64, opt core.Optio
 		Messages:   res.Messages,
 	}
 	var active, paired int
-	for _, p := range res.Participation {
-		active += p.Active
-		paired += p.Paired
+	for _, rs := range mem.Rounds {
+		active += rs.Active
+		paired += rs.Paired
 	}
 	if active > 0 {
 		run.PairRate = float64(paired) / float64(active)

@@ -6,6 +6,7 @@ import (
 	"dima/internal/core"
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/rng"
 	"dima/internal/stats"
 )
@@ -43,7 +44,8 @@ func PairingProbability(seed uint64, n int, deg float64, reps int, strong bool) 
 		if err != nil {
 			return nil, err
 		}
-		opt := core.Options{Seed: r.Uint64(), CollectParticipation: true}
+		mem := &metrics.Memory{}
+		opt := core.Options{Seed: r.Uint64(), Metrics: mem}
 		var res *core.Result
 		if strong {
 			res, err = core.ColorStrong(graph.NewSymmetric(g), opt)
@@ -56,7 +58,7 @@ func PairingProbability(seed uint64, n int, deg float64, reps int, strong bool) 
 		if !res.Terminated {
 			return nil, fmt.Errorf("experiment: pairing probe run truncated")
 		}
-		for i, p := range res.Participation {
+		for i, p := range mem.Rounds {
 			for len(points) <= i {
 				points = append(points, PairingPoint{Round: len(points)})
 			}

@@ -19,7 +19,7 @@ import (
 // twins — same graph, same options decoded from spec, same derived RNG
 // streams — so the distributed run is byte-identical to an in-process
 // one. Protocol packages register their factories in init (the core
-// package registers "dima/edge/v1" and "dima/strong/v1").
+// package registers "dima/edge/v2" and "dima/strong/v2").
 type NodeFactory func(g *graph.Graph, spec []byte, lo, hi int) ([]Node, error)
 
 var (
