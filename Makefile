@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
+.PHONY: all build test race vet fmt fmt-check fuzz-smoke bench bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -29,6 +29,17 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# `go test` replays only the seed corpora. This runs every fuzz target
+# in the module for 5 s of new inputs each, one at a time, since -fuzz
+# takes one target per package.
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for fn in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$fn"; \
+			$(GO) test -run='^$$' -fuzz="^$$fn$$" -fuzztime=5s $$pkg; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -19,104 +19,35 @@ import (
 	"os"
 
 	"dima/internal/gen"
-	"dima/internal/graph"
 	"dima/internal/graphio"
-	"dima/internal/rng"
 )
 
 func main() {
-	var (
-		family = flag.String("family", "er", "graph family")
-		n      = flag.Int("n", 100, "number of vertices")
-		deg    = flag.Float64("deg", 8, "average degree (er)")
-		p      = flag.Float64("p", 0.1, "edge probability (gnp, bipartite)")
-		m      = flag.Int("m", 100, "edge count (gnm)")
-		k      = flag.Int("k", 2, "attachment edges (ba) / lattice half-degree (ws) / regular degree")
-		power  = flag.Float64("power", 1.0, "attachment weighting exponent (ba)")
-		beta   = flag.Float64("beta", 0.1, "rewire probability (ws)")
-		rows   = flag.Int("rows", 10, "grid rows")
-		cols   = flag.Int("cols", 10, "grid cols")
-		dim    = flag.Int("dim", 6, "hypercube dimension")
-		radius = flag.Float64("radius", 0.15, "connection radius (geometric)")
-		left   = flag.Int("left", 50, "left part size (bipartite)")
-		right  = flag.Int("right", 50, "right part size (bipartite)")
-		seed   = flag.Uint64("seed", 1, "random seed")
-		out    = flag.String("o", "", "output file (default stdout)")
-	)
+	var spec gen.Spec
+	flag.StringVar(&spec.Family, "family", "er", "graph family")
+	flag.IntVar(&spec.N, "n", 100, "number of vertices")
+	flag.Float64Var(&spec.Deg, "deg", 8, "average degree (er)")
+	flag.Float64Var(&spec.P, "p", 0.1, "edge probability (gnp, bipartite)")
+	flag.IntVar(&spec.M, "m", 100, "edge count (gnm)")
+	flag.IntVar(&spec.K, "k", 2, "attachment edges (ba) / lattice half-degree (ws) / regular degree / max degree/8 (powerlaw)")
+	flag.Float64Var(&spec.Power, "power", 1.0, "attachment weighting exponent (ba) / degree exponent - 1.5 (powerlaw)")
+	flag.Float64Var(&spec.Beta, "beta", 0.1, "rewire probability (ws)")
+	flag.IntVar(&spec.Rows, "rows", 10, "grid rows")
+	flag.IntVar(&spec.Cols, "cols", 10, "grid cols")
+	flag.IntVar(&spec.Dim, "dim", 6, "hypercube dimension")
+	flag.Float64Var(&spec.Radius, "radius", 0.15, "connection radius (geometric)")
+	flag.IntVar(&spec.Left, "left", 50, "left part size (bipartite)")
+	flag.IntVar(&spec.Right, "right", 50, "right part size (bipartite)")
+	flag.Uint64Var(&spec.Seed, "seed", 1, "random seed")
+	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	// The constructive families (gen.Complete, gen.Grid, gen.Hypercube,
-	// ...) document panics on out-of-range sizes; the CLI boundary must
-	// catch hostile flag values first and exit 2 with a message.
-	if *n < 0 {
-		usage(fmt.Errorf("-n wants a non-negative vertex count, got %d", *n))
+	// A bad flag value exits 2, before any generator runs; a generator
+	// that cannot satisfy valid parameters exits 1.
+	if err := spec.Validate(); err != nil {
+		usage(err)
 	}
-	if *m < 0 {
-		usage(fmt.Errorf("-m wants a non-negative edge count, got %d", *m))
-	}
-	if *k < 0 {
-		usage(fmt.Errorf("-k wants a non-negative degree, got %d", *k))
-	}
-	if *rows < 0 || *cols < 0 {
-		usage(fmt.Errorf("-rows and -cols want non-negative sizes, got %d x %d", *rows, *cols))
-	}
-	if *dim < 0 || *dim > 30 {
-		usage(fmt.Errorf("-dim wants a hypercube dimension in [0, 30], got %d", *dim))
-	}
-	if *left < 0 || *right < 0 {
-		usage(fmt.Errorf("-left and -right want non-negative part sizes, got %d and %d", *left, *right))
-	}
-
-	r := rng.New(*seed)
-	var g *graph.Graph
-	var err error
-	switch *family {
-	case "er":
-		g, err = gen.ErdosRenyiAvgDegree(r, *n, *deg)
-	case "gnp":
-		g, err = gen.ErdosRenyiGNP(r, *n, *p)
-	case "gnm":
-		g, err = gen.ErdosRenyiGNM(r, *n, *m)
-	case "ba":
-		g, err = gen.BarabasiAlbert(r, *n, *k, *power)
-	case "ws":
-		g, err = gen.WattsStrogatz(r, *n, *k, *beta)
-	case "regular":
-		g, err = gen.RandomRegular(r, *n, *k)
-	case "geometric":
-		g, err = gen.RandomGeometric(r, *n, *radius)
-	case "powerlaw":
-		maxDeg := *k * 8
-		if maxDeg >= *n {
-			maxDeg = *n - 1
-		}
-		if maxDeg < 1 {
-			maxDeg = 1
-		}
-		var degrees []int
-		degrees, err = gen.PowerLawDegrees(r, *n, 1, maxDeg, *power+1.5)
-		if err == nil {
-			g, err = gen.ConfigurationModel(r, degrees)
-		}
-	case "tree":
-		g = gen.RandomTree(r, *n)
-	case "bipartite":
-		g, err = gen.RandomBipartite(r, *left, *right, *p)
-	case "complete":
-		g = gen.Complete(*n)
-	case "cycle":
-		g = gen.Cycle(*n)
-	case "path":
-		g = gen.Path(*n)
-	case "star":
-		g = gen.Star(*n)
-	case "grid":
-		g = gen.Grid(*rows, *cols)
-	case "hypercube":
-		g = gen.Hypercube(*dim)
-	default:
-		usage(fmt.Errorf("unknown family %q", *family))
-	}
+	g, err := spec.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
 		os.Exit(1)
@@ -136,7 +67,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graphgen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "graphgen: %s n=%d m=%d Δ=%d\n", *family, g.N(), g.M(), g.MaxDegree())
+	fmt.Fprintf(os.Stderr, "graphgen: %s n=%d m=%d Δ=%d\n", spec.Family, g.N(), g.M(), g.MaxDegree())
 }
 
 // usage reports a bad flag value and exits 2, the conventional status

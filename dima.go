@@ -154,8 +154,9 @@ type RecolorOptions = dynamic.Options
 type RecolorReport = dynamic.Report
 
 // Mutation is one edge insertion or deletion; MutationBatch groups
-// mutations applied atomically (msg.AppendBatch/DecodeBatch is the wire
-// codec, "+ u v"/"- u v" text lists the CLI format).
+// mutations applied atomically. Batches travel as "+ u v"/"- u v" text
+// lists (graphio.ReadMutations, the CLI format) or as dimaserve's JSON
+// mutate documents.
 type (
 	Mutation      = msg.Mutation
 	MutationBatch = msg.MutationBatch

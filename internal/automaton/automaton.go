@@ -45,8 +45,6 @@ const (
 	Done
 )
 
-var stateNames = [...]string{"C", "I", "L", "R", "W", "U", "E", "D"}
-
 func (s State) String() string {
 	switch s {
 	case Choose:

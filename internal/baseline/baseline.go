@@ -53,16 +53,6 @@ func GreedyEdgeColoring(g *graph.Graph, order []int) ([]int, error) {
 	return colors, nil
 }
 
-// RandomOrderGreedy is GreedyEdgeColoring over a uniformly random edge
-// order drawn from r.
-func RandomOrderGreedy(g *graph.Graph, r *rng.Rand) []int {
-	colors, err := GreedyEdgeColoring(g, r.Perm(g.M()))
-	if err != nil {
-		panic(err) // Perm is a permutation by construction
-	}
-	return colors
-}
-
 // GreedyStrongColoring colors the arcs of d in arc-id order with the
 // lowest color free across each arc's distance-1 conflict set
 // (Definition 2). It is the centralized quality baseline for DiMa2Ed.

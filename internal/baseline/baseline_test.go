@@ -54,7 +54,10 @@ func TestRandomOrderGreedyValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colors := RandomOrderGreedy(g, rng.New(3))
+	colors, err := GreedyEdgeColoring(g, rng.New(3).Perm(g.M()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v := verify.EdgeColoring(g, colors); len(v) != 0 {
 		t.Fatalf("random-order greedy invalid: %v", v[0])
 	}

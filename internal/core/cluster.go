@@ -8,6 +8,7 @@ import (
 
 	"dima/internal/graph"
 	"dima/internal/metrics"
+	"dima/internal/msg"
 	"dima/internal/net"
 )
 
@@ -91,17 +92,14 @@ func appendClusterOptions(buf []byte, o *Options) []byte {
 // decodeClusterOptions rebuilds the Options a node process constructs
 // its shard with. Strict: unknown flags and trailing bytes are errors.
 func decodeClusterOptions(spec []byte) (*Options, error) {
-	d := stateDec{buf: spec}
+	d := msg.NewDec("core", spec)
 	o := &Options{}
-	o.Seed = d.uvarint("seed")
-	flags := d.byte("option flags")
-	o.Recovery.TimeoutRounds = d.count("recovery timeout")
-	o.Recovery.RetryBudget = d.count("recovery budget")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after options blob", len(d.buf))
+	o.Seed = d.Uvarint("seed")
+	flags := d.Byte("option flags")
+	o.Recovery.TimeoutRounds = d.Int("recovery timeout", maxCount)
+	o.Recovery.RetryBudget = d.Int("recovery budget", maxCount)
+	if err := d.Finish("options blob"); err != nil {
+		return nil, err
 	}
 	if flags&^byte(cofRandomColorRule|cofNoOverhear|cofNoConfirm|cofRecovery|cofTelemetry) != 0 {
 		return nil, fmt.Errorf("core: unknown option flag bits %#x", flags)
@@ -164,11 +162,11 @@ func (n *ecNode) AppendState(buf []byte) []byte {
 }
 
 func (n *ecNode) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
+	d := msg.NewDec("core", data)
 	slot := func(e int) int { return n.slot(graph.EdgeID(e)) }
-	d.colors("edge", slot, n.colors)
-	d.events("edge", slot, &n.ev)
-	return d.finish("edge node state")
+	decodeColors(&d, "edge", slot, n.colors)
+	decodeEvents(&d, "edge", slot, &n.ev)
+	return d.Finish("edge node state")
 }
 
 func (n *scNode) AppendState(buf []byte) []byte {
@@ -177,11 +175,11 @@ func (n *scNode) AppendState(buf []byte) []byte {
 }
 
 func (n *scNode) RestoreState(data []byte) error {
-	d := stateDec{buf: data}
+	d := msg.NewDec("core", data)
 	slot := func(a int) int { return n.slot(graph.ArcID(a)) }
-	d.colors("arc", slot, n.colors)
-	d.events("arc", slot, &n.ev)
-	return d.finish("strong node state")
+	decodeColors(&d, "arc", slot, n.colors)
+	decodeEvents(&d, "arc", slot, &n.ev)
+	return d.Finish("strong node state")
 }
 
 // appendColors encodes a node's colored slots as (id, color) pairs
@@ -225,114 +223,54 @@ func appendEvents(buf []byte, e *nodeEvents) []byte {
 	return buf
 }
 
-// stateDec is a strict cursor over a state or options blob, latching
-// the first error.
-type stateDec struct {
-	buf []byte
-	err error
-}
+// maxCount bounds every count and id in a state or options blob, so
+// each decodes to a non-negative int.
+const maxCount = 1 << 62
 
-func (d *stateDec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("core: truncated %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count decodes a non-negative int-sized value.
-func (d *stateDec) count(what string) int {
-	v := d.uvarint(what)
-	if d.err == nil && v > 1<<62 {
-		d.err = fmt.Errorf("core: implausible %s %d", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *stateDec) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("core: truncated %s", what)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-// colors decodes appendColors' pairs into a node's slot colors; slot
-// maps an edge or arc id to its slot, or -1 when the id is not one of
-// the node's.
-func (d *stateDec) colors(what string, slot func(id int) int, colors []int32) {
-	count := d.count("color count")
-	for i := 0; i < count && d.err == nil; i++ {
-		id := d.count(what + " id")
-		c := d.count(what + " color")
-		if d.err != nil {
+// decodeColors decodes appendColors' pairs into a node's slot colors;
+// slot maps an edge or arc id to its slot, or -1 when the id is not one
+// of the node's.
+func decodeColors(d *msg.Dec, what string, slot func(id int) int, colors []int32) {
+	// Each pair costs at least two bytes.
+	count := d.Count("color count", 2)
+	for i := 0; i < count && d.Err == nil; i++ {
+		id := d.Int("color id", maxCount)
+		c := d.Int("color", math.MaxInt32)
+		if d.Err != nil {
 			return
 		}
 		s := slot(id)
-		if s < 0 || c > math.MaxInt32 {
-			d.err = fmt.Errorf("core: %s %d color %d does not belong to this node", what, id, c)
+		if s < 0 {
+			d.Fail("%s %d color %d does not belong to this node", what, id, c)
 			return
 		}
 		colors[s] = int32(c)
 	}
 }
 
-// events decodes appendEvents' record. Counts are bounded by the bytes
-// left, and every assignment must name one of the node's items (slot
-// maps an id to its slot, or -1), so a hostile blob cannot make the
-// post-run fold index out of range.
-func (d *stateDec) events(what string, slot func(id int) int, e *nodeEvents) {
+// decodeEvents decodes appendEvents' record. Counts are bounded by the
+// bytes left, and every assignment must name one of the node's items
+// (slot maps an id to its slot, or -1), so a hostile blob cannot make
+// the post-run fold index out of range.
+func decodeEvents(d *msg.Dec, what string, slot func(id int) int, e *nodeEvents) {
 	for k := range e.total {
-		e.total[k] = d.count("event total")
+		e.total[k] = d.Int("event total", maxCount)
 	}
 	// Each round record costs at least numEvents bytes, each assignment 3.
-	rounds := d.count("event round count")
-	if d.err == nil && rounds > len(d.buf)/int(numEvents) {
-		d.err = fmt.Errorf("core: implausible event round count %d", rounds)
-	}
-	if d.err != nil {
-		return
-	}
-	e.rounds = make([][numEvents]int, rounds)
+	e.rounds = make([][numEvents]int, d.Count("event round count", int(numEvents)))
 	for r := range e.rounds {
 		for k := range e.rounds[r] {
-			e.rounds[r][k] = d.count("round event count")
+			e.rounds[r][k] = d.Int("round event count", maxCount)
 		}
 	}
-	assigns := d.count("assignment count")
-	if d.err == nil && assigns > len(d.buf)/3 {
-		d.err = fmt.Errorf("core: implausible assignment count %d", assigns)
-	}
-	if d.err != nil {
-		return
-	}
-	e.assigns = make([]assignEvent, assigns)
+	e.assigns = make([]assignEvent, d.Count("assignment count", 3))
 	for i := range e.assigns {
 		a := &e.assigns[i]
-		a.round, a.item, a.color = d.count("assignment round"), d.count(what+" id"), d.count(what+" color")
-		if d.err == nil && (slot(a.item) < 0 || a.color > math.MaxInt32) {
-			d.err = fmt.Errorf("core: assignment of %s %d color %d does not belong to this node", what, a.item, a.color)
+		a.round = d.Int("assignment round", maxCount)
+		a.item = d.Int("assignment id", maxCount)
+		a.color = d.Int("assignment color", math.MaxInt32)
+		if d.Err == nil && slot(a.item) < 0 {
+			d.Fail("assignment of %s %d color %d does not belong to this node", what, a.item, a.color)
 		}
 	}
-}
-
-func (d *stateDec) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after %s", len(d.buf), what)
-	}
-	return nil
 }

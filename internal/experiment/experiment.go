@@ -72,10 +72,6 @@ type Config struct {
 	Seed uint64
 	// Workers bounds parallel runs; 0 means GOMAXPROCS.
 	Workers int
-	// Options is the base algorithm configuration; per-run seeds are
-	// derived from Seed. Each run adds a metrics.Memory to its Metrics
-	// sink and reads the pair rate from the stream.
-	Options core.Options
 }
 
 // RunGrid executes every (spec, rep) cell, in parallel, and returns the
@@ -123,7 +119,7 @@ func RunGridCtx(ctx context.Context, specs []Spec, cfg Config) ([]Run, error) {
 			defer wg.Done()
 			for idx := range ch {
 				j := jobs[idx]
-				results[idx], errs[idx] = runOne(ctx, specs[j.spec], j.rep, j.runSeed, cfg.Options)
+				results[idx], errs[idx] = runOne(ctx, specs[j.spec], j.rep, j.runSeed)
 			}
 		}()
 	}
@@ -148,15 +144,15 @@ dispatch:
 	return results, nil
 }
 
-func runOne(ctx context.Context, spec Spec, rep int, seed uint64, opt core.Options) (Run, error) {
+func runOne(ctx context.Context, spec Spec, rep int, seed uint64) (Run, error) {
 	gr := rng.New(seed)
 	g, err := spec.Make(gr)
 	if err != nil {
 		return Run{}, fmt.Errorf("experiment: %s rep %d: %v", spec.Group, rep, err)
 	}
-	opt.Seed = gr.Uint64()
+	// Each run reads its pair rate from its own metrics stream.
 	mem := &metrics.Memory{}
-	opt.Metrics = metrics.Multi(opt.Metrics, mem)
+	opt := core.Options{Seed: gr.Uint64(), Metrics: mem}
 	var res *core.Result
 	if spec.Strong {
 		res, err = core.ColorStrongCtx(ctx, graph.NewSymmetric(g), opt)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"dima/internal/graph"
@@ -34,6 +35,13 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 
 // ReadGraph parses the edge-list format (native or DIMACS-style).
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
+	return ReadGraphMax(r, math.MaxInt)
+}
+
+// ReadGraphMax is ReadGraph for untrusted input: it rejects a header
+// that claims more than maxVertices vertices before allocating for
+// them, since the header alone sets the graph's size.
+func ReadGraphMax(r io.Reader, maxVertices int) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var g *graph.Graph
@@ -54,9 +62,9 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graphio: line %d: malformed n line", lineNo)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[1])
+			n, err := vertexCount(fields[1], maxVertices)
+			if err != nil {
+				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
 			g = graph.New(n)
 		case "p":
@@ -67,9 +75,9 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graphio: line %d: malformed p line", lineNo)
 			}
-			var n int
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil || n < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[2])
+			n, err := vertexCount(fields[2], maxVertices)
+			if err != nil {
+				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 			}
 			g = graph.New(n)
 			dimacs = true
@@ -101,6 +109,18 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: no header line found")
 	}
 	return g, nil
+}
+
+// vertexCount parses a header's vertex count, in [0, max].
+func vertexCount(field string, max int) (int, error) {
+	var n int
+	if _, err := fmt.Sscanf(field, "%d", &n); err != nil || n < 0 {
+		return 0, fmt.Errorf("bad vertex count %q", field)
+	}
+	if n > max {
+		return 0, fmt.Errorf("vertex count %d exceeds the %d-vertex cap", n, max)
+	}
+	return n, nil
 }
 
 // Coloring is the JSON document for a coloring result.

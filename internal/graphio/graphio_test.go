@@ -180,7 +180,10 @@ func TestWriteGraphEmpty(t *testing.T) {
 	}
 }
 
+// FuzzReadGraph fuzzes the capped read that untrusted uploads go
+// through; the small cap keeps every fuzzed header cheap to allocate.
 func FuzzReadGraph(f *testing.F) {
+	const maxVertices = 1 << 12
 	f.Add("n 4\ne 0 1\ne 2 3\n")
 	f.Add("p edge 3 2\ne 1 2\ne 2 3\n")
 	f.Add("# comment\nn 0\n")
@@ -191,16 +194,20 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add("n 3\ne -1 2\n")                 // negative endpoint
 	f.Add("n 3\ne 0 1\ne 1 0\n")           // duplicate edge, reversed
 	f.Add("n 99999999999999999999\n")      // overflowing vertex count
+	f.Add("n 9999999999\n")                // vertex count above the cap
 	f.Add("p edge 2 1\ne 1 2\ne 1 2\n")    // DIMACS duplicate
 	f.Add("c\nc x\np edge 2 1\ne 1 2\n")   // DIMACS comments
 	f.Add("n 3\n\n \t\ne 0 2\n# trailing") // whitespace soup
 	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ReadGraph(strings.NewReader(src))
+		g, err := ReadGraphMax(strings.NewReader(src), maxVertices)
 		if err != nil {
 			return
 		}
-		// Anything accepted must be internally consistent and must
-		// round-trip through the writer.
+		// Anything accepted must respect the cap, be internally
+		// consistent and round-trip through the writer.
+		if g.N() > maxVertices {
+			t.Fatalf("accepted %d vertices over a cap of %d", g.N(), maxVertices)
+		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted inconsistent graph: %v", err)
 		}

@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestMutationsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !msg.EqualBatch(b, got) {
+	if !reflect.DeepEqual(b, got) {
 		t.Fatalf("round trip: %v vs %v", b, got)
 	}
 }
@@ -72,7 +73,7 @@ func FuzzReadMutations(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if !msg.EqualBatch(b, back) {
+		if !reflect.DeepEqual(b, back) {
 			t.Fatal("round trip changed the batch")
 		}
 		_ = b.Validate(0)

@@ -16,10 +16,7 @@
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -194,39 +191,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// WriteText renders the registry in a Prometheus-flavored plain-text
-// form (sorted by name): "name value" for counters and gauges, and
-// "<name>_count", "<name>_sum", and '<name>_bucket{le="..."}' lines for
-// histograms. The /metrics endpoint of the debug server serves this.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+4*len(s.Histograms))
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("%s_count %d", name, h.N))
-		lines = append(lines, fmt.Sprintf("%s_sum %d", name, h.Sum))
-		cum := int64(0)
-		for i, c := range h.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(h.Bounds) {
-				le = strconv.FormatInt(h.Bounds[i], 10)
-			}
-			lines = append(lines, fmt.Sprintf("%s_bucket{le=%q} %d", name, le, cum))
-		}
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -74,34 +74,6 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteText(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("messages_total").Add(42)
-	reg.Gauge("active").Set(7)
-	reg.Histogram("round_messages", 10, 100).Observe(50)
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"messages_total 42",
-		"active 7",
-		"round_messages_count 1",
-		"round_messages_sum 50",
-		`round_messages_bucket{le="100"} 1`,
-		`round_messages_bucket{le="+Inf"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText missing %q:\n%s", want, out)
-		}
-	}
-	// Cumulative bucket: le="10" saw nothing.
-	if !strings.Contains(out, `round_messages_bucket{le="10"} 0`) {
-		t.Fatalf("bucket cumulation wrong:\n%s", out)
-	}
-}
-
 func TestJSONLWriter(t *testing.T) {
 	var b strings.Builder
 	j := NewJSONLWriter(&b)

@@ -63,24 +63,20 @@ func DecodeWorkerHello(buf []byte) (WorkerHello, error) {
 	if v := buf[4]; v != WorkerHandshakeVersion {
 		return h, fmt.Errorf("msg: worker handshake version %d, want %d", v, WorkerHandshakeVersion)
 	}
-	dec := dec{buf: buf[5:]}
-	name := dec.lenBytes("worker name")
-	if dec.err == nil && len(name) > maxWorkerName {
-		return h, fmt.Errorf("msg: worker name of %d bytes exceeds the %d-byte bound", len(name), maxWorkerName)
+	d := NewDec("msg", buf[5:])
+	name := d.Bytes("worker name")
+	if len(name) > maxWorkerName {
+		d.Fail("worker name of %d bytes exceeds the %d-byte bound", len(name), maxWorkerName)
 	}
-	capacity := dec.uvarint("worker capacity")
-	if dec.err != nil {
-		return h, dec.err
+	h.Capacity = d.Int("worker capacity", 1<<20)
+	if d.Err != nil {
+		return h, d.Err
 	}
-	if capacity > 1<<20 {
-		return h, fmt.Errorf("msg: implausible worker capacity %d", capacity)
-	}
-	if len(dec.buf) != 8 {
-		return h, fmt.Errorf("msg: worker handshake token wants 8 bytes, %d remain", len(dec.buf))
+	if len(d.Buf) != 8 {
+		return h, fmt.Errorf("msg: worker handshake token wants 8 bytes, %d remain", len(d.Buf))
 	}
 	h.Name = string(name)
-	h.Capacity = int(capacity)
-	h.Token = binary.BigEndian.Uint64(dec.buf)
+	h.Token = binary.BigEndian.Uint64(d.Buf)
 	return h, nil
 }
 
@@ -101,25 +97,19 @@ func (w WorkerWelcome) Append(buf []byte) []byte {
 
 // DecodeWorkerWelcome parses a welcome strictly.
 func DecodeWorkerWelcome(buf []byte) (WorkerWelcome, error) {
-	var w WorkerWelcome
-	dec := dec{buf: buf}
-	id := dec.lenBytes("worker id")
-	hb := dec.uvarint("heartbeat interval")
-	if dec.err != nil {
-		return w, dec.err
-	}
+	d := NewDec("msg", buf)
+	id := d.Bytes("worker id")
 	if len(id) > maxWorkerName {
-		return w, fmt.Errorf("msg: worker id of %d bytes exceeds the %d-byte bound", len(id), maxWorkerName)
+		d.Fail("worker id of %d bytes exceeds the %d-byte bound", len(id), maxWorkerName)
 	}
-	if hb == 0 || hb > 1<<31 {
-		return w, fmt.Errorf("msg: implausible heartbeat interval %dms", hb)
+	hb := d.Int("heartbeat interval", 1<<31)
+	if d.Err == nil && hb == 0 {
+		d.Fail("zero heartbeat interval")
 	}
-	if len(dec.buf) != 0 {
-		return w, fmt.Errorf("msg: %d trailing bytes after worker welcome", len(dec.buf))
+	if err := d.Finish("worker welcome"); err != nil {
+		return WorkerWelcome{}, err
 	}
-	w.ID = string(id)
-	w.HeartbeatMillis = int(hb)
-	return w, nil
+	return WorkerWelcome{ID: string(id), HeartbeatMillis: hb}, nil
 }
 
 // Heartbeat is a worker's periodic load report: jobs executing right
@@ -139,21 +129,14 @@ func (hb Heartbeat) Append(buf []byte) []byte {
 
 // DecodeHeartbeat parses a heartbeat strictly.
 func DecodeHeartbeat(buf []byte) (Heartbeat, error) {
-	var hb Heartbeat
-	dec := dec{buf: buf}
-	running := dec.uvarint("heartbeat running count")
-	queued := dec.uvarint("heartbeat queued count")
-	if dec.err != nil {
-		return hb, dec.err
+	d := NewDec("msg", buf)
+	hb := Heartbeat{
+		Running: d.Int("heartbeat running count", 1<<31),
+		Queued:  d.Int("heartbeat queued count", 1<<31),
 	}
-	if running > 1<<31 || queued > 1<<31 {
-		return hb, fmt.Errorf("msg: implausible heartbeat load %d/%d", running, queued)
+	if err := d.Finish("heartbeat"); err != nil {
+		return Heartbeat{}, err
 	}
-	if len(dec.buf) != 0 {
-		return hb, fmt.Errorf("msg: %d trailing bytes after heartbeat", len(dec.buf))
-	}
-	hb.Running = int(running)
-	hb.Queued = int(queued)
 	return hb, nil
 }
 
@@ -208,35 +191,28 @@ func (j JobHeader) Append(buf []byte) []byte {
 // the unconsumed tail (the graph section).
 func DecodeJobHeader(buf []byte) (JobHeader, []byte, error) {
 	var j JobHeader
-	dec := dec{buf: buf}
-	id := dec.lenBytes("job id")
-	if dec.err == nil && len(id) > maxJobID {
-		return j, nil, fmt.Errorf("msg: job id of %d bytes exceeds the %d-byte bound", len(id), maxJobID)
+	d := NewDec("msg", buf)
+	id := decodeJobID(&d)
+	flags := d.Byte("job flags")
+	if d.Err == nil && flags&^byte(jobFlagStrong|jobFlagRecovery) != 0 {
+		d.Fail("unknown job flag bits %#x", flags)
 	}
-	flags := dec.byte("job flags")
-	if dec.err != nil {
-		return j, nil, dec.err
+	if d.Err == nil && len(d.Buf) < 8 {
+		d.Fail("truncated job seed")
 	}
-	if flags&^byte(jobFlagStrong|jobFlagRecovery) != 0 {
-		return j, nil, fmt.Errorf("msg: unknown job flag bits %#x", flags)
+	if d.Err != nil {
+		return j, nil, d.Err
 	}
-	if len(dec.buf) < 8 {
-		return j, nil, fmt.Errorf("msg: truncated job seed")
-	}
-	j.Seed = binary.BigEndian.Uint64(dec.buf[:8])
-	dec.buf = dec.buf[8:]
-	maxRounds := dec.uvarint("job max rounds")
-	if dec.err != nil {
-		return j, nil, dec.err
-	}
-	if maxRounds > 1<<31 {
-		return j, nil, fmt.Errorf("msg: implausible job round cap %d", maxRounds)
+	j.Seed = binary.BigEndian.Uint64(d.Buf[:8])
+	d.Buf = d.Buf[8:]
+	j.MaxRounds = d.Int("job max rounds", 1<<31)
+	if d.Err != nil {
+		return j, nil, d.Err
 	}
 	j.ID = string(id)
 	j.Strong = flags&jobFlagStrong != 0
 	j.Recovery = flags&jobFlagRecovery != 0
-	j.MaxRounds = int(maxRounds)
-	return j, dec.buf, nil
+	return j, d.Buf, nil
 }
 
 // AppendJobBlob appends the common "job id + opaque payload" section
@@ -250,61 +226,19 @@ func AppendJobBlob(buf []byte, id string, blob []byte) []byte {
 // DecodeJobBlob splits a job frame payload into its id and the
 // remaining blob. The blob aliases buf.
 func DecodeJobBlob(buf []byte) (string, []byte, error) {
-	dec := dec{buf: buf}
-	id := dec.lenBytes("job id")
-	if dec.err != nil {
-		return "", nil, dec.err
+	d := NewDec("msg", buf)
+	id := decodeJobID(&d)
+	if d.Err != nil {
+		return "", nil, d.Err
 	}
+	return string(id), d.Buf, nil
+}
+
+// decodeJobID reads a length-prefixed job id, bounded by maxJobID.
+func decodeJobID(d *Dec) []byte {
+	id := d.Bytes("job id")
 	if len(id) > maxJobID {
-		return "", nil, fmt.Errorf("msg: job id of %d bytes exceeds the %d-byte bound", len(id), maxJobID)
+		d.Fail("job id of %d bytes exceeds the %d-byte bound", len(id), maxJobID)
 	}
-	return string(id), dec.buf, nil
-}
-
-// dec is a cursor over a payload that latches the first decode error,
-// keeping multi-field parsers linear (the cluster twin of internal/
-// net's wireDec).
-type dec struct {
-	buf []byte
-	err error
-}
-
-func (d *dec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("msg: truncated %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *dec) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("msg: truncated %s", what)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *dec) lenBytes(what string) []byte {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("msg: %s of %d bytes exceeds the %d remaining", what, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
+	return id
 }

@@ -29,13 +29,6 @@ const frameHeaderLen = 5
 // frame from forcing an arbitrary allocation.
 const MaxFramePayload = 1 << 31
 
-// AppendFrame appends one framed payload to buf and returns the result.
-func AppendFrame(buf []byte, kind FrameKind, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)))
-	buf = append(buf, byte(kind))
-	return append(buf, payload...)
-}
-
 // WriteFrame writes one frame to w.
 func WriteFrame(w io.Writer, kind FrameKind, payload []byte) error {
 	var hdr [frameHeaderLen]byte
@@ -127,39 +120,23 @@ func AppendMessages(buf []byte, ms []Message) []byte {
 // message is an error (the length-delimited frame and its content must
 // agree exactly), as is a count the remaining bytes cannot satisfy.
 func DecodeMessages(buf []byte) ([]Message, error) {
-	ms, rest, err := decodeMessageBlock(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("msg: %d trailing bytes after message block", len(rest))
-	}
-	return ms, nil
-}
-
-// decodeMessageBlock parses one message block from the front of buf and
-// returns the unconsumed tail, for payloads that carry several sections.
-func decodeMessageBlock(buf []byte) ([]Message, []byte, error) {
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("msg: truncated message count")
-	}
-	buf = buf[n:]
+	d := NewDec("msg", buf)
 	// Every message encodes to at least 7 bytes (kind, four varints,
-	// flags, paint count); reject implausible counts before allocating.
-	if count > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("msg: implausible message count %d for %d remaining bytes", count, len(buf))
-	}
+	// flags, paint count).
+	count := d.Count("message count", 7)
 	ms := make([]Message, 0, count)
-	for i := uint64(0); i < count; i++ {
-		m, used, err := Decode(buf)
+	for i := 0; i < count; i++ {
+		m, used, err := Decode(d.Buf)
 		if err != nil {
-			return nil, nil, fmt.Errorf("msg: message %d of %d: %w", i, count, err)
+			return nil, fmt.Errorf("msg: message %d of %d: %w", i, count, err)
 		}
 		ms = append(ms, m)
-		buf = buf[used:]
+		d.Buf = d.Buf[used:]
 	}
-	return ms, buf, nil
+	if err := d.Finish("message block"); err != nil {
+		return nil, err
+	}
+	return ms, nil
 }
 
 // Wire protocol version of the cluster handshake. Bump on any change to
@@ -204,22 +181,15 @@ func DecodeHello(buf []byte) (Hello, error) {
 	if v := buf[4]; v != HandshakeVersion {
 		return h, fmt.Errorf("msg: handshake version %d, want %d", v, HandshakeVersion)
 	}
-	pos := 5
-	shard, n := binary.Uvarint(buf[pos:])
-	if n <= 0 || shard > 1<<31 {
-		return h, fmt.Errorf("msg: bad handshake shard index")
+	d := NewDec("msg", buf[5:])
+	h.Shard = d.Int("handshake shard index", 1<<31)
+	h.Shards = d.Int("handshake shard count", 1<<31)
+	if d.Err != nil {
+		return h, d.Err
 	}
-	pos += n
-	shards, n := binary.Uvarint(buf[pos:])
-	if n <= 0 || shards > 1<<31 {
-		return h, fmt.Errorf("msg: bad handshake shard count")
+	if len(d.Buf) != 8 {
+		return h, fmt.Errorf("msg: handshake token wants 8 bytes, %d remain", len(d.Buf))
 	}
-	pos += n
-	if len(buf)-pos != 8 {
-		return h, fmt.Errorf("msg: handshake token wants 8 bytes, %d remain", len(buf)-pos)
-	}
-	h.Shard = int(shard)
-	h.Shards = int(shards)
-	h.Token = binary.BigEndian.Uint64(buf[pos:])
+	h.Token = binary.BigEndian.Uint64(d.Buf)
 	return h, nil
 }

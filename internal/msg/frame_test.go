@@ -16,21 +16,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		AppendMessages(nil, sample()),
 		bytes.Repeat([]byte{0xab}, 70_000), // spans the bufio buffer
 	}
-	var stream []byte
-	for i, p := range payloads {
-		stream = AppendFrame(stream, FrameKind(i+1), p)
-	}
-	// WriteFrame must produce the identical byte stream.
 	var w bytes.Buffer
 	for i, p := range payloads {
 		if err := WriteFrame(&w, FrameKind(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(w.Bytes(), stream) {
-		t.Fatal("WriteFrame and AppendFrame streams differ")
-	}
-	fr := NewFrameReader(bytes.NewReader(stream), 0)
+	fr := NewFrameReader(&w, 0)
 	for i, p := range payloads {
 		kind, got, err := fr.Next()
 		if err != nil {
@@ -48,8 +40,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// frame returns the bytes WriteFrame writes for one frame.
+func frame(kind FrameKind, payload []byte) []byte {
+	var b bytes.Buffer
+	WriteFrame(&b, kind, payload) // a bytes.Buffer write cannot fail
+	return b.Bytes()
+}
+
 func TestFrameReaderErrors(t *testing.T) {
-	whole := AppendFrame(nil, 7, []byte("payload"))
+	whole := frame(7, []byte("payload"))
 	cases := []struct {
 		name   string
 		stream []byte
@@ -59,7 +58,7 @@ func TestFrameReaderErrors(t *testing.T) {
 		{"missing kind", whole[:4], ""},
 		{"truncated payload", whole[:len(whole)-2], ""},
 		{"zero length", []byte{0, 0, 0, 0}, "zero-length"},
-		{"oversized", AppendFrame(nil, 1, bytes.Repeat([]byte{1}, 64)), "exceeds"},
+		{"oversized", frame(1, bytes.Repeat([]byte{1}, 64)), "exceeds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -82,8 +81,7 @@ func TestFrameReaderErrors(t *testing.T) {
 // TestFrameReaderReusesBuffer pins the documented aliasing rule: the
 // payload returned by Next is only valid until the following call.
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	stream := AppendFrame(nil, 1, []byte{0xaa, 0xbb})
-	stream = AppendFrame(stream, 2, []byte{0xcc, 0xdd})
+	stream := append(frame(1, []byte{0xaa, 0xbb}), frame(2, []byte{0xcc, 0xdd})...)
 	fr := NewFrameReader(bytes.NewReader(stream), 0)
 	_, first, err := fr.Next()
 	if err != nil {
@@ -173,10 +171,10 @@ func TestDecodeHelloErrors(t *testing.T) {
 func FuzzFrameReader(f *testing.F) {
 	var stream []byte
 	for _, m := range sample() {
-		stream = AppendFrame(stream, 4, AppendMessages(nil, []Message{m}))
+		stream = append(stream, frame(4, AppendMessages(nil, []Message{m}))...)
 	}
 	f.Add(stream)
-	f.Add(AppendFrame(nil, 1, nil))
+	f.Add(frame(1, nil))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Add(Hello{Shard: 1, Shards: 2, Token: 3}.Append(nil))
@@ -190,7 +188,7 @@ func FuzzFrameReader(f *testing.F) {
 				}
 				return
 			}
-			again := AppendFrame(nil, kind, payload)
+			again := frame(kind, payload)
 			if len(again) != frameHeaderLen+len(payload) {
 				t.Fatalf("re-encoded frame is %d bytes, want %d", len(again), frameHeaderLen+len(payload))
 			}

@@ -1,9 +1,6 @@
 package msg
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // MutOp discriminates streaming graph mutations.
 type MutOp uint8
@@ -60,86 +57,6 @@ type MutationBatch struct {
 	Muts []Mutation
 }
 
-// batchMagic leads every encoded batch. The value is outside the
-// message Kind range so a batch can never be mistaken for a protocol
-// message (and vice versa).
-const batchMagic = 0x4D // 'M'
-
-// maxBatchMutations caps the decoded batch size; far above any sane
-// batch, low enough to bound allocation on adversarial input.
-const maxBatchMutations = 1 << 22
-
-// AppendBatch appends the binary encoding of b to buf: the magic byte,
-// uvarint Seq, uvarint mutation count, then one op byte plus two zig-zag
-// varint endpoints per mutation.
-func AppendBatch(buf []byte, b *MutationBatch) []byte {
-	buf = append(buf, batchMagic)
-	buf = binary.AppendUvarint(buf, b.Seq)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Muts)))
-	for _, m := range b.Muts {
-		buf = append(buf, byte(m.Op))
-		buf = binary.AppendVarint(buf, int64(m.U))
-		buf = binary.AppendVarint(buf, int64(m.V))
-	}
-	return buf
-}
-
-// DecodeBatch parses one mutation batch from buf, returning the batch
-// and the number of bytes consumed. Structural validation only; use
-// MutationBatch.Validate for semantic checks.
-func DecodeBatch(buf []byte) (*MutationBatch, int, error) {
-	if len(buf) == 0 {
-		return nil, 0, fmt.Errorf("msg: empty batch buffer")
-	}
-	if buf[0] != batchMagic {
-		return nil, 0, fmt.Errorf("msg: bad batch magic %#x", buf[0])
-	}
-	pos := 1
-	seq, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("msg: truncated batch sequence")
-	}
-	pos += n
-	count, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("msg: truncated mutation count")
-	}
-	pos += n
-	// Each mutation is at least three bytes (op + two varints), so any
-	// count above a third of the rest is unsatisfiable; reject before
-	// allocating.
-	if count > uint64(len(buf)-pos)/3 || count > maxBatchMutations {
-		return nil, 0, fmt.Errorf("msg: implausible mutation count %d for %d remaining bytes",
-			count, len(buf)-pos)
-	}
-	b := &MutationBatch{Seq: seq}
-	if count > 0 {
-		b.Muts = make([]Mutation, count)
-	}
-	for i := range b.Muts {
-		if pos >= len(buf) {
-			return nil, 0, fmt.Errorf("msg: truncated mutation %d", i)
-		}
-		op := MutOp(buf[pos])
-		pos++
-		if op != OpInsert && op != OpDelete {
-			return nil, 0, fmt.Errorf("msg: mutation %d: unknown op %d", i, uint8(op))
-		}
-		u, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("msg: mutation %d: truncated endpoint", i)
-		}
-		pos += n
-		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("msg: mutation %d: truncated endpoint", i)
-		}
-		pos += n
-		b.Muts[i] = Mutation{Op: op, U: int(u), V: int(v)}
-	}
-	return b, pos, nil
-}
-
 // Validate checks the batch semantically against a graph with n
 // vertices: ops are known, endpoints are in [0, n) and distinct, and no
 // unordered endpoint pair appears twice (a batch touching the same edge
@@ -164,17 +81,4 @@ func (b *MutationBatch) Validate(n int) error {
 		seen[m.norm()] = i
 	}
 	return nil
-}
-
-// EqualBatch reports whether two batches are identical.
-func EqualBatch(a, b *MutationBatch) bool {
-	if a.Seq != b.Seq || len(a.Muts) != len(b.Muts) {
-		return false
-	}
-	for i := range a.Muts {
-		if a.Muts[i] != b.Muts[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,53 +4,6 @@ import (
 	"testing"
 )
 
-func sampleBatches() []*MutationBatch {
-	return []*MutationBatch{
-		{},
-		{Seq: 1},
-		{Seq: 7, Muts: []Mutation{{Op: OpInsert, U: 0, V: 1}}},
-		{Seq: 1 << 40, Muts: []Mutation{
-			{Op: OpInsert, U: 3, V: 9},
-			{Op: OpDelete, U: 9, V: 4},
-			{Op: OpInsert, U: 100000, V: 2},
-		}},
-	}
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	for _, b := range sampleBatches() {
-		buf := AppendBatch(nil, b)
-		got, n, err := DecodeBatch(buf)
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
-		if n != len(buf) {
-			t.Fatalf("%v: consumed %d of %d bytes", b, n, len(buf))
-		}
-		if !EqualBatch(b, got) {
-			t.Fatalf("round trip: %v vs %v", b, got)
-		}
-	}
-}
-
-func TestDecodeBatchRejects(t *testing.T) {
-	good := AppendBatch(nil, sampleBatches()[3])
-	cases := map[string][]byte{
-		"empty":           {},
-		"bad magic":       {0x00, 0x01},
-		"truncated seq":   {batchMagic},
-		"truncated count": {batchMagic, 0x07},
-		"huge count":      {batchMagic, 0x00, 0xff, 0xff, 0xff, 0x7f},
-		"bad op":          {batchMagic, 0x00, 0x01, 0x09, 0x02, 0x04},
-		"truncated mut":   good[:len(good)-1],
-	}
-	for name, buf := range cases {
-		if _, _, err := DecodeBatch(buf); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 func TestBatchValidate(t *testing.T) {
 	ins := func(u, v int) Mutation { return Mutation{Op: OpInsert, U: u, V: v} }
 	del := func(u, v int) Mutation { return Mutation{Op: OpDelete, U: u, V: v} }
@@ -74,37 +27,4 @@ func TestBatchValidate(t *testing.T) {
 			t.Errorf("%s: err=%v, want ok=%v", c.name, err, c.ok)
 		}
 	}
-}
-
-func FuzzDecodeBatch(f *testing.F) {
-	for _, b := range sampleBatches() {
-		f.Add(AppendBatch(nil, b))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{batchMagic, 0x00, 0x02, 0x01, 0x02, 0x04, 0x02, 0x02, 0x04}) // duplicate edge
-	f.Add([]byte{batchMagic, 0x00, 0x01, 0x02, 0x01, 0x01})                   // delete (0,0) self-loop
-	f.Add([]byte{batchMagic, 0x00, 0x01, 0x01, 0x03, 0x04})                   // insert (-2,2) malformed id
-	f.Add([]byte{batchMagic, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00})             // big seq, empty
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, n, err := DecodeBatch(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		buf := AppendBatch(nil, b)
-		again, n2, err := DecodeBatch(buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if n2 != len(buf) || !EqualBatch(b, again) {
-			t.Fatalf("round trip mismatch: %v vs %v", b, again)
-		}
-		// Validate must classify without panicking, whatever the decoder
-		// let through (delete-of-missing is a graph-level concern and is
-		// out of scope here).
-		_ = b.Validate(0)
-		_ = b.Validate(16)
-	})
 }

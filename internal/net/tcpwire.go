@@ -3,6 +3,7 @@ package net
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"dima/internal/graph"
 	"dima/internal/msg"
@@ -68,34 +69,28 @@ func AppendGraph(buf []byte, g *graph.Graph) []byte {
 // returning the graph and the unconsumed tail. Edge insertion order is
 // the wire order, so edge ids match the sender's exactly.
 func DecodeGraph(buf []byte) (*graph.Graph, []byte, error) {
-	dec := wireDec{buf: buf}
-	n := dec.uvarint("vertex count")
-	m := dec.uvarint("edge count")
-	if dec.err != nil {
-		return nil, nil, dec.err
-	}
-	if n > 1<<31 {
-		return nil, nil, fmt.Errorf("net: implausible vertex count %d", n)
-	}
+	d := msg.NewDec("net", buf)
+	n := d.Int("vertex count", 1<<31)
 	// Each edge costs at least two bytes on the wire.
-	if m > uint64(len(dec.buf))/2 {
-		return nil, nil, fmt.Errorf("net: implausible edge count %d for %d remaining bytes", m, len(dec.buf))
+	m := d.Count("edge count", 2)
+	if d.Err != nil {
+		return nil, nil, d.Err
 	}
-	g := graph.New(int(n))
-	for i := uint64(0); i < m; i++ {
-		u := dec.uvarint("edge endpoint")
-		v := dec.uvarint("edge endpoint")
-		if dec.err != nil {
-			return nil, nil, dec.err
+	g := graph.New(n)
+	for i := 0; i < m; i++ {
+		u := d.Int("edge endpoint", maxVertex)
+		v := d.Int("edge endpoint", maxVertex)
+		if d.Err != nil {
+			return nil, nil, d.Err
 		}
 		if u >= n || v >= n {
 			return nil, nil, fmt.Errorf("net: edge %d endpoints (%d, %d) out of range for %d vertices", i, u, v, n)
 		}
-		if _, err := g.AddEdge(int(u), int(v)); err != nil {
+		if _, err := g.AddEdge(u, v); err != nil {
 			return nil, nil, fmt.Errorf("net: edge %d: %w", i, err)
 		}
 	}
-	return g, dec.buf, nil
+	return g, d.Buf, nil
 }
 
 // welcome is the coordinator's run description for one node process.
@@ -120,24 +115,25 @@ func (w welcome) append(buf []byte) []byte {
 
 func decodeWelcome(buf []byte) (welcome, error) {
 	var w welcome
-	dec := wireDec{buf: buf}
-	w.factory = string(dec.lenBytes("factory name"))
-	w.spec = append([]byte(nil), dec.lenBytes("spec blob")...)
-	w.shards = int(dec.uvarint("shard count"))
-	w.lo = int(dec.uvarint("shard lo"))
-	w.hi = int(dec.uvarint("shard hi"))
-	if dec.err != nil {
-		return w, dec.err
+	d := msg.NewDec("net", buf)
+	w.factory = string(d.Bytes("factory name"))
+	w.spec = append([]byte(nil), d.Bytes("spec blob")...)
+	w.shards = d.Int("shard count", maxVertex)
+	w.lo = d.Int("shard lo", maxVertex)
+	w.hi = d.Int("shard hi", maxVertex)
+	if d.Err != nil {
+		return w, d.Err
 	}
-	g, rest, err := DecodeGraph(dec.buf)
+	g, rest, err := DecodeGraph(d.Buf)
 	if err != nil {
 		return w, err
 	}
-	if len(rest) != 0 {
-		return w, fmt.Errorf("net: %d trailing bytes after welcome frame", len(rest))
+	d.Buf = rest
+	if err := d.Finish("welcome frame"); err != nil {
+		return w, err
 	}
 	w.g = g
-	if w.shards < 1 || w.lo < 0 || w.hi < w.lo || w.hi > g.N() {
+	if w.shards < 1 || w.hi < w.lo || w.hi > g.N() {
 		return w, fmt.Errorf("net: welcome shard range [%d, %d) of %d invalid for %d vertices",
 			w.lo, w.hi, w.shards, g.N())
 	}
@@ -188,41 +184,29 @@ type roundRecord struct {
 // against maxVertex here: whether they fit the graph and shard is the
 // receiving node's check.
 func decodeRound(buf []byte, recs []roundRecord, drops []int32) (round int, _ []roundRecord, _ []int32, err error) {
-	dec := wireDec{buf: buf}
-	round = int(dec.uvarint("round"))
-	count := dec.uvarint("record count")
-	if dec.err != nil {
-		return 0, recs, drops, dec.err
-	}
-	if count > uint64(len(dec.buf)) {
-		return 0, recs, drops, fmt.Errorf("net: implausible record count %d for %d remaining bytes", count, len(dec.buf))
-	}
-	for i := uint64(0); i < count; i++ {
-		from := dec.vertex("record sender")
-		if dec.err != nil {
-			return 0, recs, drops, dec.err
+	d := msg.NewDec("net", buf)
+	round = d.Int("round", math.MaxInt32)
+	count := d.Count("record count", 1)
+	for i := 0; i < count && d.Err == nil; i++ {
+		from := d.Int("record sender", maxVertex)
+		if d.Err != nil {
+			break
 		}
-		m, used, err := msg.Decode(dec.buf)
+		m, used, err := msg.Decode(d.Buf)
 		if err != nil {
 			return 0, recs, drops, fmt.Errorf("net: record %d of %d: %w", i, count, err)
 		}
-		dec.buf = dec.buf[used:]
-		nd := dec.uvarint("drop count")
-		if dec.err == nil && nd > uint64(len(dec.buf)) {
-			return 0, recs, drops, fmt.Errorf("net: implausible drop count %d for %d remaining bytes", nd, len(dec.buf))
-		}
-		r := roundRecord{from: int(from), drops: dropSpan{lo: int32(len(drops))}, m: m}
-		for j := uint64(0); j < nd; j++ {
-			drops = append(drops, int32(dec.vertex("dropped vertex")))
-		}
-		if dec.err != nil {
-			return 0, recs, drops, dec.err
+		d.Buf = d.Buf[used:]
+		nd := d.Count("drop count", 1)
+		r := roundRecord{from: from, drops: dropSpan{lo: int32(len(drops))}, m: m}
+		for j := 0; j < nd; j++ {
+			drops = append(drops, int32(d.Int("dropped vertex", maxVertex)))
 		}
 		r.drops.hi = int32(len(drops))
 		recs = append(recs, r)
 	}
-	if len(dec.buf) != 0 {
-		return 0, recs, drops, fmt.Errorf("net: %d trailing bytes after round frame", len(dec.buf))
+	if err := d.Finish("round frame"); err != nil {
+		return 0, recs, drops, err
 	}
 	return round, recs, drops, nil
 }
@@ -263,33 +247,27 @@ type broadcast struct {
 // decodeOutbox parses an outbox frame strictly, appending its
 // broadcasts to bs (pass it back truncated to reuse it across rounds).
 func decodeOutbox(buf []byte, bs []broadcast) (round int, done bool, _ []broadcast, err error) {
-	dec := wireDec{buf: buf}
-	round = int(dec.uvarint("round"))
-	flags := dec.byte("flags")
-	count := dec.uvarint("broadcast count")
-	if dec.err != nil {
-		return 0, false, bs, dec.err
-	}
+	d := msg.NewDec("net", buf)
+	round = d.Int("round", math.MaxInt32)
+	flags := d.Byte("flags")
 	if flags&^byte(outboxFlagDone) != 0 {
-		return 0, false, bs, fmt.Errorf("net: unknown outbox flag bits %#x", flags)
+		d.Fail("unknown outbox flag bits %#x", flags)
 	}
-	if count > uint64(len(dec.buf)) {
-		return 0, false, bs, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.buf))
-	}
-	for i := uint64(0); i < count; i++ {
-		from := dec.vertex("sender vertex")
-		if dec.err != nil {
-			return 0, false, bs, dec.err
+	count := d.Count("broadcast count", 1)
+	for i := 0; i < count && d.Err == nil; i++ {
+		from := d.Int("sender vertex", maxVertex)
+		if d.Err != nil {
+			break
 		}
-		m, used, err := msg.Decode(dec.buf)
+		m, used, err := msg.Decode(d.Buf)
 		if err != nil {
 			return 0, false, bs, fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}
-		bs = append(bs, broadcast{from: int(from), m: m, raw: dec.buf[:used:used]})
-		dec.buf = dec.buf[used:]
+		bs = append(bs, broadcast{from: from, m: m, raw: d.Buf[:used:used]})
+		d.Buf = d.Buf[used:]
 	}
-	if len(dec.buf) != 0 {
-		return 0, false, bs, fmt.Errorf("net: %d trailing bytes after outbox frame", len(dec.buf))
+	if err := d.Finish("outbox frame"); err != nil {
+		return 0, false, bs, err
 	}
 	return round, flags&outboxFlagDone != 0, bs, nil
 }
@@ -310,83 +288,18 @@ func appendState(buf []byte, lo int, blobs [][]byte) []byte {
 // blob) per entry. Blobs alias the payload buffer and must be consumed
 // within the callback.
 func decodeState(buf []byte, restore func(vertex int, blob []byte) error) error {
-	dec := wireDec{buf: buf}
-	count := dec.uvarint("state count")
-	if dec.err != nil {
-		return dec.err
-	}
-	if count > uint64(len(dec.buf))+1 {
-		return fmt.Errorf("net: implausible state count %d for %d remaining bytes", count, len(dec.buf))
-	}
-	for i := uint64(0); i < count; i++ {
-		vertex := dec.uvarint("state vertex")
-		blob := dec.lenBytes("state blob")
-		if dec.err != nil {
-			return dec.err
+	d := msg.NewDec("net", buf)
+	// Each entry costs at least two bytes: its vertex and blob length.
+	count := d.Count("state count", 2)
+	for i := 0; i < count && d.Err == nil; i++ {
+		vertex := d.Int("state vertex", maxVertex)
+		blob := d.Bytes("state blob")
+		if d.Err != nil {
+			break
 		}
-		if err := restore(int(vertex), blob); err != nil {
+		if err := restore(vertex, blob); err != nil {
 			return err
 		}
 	}
-	if len(dec.buf) != 0 {
-		return fmt.Errorf("net: %d trailing bytes after state frame", len(dec.buf))
-	}
-	return nil
-}
-
-// wireDec is a cursor over a frame payload that latches the first
-// decode error, keeping multi-field parsers linear instead of nested.
-type wireDec struct {
-	buf []byte
-	err error
-}
-
-func (d *wireDec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("net: truncated %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// vertex reads a uvarint vertex id, rejecting ids above maxVertex.
-func (d *wireDec) vertex(what string) uint64 {
-	v := d.uvarint(what)
-	if d.err == nil && v > maxVertex {
-		d.err = fmt.Errorf("net: %s %d out of range", what, v)
-		return 0
-	}
-	return v
-}
-
-func (d *wireDec) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("net: truncated %s", what)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *wireDec) lenBytes(what string) []byte {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("net: %s of %d bytes exceeds the %d remaining", what, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
+	return d.Finish("state frame")
 }

@@ -10,7 +10,6 @@ import (
 	"dima/internal/gen"
 	"dima/internal/graph"
 	"dima/internal/graphio"
-	"dima/internal/rng"
 )
 
 // Submissions come in two shapes, distinguished by Content-Type:
@@ -43,25 +42,9 @@ type SubmitRequest struct {
 	Recovery bool `json:"recovery,omitempty"`
 }
 
-// GenSpec names a graph family and its parameters, mirroring the
-// graphgen CLI. Unused parameters are ignored.
-type GenSpec struct {
-	Family string  `json:"family"`
-	N      int     `json:"n"`
-	Deg    float64 `json:"deg"`    // er: average degree
-	P      float64 `json:"p"`      // gnp, bipartite: edge probability
-	M      int     `json:"m"`      // gnm: edge count
-	K      int     `json:"k"`      // ba, ws, regular: degree parameter
-	Power  float64 `json:"power"`  // ba: attachment exponent
-	Beta   float64 `json:"beta"`   // ws: rewire probability
-	Rows   int     `json:"rows"`   // grid
-	Cols   int     `json:"cols"`   // grid
-	Dim    int     `json:"dim"`    // hypercube
-	Left   int     `json:"left"`   // bipartite
-	Right  int     `json:"right"`  // bipartite
-	Seed   uint64  `json:"seed"`   // generator seed (independent of the run seed)
-	Radius float64 `json:"radius"` // geometric
-}
+// GenSpec names a graph family and its parameters: graphgen's flags
+// as JSON. Unused parameters are ignored.
+type GenSpec = gen.Spec
 
 // parseSubmit turns an HTTP submission into a validated JobRequest.
 func (s *Server) parseSubmit(r *http.Request) (JobRequest, error) {
@@ -80,7 +63,7 @@ func (s *Server) parseSubmit(r *http.Request) (JobRequest, error) {
 		return buildRequest(sub)
 	}
 	// Raw upload: the body is the graph, parameters ride the query.
-	g, err := graphio.ReadGraph(body)
+	g, err := graphio.ReadGraphMax(body, maxVertices)
 	if err != nil {
 		return JobRequest{}, err
 	}
@@ -112,7 +95,7 @@ func buildRequest(sub SubmitRequest) (JobRequest, error) {
 	var g *graph.Graph
 	var err error
 	if sub.Graph != "" {
-		g, err = graphio.ReadGraph(strings.NewReader(sub.Graph))
+		g, err = graphio.ReadGraphMax(strings.NewReader(sub.Graph), maxVertices)
 	} else {
 		g, err = buildGraph(*sub.Gen)
 	}
@@ -125,69 +108,26 @@ func buildRequest(sub SubmitRequest) (JobRequest, error) {
 	}, nil
 }
 
-// maxGenVertices bounds server-side generation: a spec is a few bytes,
-// so unlike an upload its cost is not limited by MaxBodyBytes.
-const maxGenVertices = 2_000_000
+// maxVertices bounds the graph of every submission. Neither a
+// generator spec nor an upload's header line costs more than a few
+// bytes, yet either sets the vertex count the server allocates for, so
+// MaxBodyBytes does not bound it.
+const maxVertices = 2_000_000
 
-// buildGraph mirrors graphgen's family switch with the same boundary
-// validation, returning errors instead of exiting.
+// buildGraph generates a spec's graph after checking it against the
+// server's size caps, which gen.Spec.Validate does not impose.
 func buildGraph(spec GenSpec) (*graph.Graph, error) {
-	if spec.N < 0 || spec.N > maxGenVertices {
-		return nil, fmt.Errorf("gen: n wants [0, %d], got %d", maxGenVertices, spec.N)
+	switch {
+	case spec.N > maxVertices:
+		return nil, fmt.Errorf("gen: n wants at most %d vertices, got %d", maxVertices, spec.N)
+	case spec.Rows > 0 && spec.Cols > maxVertices/spec.Rows:
+		return nil, fmt.Errorf("gen: grid wants at most %d vertices, got %d x %d", maxVertices, spec.Rows, spec.Cols)
+	case spec.Dim > 20: // 2^21 > maxVertices
+		return nil, fmt.Errorf("gen: hypercube wants at most %d vertices, got dimension %d", maxVertices, spec.Dim)
+	case spec.Left > maxVertices-spec.Right:
+		return nil, fmt.Errorf("gen: bipartite wants at most %d vertices, got %d and %d", maxVertices, spec.Left, spec.Right)
+	case spec.Family == "complete" && spec.N > 3000: // ~4.5M edges; keep the quadratic family sane
+		return nil, fmt.Errorf("gen: complete wants n <= 3000, got %d", spec.N)
 	}
-	if spec.M < 0 {
-		return nil, fmt.Errorf("gen: m wants a non-negative edge count, got %d", spec.M)
-	}
-	if spec.K < 0 {
-		return nil, fmt.Errorf("gen: k wants a non-negative degree, got %d", spec.K)
-	}
-	if spec.Rows < 0 || spec.Cols < 0 || spec.Rows*spec.Cols > maxGenVertices {
-		return nil, fmt.Errorf("gen: grid wants non-negative dims up to %d vertices, got %d x %d",
-			maxGenVertices, spec.Rows, spec.Cols)
-	}
-	if spec.Dim < 0 || spec.Dim > 20 {
-		return nil, fmt.Errorf("gen: hypercube dimension wants [0, 20], got %d", spec.Dim)
-	}
-	if spec.Left < 0 || spec.Right < 0 || spec.Left+spec.Right > maxGenVertices {
-		return nil, fmt.Errorf("gen: bipartite wants non-negative parts up to %d vertices, got %d and %d",
-			maxGenVertices, spec.Left, spec.Right)
-	}
-	r := rng.New(spec.Seed)
-	switch spec.Family {
-	case "er":
-		return gen.ErdosRenyiAvgDegree(r, spec.N, spec.Deg)
-	case "gnp":
-		return gen.ErdosRenyiGNP(r, spec.N, spec.P)
-	case "gnm":
-		return gen.ErdosRenyiGNM(r, spec.N, spec.M)
-	case "ba":
-		return gen.BarabasiAlbert(r, spec.N, spec.K, spec.Power)
-	case "ws":
-		return gen.WattsStrogatz(r, spec.N, spec.K, spec.Beta)
-	case "regular":
-		return gen.RandomRegular(r, spec.N, spec.K)
-	case "geometric":
-		return gen.RandomGeometric(r, spec.N, spec.Radius)
-	case "tree":
-		return gen.RandomTree(r, spec.N), nil
-	case "bipartite":
-		return gen.RandomBipartite(r, spec.Left, spec.Right, spec.P)
-	case "complete":
-		if spec.N > 3000 { // ~4.5M edges; keep the quadratic family sane
-			return nil, fmt.Errorf("gen: complete wants n <= 3000, got %d", spec.N)
-		}
-		return gen.Complete(spec.N), nil
-	case "cycle":
-		return gen.Cycle(spec.N), nil
-	case "path":
-		return gen.Path(spec.N), nil
-	case "star":
-		return gen.Star(spec.N), nil
-	case "grid":
-		return gen.Grid(spec.Rows, spec.Cols), nil
-	case "hypercube":
-		return gen.Hypercube(spec.Dim), nil
-	default:
-		return nil, fmt.Errorf("gen: unknown family %q", spec.Family)
-	}
+	return spec.Build()
 }

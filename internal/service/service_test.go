@@ -223,6 +223,7 @@ func TestBadSubmissionsGet400(t *testing.T) {
 		"negative n":            `{"gen":{"family":"complete","n":-5}}`,
 		"huge hypercube":        `{"gen":{"family":"hypercube","dim":40}}`,
 		"negative grid":         `{"gen":{"family":"grid","rows":-3,"cols":4}}`,
+		"overflowing grid":      `{"gen":{"family":"grid","rows":4294967296,"cols":4294967296}}`,
 		"negative maxRounds":    `{"gen":{"family":"er","n":10,"deg":2},"maxRounds":-1}`,
 		"malformed graph":       `{"graph":"n -4\ne 0 1\n"}`,
 		"unknown field":         `{"gen":{"family":"er","n":10,"deg":2},"bogus":true}`,
@@ -230,6 +231,50 @@ func TestBadSubmissionsGet400(t *testing.T) {
 		resp, raw := postJSON(t, ts.URL+"/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestUploadVertexCap: an upload's header alone sets the vertex count
+// the server allocates for, so raw and JSON uploads share the cap that
+// generator specs have, and an over-cap header is refused before
+// anything is allocated for it.
+func TestUploadVertexCap(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	for _, header := range []string{"n 2000001\n", "p edge 2000001 0\n"} {
+		resp, err := http.Post(ts.URL+"/jobs", "text/plain", strings.NewReader(header))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("raw %q: status %d, want 400: %s", header, resp.StatusCode, raw)
+		}
+		body, _ := json.Marshal(service.SubmitRequest{Graph: header})
+		if resp, raw := postJSON(t, ts.URL+"/jobs", string(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("JSON %q: status %d, want 400: %s", header, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestSubmitEveryGenFamily: every family graphgen knows is accepted as
+// a "gen" spec.
+func TestSubmitEveryGenFamily(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+
+	for _, fam := range []string{"er", "gnp", "gnm", "ba", "ws", "regular", "geometric", "powerlaw", "tree",
+		"bipartite", "complete", "cycle", "path", "star", "grid", "hypercube"} {
+		spec := fmt.Sprintf(`{"gen":{"family":%q,"n":12,"deg":3,"p":0.3,"m":10,"k":2,"radius":0.5,"rows":3,"cols":4,"dim":3,"left":4,"right":5,"seed":5}}`, fam)
+		if st := submit(t, ts.URL, spec); st.N <= 0 {
+			t.Errorf("%s: generated n=%d", fam, st.N)
 		}
 	}
 }

@@ -185,23 +185,3 @@ func (h *Histogram) Add(x int) {
 	}
 	h.Counts[i]++
 }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mode returns the bin value with the highest count (smallest on ties).
-func (h *Histogram) Mode() int {
-	best, bestCount := h.Lo, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = h.Lo+i, c
-		}
-	}
-	return best
-}

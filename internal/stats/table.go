@@ -42,9 +42,6 @@ func trimFloat(v float64) string {
 	return strings.TrimRight(s, ".")
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Write renders the table with aligned columns to w.
 func (t *Table) Write(w io.Writer) error {
 	width := utf8.RuneCountInString
