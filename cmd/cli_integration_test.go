@@ -537,3 +537,16 @@ func TestDimabenchUnknownExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestDimabenchRejectsBadScale: -scale must be a finite fraction in
+// (0, 100]. NaN and huge values once fell through to the 2-repetition
+// floor or to a grid of billions of runs; both are usage errors (exit
+// 2) now, before anything runs.
+func TestDimabenchRejectsBadScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "-Inf", "1e300", "3e7", "100.5", "0", "-1"} {
+		_, stderr, err := run(t, "dimabench", "-exp", "fig3", "-scale", scale)
+		if code := exitCode(err); code != 2 || !strings.Contains(stderr, "-scale") {
+			t.Fatalf("-scale %s: exit %d, stderr %q; want exit 2 naming -scale", scale, code, stderr)
+		}
+	}
+}

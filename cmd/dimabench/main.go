@@ -77,7 +77,7 @@ const experiments = "fig3, fig4, fig5, fig6, compare, converge, pairprob, fits, 
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment: "+experiments+", or all")
-		scale   = flag.Float64("scale", 1.0, "fraction of the paper's 50 repetitions per cell")
+		scale   = flag.Float64("scale", 1.0, "fraction of the paper's 50 repetitions per cell, in (0, 100]")
 		seed    = flag.Uint64("seed", 2012, "master seed")
 		workers = flag.Int("workers", 0, "parallel workers running the repetitions (0 = GOMAXPROCS)")
 		csvPath = flag.String("csv", "", "also write the rounds series as CSV")
@@ -90,8 +90,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if *scale <= 0 {
-		usage(fmt.Errorf("-scale wants a positive fraction, got %g", *scale))
+	// At most 100: 5,000 repetitions per cell, 100× the paper's
+	// protocol. The negated test also rejects NaN.
+	if !(*scale > 0 && *scale <= 100) {
+		usage(fmt.Errorf("-scale wants a fraction in (0, 100], got %g", *scale))
 	}
 	if *workers < 0 {
 		usage(fmt.Errorf("-workers wants a non-negative count, got %d", *workers))
@@ -122,17 +124,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dimabench: pprof and /metrics at http://%s\n", ds.Addr())
 	}
 
+	gridCfg := experiment.Config{Seed: *seed, Workers: *workers}
+	// Grid runs by figure name, for fits to reuse: a grid is a pure
+	// function of its specs and the seed.
+	grids := map[string][]experiment.Run{}
 	for _, fig := range figures() {
 		if !runAll && !selected[fig.name] {
 			continue
 		}
 		start := time.Now()
-		runs, err := experiment.RunGrid(fig.specs(*scale), experiment.Config{
-			Seed: *seed, Workers: *workers,
-		})
+		runs, err := experiment.RunGrid(fig.specs(*scale), gridCfg)
 		if err != nil {
 			fatal(err)
 		}
+		grids[fig.name] = runs
 		fmt.Printf("== %s — %s\n", fig.name, fig.notes)
 		fmt.Printf("   %d runs in %v\n\n", len(runs), time.Since(start).Round(time.Millisecond))
 		fmt.Println(experiment.RoundsTable(runs).String())
@@ -185,16 +190,19 @@ func main() {
 	if runAll || selected["fits"] {
 		fmt.Println("== fits — the conclusion's headline constants: rounds ≈ 2Δ (Algorithm 1) and ≈ 4Δ (Algorithm 2)")
 		for _, arm := range []struct {
-			name  string
-			specs []experiment.Spec
-			paper float64
+			name, fig string
+			specs     func(scale float64) []experiment.Spec
+			paper     float64
 		}{
-			{"algorithm 1 (fig3 grid)", experiment.Fig3Specs(*scale), 2},
-			{"algorithm 2 (fig6 grid)", experiment.Fig6Specs(*scale), 4},
+			{"algorithm 1 (fig3 grid)", "fig3", experiment.Fig3Specs, 2},
+			{"algorithm 2 (fig6 grid)", "fig6", experiment.Fig6Specs, 4},
 		} {
-			runs, err := experiment.RunGrid(arm.specs, experiment.Config{Seed: *seed, Workers: *workers})
-			if err != nil {
-				fatal(err)
+			runs, ok := grids[arm.fig]
+			if !ok {
+				var err error
+				if runs, err = experiment.RunGrid(arm.specs(*scale), gridCfg); err != nil {
+					fatal(err)
+				}
 			}
 			fit, err := experiment.FitRoundsVsDelta(runs)
 			if err != nil {
@@ -206,10 +214,7 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["converge"] {
-		reps := int(10**scale + 0.5)
-		if reps < 2 {
-			reps = 2
-		}
+		reps := scaledReps(10, *scale)
 		fmt.Println("== converge — cumulative fraction of edges/arcs colored per computation round")
 		series := map[string][]experiment.ConvergencePoint{}
 		order := []string{"alg1 er n=200 deg=8", "alg2 dir-er n=200 deg=8"}
@@ -240,10 +245,7 @@ func main() {
 		fmt.Println()
 	}
 	if runAll || selected["pairprob"] {
-		reps := int(20**scale + 0.5)
-		if reps < 2 {
-			reps = 2
-		}
+		reps := scaledReps(20, *scale)
 		fmt.Println("== pairprob — empirical Equation (1): per-round pairing probability of an active node")
 		for _, arm := range []struct {
 			name   string
@@ -263,10 +265,7 @@ func main() {
 	}
 	if runAll || selected["compare"] {
 		start := time.Now()
-		reps := int(10**scale + 0.5)
-		if reps < 2 {
-			reps = 2
-		}
+		reps := scaledReps(10, *scale)
 		runs, err := experiment.RunComparison(*seed, 200, []float64{4, 8, 16}, reps, *workers)
 		if err != nil {
 			fatal(err)
@@ -387,6 +386,12 @@ func runTelemetry(seed uint64, reg *metrics.Registry, metricsOut, traceOut strin
 		}
 	}
 	fmt.Println()
+}
+
+// scaledReps scales an experiment's full-protocol repetition count,
+// with a floor of 2 (the rule experiment applies to the figure grids).
+func scaledReps(full int, scale float64) int {
+	return max(int(float64(full)*scale+0.5), 2)
 }
 
 // prefixed inserts an algorithm prefix into a path's file name:

@@ -222,64 +222,29 @@ func main() {
 	}
 	opt.Hook = metrics.ChainHooks(hooks...)
 
+	var d *graph.Digraph
+	kind := "edge"
+	if *strong {
+		kind = "arc"
+		d = graph.NewSymmetric(g)
+	}
 	if *reps > 1 {
 		if *jsonOut != "" || *showTr || *metricsOut != "" || *traceOut != "" {
 			usage(fmt.Errorf("-reps does not combine with -json, -trace, -metrics-out, or -trace-out"))
 		}
-		runStats(g, opt, *algo, *strong, *reps)
+		if *algo == "tree" {
+			usage(fmt.Errorf("-reps supports dima and simple algorithms"))
+		}
+		runStats(g, d, opt, *algo, *reps)
 		return
 	}
-	var res *core.Result
-	var d *graph.Digraph
-	kind := "edge"
-	switch {
-	case *strong:
-		kind = "arc"
-		d = graph.NewSymmetric(g)
-		res, err = core.ColorStrong(d, opt)
-	case *algo == "dima":
-		res, err = core.ColorEdges(g, opt)
-	case *algo == "simple":
-		var sres *mpr.Result
-		sres, err = mpr.Color(g, mpr.Options{Seed: opt.Seed, Engine: opt.Engine, MaxRounds: opt.MaxCompRounds})
-		if err == nil {
-			res = &core.Result{
-				Colors: sres.Colors, NumColors: sres.NumColors,
-				CompRounds: sres.Rounds, CommRounds: sres.CommRounds,
-				Messages: sres.Messages, Terminated: sres.Terminated,
-			}
-			res.MaxColor = -1
-			for _, c := range sres.Colors {
-				if c > res.MaxColor {
-					res.MaxColor = c
-				}
-			}
-		}
-	case *algo == "tree":
-		var tres *baseline.TreeWaveResult
-		tres, err = baseline.TreeWave(g, opt.Engine)
-		if err == nil {
-			distinct, maxc := verify.CountColors(tres.Colors)
-			res = &core.Result{
-				Colors: tres.Colors, NumColors: distinct, MaxColor: maxc,
-				CompRounds: tres.Rounds, CommRounds: tres.Rounds,
-				Messages: tres.Messages, Terminated: tres.Terminated,
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
-	}
+	res, err := colorOnce(g, d, *algo, opt)
 	if err != nil {
 		fatal(err)
 	}
 
 	if !*noVerify {
-		var violations []verify.Violation
-		if *strong {
-			violations = verify.StrongColoring(d, res.Colors)
-		} else {
-			violations = verify.EdgeColoring(g, res.Colors)
-		}
+		violations := check(g, d, res.Colors)
 		for _, v := range violations {
 			if v.Kind == "uncolored" && !res.Terminated {
 				continue
@@ -434,60 +399,78 @@ func main() {
 	}
 }
 
+// colorOnce runs one coloring of g with the selected algorithm: for
+// -strong, Algorithm 2 on d, the symmetric digraph of g; otherwise
+// Algorithm 1 or a baseline on g. Baseline results are reported in
+// core.Result terms.
+func colorOnce(g *graph.Graph, d *graph.Digraph, algo string, opt core.Options) (*core.Result, error) {
+	switch {
+	case d != nil:
+		return core.ColorStrong(d, opt)
+	case algo == "dima":
+		return core.ColorEdges(g, opt)
+	case algo == "simple":
+		sres, err := mpr.Color(g, mpr.Options{Seed: opt.Seed, Engine: opt.Engine, MaxRounds: opt.MaxCompRounds})
+		if err != nil {
+			return nil, err
+		}
+		res := &core.Result{
+			Colors: sres.Colors, NumColors: sres.NumColors,
+			CompRounds: sres.Rounds, CommRounds: sres.CommRounds,
+			Messages: sres.Messages, Terminated: sres.Terminated,
+		}
+		res.MaxColor = -1
+		for _, c := range sres.Colors {
+			if c > res.MaxColor {
+				res.MaxColor = c
+			}
+		}
+		return res, nil
+	case algo == "tree":
+		tres, err := baseline.TreeWave(g, opt.Engine)
+		if err != nil {
+			return nil, err
+		}
+		distinct, maxc := verify.CountColors(tres.Colors)
+		return &core.Result{
+			Colors: tres.Colors, NumColors: distinct, MaxColor: maxc,
+			CompRounds: tres.Rounds, CommRounds: tres.Rounds,
+			Messages: tres.Messages, Terminated: tres.Terminated,
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q", algo)
+}
+
+// check verifies a coloring: strong distance-2 on d when it is set,
+// proper on g otherwise.
+func check(g *graph.Graph, d *graph.Digraph, colors []int) []verify.Violation {
+	if d != nil {
+		return verify.StrongColoring(d, colors)
+	}
+	return verify.EdgeColoring(g, colors)
+}
+
 // runStats executes the selected algorithm across consecutive seeds and
 // prints round/color statistics — the quick way to see a graph's typical
 // behavior rather than a single sample.
-func runStats(g *graph.Graph, opt core.Options, algo string, strong bool, reps int) {
+func runStats(g *graph.Graph, d *graph.Digraph, opt core.Options, algo string, reps int) {
 	var rounds, colors, msgs stats.Online
-	var d *graph.Digraph
-	if strong {
-		d = graph.NewSymmetric(g)
-	}
 	for i := 0; i < reps; i++ {
 		o := opt
 		o.Seed = opt.Seed + uint64(i)
-		var compRounds, numColors int
-		var messages int64
-		switch {
-		case strong:
-			res, err := core.ColorStrong(d, o)
-			if err != nil {
-				fatal(err)
-			}
-			if !res.Terminated {
-				fatal(fmt.Errorf("seed %d did not terminate", o.Seed))
-			}
-			if v := verify.StrongColoring(d, res.Colors); len(v) != 0 {
-				fatal(fmt.Errorf("seed %d: %v", o.Seed, v[0]))
-			}
-			compRounds, numColors, messages = res.CompRounds, res.NumColors, res.Messages
-		case algo == "dima":
-			res, err := core.ColorEdges(g, o)
-			if err != nil {
-				fatal(err)
-			}
-			if !res.Terminated {
-				fatal(fmt.Errorf("seed %d did not terminate", o.Seed))
-			}
-			if v := verify.EdgeColoring(g, res.Colors); len(v) != 0 {
-				fatal(fmt.Errorf("seed %d: %v", o.Seed, v[0]))
-			}
-			compRounds, numColors, messages = res.CompRounds, res.NumColors, res.Messages
-		case algo == "simple":
-			res, err := mpr.Color(g, mpr.Options{Seed: o.Seed, Engine: o.Engine, MaxRounds: o.MaxCompRounds})
-			if err != nil {
-				fatal(err)
-			}
-			if v := verify.EdgeColoring(g, res.Colors); len(v) != 0 {
-				fatal(fmt.Errorf("seed %d: %v", o.Seed, v[0]))
-			}
-			compRounds, numColors, messages = res.Rounds, res.NumColors, res.Messages
-		default:
-			fatal(fmt.Errorf("-reps supports dima and simple algorithms"))
+		res, err := colorOnce(g, d, algo, o)
+		if err != nil {
+			fatal(err)
 		}
-		rounds.Add(float64(compRounds))
-		colors.Add(float64(numColors))
-		msgs.Add(float64(messages))
+		if !res.Terminated {
+			fatal(fmt.Errorf("seed %d did not terminate", o.Seed))
+		}
+		if v := check(g, d, res.Colors); len(v) != 0 {
+			fatal(fmt.Errorf("seed %d: %v", o.Seed, v[0]))
+		}
+		rounds.Add(float64(res.CompRounds))
+		colors.Add(float64(res.NumColors))
+		msgs.Add(float64(res.Messages))
 	}
 	delta := g.MaxDegree()
 	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), delta)

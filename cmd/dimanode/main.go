@@ -1,7 +1,7 @@
 // Command dimanode is a cluster node process for the tcp engine
 // (docs/CLUSTER.md): it owns one contiguous vertex shard of a coloring
-// run coordinated by a dimacolor (or dimabench) process started with
-// -engine tcp -external.
+// run coordinated by a dimacolor process started with -engine tcp
+// -external.
 //
 // Usage:
 //

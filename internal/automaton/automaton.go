@@ -109,10 +109,9 @@ type Hook func(node int, from, to State)
 // Machine tracks one node's automaton state and enforces transition
 // legality. The zero value is not usable; construct with NewMachine.
 type Machine struct {
-	node        int
-	state       State
-	transitions int
-	hook        Hook
+	node  int
+	state State
+	hook  Hook
 }
 
 // NewMachine returns a machine for the given node, starting in Choose.
@@ -124,9 +123,6 @@ func NewMachine(node int, hook Hook) *Machine {
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 
-// Transitions returns the number of transitions taken.
-func (m *Machine) Transitions() int { return m.transitions }
-
 // TransitionTo moves the machine to state t, or reports a
 // TransitionError if the automaton has no such edge.
 func (m *Machine) TransitionTo(t State) error {
@@ -135,7 +131,6 @@ func (m *Machine) TransitionTo(t State) error {
 	}
 	from := m.state
 	m.state = t
-	m.transitions++
 	if m.hook != nil {
 		m.hook(m.node, from, t)
 	}

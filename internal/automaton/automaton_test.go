@@ -49,14 +49,15 @@ func TestTransitionTable(t *testing.T) {
 
 func TestMachineHappyPathInviter(t *testing.T) {
 	// The inviter-side cycle of one computation round: C→I→W→U→E→C.
-	m := NewMachine(3, nil)
+	transitions := 0
+	m := NewMachine(3, func(int, State, State) { transitions++ })
 	for _, s := range []State{Invite, Wait, Update, Exchange, Choose} {
 		if err := m.TransitionTo(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.State() != Choose || m.Transitions() != 5 {
-		t.Fatalf("state %v after %d transitions", m.State(), m.Transitions())
+	if m.State() != Choose || transitions != 5 {
+		t.Fatalf("state %v after %d transitions", m.State(), transitions)
 	}
 }
 
@@ -78,7 +79,8 @@ func TestMachineHappyPathListener(t *testing.T) {
 }
 
 func TestMachineIllegalTransition(t *testing.T) {
-	m := NewMachine(7, nil)
+	transitions := 0
+	m := NewMachine(7, func(int, State, State) { transitions++ })
 	err := m.TransitionTo(Wait) // C→W is not an automaton edge
 	if err == nil {
 		t.Fatal("C→W accepted")
@@ -93,8 +95,8 @@ func TestMachineIllegalTransition(t *testing.T) {
 	if te.Error() == "" {
 		t.Fatal("empty error message")
 	}
-	// State unchanged after a failed transition.
-	if m.State() != Choose || m.Transitions() != 0 {
+	// State unchanged, and no hook fired, after a failed transition.
+	if m.State() != Choose || transitions != 0 {
 		t.Fatal("failed transition mutated machine")
 	}
 }

@@ -1,9 +1,8 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dima/internal/baseline"
 	"dima/internal/core"
@@ -34,48 +33,16 @@ func RunStrongComparison(seed uint64, n int, degs []float64, repsPerDeg, workers
 	if repsPerDeg <= 0 {
 		return nil, fmt.Errorf("experiment: strong comparison needs at least one repetition")
 	}
-	type job struct {
-		deg     float64
-		jobSeed uint64
-	}
-	var jobs []job
-	base := rng.New(seed)
-	for di, deg := range degs {
-		for rep := 0; rep < repsPerDeg; rep++ {
-			jobs = append(jobs, job{deg: deg,
-				jobSeed: base.Derive(uint64(di)).Derive(uint64(rep)).Uint64()})
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	base := rng.New(seed) // Derive only reads base, so jobs share it
 	const algosPerJob = 3
-	results := make([]StrongCompareRun, algosPerJob*len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range ch {
-				errs[idx] = strongCompareOne(jobs[idx].deg, n, jobs[idx].jobSeed,
-					results[algosPerJob*idx:algosPerJob*idx+algosPerJob])
-			}
-		}()
-	}
-	for idx := range jobs {
-		ch <- idx
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results := make([]StrongCompareRun, algosPerJob*len(degs)*repsPerDeg)
+	err := forEach(context.TODO(), len(degs)*repsPerDeg, workers, func(i int) error {
+		di, rep := i/repsPerDeg, i%repsPerDeg
+		return strongCompareOne(degs[di], n, base.Derive(uint64(di)).Derive(uint64(rep)).Uint64(),
+			results[algosPerJob*i:algosPerJob*(i+1)])
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -1,15 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"dima/internal/core"
-	"dima/internal/gen"
-	"dima/internal/graph"
-	"dima/internal/metrics"
-	"dima/internal/rng"
-	"dima/internal/viz"
-)
+import "dima/internal/viz"
 
 // ConvergencePoint is the cumulative progress of a run family at one
 // computation round.
@@ -26,47 +17,15 @@ type ConvergencePoint struct {
 // colors one edge/arc and is logged by both endpoints, so the per-round
 // pairings (RoundStats.Paired) divide by two.
 func Convergence(seed uint64, n int, deg float64, reps int, strong bool) ([]ConvergencePoint, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("experiment: convergence needs repetitions")
+	rounds, items, err := participation("convergence", seed, n, deg, reps, strong)
+	if err != nil {
+		return nil, err
 	}
-	base := rng.New(seed)
-	var colored []float64 // colored[r]: total items colored in round r, across reps
-	var totals float64    // total items across reps
-	for rep := 0; rep < reps; rep++ {
-		r := base.Derive(uint64(rep))
-		g, err := gen.ErdosRenyiAvgDegree(r, n, deg)
-		if err != nil {
-			return nil, err
-		}
-		mem := &metrics.Memory{}
-		opt := core.Options{Seed: r.Uint64(), Metrics: mem}
-		var res *core.Result
-		if strong {
-			d := graph.NewSymmetric(g)
-			totals += float64(d.A())
-			res, err = core.ColorStrong(d, opt)
-		} else {
-			totals += float64(g.M())
-			res, err = core.ColorEdges(g, opt)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !res.Terminated {
-			return nil, fmt.Errorf("experiment: convergence run truncated")
-		}
-		for i, p := range mem.Rounds {
-			for len(colored) <= i {
-				colored = append(colored, 0)
-			}
-			colored[i] += float64(p.Paired) / 2
-		}
-	}
-	points := make([]ConvergencePoint, len(colored))
+	points := make([]ConvergencePoint, len(rounds))
 	cum := 0.0
-	for i, c := range colored {
-		cum += c
-		points[i] = ConvergencePoint{Round: i, Fraction: cum / totals}
+	for i, p := range rounds {
+		cum += float64(p.Paired) / 2
+		points[i] = ConvergencePoint{Round: i, Fraction: cum / float64(items)}
 	}
 	return points, nil
 }

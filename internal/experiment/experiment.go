@@ -35,6 +35,7 @@ import (
 	"dima/internal/graph"
 	"dima/internal/metrics"
 	"dima/internal/rng"
+	"dima/internal/verify"
 )
 
 // Spec describes one experiment cell: how to build a graph and which
@@ -102,46 +103,68 @@ func RunGridCtx(ctx context.Context, specs []Spec, cfg Config) ([]Run, error) {
 				runSeed: base.Derive(uint64(si)).Derive(uint64(rep)).Uint64()})
 		}
 	}
-	workers := cfg.Workers
+	results := make([]Run, len(jobs))
+	err := forEach(ctx, len(jobs), cfg.Workers, func(i int) (err error) {
+		j := jobs[i]
+		results[i], err = runOne(ctx, specs[j.spec], j.rep, j.runSeed)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// forEach runs job(0), …, job(n-1) on up to workers goroutines; 0
+// means GOMAXPROCS. Canceling ctx stops dispatch and returns ctx's
+// error. Otherwise it returns the error of the lowest failing index,
+// so the outcome does not depend on the worker count.
+func forEach(ctx context.Context, n, workers int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]Run, len(jobs))
-	errs := make([]error, len(jobs))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	ch := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range ch {
-				j := jobs[idx]
-				results[idx], errs[idx] = runOne(ctx, specs[j.spec], j.rep, j.runSeed)
+			for i := range ch {
+				errs[i] = job(i)
 			}
 		}()
 	}
-dispatch:
-	for idx := range jobs {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
-		case ch <- idx:
+		case ch <- i:
 		case <-ctx.Done():
-			break dispatch
 		}
 	}
 	close(ch)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return results, nil
+	return nil
+}
+
+// color runs Algorithm 1 on g or, when strong, Algorithm 2 on g's
+// symmetric digraph. check verifies the coloring: proper for
+// Algorithm 1, strong distance-2 for Algorithm 2.
+func color(ctx context.Context, g *graph.Graph, strong bool, opt core.Options) (res *core.Result, check func() []verify.Violation, err error) {
+	if strong {
+		d := graph.NewSymmetric(g)
+		res, err = core.ColorStrongCtx(ctx, d, opt)
+		return res, func() []verify.Violation { return verify.StrongColoring(d, res.Colors) }, err
+	}
+	res, err = core.ColorEdgesCtx(ctx, g, opt)
+	return res, func() []verify.Violation { return verify.EdgeColoring(g, res.Colors) }, err
 }
 
 func runOne(ctx context.Context, spec Spec, rep int, seed uint64) (Run, error) {
@@ -152,13 +175,7 @@ func runOne(ctx context.Context, spec Spec, rep int, seed uint64) (Run, error) {
 	}
 	// Each run reads its pair rate from its own metrics stream.
 	mem := &metrics.Memory{}
-	opt := core.Options{Seed: gr.Uint64(), Metrics: mem}
-	var res *core.Result
-	if spec.Strong {
-		res, err = core.ColorStrongCtx(ctx, graph.NewSymmetric(g), opt)
-	} else {
-		res, err = core.ColorEdgesCtx(ctx, g, opt)
-	}
+	res, _, err := color(ctx, g, spec.Strong, core.Options{Seed: gr.Uint64(), Metrics: mem})
 	if err != nil {
 		return Run{}, fmt.Errorf("experiment: %s rep %d: %v", spec.Group, rep, err)
 	}
@@ -188,13 +205,9 @@ func runOne(ctx context.Context, spec Spec, rep int, seed uint64) (Run, error) {
 	return run, nil
 }
 
-// reps scales the paper's 50-repetition cells, with a floor of 2.
-func reps(scale float64) int {
-	r := int(50*scale + 0.5)
-	if r < 2 {
-		r = 2
-	}
-	return r
+// reps scales a full protocol's repetition count, with a floor of 2.
+func reps(full int, scale float64) int {
+	return max(int(float64(full)*scale+0.5), 2)
 }
 
 // Fig3Specs returns the §IV-A grid: Algorithm 1 on Erdős–Rényi graphs.
@@ -208,7 +221,7 @@ func Fig3Specs(scale float64) []Spec {
 				Make: func(r *rng.Rand) (*graph.Graph, error) {
 					return gen.ErdosRenyiAvgDegree(r, n, deg)
 				},
-				Reps: reps(scale),
+				Reps: reps(50, scale),
 			})
 		}
 	}
@@ -227,7 +240,7 @@ func Fig4Specs(scale float64) []Spec {
 				Make: func(r *rng.Rand) (*graph.Graph, error) {
 					return gen.BarabasiAlbert(r, n, 2, power)
 				},
-				Reps: reps(scale),
+				Reps: reps(50, scale),
 			})
 		}
 	}
@@ -253,7 +266,7 @@ func Fig5Specs(scale float64) []Spec {
 				Make: func(r *rng.Rand) (*graph.Graph, error) {
 					return gen.WattsStrogatz(r, n, k, 0.1)
 				},
-				Reps: reps(scale),
+				Reps: reps(50, scale),
 			})
 		}
 	}
@@ -273,7 +286,7 @@ func Fig6Specs(scale float64) []Spec {
 					return gen.ErdosRenyiAvgDegree(r, n, deg)
 				},
 				Strong: true,
-				Reps:   reps(scale),
+				Reps:   reps(50, scale),
 			})
 		}
 	}

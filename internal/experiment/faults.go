@@ -3,9 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"dima/internal/automaton"
 	"dima/internal/core"
@@ -14,7 +12,6 @@ import (
 	"dima/internal/net"
 	"dima/internal/rng"
 	"dima/internal/stats"
-	"dima/internal/verify"
 )
 
 // This file implements the fault sweep: both algorithms run under a
@@ -72,16 +69,12 @@ type FaultConfig struct {
 // DefaultFaultConfig returns the standard sweep: ER n=120 deg=8 under
 // drop rates {0, 2, 5, 10, 20}%, scale-adjusted repetitions.
 func DefaultFaultConfig(seed uint64, scale float64) FaultConfig {
-	r := int(20*scale + 0.5)
-	if r < 2 {
-		r = 2
-	}
 	return FaultConfig{
 		Seed:  seed,
 		N:     120,
 		Deg:   8,
 		Drops: []float64{0, 0.02, 0.05, 0.1, 0.2},
-		Reps:  r,
+		Reps:  reps(20, scale),
 	}
 }
 
@@ -134,86 +127,38 @@ func FaultSweepCtx(ctx context.Context, cfg FaultConfig) ([]FaultRun, error) {
 			}
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]FaultRun, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range ch {
-				j := jobs[idx]
-				g, err := gen.ErdosRenyiAvgDegree(rng.New(j.graphSeed), cfg.N, cfg.Deg)
-				if err != nil {
-					errs[idx] = fmt.Errorf("experiment: fault sweep rep %d: %v", j.rep, err)
-					continue
-				}
-				opt := core.Options{
-					Seed:          j.runSeed,
-					MaxCompRounds: cfg.maxCompRounds(),
-				}
-				if j.dropP > 0 {
-					opt.Fault = net.DropRate{Seed: j.faultSeed, P: j.dropP}
-				}
-				if j.recovery {
-					opt.Recovery = automaton.Recovery{Enabled: true}
-				}
-				results[idx] = runFaultOne(ctx, g, j.alg, j.dropP, j.recovery, j.rep, opt, &errs[idx])
-			}
-		}()
-	}
-dispatch:
-	for idx := range jobs {
-		select {
-		case ch <- idx:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(ch)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
+	err := forEach(ctx, len(jobs), cfg.Workers, func(i int) (err error) {
+		j := jobs[i]
+		g, err := gen.ErdosRenyiAvgDegree(rng.New(j.graphSeed), cfg.N, cfg.Deg)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("experiment: fault sweep rep %d: %v", j.rep, err)
 		}
+		opt := core.Options{Seed: j.runSeed, MaxCompRounds: cfg.maxCompRounds()}
+		if j.dropP > 0 {
+			opt.Fault = net.DropRate{Seed: j.faultSeed, P: j.dropP}
+		}
+		if j.recovery {
+			opt.Recovery = automaton.Recovery{Enabled: true}
+		}
+		results[i], err = runFaultOne(ctx, g, j.alg, j.dropP, j.recovery, j.rep, opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-func runFaultOne(ctx context.Context, g *graph.Graph, alg string, dropP float64, recovery bool, rep int, opt core.Options, errOut *error) FaultRun {
-	var res *core.Result
-	var violations []verify.Violation
-	var err error
-	if alg == "alg2" {
-		d := graph.NewSymmetric(g)
-		res, err = core.ColorStrongCtx(ctx, d, opt)
-		if err == nil && !res.Aborted {
-			violations = verify.StrongColoring(d, res.Colors)
-		}
-	} else {
-		res, err = core.ColorEdgesCtx(ctx, g, opt)
-		if err == nil && !res.Aborted {
-			violations = verify.EdgeColoring(g, res.Colors)
-		}
-	}
+func runFaultOne(ctx context.Context, g *graph.Graph, alg string, dropP float64, recovery bool, rep int, opt core.Options) (FaultRun, error) {
+	res, check, err := color(ctx, g, alg == "alg2", opt)
 	if err == nil && res.Aborted {
 		err = ctx.Err()
 	}
 	if err != nil {
-		*errOut = fmt.Errorf("experiment: fault sweep %s rep %d P=%g: %v", alg, rep, dropP, err)
-		return FaultRun{}
+		return FaultRun{}, fmt.Errorf("experiment: fault sweep %s rep %d P=%g: %v", alg, rep, dropP, err)
 	}
+	violations := check()
 	return FaultRun{
 		Algorithm: alg, DropP: dropP, Recovery: recovery, Rep: rep,
 		N: g.N(), M: g.M(),
@@ -226,7 +171,7 @@ func runFaultOne(ctx context.Context, g *graph.Graph, alg string, dropP float64,
 		Messages:    res.Messages,
 		Retransmits: res.Retransmits, Repairs: res.Repairs,
 		Reverts: res.Reverts, Probes: res.Probes,
-	}
+	}, nil
 }
 
 // FaultCell aggregates one (algorithm, drop rate, recovery) cell of the

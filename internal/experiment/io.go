@@ -2,13 +2,12 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
 // runsDocument is the JSON envelope for persisted experiment runs.
 type runsDocument struct {
-	// Version guards the format; readers reject unknown versions.
+	// Version numbers the format, so a reader can tell revisions apart.
 	Version int    `json:"version"`
 	Name    string `json:"name"`
 	Seed    uint64 `json:"seed"`
@@ -23,17 +22,4 @@ func SaveRuns(w io.Writer, name string, seed uint64, runs []Run) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(runsDocument{Version: runsVersion, Name: name, Seed: seed, Runs: runs})
-}
-
-// LoadRuns reads runs persisted by SaveRuns, returning the experiment
-// name, master seed, and runs.
-func LoadRuns(r io.Reader) (name string, seed uint64, runs []Run, err error) {
-	var doc runsDocument
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return "", 0, nil, fmt.Errorf("experiment: %v", err)
-	}
-	if doc.Version != runsVersion {
-		return "", 0, nil, fmt.Errorf("experiment: unsupported runs version %d", doc.Version)
-	}
-	return doc.Name, doc.Seed, doc.Runs, nil
 }

@@ -1,11 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"dima/internal/core"
 	"dima/internal/gen"
-	"dima/internal/graph"
 	"dima/internal/metrics"
 	"dima/internal/rng"
 	"dima/internal/stats"
@@ -19,54 +19,52 @@ type PairingPoint struct {
 	Paired int
 }
 
-// Rate returns paired/active (0 if no one was active).
-func (p PairingPoint) Rate() float64 {
-	if p.Active == 0 {
-		return 0
-	}
-	return float64(p.Paired) / float64(p.Active)
-}
-
 // PairingProbability measures the per-round probability that an active
 // node forms a pair — the empirical counterpart of Proposition 1's
 // Equation (1), which lower-bounds it by 1/4 for Algorithm 1. It runs
 // reps Erdős–Rényi instances (n vertices, given average degree) and
 // aggregates participation round by round; strong selects Algorithm 2.
 func PairingProbability(seed uint64, n int, deg float64, reps int, strong bool) ([]PairingPoint, error) {
+	points, _, err := participation("pairing probe", seed, n, deg, reps, strong)
+	return points, err
+}
+
+// participation runs reps Erdős–Rényi instances, repetition i on the
+// graph and run seed derived from seed and i, and returns each
+// computation round's Active and Paired counts summed over the runs,
+// with the total number of edges (or arcs, when strong) the runs
+// colored. name labels the errors.
+func participation(name string, seed uint64, n int, deg float64, reps int, strong bool) ([]PairingPoint, int, error) {
 	if reps <= 0 {
-		return nil, fmt.Errorf("experiment: pairing probe needs repetitions")
+		return nil, 0, fmt.Errorf("experiment: %s needs repetitions", name)
 	}
 	base := rng.New(seed)
 	var points []PairingPoint
+	items := 0
 	for rep := 0; rep < reps; rep++ {
 		r := base.Derive(uint64(rep))
 		g, err := gen.ErdosRenyiAvgDegree(r, n, deg)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		mem := &metrics.Memory{}
-		opt := core.Options{Seed: r.Uint64(), Metrics: mem}
-		var res *core.Result
-		if strong {
-			res, err = core.ColorStrong(graph.NewSymmetric(g), opt)
-		} else {
-			res, err = core.ColorEdges(g, opt)
-		}
+		res, _, err := color(context.TODO(), g, strong, core.Options{Seed: r.Uint64(), Metrics: mem})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if !res.Terminated {
-			return nil, fmt.Errorf("experiment: pairing probe run truncated")
+			return nil, 0, fmt.Errorf("experiment: %s run truncated", name)
 		}
+		items += len(res.Colors)
 		for i, p := range mem.Rounds {
-			for len(points) <= i {
-				points = append(points, PairingPoint{Round: len(points)})
+			if i == len(points) {
+				points = append(points, PairingPoint{Round: i})
 			}
 			points[i].Active += p.Active
 			points[i].Paired += p.Paired
 		}
 	}
-	return points, nil
+	return points, items, nil
 }
 
 // PairingTable renders the curve, bucketing rounds so the table stays

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dima/internal/stats"
 )
@@ -179,7 +180,6 @@ func (s Shape) Check(runs []Run) []string {
 // their "n=<v>" token and returns problems when the bigger-n mean
 // exceeds tolerance × the smaller-n mean.
 func NIndependence(runs []Run, tolerance float64) []string {
-	type key struct{ rest string }
 	groups := Summarize(runs)
 	byRest := map[string][]GroupSummary{}
 	var restOrder []string
@@ -213,7 +213,7 @@ func NIndependence(runs []Run, tolerance float64) []string {
 // N extracts the n=<v> token from the group label (0 if absent).
 func (gs GroupSummary) N() int {
 	var n int
-	for _, tok := range splitTokens(gs.Group) {
+	for _, tok := range strings.Fields(gs.Group) {
 		if _, err := fmt.Sscanf(tok, "n=%d", &n); err == nil {
 			return n
 		}
@@ -222,35 +222,12 @@ func (gs GroupSummary) N() int {
 }
 
 func stripNToken(group string) string {
-	out := ""
-	for _, tok := range splitTokens(group) {
+	var keep []string
+	for _, tok := range strings.Fields(group) {
 		var n int
-		if _, err := fmt.Sscanf(tok, "n=%d", &n); err == nil {
-			continue
+		if _, err := fmt.Sscanf(tok, "n=%d", &n); err != nil {
+			keep = append(keep, tok)
 		}
-		if out != "" {
-			out += " "
-		}
-		out += tok
 	}
-	return out
-}
-
-func splitTokens(s string) []string {
-	var toks []string
-	cur := ""
-	for _, r := range s {
-		if r == ' ' {
-			if cur != "" {
-				toks = append(toks, cur)
-				cur = ""
-			}
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		toks = append(toks, cur)
-	}
-	return toks
+	return strings.Join(keep, " ")
 }

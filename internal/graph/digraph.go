@@ -95,9 +95,6 @@ func (d *Digraph) InArcs(u int) []ArcID {
 	return out
 }
 
-// OutDegree returns the out-degree of u (equal to the undirected degree).
-func (d *Digraph) OutDegree(u int) int { return d.under.Degree(u) }
-
 // MaxDegree returns Δ of the underlying undirected graph, the parameter
 // the paper's round bounds are stated in.
 func (d *Digraph) MaxDegree() int { return d.under.MaxDegree() }

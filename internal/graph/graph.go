@@ -250,32 +250,12 @@ func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 // deletions as well as insertions. Zero for an empty graph.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// MinDegree returns the minimum degree; zero for an empty graph.
-func (g *Graph) MinDegree() int {
-	if g.n == 0 {
-		return 0
-	}
-	d := len(g.adj[0])
-	for u := 1; u < g.n; u++ {
-		if len(g.adj[u]) < d {
-			d = len(g.adj[u])
-		}
-	}
-	return d
-}
-
 // AvgDegree returns the average degree 2M/N; zero for an empty graph.
 func (g *Graph) AvgDegree() float64 {
 	if g.n == 0 {
 		return 0
 	}
 	return 2 * float64(len(g.edges)) / float64(g.n)
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d,
-// for d in [0, Δ].
-func (g *Graph) DegreeHistogram() []int {
-	return append([]int(nil), g.degCount[:g.maxDeg+1]...)
 }
 
 // Clone returns a deep copy of g, preserving edge ids, removal holes,

@@ -27,7 +27,7 @@ func TestNewEmpty(t *testing.T) {
 	if g.N() != 5 || g.M() != 0 {
 		t.Fatalf("New(5): N=%d M=%d", g.N(), g.M())
 	}
-	if g.MaxDegree() != 0 || g.MinDegree() != 0 || g.AvgDegree() != 0 {
+	if g.MaxDegree() != 0 || g.AvgDegree() != 0 {
 		t.Fatal("empty graph degree stats nonzero")
 	}
 }
@@ -137,15 +137,11 @@ func TestDegreeStats(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(0, 2)
 	g.MustAddEdge(0, 3)
-	if g.MaxDegree() != 3 || g.MinDegree() != 1 {
-		t.Fatalf("star degrees: max %d min %d", g.MaxDegree(), g.MinDegree())
+	if g.MaxDegree() != 3 {
+		t.Fatalf("star Δ = %d, want 3", g.MaxDegree())
 	}
 	if got := g.AvgDegree(); got != 1.5 {
 		t.Fatalf("AvgDegree = %v, want 1.5", got)
-	}
-	h := g.DegreeHistogram()
-	if len(h) != 4 || h[1] != 3 || h[3] != 1 || h[0] != 0 || h[2] != 0 {
-		t.Fatalf("histogram %v", h)
 	}
 }
 

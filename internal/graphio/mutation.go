@@ -9,28 +9,11 @@ import (
 	"dima/internal/msg"
 )
 
-// Mutation lists are the text twin of the binary msg.MutationBatch
-// codec, meant for CLI composition: one mutation per line, "+ u v" for
+// Mutation lists are the text form of a msg.MutationBatch, meant for
+// CLI composition: one mutation per line, "+ u v" for
 // an insertion and "- u v" for a deletion (0-indexed endpoints), with
 // '#' comments and blank lines ignored. An optional "batch <seq>" line
 // sets the batch sequence number.
-
-// WriteMutations emits b in the text mutation-list format.
-func WriteMutations(w io.Writer, b *msg.MutationBatch) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# dima mutation list: %d mutations\n", len(b.Muts))
-	if b.Seq != 0 {
-		fmt.Fprintf(bw, "batch %d\n", b.Seq)
-	}
-	for _, m := range b.Muts {
-		sign := "+"
-		if m.Op == msg.OpDelete {
-			sign = "-"
-		}
-		fmt.Fprintf(bw, "%s %d %d\n", sign, m.U, m.V)
-	}
-	return bw.Flush()
-}
 
 // ReadMutations parses the text mutation-list format. Structural checks
 // only (syntax, non-negative endpoints); callers apply

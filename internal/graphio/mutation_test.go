@@ -8,22 +8,18 @@ import (
 	"dima/internal/msg"
 )
 
-func TestMutationsRoundTrip(t *testing.T) {
-	b := &msg.MutationBatch{Seq: 42, Muts: []msg.Mutation{
+func TestReadMutationsBatch(t *testing.T) {
+	want := &msg.MutationBatch{Seq: 42, Muts: []msg.Mutation{
 		{Op: msg.OpInsert, U: 0, V: 1},
 		{Op: msg.OpDelete, U: 5, V: 2},
 		{Op: msg.OpInsert, U: 3, V: 4},
 	}}
-	var sb strings.Builder
-	if err := WriteMutations(&sb, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMutations(strings.NewReader(sb.String()))
+	got, err := ReadMutations(strings.NewReader("# dima mutation list: 3 mutations\nbatch 42\n+ 0 1\n- 5 2\n+ 3 4\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(b, got) {
-		t.Fatalf("round trip: %v vs %v", b, got)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("parsed %v, want %v", got, want)
 	}
 }
 
@@ -63,18 +59,12 @@ func FuzzReadMutations(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted batches must round-trip through the writer and survive
-		// semantic validation without panicking.
-		var sb strings.Builder
-		if err := WriteMutations(&sb, b); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadMutations(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if !reflect.DeepEqual(b, back) {
-			t.Fatal("round trip changed the batch")
+		// Accepted batches hold only inserts and deletes of non-negative
+		// endpoints, and survive semantic validation without panicking.
+		for _, m := range b.Muts {
+			if (m.Op != msg.OpInsert && m.Op != msg.OpDelete) || m.U < 0 || m.V < 0 {
+				t.Fatalf("accepted %+v", m)
+			}
 		}
 		_ = b.Validate(0)
 	})

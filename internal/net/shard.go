@@ -262,11 +262,10 @@ func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
 //
 //  1. Merge (every round but the first): every worker rebuilds the
 //     inbox arena of its own shard from the non-empty buckets the
-//     previous round addressed to it, in sender shard order (the
-//     coordinator hands each worker the exact source list, so empty
-//     (src,dst) buckets are never visited), expanding each record to
-//     the sender's neighbors inside this shard (shardInbox.fill,
-//     shared with the TCP node processes). Within one sender shard the
+//     previous round addressed to it, scanned in ascending sender
+//     shard order, expanding each record to the sender's neighbors
+//     inside this shard (shardInbox.fill, shared with the TCP node
+//     processes). Within one sender shard the
 //     records are already in sender id order (workers step in id
 //     order), so each inbox fills in ascending sender id — exactly the
 //     append order RunSync produces. The merge belongs to the round
@@ -315,22 +314,12 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		segs := buildShardSegments(g, owner, workers)
 
 		// out[s][d] buffers shard s's records addressed to shard d.
-		// Buckets are truncated lazily: each worker remembers which of
-		// its buckets it filled (touched[s]) and clears exactly those at
-		// its next step.
+		// Worker s truncates all of its buckets at the start of each
+		// step.
 		out := make([][]recordBatch, workers)
 		for s := range out {
 			out[s] = make([]recordBatch, workers)
 		}
-		touched := make([][]int32, workers)
-
-		// srcLists[d] is the ascending list of source shards with a
-		// non-empty bucket for destination d. The coordinator rebuilds
-		// it before each merge from the touched lists, so merge workers
-		// skip empty buckets entirely instead of scanning all workers²
-		// of them.
-		srcLists := make([][]int32, workers)
-		var usedDsts []int32
 
 		tally := make([]RoundTraffic, workers)
 		done := make([]bool, workers)
@@ -351,7 +340,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 				nxt := shardInbox{off: make([]int32, hi-lo+1)}
 				cnt := make([]int32, hi-lo)
 				myOut := out[s]
-				var tl []int32
 				var dropped []int32
 				var batches []recordBatch
 				for {
@@ -359,12 +347,11 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					switch {
 					case c >= 0: // step phase for round c
 						var t RoundTraffic
-						for _, d := range tl {
+						for d := range myOut {
 							myOut[d].recs = myOut[d].recs[:0]
 							myOut[d].spans = myOut[d].spans[:0]
 							myOut[d].drops = myOut[d].drops[:0]
 						}
-						tl = tl[:0]
 						for u := lo; u < hi; u++ {
 							inbox := cur.inbox(u - lo)
 							msg.Sort(inbox)
@@ -391,9 +378,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 										}
 										b.spans = append(b.spans, dropSpan{lo: dlo, hi: int32(len(b.drops))})
 									}
-									if len(b.recs) == 0 {
-										tl = append(tl, sg.dst)
-									}
 									b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
 								}
 							}
@@ -405,12 +389,15 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 						for u := lo; u < hi && d; u++ {
 							d = nodes[u].Done()
 						}
-						tally[s], done[s], touched[s] = t, d, tl
+						tally[s], done[s] = t, d
 						rep[s] <- struct{}{}
 					case c == cmdMerge:
+						// Ascending source order fixes the fill order.
 						batches = batches[:0]
-						for _, src := range srcLists[s] {
-							batches = append(batches, out[src][s])
+						for src := range out {
+							if b := out[src][s]; len(b.recs) > 0 {
+								batches = append(batches, b)
+							}
 						}
 						nxt.fill(int32(lo), cnt, segs.flat, batches)
 						cur, nxt = nxt, cur
@@ -433,22 +420,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			if round > 0 {
-				// Rebuild the per-destination source lists from the
-				// touched buckets. Iterating sources in ascending order
-				// keeps each list sorted, which is what fixes the merge
-				// fill order.
-				for _, d := range usedDsts {
-					srcLists[d] = srcLists[d][:0]
-				}
-				usedDsts = usedDsts[:0]
-				for s := 0; s < workers; s++ {
-					for _, d := range touched[s] {
-						if len(srcLists[d]) == 0 {
-							usedDsts = append(usedDsts, d)
-						}
-						srcLists[d] = append(srcLists[d], int32(s))
-					}
-				}
 				broadcast(cmdMerge)
 			}
 			broadcast(round)

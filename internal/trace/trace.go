@@ -105,17 +105,6 @@ func (r *Recorder) Nodes() []int {
 	return out
 }
 
-// StateCounts returns, per state, how many transitions entered it.
-func (r *Recorder) StateCounts() map[automaton.State]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	counts := map[automaton.State]int{}
-	for _, e := range r.events {
-		counts[e.To]++
-	}
-	return counts
-}
-
 // Validate checks that every node's recorded path is a legal walk of the
 // automaton and that the trace is complete: a recorder that hit its
 // event limit holds truncated paths, which Validate reports as an error
