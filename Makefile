@@ -1,12 +1,13 @@
 # Verify loop for the dima module. `make check` is the full gate run
 # before every commit: build, vet, the complete test suite, the
 # internal packages under the race detector, where the tests run the
-# shard engine with several worker goroutines, and the benchmark
-# module's vet and tests, which compile against core.Options.
+# shard engine with several worker goroutines, one iteration of every
+# micro-benchmark, and the benchmark module's vet and tests, which
+# compile against core.Options.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check fuzz-smoke bench bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
+.PHONY: all build test race vet fmt fmt-check fuzz-smoke bench bench-smoke bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -43,6 +44,11 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# One iteration of every Go benchmark in the module: `go test` and
+# `go vet` only compile the benchmarks, and this keeps them running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark harness is a module of its own (bench/go.mod), so the
 # root `go test ./...` never builds it. Its tests include the Step-shim
@@ -84,4 +90,4 @@ cluster-smoke:
 cluster-serve-smoke:
 	sh scripts/cluster_serve_smoke.sh
 
-check: build vet fmt-check test race bench-check
+check: build vet fmt-check test race bench-smoke bench-check

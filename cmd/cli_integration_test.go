@@ -209,6 +209,28 @@ func TestGraphgenFamiliesAndErrors(t *testing.T) {
 	}
 }
 
+// TestGraphgenRejectsNaN: NaN fails every float comparison, so a range
+// check that is not written for it lets NaN through — "-deg NaN" once
+// emitted the complete graph. Every real flag must exit 2 on NaN.
+func TestGraphgenRejectsNaN(t *testing.T) {
+	cases := [][]string{
+		{"-family", "er", "-deg", "NaN"},
+		{"-family", "gnp", "-p", "NaN"},
+		{"-family", "bipartite", "-p", "NaN"},
+		{"-family", "ws", "-beta", "NaN"},
+		{"-family", "geometric", "-radius", "NaN"},
+		{"-family", "ba", "-power", "NaN"},
+		{"-family", "powerlaw", "-power", "NaN"},
+	}
+	for _, c := range cases {
+		args := append([]string{"-n", "50", "-k", "2"}, c...)
+		_, stderr, err := run(t, "graphgen", args...)
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", c, code, stderr)
+		}
+	}
+}
+
 func TestDimacolorRepsMode(t *testing.T) {
 	dir := t.TempDir()
 	gpath := filepath.Join(dir, "g.graph")
@@ -440,6 +462,23 @@ func TestDimacolorTCPFlagValidation(t *testing.T) {
 		}
 		if code := exitCode(err); code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", c, code, stderr)
+		}
+	}
+}
+
+// TestDimacolorDropValidation: -drop wants a probability in [0, 1);
+// NaN, which fails every comparison, must exit 2 like any other value
+// outside it rather than run a reliable coloring.
+func TestDimacolorDropValidation(t *testing.T) {
+	dir := t.TempDir()
+	gpath := filepath.Join(dir, "g.graph")
+	if _, _, err := run(t, "graphgen", "-family", "path", "-n", "4", "-o", gpath); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"NaN", "-0.1", "1", "+Inf"} {
+		_, stderr, err := run(t, "dimacolor", "-in", gpath, "-drop", p)
+		if code := exitCode(err); code != 2 {
+			t.Errorf("-drop %s: exit %d, want 2 (stderr: %s)", p, code, stderr)
 		}
 	}
 }

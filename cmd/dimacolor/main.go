@@ -160,7 +160,7 @@ func main() {
 	if (*dropP != 0 || *recover) && *algo != "dima" {
 		usage(fmt.Errorf("-drop and -recover require -algo dima"))
 	}
-	if *dropP < 0 || *dropP >= 1 {
+	if !(*dropP >= 0 && *dropP < 1) { // negated so that NaN fails too
 		usage(fmt.Errorf("-drop wants a probability in [0, 1), got %g", *dropP))
 	}
 	if *mutate != "" && (*strong || *algo != "dima" || *reps > 1) {

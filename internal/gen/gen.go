@@ -26,7 +26,9 @@ func ErdosRenyiGNP(r *rng.Rand, n int, p float64) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("gen: negative n %d", n)
 	}
-	if p < 0 || p > 1 {
+	// Range checks on floats are negated so that NaN, which fails
+	// every comparison, fails the check too.
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("gen: probability %v out of [0,1]", p)
 	}
 	g := graph.New(n)
@@ -143,7 +145,7 @@ func ErdosRenyiAvgDegree(r *rng.Rand, n int, avgDeg float64) (*graph.Graph, erro
 	if n < 2 {
 		return graph.New(max(n, 0)), nil
 	}
-	if avgDeg < 0 || avgDeg > float64(n-1) {
+	if !(avgDeg >= 0 && avgDeg <= float64(n-1)) {
 		return nil, fmt.Errorf("gen: average degree %v out of [0,%d]", avgDeg, n-1)
 	}
 	return ErdosRenyiGNP(r, n, avgDeg/float64(n-1))
@@ -159,7 +161,7 @@ func BarabasiAlbert(r *rng.Rand, n, k int, power float64) (*graph.Graph, error) 
 	if n < 0 || k < 1 {
 		return nil, fmt.Errorf("gen: invalid scale-free parameters n=%d k=%d", n, k)
 	}
-	if power < 0 {
+	if !(power >= 0) {
 		return nil, fmt.Errorf("gen: negative attachment power %v", power)
 	}
 	g := graph.New(n)
@@ -233,7 +235,7 @@ func WattsStrogatz(r *rng.Rand, n, k int, beta float64) (*graph.Graph, error) {
 	if 2*k >= n && n > 0 {
 		return nil, fmt.Errorf("gen: lattice degree 2k=%d must be < n=%d", 2*k, n)
 	}
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) {
 		return nil, fmt.Errorf("gen: rewire probability %v out of [0,1]", beta)
 	}
 	g := graph.New(n)
@@ -365,7 +367,7 @@ func PowerLawDegrees(r *rng.Rand, n, minDeg, maxDeg int, gamma float64) ([]int, 
 	if n < 0 || minDeg < 1 || maxDeg < minDeg || (maxDeg >= n && n > 0) {
 		return nil, fmt.Errorf("gen: invalid power-law parameters n=%d range=[%d,%d]", n, minDeg, maxDeg)
 	}
-	if gamma <= 1 {
+	if !(gamma > 1) {
 		return nil, fmt.Errorf("gen: power-law exponent %v must be > 1", gamma)
 	}
 	weights := make([]float64, maxDeg-minDeg+1)
@@ -531,7 +533,7 @@ func RandomBipartite(r *rng.Rand, left, right int, p float64) (*graph.Graph, err
 	if left < 0 || right < 0 {
 		return nil, fmt.Errorf("gen: negative part sizes %d,%d", left, right)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("gen: probability %v out of [0,1]", p)
 	}
 	g := graph.New(left + right)
@@ -554,7 +556,7 @@ func RandomGeometric(r *rng.Rand, n int, radius float64) (*graph.Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("gen: negative n %d", n)
 	}
-	if radius < 0 {
+	if !(radius >= 0) {
 		return nil, fmt.Errorf("gen: negative radius %v", radius)
 	}
 	xs := make([]float64, n)

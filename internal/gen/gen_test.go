@@ -121,6 +121,27 @@ func TestGNPExtremes(t *testing.T) {
 	}
 }
 
+// TestGeneratorsRejectNaN: NaN fails every float comparison, so a
+// range check written as "p < 0 || p > 1" would let it through; every
+// real parameter must reject it instead.
+func TestGeneratorsRejectNaN(t *testing.T) {
+	r := rng.New(3)
+	nan := math.NaN()
+	for name, build := range map[string]func() error{
+		"gnp p":          func() error { _, err := ErdosRenyiGNP(r, 50, nan); return err },
+		"er deg":         func() error { _, err := ErdosRenyiAvgDegree(r, 50, nan); return err },
+		"ba power":       func() error { _, err := BarabasiAlbert(r, 50, 2, nan); return err },
+		"ws beta":        func() error { _, err := WattsStrogatz(r, 50, 2, nan); return err },
+		"bipartite p":    func() error { _, err := RandomBipartite(r, 5, 5, nan); return err },
+		"geometric r":    func() error { _, err := RandomGeometric(r, 50, nan); return err },
+		"powerlaw gamma": func() error { _, err := PowerLawDegrees(r, 50, 1, 8, nan); return err },
+	} {
+		if build() == nil {
+			t.Errorf("%s: accepted NaN", name)
+		}
+	}
+}
+
 func TestGNPEdgeCount(t *testing.T) {
 	r := rng.New(2)
 	const n = 200

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 
 	"dima/internal/graph"
 	"dima/internal/rng"
@@ -59,9 +60,10 @@ func powerLaw(s Spec, r *rng.Rand) (*graph.Graph, error) {
 	return ConfigurationModel(r, degrees)
 }
 
-// Validate rejects an unknown family and the negative or oversized
-// sizes the constructive families (Complete, Grid, Hypercube, ...)
-// document panics on, so that no parameter value reaches a panic.
+// Validate rejects an unknown family, the negative or oversized sizes
+// the constructive families (Complete, Grid, Hypercube, ...) document
+// panics on, so that no parameter value reaches a panic, and a NaN in
+// any real parameter.
 func (s Spec) Validate() error {
 	switch {
 	case families[s.Family] == nil:
@@ -78,6 +80,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("gen: dim wants a hypercube dimension in [0, 30], got %d", s.Dim)
 	case s.Left < 0 || s.Right < 0:
 		return fmt.Errorf("gen: left and right want non-negative part sizes, got %d and %d", s.Left, s.Right)
+	case math.IsNaN(s.Deg) || math.IsNaN(s.P) || math.IsNaN(s.Power) || math.IsNaN(s.Beta) || math.IsNaN(s.Radius):
+		return fmt.Errorf("gen: deg, p, power, beta and radius want numbers, got NaN")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"dima/internal/rng"
@@ -17,6 +18,11 @@ func TestSpecValidate(t *testing.T) {
 		"negative dim":   func(s *Spec) { s.Dim = -1 },
 		"dim above 30":   func(s *Spec) { s.Dim = 31 },
 		"negative left":  func(s *Spec) { s.Left = -1 },
+		"NaN deg":        func(s *Spec) { s.Deg = math.NaN() },
+		"NaN p":          func(s *Spec) { s.P = math.NaN() },
+		"NaN power":      func(s *Spec) { s.Power = math.NaN() },
+		"NaN beta":       func(s *Spec) { s.Beta = math.NaN() },
+		"NaN radius":     func(s *Spec) { s.Radius = math.NaN() },
 	} {
 		s := ok
 		bad(&s)

@@ -62,10 +62,40 @@ func TestSortMatchesReferenceSort(t *testing.T) {
 
 // Adversarial shapes: already sorted, reversed, all-equal, organ-pipe,
 // and many-duplicates inputs exercise the pivot selection and the
-// depth-limited fallback.
+// depth-limited fallback. The ascending shapes probe the sorted-inbox
+// check: strictly ascending From returns at once whatever the later
+// fields hold, while one repeated From or one swapped pair must fall
+// through to the sort.
 func TestSortAdversarialShapes(t *testing.T) {
 	const n = 500
+	r := rand.New(rand.NewSource(4))
+	ascending := func(i int) Message {
+		m := randomMessages(r, 1)[0]
+		m.From = 2 * i
+		return m
+	}
 	shapes := map[string]func(i int) Message{
+		"ascending": ascending,
+		"ascending-repeat": func(i int) Message {
+			// Messages n/2-1 and n/2 share a From, out of Less order.
+			m := ascending(i)
+			switch i {
+			case n/2 - 1:
+				m.Kind = KindAck
+			case n / 2:
+				m.From, m.Kind = m.From-2, KindInvite
+			}
+			return m
+		},
+		"ascending-last-swapped": func(i int) Message {
+			switch i {
+			case n - 2:
+				return ascending(n - 1)
+			case n - 1:
+				return ascending(n - 2)
+			}
+			return ascending(i)
+		},
 		"sorted":    func(i int) Message { return Message{Kind: KindInvite, From: i} },
 		"reversed":  func(i int) Message { return Message{Kind: KindInvite, From: n - i} },
 		"all-equal": func(i int) Message { return Message{Kind: KindClaim, From: 3, Edge: 7} },
@@ -95,6 +125,20 @@ func BenchmarkSortInbox(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	base := randomMessages(r, 8)
 	work := make([]Message, len(base))
+	// delivered is the inbox shape engines hand to Step: ascending
+	// sender order, which the sorted-inbox check accepts in one pass.
+	delivered := make([]Message, len(base))
+	copy(delivered, base)
+	for i := range delivered {
+		delivered[i].From = i
+	}
+	b.Run("delivered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(work, delivered)
+			Sort(work)
+		}
+	})
 	b.Run("specialized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

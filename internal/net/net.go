@@ -46,6 +46,7 @@ type Node interface {
 	// to every neighbor at the next round.
 	//
 	// The inbox slice is owned by the engine and reused across rounds:
+	// engines overwrite it before the node's next Step, so
 	// implementations may copy Message values out of it but must not
 	// retain the slice itself.
 	//

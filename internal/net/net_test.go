@@ -292,7 +292,7 @@ func TestBytesCounted(t *testing.T) {
 // must cost no more allocations.
 func TestRoundsAllocateNothing(t *testing.T) {
 	g := gen.Cycle(8)
-	for name, run := range map[string]Engine{"sync": RunSync, "shard-3": shardWith(3)} {
+	for name, run := range map[string]Engine{"sync": RunSync, "shard-1": shardWith(1), "shard-3": shardWith(3)} {
 		allocs := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				if _, err := run(g, chatterNodes(8, rounds), Config{}); err != nil {

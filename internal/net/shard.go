@@ -42,13 +42,20 @@ type recordBatch struct {
 
 // shardInbox is one shard's inbox arena: the messages of every vertex
 // the shard owns, laid out back to back in one flat buffer. Vertex
-// lo+i's inbox is buf[off[i]:off[i+1]]. The buffer and offset table are
-// reused across rounds, so steady-state rounds allocate nothing — the
-// struct-of-arrays replacement for the per-vertex ragged
-// [][]msg.Message layout.
+// lo+i's inbox is buf[off[i]:off[i+1]]. The buffer, the offset table
+// and the fill scratch are reused across rounds, so steady-state
+// rounds allocate nothing — the struct-of-arrays replacement for the
+// per-vertex ragged [][]msg.Message layout.
 type shardInbox struct {
 	buf []msg.Message
 	off []int32
+	cnt []int32 // fill scratch: one cursor per vertex
+	idx []int32 // fill scratch: the record number of each buf slot
+}
+
+// newShardInbox returns the empty arena of a shard of size vertices.
+func newShardInbox(size int) shardInbox {
+	return shardInbox{off: make([]int32, size+1), cnt: make([]int32, size)}
 }
 
 // inbox returns the inbox of the shard's i-th vertex.
@@ -56,15 +63,29 @@ func (a *shardInbox) inbox(i int) []msg.Message {
 	return a.buf[a.off[i]:a.off[i+1]]
 }
 
+// grow returns s resized to n elements, reallocating geometrically:
+// inbox volume swings by phase (invitations, responses, exchanges),
+// and sizing to each round's exact total would reallocate every time
+// the volume climbs.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
 // fill rebuilds the arena of the shard whose first vertex is base from
-// the records of batches, taken in order; cnt is scratch of one entry
-// per vertex. Two passes: count per-vertex arrivals, prefix-sum into
-// the offset table, then place messages — a dense arena fill with no
-// per-vertex slice bookkeeping. When the records arrive in ascending
-// sender order, as both RunShard's merge and RunTCP's round frames
-// guarantee, every inbox fills in ascending sender id: exactly the
-// append order RunSync produces.
-func (a *shardInbox) fill(base int32, cnt, flat []int32, batches []recordBatch) {
+// the records of batches, taken in order. Three passes: count
+// per-vertex arrivals and prefix-sum them into the offset table; place
+// each delivery's record number, counted across the batches, into its
+// inbox slot — a 4-byte scattered store rather than a 72-byte message;
+// then gather the messages into buf in slot order, one sequential
+// write. When the records arrive in ascending sender order, as both
+// RunShard's merge and RunTCP's round frames guarantee, every inbox
+// fills in ascending sender id: exactly the append order RunSync
+// produces.
+func (a *shardInbox) fill(base int32, flat []int32, batches []recordBatch) {
+	cnt := a.cnt
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -95,21 +116,17 @@ func (a *shardInbox) fill(base int32, cnt, flat []int32, batches []recordBatch) 
 	for i := 0; i < size; i++ {
 		a.off[i+1] = a.off[i] + cnt[i]
 	}
-	// Grow geometrically: inbox volume swings by phase (invitations,
-	// responses, exchanges), and sizing to each round's exact total
-	// would reallocate every time the volume climbs.
-	if cap(a.buf) < int(total) {
-		a.buf = make([]msg.Message, total, max(int(total), 2*cap(a.buf)))
-	} else {
-		a.buf = a.buf[:total]
-	}
+	a.buf = grow(a.buf, int(total))
+	a.idx = grow(a.idx, int(total))
 	copy(cnt, a.off[:size])
-	buf := a.buf
+	idx := a.idx
+	first := int32(0) // the number of the batch's first record
 	for _, b := range batches {
 		for i, r := range b.recs {
+			rec := first + int32(i)
 			if len(b.spans) == 0 {
 				for _, v := range flat[r.lo:r.hi] {
-					buf[cnt[v-base]] = r.m
+					idx[cnt[v-base]] = rec
 					cnt[v-base]++
 				}
 				continue
@@ -121,10 +138,22 @@ func (a *shardInbox) fill(base int32, cnt, flat []int32, batches []recordBatch) 
 					drops = drops[1:]
 					continue
 				}
-				buf[cnt[v-base]] = r.m
+				idx[cnt[v-base]] = rec
 				cnt[v-base]++
 			}
 		}
+		first += int32(len(b.recs))
+	}
+	// Gather. Record numbers run across the batches, so record r is
+	// found by stepping past whole batches: one comparison when there
+	// is one batch, as at one worker and in every TCP node process.
+	for i, r := range idx {
+		b := 0
+		for int(r) >= len(batches[b].recs) {
+			r -= int32(len(batches[b].recs))
+			b++
+		}
+		a.buf[i] = batches[b].recs[r].m
 	}
 }
 
@@ -260,16 +289,18 @@ func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
 //
 // Each round has two barrier-separated phases:
 //
-//  1. Merge (every round but the first): every worker rebuilds the
-//     inbox arena of its own shard from the non-empty buckets the
-//     previous round addressed to it, scanned in ascending sender
-//     shard order, expanding each record to the sender's neighbors
-//     inside this shard (shardInbox.fill, shared with the TCP node
-//     processes). Within one sender shard the
-//     records are already in sender id order (workers step in id
-//     order), so each inbox fills in ascending sender id — exactly the
-//     append order RunSync produces. The merge belongs to the round
-//     that reads the inboxes because only a following round needs it.
+//  1. Merge (every round but the first): every worker refills its
+//     shard's one inbox arena from the non-empty buckets the previous
+//     round addressed to it, scanned in ascending sender shard order,
+//     expanding each record to the sender's neighbors inside this
+//     shard (shardInbox.fill, shared with the TCP node processes).
+//     Within one sender shard the records are already in sender id
+//     order (workers step in id order), so each inbox fills in
+//     ascending sender id — exactly the append order RunSync produces.
+//     The merge runs behind the barrier, after every node finished
+//     the Step that read the arena, so it overwrites the arena in
+//     place. It belongs to the round that reads the inboxes because
+//     only a following round needs it.
 //  2. Step: every worker steps its own vertices in id order, sorting
 //     each inbox with msg.Sort first, and buffers each outbound
 //     broadcast as one shardDelivery per destination shard that holds
@@ -295,11 +326,12 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
 		return Result{}, err
 	}
-	var cmd []chan int
+	var broadcast func(c int)
 	defer func() {
-		// Release the workers, which are parked on cmd between rounds.
-		for _, c := range cmd {
-			c <- cmdStop
+		// Stop the workers, which are parked on cmd between rounds, and
+		// wait until each has: no worker outlives the run.
+		if broadcast != nil {
+			broadcast(cmdStop)
 		}
 	}()
 	return runRounds(nodes, cfg, func() (roundFunc, error) {
@@ -323,7 +355,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 
 		tally := make([]RoundTraffic, workers)
 		done := make([]bool, workers)
-		cmd = make([]chan int, workers)
+		cmd := make([]chan int, workers)
 		rep := make([]chan struct{}, workers)
 		for s := 0; s < workers; s++ {
 			cmd[s] = make(chan int, 1)
@@ -333,12 +365,10 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		for s := 0; s < workers; s++ {
 			go func(s int) {
 				lo, hi := bounds[s], bounds[s+1]
-				// Double-buffered inbox arenas, worker-local: the only
-				// cross-worker traffic is the out buckets, synchronized
-				// by the phase barriers.
-				cur := shardInbox{off: make([]int32, hi-lo+1)}
-				nxt := shardInbox{off: make([]int32, hi-lo+1)}
-				cnt := make([]int32, hi-lo)
+				// One worker-local inbox arena, refilled in place by each
+				// merge: the only cross-worker traffic is the out
+				// buckets, synchronized by the phase barriers.
+				arena := newShardInbox(hi - lo)
 				myOut := out[s]
 				var dropped []int32
 				var batches []recordBatch
@@ -353,7 +383,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 							myOut[d].drops = myOut[d].drops[:0]
 						}
 						for u := lo; u < hi; u++ {
-							inbox := cur.inbox(u - lo)
+							inbox := arena.inbox(u - lo)
 							msg.Sort(inbox)
 							msgs := nodes[u].Step(c, inbox)
 							if len(msgs) == 0 {
@@ -399,17 +429,17 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 								batches = append(batches, b)
 							}
 						}
-						nxt.fill(int32(lo), cnt, segs.flat, batches)
-						cur, nxt = nxt, cur
+						arena.fill(int32(lo), segs.flat, batches)
 						rep[s] <- struct{}{}
 					default: // cmdStop
+						rep[s] <- struct{}{}
 						return
 					}
 				}
 			}(s)
 		}
 
-		broadcast := func(c int) {
+		broadcast = func(c int) {
 			for s := 0; s < workers; s++ {
 				cmd[s] <- c
 			}

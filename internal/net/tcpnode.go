@@ -243,7 +243,6 @@ type nodeInbox struct {
 	recs  []roundRecord
 	batch [1]recordBatch
 	arena shardInbox
-	cnt   []int32 // fill scratch
 }
 
 func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
@@ -257,8 +256,7 @@ func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
 		lo:    lo,
 		hi:    hi,
 		segs:  buildShardSegments(g, owner, 2),
-		arena: shardInbox{off: make([]int32, hi-lo+1)},
-		cnt:   make([]int32, hi-lo),
+		arena: newShardInbox(hi - lo),
 	}
 }
 
@@ -299,7 +297,7 @@ func (ni *nodeInbox) receive(payload []byte) (int, error) {
 			b.spans = append(b.spans, r.drops)
 		}
 	}
-	ni.arena.fill(int32(ni.lo), ni.cnt, ni.segs.flat, ni.batch[:])
+	ni.arena.fill(int32(ni.lo), ni.segs.flat, ni.batch[:])
 	return round, nil
 }
 

@@ -122,7 +122,10 @@ func recordRound(tb testing.TB, g *graph.Graph, round int) []broadcast {
 // arenas. Records must number one per (broadcast, destination shard
 // holding a surviving receiver) — one per broadcast at 1 shard — and
 // every inbox must hold exactly the surviving messages in ascending
-// sender order, the order RunSync appends in.
+// sender order, the order RunSync appends in. Each shard's node inbox
+// is kept across the fault settings, so one arena takes a faulty fill,
+// a larger reliable one and a smaller faulty one again: stale offsets
+// or index scratch from an earlier fill would show.
 func TestRoundFrameRecords(t *testing.T) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(3), 1500, 8)
 	if err != nil {
@@ -133,9 +136,17 @@ func TestRoundFrameRecords(t *testing.T) {
 	if len(bs) != g.N() {
 		t.Fatalf("recorded %d broadcasts, want one per vertex (%d)", len(bs), g.N())
 	}
-	for _, fault := range []FaultInjector{nil, DropRate{Seed: 5, P: 0.3}} {
+	arenas := map[int][]*nodeInbox{}
+	faulty := DropRate{Seed: 5, P: 0.3}
+	for _, fault := range []FaultInjector{faulty, nil, faulty} {
 		for _, k := range []int{1, 3, 4} {
 			bounds, owner := shardBounds(g.N(), k)
+			if arenas[k] == nil {
+				arenas[k] = make([]*nodeInbox, k)
+				for s := range arenas[k] {
+					arenas[k][s] = newNodeInbox(g, bounds[s], bounds[s+1])
+				}
+			}
 			r := newTCPRouter(g, owner, k, fault)
 			wantRecs := 0
 			wantInbox := make([][]msg.Message, g.N())
@@ -178,7 +189,7 @@ func TestRoundFrameRecords(t *testing.T) {
 					t.Fatalf("shard %d frame: round %d, %v", s, got, err)
 				}
 				gotRecs += len(recs)
-				ni := newNodeInbox(g, bounds[s], bounds[s+1])
+				ni := arenas[k][s]
 				if _, err := ni.receive(frame); err != nil {
 					t.Fatalf("shard %d receive: %v", s, err)
 				}
