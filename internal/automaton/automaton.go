@@ -146,24 +146,22 @@ func (m *Machine) MustTransition(t State) {
 	}
 }
 
-// SplitInvites partitions the invitations in an inbox into those
-// addressed to node u ("mine") and those overheard ("others") — the
-// grouping the R state of Algorithm 2 calls group a and group b. The
-// input order (canonical inbox order) is preserved within each group.
-// It allocates both groups; hot paths that need only one group walk the
-// inbox in place with IsInviteFor instead.
-func SplitInvites(u int, inbox []msg.Message) (mine, others []msg.Message) {
-	for _, m := range inbox {
-		if m.Kind != msg.KindInvite {
-			continue
-		}
-		if m.To == u {
-			mine = append(mine, m)
-		} else {
-			others = append(others, m)
+// Restart puts the machine back in Choose, a reset the hook does not
+// see (as for a fresh machine), and walks the listener's side of one
+// cycle, Listen, Respond, Update, Exchange, until it reaches t; t ==
+// Choose or Done completes the cycle into that state. Every step is a
+// legal transition and reaches the hook. It walks a node with no work
+// to Done at construction, and returns a finished node that recovery
+// traffic reopened to the state its next phase expects.
+func (m *Machine) Restart(t State) {
+	m.state = Choose
+	for _, s := range [...]State{Listen, Respond, Update, Exchange} {
+		m.MustTransition(s)
+		if s == t {
+			return
 		}
 	}
-	return mine, others
+	m.MustTransition(t)
 }
 
 // IsInviteFor reports whether m is an invitation addressed to node u.

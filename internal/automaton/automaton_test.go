@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dima/internal/msg"
@@ -129,24 +130,38 @@ func TestMachineHook(t *testing.T) {
 	}
 }
 
-func TestSplitInvites(t *testing.T) {
-	inbox := []msg.Message{
-		{Kind: msg.KindInvite, From: 1, To: 5, Edge: 10, Color: 0},
-		{Kind: msg.KindInvite, From: 2, To: 9, Edge: 11, Color: 1},
-		{Kind: msg.KindResponse, From: 3, To: 5, Edge: 12, Color: 2},
-		{Kind: msg.KindInvite, From: 4, To: 5, Edge: 13, Color: 3},
+// TestMachineRestart: Restart resets to Choose unseen by the hook and
+// walks the listener's cycle into the requested state, one legal,
+// hooked transition at a time.
+func TestMachineRestart(t *testing.T) {
+	cases := []struct {
+		to   State
+		walk []State
+	}{
+		{Listen, []State{Listen}},
+		{Respond, []State{Listen, Respond}},
+		{Exchange, []State{Listen, Respond, Update, Exchange}},
+		{Choose, []State{Listen, Respond, Update, Exchange, Choose}},
+		{Done, []State{Listen, Respond, Update, Exchange, Done}},
 	}
-	mine, others := SplitInvites(5, inbox)
-	if len(mine) != 2 || mine[0].From != 1 || mine[1].From != 4 {
-		t.Fatalf("mine = %v", mine)
-	}
-	if len(others) != 1 || others[0].From != 2 {
-		t.Fatalf("others = %v", others)
-	}
-	// Non-invite kinds are ignored entirely.
-	mine, others = SplitInvites(5, inbox[2:3])
-	if mine != nil || others != nil {
-		t.Fatal("responses leaked into invite split")
+	for _, c := range cases {
+		var got []State
+		prev := Done
+		m := NewMachine(3, func(node int, from, to State) {
+			if node != 3 || !from.CanTransitionTo(to) {
+				t.Fatalf("restart to %v: hook saw %d: %v -> %v", c.to, node, from, to)
+			}
+			if len(got) > 0 && from != prev {
+				t.Fatalf("restart to %v: walk jumped from %v to %v", c.to, prev, from)
+			}
+			prev = to
+			got = append(got, to)
+		})
+		m.state = Done // a finished node, as recovery finds it
+		m.Restart(c.to)
+		if m.State() != c.to || !slices.Equal(got, c.walk) {
+			t.Fatalf("restart to %v: state %v, walk %v, want %v", c.to, m.State(), got, c.walk)
+		}
 	}
 }
 

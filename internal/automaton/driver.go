@@ -30,7 +30,10 @@ type Pairing interface {
 	// Respond chooses among the invitations addressed to this node
 	// (mine) given everything overheard; returning ok == true
 	// broadcasts the response and commits this side of the pair. The
-	// implementation records its own tentative state.
+	// implementation records its own tentative state. Both groups keep
+	// inbox order, and like the inbox they are valid only during the
+	// call: the driver reuses their storage every round, so copy out
+	// any message to keep.
 	Respond(mine, overheard []msg.Message, r *rng.Rand) (response msg.Message, ok bool)
 	// Complete delivers the response that accepted this node's
 	// invitation (inviter side of the pair).
@@ -67,6 +70,11 @@ type Driver struct {
 	pendingAge   int
 	pendingTries int
 	holdRespond  bool
+
+	// out is the outbox Step returns, reused every round: it stays valid
+	// until this node's next Step, per the net.Node contract. mine and
+	// overheard are the groups handed to Respond, reused likewise.
+	out, mine, overheard []msg.Message
 }
 
 // DriverPhases is the number of communication rounds per computation
@@ -78,9 +86,7 @@ const DriverPhases = 3
 func NewDriver(id int, r *rng.Rand, p Pairing, hook Hook) *Driver {
 	d := &Driver{id: id, r: r, p: p, mach: NewMachine(id, hook)}
 	if !p.Live() {
-		for _, s := range []State{Listen, Respond, Update, Exchange, Done} {
-			d.mach.MustTransition(s)
-		}
+		d.mach.Restart(Done)
 	}
 	return d
 }
@@ -109,17 +115,26 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 		// announcement) may have been lost, and silence would leave the
 		// inviter retrying into the void.
 		if d.rec.Enabled && round%DriverPhases == 1 {
-			return d.reaffirm(inbox)
+			d.out = d.reaffirm(inbox, d.out[:0])
+			return d.out
 		}
 		return nil
 	}
-	switch round % DriverPhases {
+	d.out = d.step(round%DriverPhases, inbox, d.out[:0])
+	return d.out
+}
+
+// step runs one phase of the live node's cycle, appending its
+// broadcasts to out.
+func (d *Driver) step(phase int, inbox, out []msg.Message) []msg.Message {
+	switch phase {
 	case 0:
 		d.p.Absorb(inbox)
 		d.invited = false
 		d.holdRespond = false
 		if d.rec.Enabled && d.pending {
-			if out, handled := d.recoverPending(inbox); handled {
+			var handled bool
+			if out, handled = d.recoverPending(inbox, out); handled {
 				return out
 			}
 		}
@@ -127,7 +142,7 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 		// as a listener and stops at the round's end.
 		if !d.p.Live() {
 			d.mach.MustTransition(Listen)
-			return nil
+			return out
 		}
 		if d.r.Bool() {
 			if m, ok := d.p.Invite(d.r); ok {
@@ -139,27 +154,35 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 				d.inviteEdge, d.inviteTo = m.Edge, m.To
 				m.Kind = msg.KindInvite
 				d.sentInvite = m
-				return []msg.Message{m}
+				return append(out, m)
 			}
 		}
 		d.mach.MustTransition(Listen)
-		return nil
+		return out
 
 	case 1:
 		if d.mach.State() == Invite {
 			d.mach.MustTransition(Wait)
-			return nil
-		}
-		d.mach.MustTransition(Respond)
-		var out []msg.Message
-		if d.rec.Enabled {
-			out = d.reaffirm(inbox)
-		}
-		mine, overheard := SplitInvites(d.id, inbox)
-		if d.holdRespond || !d.p.Live() || len(mine) == 0 {
 			return out
 		}
-		if m, ok := d.p.Respond(mine, overheard, d.r); ok {
+		d.mach.MustTransition(Respond)
+		if d.rec.Enabled {
+			out = d.reaffirm(inbox, out)
+		}
+		// Group a and group b of Algorithm 2's R state: the invitations
+		// addressed here and those overheard, each in inbox order.
+		d.mine, d.overheard = d.mine[:0], d.overheard[:0]
+		for _, m := range inbox {
+			if IsInviteFor(m, d.id) {
+				d.mine = append(d.mine, m)
+			} else if m.Kind == msg.KindInvite {
+				d.overheard = append(d.overheard, m)
+			}
+		}
+		if d.holdRespond || !d.p.Live() || len(d.mine) == 0 {
+			return out
+		}
+		if m, ok := d.p.Respond(d.mine, d.overheard, d.r); ok {
 			m.Kind = msg.KindResponse
 			m.From = d.id
 			out = append(out, m)
@@ -182,7 +205,7 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 			panic(fmt.Sprintf("automaton: node %d in state %v at exchange phase", d.id, d.mach.State()))
 		}
 		d.mach.MustTransition(Exchange)
-		out := d.p.Exchange()
+		out = append(out, d.p.Exchange()...)
 		if d.p.Live() || (d.rec.Enabled && d.pending) {
 			d.mach.MustTransition(Choose)
 		} else {
@@ -194,13 +217,12 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 
 // reaffirm routes invitations addressed here through the pairing's
 // Reaffirmer, answering from committed state on behalf of nodes the
-// normal Respond path no longer serves.
-func (d *Driver) reaffirm(inbox []msg.Message) []msg.Message {
+// normal Respond path no longer serves, and appends the answers to out.
+func (d *Driver) reaffirm(inbox, out []msg.Message) []msg.Message {
 	ref, ok := d.p.(Reaffirmer)
 	if !ok {
-		return nil
+		return out
 	}
-	var out []msg.Message
 	for _, inv := range inbox {
 		if !IsInviteFor(inv, d.id) {
 			continue
@@ -224,11 +246,11 @@ func (d *Driver) reaffirm(inbox []msg.Message) []msg.Message {
 // retransmit loop in recoverPending.
 func (d *Driver) settleWait(inbox []msg.Message) {
 	settled := false
-	for _, m := range inbox {
+	for i, m := range inbox {
 		if m.Kind != msg.KindUpdate {
 			continue
 		}
-		d.p.Absorb([]msg.Message{m})
+		d.p.Absorb(inbox[i : i+1])
 		if m.From == d.inviteTo {
 			if m.Edge == d.inviteEdge {
 				d.p.Complete(msg.Message{
@@ -252,10 +274,10 @@ func (d *Driver) settleWait(inbox []msg.Message) {
 
 // recoverPending runs at the start of a cycle while an invitation is
 // outstanding. It returns handled == true when it consumed the round (a
-// retransmission was sent, or the node is holding in L until the
-// timeout); handled == false hands the round back to the normal
+// retransmission was appended to out, or the node is holding in L until
+// the timeout); handled == false hands the round back to the normal
 // protocol after the pending state was resolved or abandoned.
-func (d *Driver) recoverPending(inbox []msg.Message) ([]msg.Message, bool) {
+func (d *Driver) recoverPending(inbox, out []msg.Message) ([]msg.Message, bool) {
 	// The neighbor's own exchange broadcast settles the question without
 	// any retransmission: its Edge names the edge it committed.
 	for _, m := range inbox {
@@ -267,7 +289,7 @@ func (d *Driver) recoverPending(inbox []msg.Message) ([]msg.Message, bool) {
 				})
 			}
 			d.clearPending()
-			return nil, false
+			return out, false
 		}
 	}
 	d.pendingAge++
@@ -276,14 +298,14 @@ func (d *Driver) recoverPending(inbox []msg.Message) ([]msg.Message, bool) {
 		// one — the node is logically still waiting on its invitation.
 		d.mach.MustTransition(Listen)
 		d.holdRespond = true
-		return nil, true
+		return out, true
 	}
 	if d.pendingTries >= d.rec.Budget() {
 		// Budget spent: abandon the exchange. The normal protocol may
 		// still reach the neighbor through a fresh coin-flip invitation,
 		// which a Reaffirmer answers from committed state.
 		d.clearPending()
-		return nil, false
+		return out, false
 	}
 	d.pendingTries++
 	d.pendingAge = 0
@@ -292,7 +314,7 @@ func (d *Driver) recoverPending(inbox []msg.Message) ([]msg.Message, bool) {
 	d.mach.MustTransition(Invite)
 	d.invited = true
 	d.inviteEdge, d.inviteTo = m.Edge, m.To
-	return []msg.Message{m}, true
+	return append(out, m), true
 }
 
 func (d *Driver) clearPending() {

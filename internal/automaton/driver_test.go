@@ -1,6 +1,8 @@
 package automaton
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"dima/internal/graph"
@@ -175,5 +177,123 @@ func TestDriverRejectsForgedInvitations(t *testing.T) {
 		d.Step(round, nil)
 		d.Step(round+1, nil)
 		d.Step(round+2, nil)
+	}
+}
+
+// groupPairing listens forever and records the groups Respond gets.
+type groupPairing struct {
+	mine, overheard []msg.Message
+}
+
+func (p *groupPairing) Live() bool                           { return true }
+func (p *groupPairing) Absorb([]msg.Message)                 {}
+func (p *groupPairing) Invite(*rng.Rand) (msg.Message, bool) { return msg.Message{}, false }
+func (p *groupPairing) Complete(msg.Message)                 {}
+func (p *groupPairing) Exchange() []msg.Message              { return nil }
+func (p *groupPairing) Respond(mine, overheard []msg.Message, _ *rng.Rand) (msg.Message, bool) {
+	p.mine = append([]msg.Message(nil), mine...)
+	p.overheard = append([]msg.Message(nil), overheard...)
+	return msg.Message{}, false
+}
+
+// TestDriverRespondGetsBothInviteGroups: Respond receives the
+// invitations addressed to the node (group a) and the overheard ones
+// (group b), each in inbox order, and no other message kind.
+func TestDriverRespondGetsBothInviteGroups(t *testing.T) {
+	p := &groupPairing{}
+	d := NewDriver(5, rng.New(1), p, nil)
+	d.Step(0, nil)
+	inbox := []msg.Message{
+		{Kind: msg.KindInvite, From: 1, To: 5, Edge: 10, Color: 0},
+		{Kind: msg.KindInvite, From: 2, To: 9, Edge: 11, Color: 1},
+		{Kind: msg.KindResponse, From: 3, To: 5, Edge: 12, Color: 2},
+		{Kind: msg.KindInvite, From: 4, To: 5, Edge: 13, Color: 3},
+		{Kind: msg.KindUpdate, From: 6, To: msg.Broadcast, Edge: 14, Color: 4},
+		{Kind: msg.KindInvite, From: 7, To: 8, Edge: 15, Color: 5},
+	}
+	d.Step(1, inbox)
+	if !reflect.DeepEqual(p.mine, []msg.Message{inbox[0], inbox[3]}) {
+		t.Fatalf("mine = %v", p.mine)
+	}
+	if !reflect.DeepEqual(p.overheard, []msg.Message{inbox[1], inbox[5]}) {
+		t.Fatalf("overheard = %v", p.overheard)
+	}
+}
+
+// pingPairing is an allocation-free Pairing for two nodes 0 and 1 on one
+// edge: it always invites the other node, accepts the first invitation,
+// and announces every round from a preallocated exchange slice.
+type pingPairing struct {
+	id       int
+	exchange [1]msg.Message
+}
+
+func (p *pingPairing) Live() bool           { return true }
+func (p *pingPairing) Absorb([]msg.Message) {}
+func (p *pingPairing) Invite(*rng.Rand) (msg.Message, bool) {
+	return msg.Message{From: p.id, To: 1 - p.id, Edge: 0}, true
+}
+func (p *pingPairing) Respond(mine, _ []msg.Message, _ *rng.Rand) (msg.Message, bool) {
+	return msg.Message{To: mine[0].From, Edge: 0}, true
+}
+func (p *pingPairing) Complete(msg.Message) {}
+func (p *pingPairing) Exchange() []msg.Message {
+	p.exchange[0] = msg.Message{Kind: msg.KindUpdate, From: p.id, To: msg.Broadcast, Edge: 0}
+	return p.exchange[:]
+}
+
+// TestDriverCycleAllocatesNothing: once its outbox and Respond groups
+// have grown, a driver-hosted invite/respond/exchange cycle allocates
+// nothing. The two nodes' outboxes are copied into fixed inboxes by
+// hand, as an engine would deliver them.
+func TestDriverCycleAllocatesNothing(t *testing.T) {
+	base := rng.New(4)
+	ds := [2]*Driver{
+		NewDriver(0, base.Derive(0), &pingPairing{id: 0}, nil),
+		NewDriver(1, base.Derive(1), &pingPairing{id: 1}, nil),
+	}
+	var inbox [2][]msg.Message
+	for i := range inbox {
+		inbox[i] = make([]msg.Message, 0, 4)
+	}
+	round, responses := 0, 0
+	cycle := func() {
+		for phase := 0; phase < DriverPhases; phase++ {
+			a := ds[0].Step(round, inbox[0])
+			b := ds[1].Step(round, inbox[1])
+			inbox[0] = append(inbox[0][:0], b...)
+			inbox[1] = append(inbox[1][:0], a...)
+			if phase == 1 {
+				responses += len(a) + len(b)
+			}
+			round++
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("driver cycle allocates %.1f times", allocs)
+	}
+	if responses == 0 {
+		t.Fatal("no invitation was ever answered; the respond path went unmeasured")
+	}
+}
+
+// TestDriverIdleWalksLegallyToDone: a driver whose pairing starts with
+// no work reaches Done at construction through the listener's legal
+// cycle, each transition seen by the hook.
+func TestDriverIdleWalksLegallyToDone(t *testing.T) {
+	var got []State
+	prev := Choose
+	d := NewDriver(0, rng.New(1), &skipPairing{budget: 0}, func(node int, from, to State) {
+		if from != prev || !from.CanTransitionTo(to) {
+			t.Fatalf("illegal walk step %v -> %v after %v", from, to, prev)
+		}
+		prev = to
+		got = append(got, to)
+	})
+	if want := []State{Listen, Respond, Update, Exchange, Done}; !d.Done() || !slices.Equal(got, want) {
+		t.Fatalf("walk %v, want %v", got, want)
 	}
 }

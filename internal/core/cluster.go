@@ -18,11 +18,11 @@ import (
 // coordinator ships in the welcome frame: the graph, a factory name,
 // and the options blob encoded here. Construction must be byte-
 // identical on both sides — rng.Rand.Derive is a pure function of the
-// parent state and the index, so remote newECNode/newSCNode calls get
+// parent state and the index, so remote newECNodes/newSCNodes calls get
 // exactly the RNG streams the coordinator's twins got. After the run
-// the remote nodes' harvestable state (the fields colorEdges and
-// ColorStrongCtx read during assembly) is restored into the twins via
-// the StateNode methods below.
+// the remote nodes' harvestable state (the fields the post-run
+// assembly, Options.color, reads) is restored into the twins via the
+// StateNode methods below.
 
 // Factory names are versioned: any change to node construction, the
 // options blob, or the state encoding must bump them so mixed-version
@@ -35,6 +35,30 @@ const (
 func init() {
 	net.RegisterNodeFactory(edgeFactoryName, edgeClusterFactory)
 	net.RegisterNodeFactory(strongFactoryName, strongClusterFactory)
+}
+
+// The two factories differ only in the nodes they build.
+var (
+	edgeClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) []net.Node {
+		nets, _ := asNodes(newECNodes(g, lo, hi, o))
+		return nets
+	})
+	strongClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) []net.Node {
+		nets, _ := asNodes(newSCNodes(graph.NewSymmetric(g), lo, hi, o))
+		return nets
+	})
+)
+
+// clusterFactory is the node factory a node process builds its shard
+// with: the options blob decoded, then build's nodes of [lo, hi).
+func clusterFactory(build func(g *graph.Graph, lo, hi int, o *Options) []net.Node) net.NodeFactory {
+	return func(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
+		opt, err := decodeClusterOptions(spec)
+		if err != nil {
+			return nil, err
+		}
+		return build(g, lo, hi, opt), nil
+	}
 }
 
 // clusterEngine validates that the configured cluster run is possible
@@ -124,73 +148,32 @@ type discardSink struct{}
 
 func (discardSink) EmitRound(metrics.RoundStats) {}
 
-func edgeClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
-	opt, err := decodeClusterOptions(spec)
-	if err != nil {
-		return nil, err
-	}
-	ecs := newECNodes(g, lo, hi, opt)
-	nodes := make([]net.Node, len(ecs))
-	for i := range ecs {
-		nodes[i] = &ecs[i]
-	}
-	return nodes, nil
-}
-
-func strongClusterFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
-	opt, err := decodeClusterOptions(spec)
-	if err != nil {
-		return nil, err
-	}
-	scs := newSCNodes(graph.NewSymmetric(g), lo, hi, opt)
-	nodes := make([]net.Node, len(scs))
-	for i := range scs {
-		nodes[i] = &scs[i]
-	}
-	return nodes, nil
-}
-
 // State encodings. Only the fields the post-run assembly reads survive
 // the harvest: the color map and the event record. Mid-negotiation
 // state (pending invitations, acknowledgement clocks) dies with the
 // process — by the time a harvest happens the run is over at a round
 // barrier, and assembly never looks at it.
 
-func (n *ecNode) AppendState(buf []byte) []byte {
-	buf = appendColors(buf, n.colors, func(i int) int { return int(n.inc[i]) })
-	return appendEvents(buf, &n.ev)
+func (n *colorNode) AppendState(buf []byte) []byte {
+	return appendEvents(appendColors(buf, n), &n.ev)
 }
 
-func (n *ecNode) RestoreState(data []byte) error {
+func (n *colorNode) RestoreState(data []byte) error {
 	d := msg.NewDec("core", data)
-	slot := func(e int) int { return n.slot(graph.EdgeID(e)) }
-	decodeColors(&d, "edge", slot, n.colors)
-	decodeEvents(&d, "edge", slot, &n.ev)
-	return d.Finish("edge node state")
+	decodeColors(&d, n)
+	decodeEvents(&d, n)
+	return d.Finish("node state")
 }
 
-func (n *scNode) AppendState(buf []byte) []byte {
-	buf = appendColors(buf, n.colors, func(s int) int { return int(n.arcAt(s)) })
-	return appendEvents(buf, &n.ev)
-}
-
-func (n *scNode) RestoreState(data []byte) error {
-	d := msg.NewDec("core", data)
-	slot := func(a int) int { return n.slot(graph.ArcID(a)) }
-	decodeColors(&d, "arc", slot, n.colors)
-	decodeEvents(&d, "arc", slot, &n.ev)
-	return d.Finish("strong node state")
-}
-
-// appendColors encodes a node's colored slots as (id, color) pairs
-// sorted by id, where id(s) is the edge or arc id of slot s: the same
-// bytes the id → color map this state once was encoded as.
-func appendColors(buf []byte, colors []int32, id func(s int) int) []byte {
+// appendColors encodes a node's colored slots as (item, color) pairs
+// sorted by item id: the same bytes the id → color map this state once
+// was encoded as.
+func appendColors(buf []byte, n *colorNode) []byte {
 	type pair struct{ id, color int }
 	var pairs []pair
-	for s, c := range colors {
+	for s, c := range n.colors {
 		if c >= 0 {
-			pairs = append(pairs, pair{id(s), int(c)})
+			pairs = append(pairs, pair{n.itemAt(s), int(c)})
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
@@ -228,9 +211,8 @@ func appendEvents(buf []byte, e *nodeEvents) []byte {
 const maxCount = 1 << 62
 
 // decodeColors decodes appendColors' pairs into a node's slot colors;
-// slot maps an edge or arc id to its slot, or -1 when the id is not one
-// of the node's.
-func decodeColors(d *msg.Dec, what string, slot func(id int) int, colors []int32) {
+// every item must be one of the node's.
+func decodeColors(d *msg.Dec, n *colorNode) {
 	// Each pair costs at least two bytes.
 	count := d.Count("color count", 2)
 	for i := 0; i < count && d.Err == nil; i++ {
@@ -239,20 +221,21 @@ func decodeColors(d *msg.Dec, what string, slot func(id int) int, colors []int32
 		if d.Err != nil {
 			return
 		}
-		s := slot(id)
+		s := n.slot(id)
 		if s < 0 {
-			d.Fail("%s %d color %d does not belong to this node", what, id, c)
+			d.Fail("item %d color %d does not belong to this node", id, c)
 			return
 		}
-		colors[s] = int32(c)
+		n.colors[s] = int32(c)
 	}
 }
 
-// decodeEvents decodes appendEvents' record. Counts are bounded by the
-// bytes left, and every assignment must name one of the node's items
-// (slot maps an id to its slot, or -1), so a hostile blob cannot make
-// the post-run fold index out of range.
-func decodeEvents(d *msg.Dec, what string, slot func(id int) int, e *nodeEvents) {
+// decodeEvents decodes appendEvents' record into the node's. Counts are
+// bounded by the bytes left, and every assignment must name one of the
+// node's items, so a hostile blob cannot make the post-run fold index
+// out of range.
+func decodeEvents(d *msg.Dec, n *colorNode) {
+	e := &n.ev
 	for k := range e.total {
 		e.total[k] = d.Int("event total", maxCount)
 	}
@@ -269,8 +252,8 @@ func decodeEvents(d *msg.Dec, what string, slot func(id int) int, e *nodeEvents)
 		a.round = d.Int("assignment round", maxCount)
 		a.item = d.Int("assignment id", maxCount)
 		a.color = d.Int("assignment color", math.MaxInt32)
-		if d.Err == nil && slot(a.item) < 0 {
-			d.Fail("assignment of %s %d color %d does not belong to this node", what, a.item, a.color)
+		if d.Err == nil && n.slot(a.item) < 0 {
+			d.Fail("assignment of item %d color %d does not belong to this node", a.item, a.color)
 		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"dima/internal/automaton"
 	"dima/internal/graph"
 	"dima/internal/msg"
-	"dima/internal/net"
-	"dima/internal/rng"
 )
 
 // ecPhases is the number of communication rounds per computation round
@@ -55,95 +53,24 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 		return nil, fmt.Errorf("core: constrained coloring is not supported on the tcp engine")
 	}
 	ecs := newECNodes(g, 0, g.N(), &opt)
-	nodes := make([]net.Node, g.N())
-	for u := range ecs {
-		if forbidden != nil {
+	if forbidden != nil {
+		for u := range ecs {
 			ecs[u].seedForbidden(forbidden)
 		}
-		nodes[u] = &ecs[u]
 	}
-	res, traffic, err := opt.run(ctx, g, nodes, edgeFactoryName, ecPhases, g.M())
-	if err != nil {
-		return nil, err
-	}
-	// Assemble edge colors from node-local assignments, verifying that
-	// both endpoints agree — the distributed analogue of Proposition 2's
-	// "v, w color the edge (v, w) with different colors" case.
-	endpoints := make([]int8, g.M())
-	for u := range ecs {
-		n := &ecs[u]
-		res.addEvents(&n.ev)
-		for i, c32 := range n.colors {
-			if c32 < 0 {
-				continue
-			}
-			e, c := n.inc[i], int(c32)
-			endpoints[e]++
-			if res.Colors[e] == -1 {
-				res.Colors[e] = c
-			} else if res.Colors[e] != c {
-				return nil, fmt.Errorf("core: edge %v colored %d and %d by its endpoints",
-					g.EdgeAt(e), res.Colors[e], c)
-			}
-		}
-	}
-	for _, k := range endpoints {
-		if k == 1 {
-			res.HalfColored++
-		}
-	}
-	if opt.Metrics != nil {
-		events := make([]*nodeEvents, len(ecs))
-		for i := range ecs {
-			events[i] = &ecs[i].ev
-		}
-		emitRoundStats(opt.Metrics, traffic, events, ecPhases, g.M(), g.N())
-	}
-	if res.Terminated {
-		for e, c := range res.Colors {
-			if c < 0 {
-				return nil, fmt.Errorf("core: terminated with uncolored edge %v", g.EdgeAt(graph.EdgeID(e)))
-			}
-		}
-	}
-	res.countColors()
-	return res, nil
+	nets, nodes := asNodes(ecs)
+	return opt.color(ctx, g, nets, nodes, edgeFactoryName, ecPhases, g.M())
 }
 
-// ecNode is one vertex of Algorithm 1. Per-neighbor state lives in
-// slot-indexed windows of run-wide arrays (see arena.go): slot i is
-// Neighbors(u)[i] and its edge IncidentEdges(u)[i].
+// ecNode is one vertex of Algorithm 1: the shared automaton node, whose
+// items are the vertex's edges, plus the live and dead color lists of
+// the paper's line 1.11.
 type ecNode struct {
-	id   int
-	g    *graph.Graph
-	opt  *Options
-	r    rng.Rand
-	mach automaton.Machine
+	colorNode
 
-	inc       []graph.EdgeID // IncidentEdges(u)
-	adj       adjacency      // neighbor vertex -> slot
-	colors    []int32        // colors[i]: color of edge inc[i], -1 while uncolored
-	uncolored []int32        // slots of own edges not yet colored
-	usedSelf  ColorSet       // colors on own colored edges (live complement)
-	usedNbr   []ColorSet     // usedNbr[i]: colors used by Neighbors(u)[i] (the dead list)
-	forbid    *ColorSet      // externally forbidden colors (ColorEdgesConstrained), folded into usedSelf
-
-	// Current invitation, valid while the machine is in I/W.
-	inviteEdge  graph.EdgeID
-	inviteTo    int
-	inviteColor int
-
-	paints paintSlab // colors assigned, the unsent tail broadcast in E
-
-	// out is the outbox Step returns, reused every round: it stays valid
-	// until this node's next Step, per the net.Node contract.
-	out []msg.Message
-
-	// curRound is the computation round of the current Step; ev records
-	// the node's protocol events. Both sit next to out because every
-	// Step touches all three, and one cache line can hold them.
-	curRound int
-	ev       nodeEvents
+	usedSelf ColorSet   // colors on own colored edges (live complement)
+	usedNbr  []ColorSet // usedNbr[i]: colors used by Neighbors(u)[i] (the dead list)
+	forbid   *ColorSet  // externally forbidden colors (ColorEdgesConstrained), folded into usedSelf
 
 	// Recovery state (Options.Recovery; see recovery.go). pendingAck
 	// holds responder-side assignments awaiting the partner's paint
@@ -157,53 +84,22 @@ type ecNode struct {
 }
 
 // newECNodes builds the nodes of vertices [lo, hi) with their per-vertex
-// state carved from run-wide arrays. Node u draws from the stream
-// rng.New(opt.Seed).Derive(u), so a shard built by a node process
-// matches the coordinator's nodes exactly.
+// state carved from run-wide arrays.
 func newECNodes(g *graph.Graph, lo, hi int, opt *Options) []ecNode {
-	base := rng.New(opt.Seed)
-	c := newIncidence(g, lo, hi)
-	total := c.total()
-	colors := make([]int32, total)
-	for i := range colors {
-		colors[i] = -1
-	}
-	uncolored := make([]int32, total)
+	sk := newSkeleton(g, lo, hi, 0, 1, opt)
+	total := sk.c.total()
 	usedNbr := make([]ColorSet, total)
 	paints := make([]msg.Paint, total)
-	outs := make([]msg.Message, hi-lo)
 	nodes := make([]ecNode, hi-lo)
 	for u := lo; u < hi; u++ {
 		n := &nodes[u-lo]
 		*n = ecNode{
-			id:        u,
-			g:         g,
-			opt:       opt,
-			ev:        nodeEvents{log: opt.Metrics != nil},
-			r:         *base.Derive(uint64(u)),
-			mach:      *automaton.NewMachine(u, opt.Hook),
-			inc:       g.IncidentEdges(u),
-			adj:       c.adjacency(g, u),
-			colors:    window(colors, &c, u),
-			uncolored: window(uncolored, &c, u),
-			usedNbr:   window(usedNbr, &c, u),
-			paints:    paintSlab{buf: window(paints, &c, u)[:0]},
-			out:       outs[u-lo : u-lo : u-lo+1],
+			colorNode: sk.node(u, window(paints, &sk.c, u)[:0]),
+			usedNbr:   window(usedNbr, &sk.c, u),
 		}
 		if opt.Recovery.Enabled {
 			n.pendingAck = make(map[graph.EdgeID]*ecPending)
 			n.attempts = make(map[graph.EdgeID]int)
-		}
-		for i := range n.uncolored {
-			n.uncolored[i] = int32(i)
-		}
-		if len(n.uncolored) == 0 {
-			// Isolated vertex: walk a legal path straight to Done so the
-			// machine invariant (all terminations pass through D) holds.
-			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
-				automaton.Update, automaton.Exchange, automaton.Done} {
-				n.mach.MustTransition(s)
-			}
 		}
 	}
 	return nodes
@@ -224,23 +120,16 @@ func (n *ecNode) seedForbidden(forbidden []*ColorSet) {
 	}
 }
 
-func (n *ecNode) ID() int { return n.id }
-
-func (n *ecNode) Done() bool { return n.mach.State() == automaton.Done }
-
-func (n *ecNode) recOn() bool { return n.opt.Recovery.Enabled }
-
 func (n *ecNode) Step(round int, inbox []msg.Message) []msg.Message {
-	n.curRound = round / ecPhases
-	out := n.out[:0]
+	phase, out := n.begin(round, ecPhases)
 	switch {
 	case n.Done():
 		if n.recOn() {
-			out = n.stepDone(round%ecPhases, inbox, out)
+			out = n.stepDone(phase, inbox, out)
 		}
-	case round%ecPhases == 0:
+	case phase == 0:
 		out = n.phaseChooseInvite(inbox, out)
-	case round%ecPhases == 1:
+	case phase == 1:
 		out = n.phaseRespond(inbox, out)
 	default:
 		out = n.phaseUpdateExchange(inbox, out)
@@ -258,17 +147,13 @@ func (n *ecNode) stepDone(phase int, inbox, out []msg.Message) []msg.Message {
 	if phase == 2 {
 		return out // acknowledgements and invitations never land here
 	}
-	before := len(n.uncolored)
+	before := len(n.open)
 	n.absorbAcks(inbox)
-	if len(n.uncolored) > before {
-		n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
-		n.mach.MustTransition(automaton.Listen)
-		if phase == 1 {
-			n.mach.MustTransition(automaton.Respond)
-		}
+	if len(n.open) > before {
+		n.mach.Restart([...]automaton.State{automaton.Listen, automaton.Respond}[phase])
 	}
 	if phase == 1 {
-		return n.answerColoredInvites(inbox, out)
+		return n.answerCommitted(inbox, out)
 	}
 	return out
 }
@@ -297,34 +182,25 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 	}
 	if n.recOn() {
 		n.ageAcks()
-		if len(n.uncolored) == 0 {
+		if len(n.open) == 0 {
 			// All own edges colored; the node only lingers for
 			// outstanding acknowledgements. Listen until they settle.
 			n.mach.MustTransition(automaton.Listen)
 			return out
 		}
 	}
-	n.ev.add(evActive, n.curRound)
-	// C state: coin toss (line 1.8).
-	if n.r.Bool() {
-		// Inviter: random uncolored edge, lowest available color
-		// (lines 1.10–1.12).
-		n.mach.MustTransition(automaton.Invite)
-		n.ev.add(evInvite, n.curRound)
-		i := n.uncolored[n.r.Intn(len(n.uncolored))]
-		e, v := n.inc[i], n.adj.nbrs[i]
-		c := n.proposeColor(e, &n.usedNbr[i])
-		if n.recOn() {
-			n.attempts[e]++
-		}
-		n.inviteEdge, n.inviteTo, n.inviteColor = e, v, c
-		return append(out, msg.Message{
-			Kind: msg.KindInvite, From: n.id, To: v, Edge: int(e), Color: c,
-		})
+	i, ok := n.toss()
+	if !ok {
+		return out
 	}
-	n.mach.MustTransition(automaton.Listen)
-	n.ev.add(evListen, n.curRound)
-	return out
+	// Inviter: random uncolored edge, lowest available color (lines
+	// 1.10–1.12).
+	e := n.inc[i]
+	c := n.proposeColor(e, &n.usedNbr[i])
+	if n.recOn() {
+		n.attempts[e]++
+	}
+	return n.invite(out, int(e), n.adj.nbrs[i], c)
 }
 
 // absorbPaints handles the recovery significance of one neighbor's paint
@@ -336,13 +212,13 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 func (n *ecNode) absorbPaints(m msg.Message, out []msg.Message) []msg.Message {
 	for _, p := range m.Paints {
 		e := graph.EdgeID(p.Edge)
-		if !n.incidentFrom(e, m.From) {
+		if !n.between(p.Edge, m.From) {
 			continue
 		}
 		if pa, ok := n.pendingAck[e]; ok && pa.partner == m.From {
 			delete(n.pendingAck, e)
 		}
-		if !n.isUncolored(e) {
+		if !n.isUncolored(p.Edge) {
 			continue
 		}
 		if n.usedSelf.Has(p.Color) {
@@ -417,6 +293,12 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 		return out
 	}
 	n.mach.MustTransition(automaton.Respond)
+	if n.recOn() {
+		// An inviter renegotiating an edge this node already committed
+		// lost its earlier Response (or its acceptance was lost): answer
+		// with the committed color so the inviter adopts it.
+		out = n.answerCommitted(inbox, out)
+	}
 	// Defensive validation: an invitation is acceptable only if its
 	// color is unused here and its edge is still uncolored. The protocol
 	// invariants guarantee this under reliable delivery (the inviter
@@ -428,17 +310,8 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 			continue
 		}
 		if n.recOn() {
-			if c, ok := n.colorOf(graph.EdgeID(m.Edge)); ok && n.incidentFrom(graph.EdgeID(m.Edge), m.From) {
-				// The inviter renegotiates an edge this node already
-				// committed: its earlier Response (or the inviter's
-				// acceptance) was lost. Re-respond with the committed
-				// color so the inviter adopts it.
-				out = append(out, msg.Message{
-					Kind: msg.KindResponse, From: n.id, To: m.From,
-					Edge: m.Edge, Color: c, Seq: m.Seq + 1,
-				})
-				n.ev.add(evRetransmit, n.curRound)
-				continue
+			if _, ok := n.colorOf(m.Edge); ok && n.between(m.Edge, m.From) {
+				continue // answered above
 			}
 		}
 		if n.acceptable(m) {
@@ -475,7 +348,7 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 // acceptable reports whether invitation m may be accepted: its color is
 // unused here and its edge still uncolored.
 func (n *ecNode) acceptable(m msg.Message) bool {
-	return !n.usedSelf.Has(m.Color) && n.isUncolored(graph.EdgeID(m.Edge))
+	return !n.usedSelf.Has(m.Color) && n.isUncolored(m.Edge)
 }
 
 // phaseUpdateExchange closes the round: inviters apply an acceptance if
@@ -489,9 +362,9 @@ func (n *ecNode) phaseUpdateExchange(inbox, out []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
 		if !n.recOn() {
-			if m, ok := automaton.FindResponse(n.id, int(n.inviteEdge), inbox); ok {
+			if m, ok := automaton.FindResponse(n.id, n.inviteItem, inbox); ok {
 				if m.From == n.inviteTo && m.Color == n.inviteColor {
-					n.assign(n.inviteEdge, m.Color, m.From)
+					n.assign(graph.EdgeID(n.inviteItem), m.Color, m.From)
 				} else {
 					// A response for my edge with mismatched partner or
 					// color cannot occur under the protocol.
@@ -510,13 +383,8 @@ func (n *ecNode) phaseUpdateExchange(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
 		out = n.recoverResponses(inbox, wasWait, out)
 	}
-	if len(n.paints.pending()) > 0 {
-		out = append(out, msg.Message{
-			Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-			Edge: -1, Color: -1, Paints: n.paints.take(),
-		})
-	}
-	if len(n.uncolored) == 0 && !(n.recOn() && len(n.pendingAck) > 0) {
+	out = n.appendPaints(out)
+	if len(n.open) == 0 && !(n.recOn() && len(n.pendingAck) > 0) {
 		n.mach.MustTransition(automaton.Done)
 	} else {
 		n.mach.MustTransition(automaton.Choose)
@@ -538,10 +406,10 @@ func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool, out []msg.M
 			continue
 		}
 		e := graph.EdgeID(m.Edge)
-		if !n.incidentFrom(e, m.From) || m.Color < 0 {
+		if !n.between(m.Edge, m.From) || m.Color < 0 {
 			continue
 		}
-		if c, ok := n.colorOf(e); ok {
+		if c, ok := n.colorOf(m.Edge); ok {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, c == m.Color))
 			continue
 		}
@@ -552,7 +420,7 @@ func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool, out []msg.M
 			continue
 		}
 		n.assign(e, m.Color, m.From)
-		if !(wasWait && e == n.inviteEdge && m.From == n.inviteTo && m.Color == n.inviteColor) {
+		if !(wasWait && m.Edge == n.inviteItem && m.From == n.inviteTo && m.Color == n.inviteColor) {
 			n.ev.add(evRepair, n.curRound)
 		}
 	}
@@ -569,7 +437,7 @@ func (n *ecNode) absorbAcks(inbox []msg.Message) {
 			continue
 		}
 		e := graph.EdgeID(m.Edge)
-		if !n.incidentFrom(e, m.From) {
+		if !n.between(m.Edge, m.From) {
 			continue
 		}
 		if m.Keep {
@@ -589,13 +457,13 @@ func (n *ecNode) absorbAcks(inbox []msg.Message) {
 // after the partner refused it. Stale reverts (the edge has moved on to
 // a different color, or was never colored here) are ignored.
 func (n *ecNode) revert(e graph.EdgeID, c int) {
-	i := n.slot(e)
+	i := n.slot(int(e))
 	if i < 0 || int(n.colors[i]) != c {
 		return
 	}
 	n.colors[i] = -1
 	delete(n.pendingAck, e)
-	n.uncolored = append(n.uncolored, int32(i))
+	n.open = append(n.open, int32(i))
 	n.rebuildUsedSelf()
 	for k, p := range n.paints.pending() {
 		if graph.EdgeID(p.Edge) == e {
@@ -619,46 +487,11 @@ func (n *ecNode) rebuildUsedSelf() {
 	}
 }
 
-// answerColoredInvites re-responds to invitations for edges this node
-// already committed — the finished node's half of the authoritative
-// re-response mechanism.
-func (n *ecNode) answerColoredInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	for _, m := range inbox {
-		if !automaton.IsInviteFor(m, n.id) {
-			continue
-		}
-		e := graph.EdgeID(m.Edge)
-		if !n.incidentFrom(e, m.From) {
-			continue
-		}
-		c, ok := n.colorOf(e)
-		if !ok {
-			continue
-		}
-		out = append(out, msg.Message{
-			Kind: msg.KindResponse, From: n.id, To: m.From,
-			Edge: m.Edge, Color: c, Seq: m.Seq + 1,
-		})
-		n.ev.add(evRetransmit, n.curRound)
-	}
-	return out
-}
-
-// incidentFrom reports whether e is an edge between this node and from —
-// the validity gate for every recovery message before it touches state.
-func (n *ecNode) incidentFrom(e graph.EdgeID, from int) bool {
-	if e < 0 || int(e) >= n.g.M() {
-		return false
-	}
-	ed := n.g.EdgeAt(e)
-	return (ed.U == n.id && ed.V == from) || (ed.V == n.id && ed.U == from)
-}
-
 // assign colors edge e with c, updating the live/dead bookkeeping and
 // queueing the exchange broadcast.
 func (n *ecNode) assign(e graph.EdgeID, c int, partner int) {
 	n.ev.assign(n.curRound, int(e), c)
-	i := n.slot(e)
+	i := n.slot(int(e))
 	n.colors[i] = int32(c)
 	n.usedSelf.Add(c)
 	if n.recOn() {
@@ -667,46 +500,11 @@ func (n *ecNode) assign(e graph.EdgeID, c int, partner int) {
 	if j, ok := n.adj.index(partner); ok {
 		n.usedNbr[j].Add(c) // the partner uses c now too
 	}
-	for k, s := range n.uncolored {
-		if int(s) == i {
-			n.uncolored[k] = n.uncolored[len(n.uncolored)-1]
-			n.uncolored = n.uncolored[:len(n.uncolored)-1]
-			break
-		}
-	}
+	n.dropOpen(i)
 	n.paints.add(msg.Paint{Edge: int(e), Color: c})
 }
 
-// slot returns the incidence slot of edge e at this node, or -1 if e is
-// not one of its edges.
-func (n *ecNode) slot(e graph.EdgeID) int {
-	if e < 0 || int(e) >= n.g.EdgeIDBound() {
-		return -1
-	}
-	ed := n.g.EdgeAt(e)
-	v := ed.U
-	if v == n.id {
-		v = ed.V
-	} else if ed.V != n.id {
-		return -1
-	}
-	i, ok := n.adj.index(v)
-	if !ok || n.inc[i] != e {
-		return -1
-	}
-	return i
-}
-
-// colorOf returns the color of own edge e, with ok == false while e is
-// uncolored or not incident.
-func (n *ecNode) colorOf(e graph.EdgeID) (int, bool) {
-	if i := n.slot(e); i >= 0 && n.colors[i] >= 0 {
-		return int(n.colors[i]), true
-	}
-	return 0, false
-}
-
-func (n *ecNode) isUncolored(e graph.EdgeID) bool {
+func (n *ecNode) isUncolored(e int) bool {
 	i := n.slot(e)
 	return i >= 0 && n.colors[i] < 0
 }

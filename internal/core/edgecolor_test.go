@@ -455,24 +455,3 @@ func TestEdgeColorParticipation(t *testing.T) {
 		t.Fatalf("aggregate pairing rate %.3f implausibly high", rate)
 	}
 }
-
-// TestEdgeColorParticipationDisabledByDefault: without a Metrics sink
-// the nodes keep their run totals but no per-round log.
-func TestEdgeColorParticipationDisabledByDefault(t *testing.T) {
-	g := gen.Cycle(6)
-	opt := Options{Seed: 32}
-	ecs := newECNodes(g, 0, g.N(), &opt)
-	nodes := make([]net.Node, len(ecs))
-	for i := range ecs {
-		nodes[i] = &ecs[i]
-	}
-	res, err := net.RunSync(g, nodes, net.Config{MaxRounds: 1000})
-	if err != nil || !res.Terminated {
-		t.Fatalf("run failed: %v", err)
-	}
-	for u := range ecs {
-		if e := &ecs[u].ev; e.rounds != nil || e.assigns != nil {
-			t.Fatalf("node %d logged %d rounds, %d assignments without opt-in", u, len(e.rounds), len(e.assigns))
-		}
-	}
-}

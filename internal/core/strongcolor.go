@@ -7,7 +7,6 @@ import (
 	"dima/internal/automaton"
 	"dima/internal/graph"
 	"dima/internal/msg"
-	"dima/internal/net"
 	"dima/internal/rng"
 )
 
@@ -42,55 +41,8 @@ func ColorStrong(d *graph.Digraph, opt Options) (*Result, error) {
 // cancellation are byte-identical to an uncanceled run with the same
 // options, on every engine.
 func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result, error) {
-	g := d.Under()
-	scs := newSCNodes(d, 0, g.N(), &opt)
-	nodes := make([]net.Node, g.N())
-	for u := range scs {
-		nodes[u] = &scs[u]
-	}
-	res, traffic, err := opt.run(ctx, g, nodes, strongFactoryName, scPhases, d.A())
-	if err != nil {
-		return nil, err
-	}
-	endpoints := make([]int8, d.A())
-	for u := range scs {
-		n := &scs[u]
-		res.addEvents(&n.ev)
-		for i, c32 := range n.colors {
-			if c32 < 0 {
-				continue
-			}
-			a, c := n.arcAt(i), int(c32)
-			endpoints[a]++
-			if res.Colors[a] == -1 {
-				res.Colors[a] = c
-			} else if res.Colors[a] != c {
-				return nil, fmt.Errorf("core: arc %v colored %d and %d by its endpoints",
-					d.ArcAt(a), res.Colors[a], c)
-			}
-		}
-	}
-	for _, k := range endpoints {
-		if k == 1 {
-			res.HalfColored++
-		}
-	}
-	if opt.Metrics != nil {
-		events := make([]*nodeEvents, len(scs))
-		for i := range scs {
-			events[i] = &scs[i].ev
-		}
-		emitRoundStats(opt.Metrics, traffic, events, scPhases, d.A(), g.N())
-	}
-	if res.Terminated {
-		for a, c := range res.Colors {
-			if c < 0 {
-				return nil, fmt.Errorf("core: terminated with uncolored arc %v", d.ArcAt(graph.ArcID(a)))
-			}
-		}
-	}
-	res.countColors()
-	return res, nil
+	nets, nodes := asNodes(newSCNodes(d, 0, d.N(), &opt))
+	return opt.color(ctx, d.Under(), nets, nodes, strongFactoryName, scPhases, d.A())
 }
 
 // scClaim is a tentative pairing awaiting the confirm exchange.
@@ -102,24 +54,17 @@ type scClaim struct {
 	compRound int // computation round the claim formed in (event attribution)
 }
 
-// scNode is one vertex of Algorithm 2. Per-neighbor state lives in
-// slot-indexed windows of run-wide arrays (see arena.go): slot i is
-// Neighbors(u)[i], whose edge IncidentEdges(u)[i] carries the out arc
-// of slot i and the in arc of slot deg+i.
+// scNode is one vertex of Algorithm 2: the shared automaton node, whose
+// items are the arcs into and out of the vertex and whose open slots are
+// its uncolored out arcs, plus the closed-neighborhood color knowledge,
+// the claim/confirm exchange and its recovery.
 type scNode struct {
-	id   int
-	d    *graph.Digraph
-	opt  *Options
-	r    rng.Rand
-	mach automaton.Machine
+	colorNode
+	d *graph.Digraph
 
-	inc          []graph.EdgeID // IncidentEdges(u)
-	adj          adjacency      // neighbor vertex -> slot
-	colors       []int32        // colors[s]: color of the arc of slot s (out then in), -1 while uncolored
-	uncoloredOut []int32        // slots of outgoing arcs not yet colored
-	remaining    int            // incident arcs (in+out) still uncolored
-	colorsNbr    ColorSet       // colors on arcs incident to any neighbor
-	colorsSelf   ColorSet       // colors on arcs incident to u itself
+	remaining  int      // incident arcs (in+out) still uncolored
+	colorsNbr  ColorSet // colors on arcs incident to any neighbor
+	colorsSelf ColorSet // colors on arcs incident to u itself
 
 	// Dead-list relay: the E state exchanges each node's *color list* —
 	// the channels no longer usable for it, which already aggregates its
@@ -129,12 +74,6 @@ type scNode struct {
 	// wait as the unsent tail of the paint slab until the next exchange.
 	deadNbr   []ColorSet // deadNbr[i]: colors Neighbors(u)[i] announced as dead for itself
 	announced ColorSet   // colors this node has already announced dead
-	paints    paintSlab
-
-	// In-flight invitation (valid in I/W).
-	inviteArc   graph.ArcID
-	inviteTo    int
-	inviteColor int
 
 	// attempts[i] counts failed invitations on the out arc of slot i. The
 	// responder may hold forbidden colors the inviter cannot see (used by
@@ -148,16 +87,6 @@ type scNode struct {
 
 	claim     *scClaim // tentative pairing this round (points at claimSlot), nil if none
 	claimSlot scClaim
-
-	// out is the outbox Step returns, reused every round: it stays valid
-	// until this node's next Step, per the net.Node contract.
-	out []msg.Message
-
-	// curRound is the computation round of the current Step; ev records
-	// the node's protocol events. Both sit next to out because every
-	// Step touches all three, and one cache line can hold them.
-	curRound int
-	ev       nodeEvents
 
 	// Recovery state (Options.Recovery; see recovery.go). reaffirmQ holds
 	// keep-Decides re-announcing committed colors (after an adoption, or
@@ -197,14 +126,8 @@ func scSetWords(maxDeg int) int {
 // a node process matches the coordinator's nodes exactly.
 func newSCNodes(d *graph.Digraph, lo, hi int, opt *Options) []scNode {
 	g := d.Under()
-	base := rng.New(opt.Seed)
-	c := newIncidence(g, lo, hi)
-	total := c.total()
-	colors := make([]int32, 2*total)
-	for i := range colors {
-		colors[i] = -1
-	}
-	uncolored := make([]int32, total)
+	sk := newSkeleton(g, lo, hi, 1, scOutboxCap, opt)
+	total := sk.c.total()
 	attempts := make([]int32, total)
 	deadNbr := make([]ColorSet, total)
 	paintTotal := 0
@@ -220,70 +143,41 @@ func newSCNodes(d *graph.Digraph, lo, hi int, opt *Options) []scNode {
 	for i := range deadNbr {
 		reserve(&deadNbr[i])
 	}
-	outs := make([]msg.Message, scOutboxCap*(hi-lo))
 	nodes := make([]scNode, hi-lo)
 	p := 0
 	for u := lo; u < hi; u++ {
-		a, b := c.span(u)
-		o := scOutboxCap * (u - lo)
-		pw := scPaintWindow(b-a, nbrDegrees(g, u))
+		pw := scPaintWindow(g.Degree(u), nbrDegrees(g, u))
 		n := &nodes[u-lo]
 		*n = scNode{
-			id:           u,
-			d:            d,
-			opt:          opt,
-			ev:           nodeEvents{log: opt.Metrics != nil},
-			r:            *base.Derive(uint64(u)),
-			mach:         *automaton.NewMachine(u, opt.Hook),
-			inc:          g.IncidentEdges(u),
-			adj:          c.adjacency(g, u),
-			colors:       colors[2*a : 2*b : 2*b],
-			uncoloredOut: window(uncolored, &c, u),
-			remaining:    2 * (b - a),
-			deadNbr:      window(deadNbr, &c, u),
-			paints:       paintSlab{buf: paints[p : p : p+pw]},
-			attempts:     window(attempts, &c, u),
-			out:          outs[o : o : o+scOutboxCap],
+			colorNode: sk.node(u, paints[p:p:p+pw]),
+			d:         d,
+			remaining: 2 * g.Degree(u),
+			deadNbr:   window(deadNbr, &sk.c, u),
+			attempts:  window(attempts, &sk.c, u),
 		}
 		p += pw
 		reserve(&n.colorsSelf)
 		reserve(&n.colorsNbr)
 		reserve(&n.announced)
-		for i := range n.uncoloredOut {
-			n.uncoloredOut[i] = int32(i)
-		}
-		if n.remaining == 0 {
-			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
-				automaton.Update, automaton.Exchange, automaton.Done} {
-				n.mach.MustTransition(s)
-			}
-		}
 	}
 	return nodes
 }
 
-func (n *scNode) ID() int { return n.id }
-
-func (n *scNode) Done() bool { return n.mach.State() == automaton.Done }
-
-func (n *scNode) recOn() bool { return n.opt.Recovery.Enabled }
-
 func (n *scNode) Step(round int, inbox []msg.Message) []msg.Message {
-	n.curRound = round / scPhases
-	out := n.out[:0]
+	phase, out := n.begin(round, scPhases)
 	switch {
 	case n.Done():
 		if n.recOn() {
-			out = n.stepDone(round/scPhases, round%scPhases, inbox, out)
+			out = n.stepDone(phase, inbox, out)
 		}
-	case round%scPhases == 0:
-		out = n.phaseChooseInvite(round/scPhases, inbox, out)
-	case round%scPhases == 1:
+	case phase == 0:
+		out = n.phaseChooseInvite(inbox, out)
+	case phase == 1:
 		out = n.phaseRespond(inbox, out)
-	case round%scPhases == 2:
+	case phase == 2:
 		out = n.phaseClaim(inbox, out)
 	default:
-		out = n.phaseDecide(round/scPhases, inbox, out)
+		out = n.phaseDecide(inbox, out)
 	}
 	n.out = out
 	return out
@@ -295,46 +189,24 @@ func (n *scNode) Step(round int, inbox []msg.Message) []msg.Message {
 // late-detected conflicts, and — when a negative acknowledgement or a
 // lost conflict reverts one of its arcs — resurrects as a listener so
 // the arc renegotiates.
-func (n *scNode) stepDone(compRound, phase int, inbox, out []msg.Message) []msg.Message {
+func (n *scNode) stepDone(phase int, inbox, out []msg.Message) []msg.Message {
+	before := n.remaining
 	switch phase {
 	case 0:
 		// Neighbor keep-decides and re-announcements: fold into knowledge
 		// and check them against this node's committed arcs.
-		before := n.remaining
-		out = n.scanAnnouncements(compRound, inbox, out)
-		if n.remaining > before {
-			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
-			n.mach.MustTransition(automaton.Listen)
-		}
-		return out
+		out = n.scanAnnouncements(inbox, out)
 	case 1:
-		before := n.remaining
 		out = n.processAcks(inbox, out)
-		out = n.answerCommittedInvites(inbox, out)
-		if n.remaining > before {
-			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
-			n.mach.MustTransition(automaton.Listen)
-			n.mach.MustTransition(automaton.Respond)
-		}
-		return out
+		out = n.answerCommitted(inbox, out)
 	case 3:
-		before := n.remaining
 		out = n.processAcks(inbox, out)
-		out = append(out, n.reaffirmQ...)
-		n.reaffirmQ = nil
-		if compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
-			if m, ok := n.reannounceMsg(); ok {
-				out = append(out, m)
-			}
-		}
-		if n.remaining > before {
-			n.mach = *automaton.NewMachine(n.id, n.opt.Hook)
-			for _, s := range []automaton.State{automaton.Listen, automaton.Respond,
-				automaton.Update, automaton.Exchange, automaton.Choose} {
-				n.mach.MustTransition(s)
-			}
-		}
-		return out
+		out = n.reannounce(out)
+	}
+	if n.remaining > before {
+		// Back in the cycle at the state a listener holds after this phase.
+		n.mach.Restart([...]automaton.State{automaton.Listen, automaton.Respond,
+			automaton.Exchange, automaton.Choose}[phase])
 	}
 	return out
 }
@@ -361,10 +233,9 @@ func (n *scNode) forbids(c int) bool {
 // (lost partner decisions, late-detected conflicts), and a node whose
 // remaining work is a half-colored incoming arc periodically probes the
 // arc's owner for its committed state.
-func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []msg.Message {
-	out = n.applyDecides(compRound, inbox, out)
-	if n.recOn() && n.remaining > 0 && len(n.uncoloredOut) == 0 &&
-		compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
+func (n *scNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
+	out = n.applyDecides(inbox, out)
+	if n.recOn() && n.remaining > 0 && len(n.open) == 0 && n.period() {
 		// Every uncolored incoming arc is awaited from its owner. If the
 		// owner committed it one-sidedly (a lost decide), no invitation
 		// will ever arrive — ask for its status.
@@ -373,8 +244,8 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []ms
 			if n.colors[deg+i] >= 0 {
 				continue
 			}
-			out = append(out, ackMsg(n.id, v, int(n.arcAt(deg+i)), -1, false))
-			n.ev.add(evProbe, compRound)
+			out = append(out, ackMsg(n.id, v, n.itemAt(deg+i), -1, false))
+			n.ev.add(evProbe, n.curRound)
 		}
 	}
 	// The machine is in C at every phase-0 entry (the constructor starts
@@ -386,25 +257,22 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox, out []msg.Message) []ms
 		n.mach.MustTransition(automaton.Listen)
 		return out
 	}
-	n.ev.add(evActive, compRound)
 	// Coin toss; a node with no uncolored outgoing arcs has nothing to
 	// invite on and always listens (its remaining incoming arcs are
 	// colored when the respective neighbors invite).
-	if n.r.Bool() && len(n.uncoloredOut) > 0 {
-		n.mach.MustTransition(automaton.Invite)
-		n.ev.add(evInvite, compRound)
-		i := n.uncoloredOut[n.r.Intn(len(n.uncoloredOut))]
-		a, v := n.arcAt(int(i)), n.adj.nbrs[i]
-		c := n.proposeColor(i)
-		n.attempts[i]++
-		n.inviteArc, n.inviteTo, n.inviteColor = a, v, c
-		return append(out, msg.Message{
-			Kind: msg.KindInvite, From: n.id, To: v, Edge: int(a), Color: c,
-		})
+	i, ok := n.toss()
+	if !ok {
+		return out
 	}
-	n.mach.MustTransition(automaton.Listen)
-	n.ev.add(evListen, compRound)
-	return out
+	c := n.proposeColor(i)
+	n.attempts[i]++
+	return n.invite(out, n.itemAt(int(i)), n.adj.nbrs[i], c)
+}
+
+// period reports whether the current computation round is one of the
+// recovery timeout's periodic rounds (probes and re-announcements).
+func (n *scNode) period() bool {
+	return n.curRound > 0 && n.curRound%n.opt.Recovery.Timeout() == 0
 }
 
 // proposeColor picks the channel to propose for arc a, targeted at
@@ -440,7 +308,7 @@ func (n *scNode) proposeColor(i int32) int {
 // broadcast this node never heard outranks the claim, and when a
 // neighbor announcement reveals a conflict with an already-committed arc
 // (conflictCheck).
-func (n *scNode) applyDecides(compRound int, inbox, out []msg.Message) []msg.Message {
+func (n *scNode) applyDecides(inbox, out []msg.Message) []msg.Message {
 	var partnerKeep, partnerSeen, rivalWins bool
 	for _, m := range inbox {
 		i, nbr := n.adj.index(m.From)
@@ -487,8 +355,8 @@ func (n *scNode) applyDecides(compRound int, inbox, out []msg.Message) []msg.Mes
 				if m.Seq > 0 {
 					rivalWins = true
 				} else {
-					p := claimPriority(compRound-1, graph.ArcID(m.Edge))
-					my := claimPriority(compRound-1, n.claim.arc)
+					p := claimPriority(n.curRound-1, graph.ArcID(m.Edge))
+					my := claimPriority(n.curRound-1, n.claim.arc)
 					if p < my || (p == my && m.Edge < int(n.claim.arc)) {
 						rivalWins = true
 					}
@@ -544,26 +412,20 @@ func (n *scNode) markDead(c int) {
 
 // finalize records the color of an incident arc.
 func (n *scNode) finalize(a graph.ArcID, c int) {
-	if _, dup := n.colorOf(a); dup {
+	if _, dup := n.colorOf(int(a)); dup {
 		n.ev.add(evReject, n.curRound)
 		return
 	}
-	s := n.slot(a)
+	s := n.slot(int(a))
 	n.colors[s] = int32(c)
 	n.colorsSelf.Add(c)
 	n.markDead(c)
 	n.remaining--
 	if s >= len(n.inc) {
-		return // an in arc: no attempts, not in uncoloredOut
+		return // an in arc: no attempts, never open
 	}
 	n.attempts[s] = 0
-	for i, id := range n.uncoloredOut {
-		if int(id) == s {
-			n.uncoloredOut[i] = n.uncoloredOut[len(n.uncoloredOut)-1]
-			n.uncoloredOut = n.uncoloredOut[:len(n.uncoloredOut)-1]
-			break
-		}
-	}
+	n.dropOpen(s)
 }
 
 // phaseRespond: listeners evaluate invitations (Procedure 2-b) and
@@ -575,7 +437,7 @@ func (n *scNode) finalize(a graph.ArcID, c int) {
 func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
 		out = n.processAcks(inbox, out)
-		out = n.answerCommittedInvites(inbox, out)
+		out = n.answerCommitted(inbox, out)
 	}
 	if n.mach.State() == automaton.Invite {
 		n.mach.MustTransition(automaton.Wait)
@@ -591,7 +453,7 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 			continue
 		}
 		if !n.arcOpen(m) {
-			if _, already := n.colorOf(graph.ArcID(m.Edge)); n.recOn() && already {
+			if _, already := n.colorOf(m.Edge); n.recOn() && already {
 				continue // answered authoritatively above
 			}
 			n.ev.add(evReject, n.curRound)
@@ -624,9 +486,8 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 // node; anything else is a defensive rejection (or, under recovery, a
 // re-invitation answered from committed state).
 func (n *scNode) arcOpen(m msg.Message) bool {
-	a := graph.ArcID(m.Edge)
-	_, already := n.colorOf(a)
-	return !already && n.d.ArcAt(a).To == n.id
+	s := n.slot(m.Edge) // in arcs take the slots from deg on
+	return s >= len(n.inc) && n.colors[s] < 0
 }
 
 // acceptable applies Procedure 2-b to an open invitation m. A proposed
@@ -664,9 +525,9 @@ func (n *scNode) setClaim(cl scClaim) {
 func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
-		if m, ok := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
+		if m, ok := automaton.FindResponse(n.id, n.inviteItem, inbox); ok {
 			if m.From == n.inviteTo && m.Color == n.inviteColor && (!n.recOn() || m.Seq == 0) {
-				n.setClaim(scClaim{arc: n.inviteArc, color: n.inviteColor, partner: n.inviteTo, keep: true,
+				n.setClaim(scClaim{arc: graph.ArcID(n.inviteItem), color: n.inviteColor, partner: n.inviteTo, keep: true,
 					compRound: n.curRound})
 			} else if !n.recOn() {
 				n.ev.add(evReject, n.curRound)
@@ -707,7 +568,7 @@ func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 // heard a conflicting claim of higher priority; every claim heard from a
 // neighbor with the same color conflicts, because the link it was heard
 // on connects the two arcs (Definition 2).
-func (n *scNode) phaseDecide(compRound int, inbox, out []msg.Message) []msg.Message {
+func (n *scNode) phaseDecide(inbox, out []msg.Message) []msg.Message {
 	defer func() {
 		if n.remaining == 0 && n.claim == nil {
 			n.mach.MustTransition(automaton.Done)
@@ -721,13 +582,7 @@ func (n *scNode) phaseDecide(compRound int, inbox, out []msg.Message) []msg.Mess
 		// conflicts go out with the knowledge traffic, plus the periodic
 		// full re-announcement that heals lost-broadcast knowledge gaps.
 		out = n.processAcks(inbox, out)
-		out = append(out, n.reaffirmQ...)
-		n.reaffirmQ = nil
-		if compRound > 0 && compRound%n.opt.Recovery.Timeout() == 0 {
-			if m, ok := n.reannounceMsg(); ok {
-				out = append(out, m)
-			}
-		}
+		out = n.reannounce(out)
 	}
 	if n.opt.UnsafeNoConfirm {
 		// Ablation arm: fold finalized updates into one-hop knowledge.
@@ -741,38 +596,25 @@ func (n *scNode) phaseDecide(compRound int, inbox, out []msg.Message) []msg.Mess
 				}
 			}
 		}
-		return n.appendDeadListDelta(out)
+		return n.appendPaints(out)
 	}
 	if n.claim == nil {
-		return n.appendDeadListDelta(out)
+		return n.appendPaints(out)
 	}
-	myPrio := claimPriority(compRound, n.claim.arc)
+	myPrio := claimPriority(n.curRound, n.claim.arc)
 	for _, m := range inbox {
 		if m.Kind != msg.KindClaim || graph.ArcID(m.Edge) == n.claim.arc || m.Color != n.claim.color {
 			continue
 		}
-		p := claimPriority(compRound, graph.ArcID(m.Edge))
+		p := claimPriority(n.curRound, graph.ArcID(m.Edge))
 		if p < myPrio || (p == myPrio && m.Edge < int(n.claim.arc)) {
 			n.claim.keep = false
 			break
 		}
 	}
-	return append(n.appendDeadListDelta(out), msg.Message{
+	return append(n.appendPaints(out), msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
 		Edge: int(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
-	})
-}
-
-// appendDeadListDelta drains the newly dead channels into an exchange
-// broadcast appended to out (nothing if nothing changed) — the
-// UPDATECOLORS step.
-func (n *scNode) appendDeadListDelta(out []msg.Message) []msg.Message {
-	if len(n.paints.pending()) == 0 {
-		return out
-	}
-	return append(out, msg.Message{
-		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-		Edge: -1, Color: -1, Paints: n.paints.take(),
 	})
 }
 
@@ -787,7 +629,7 @@ func claimPriority(compRound int, a graph.ArcID) uint64 {
 // scanAnnouncements is the finished node's share of applyDecides: fold
 // neighbor announcements into one-hop knowledge and check each against
 // this node's committed arcs.
-func (n *scNode) scanAnnouncements(compRound int, inbox []msg.Message, out []msg.Message) []msg.Message {
+func (n *scNode) scanAnnouncements(inbox, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
 		i, nbr := n.adj.index(m.From)
 		if !nbr {
@@ -826,7 +668,7 @@ func (n *scNode) conflictCheck(b graph.ArcID, c int, out []msg.Message) []msg.Me
 		if cc < 0 || int(cc) != c {
 			continue
 		}
-		a := n.arcAt(s)
+		a := graph.ArcID(n.itemAt(s))
 		if a == b {
 			continue
 		}
@@ -865,46 +707,20 @@ func (n *scNode) processAcks(inbox, out []msg.Message) []msg.Message {
 		if m.Kind != msg.KindAck || m.To != n.id || m.Keep {
 			continue
 		}
-		a := graph.ArcID(m.Edge)
-		if !n.arcWith(a, m.From) {
+		if !n.between(m.Edge, m.From) {
 			continue
 		}
 		if m.Color >= 0 {
-			n.revertArc(a, m.Color)
+			n.revertArc(graph.ArcID(m.Edge), m.Color)
 			continue
 		}
-		if c, ok := n.colorOf(a); ok {
+		if c, ok := n.colorOf(m.Edge); ok {
 			out = append(out, msg.Message{
 				Kind: msg.KindResponse, From: n.id, To: m.From,
 				Edge: m.Edge, Color: c, Seq: 1,
 			})
 			n.ev.add(evRetransmit, n.curRound)
 		}
-	}
-	return out
-}
-
-// answerCommittedInvites re-responds to invitations for arcs this node
-// already committed, with the committed color and a nonzero Seq so the
-// inviter routes the reply through its adoption scan.
-func (n *scNode) answerCommittedInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	for _, m := range inbox {
-		if !automaton.IsInviteFor(m, n.id) {
-			continue
-		}
-		a := graph.ArcID(m.Edge)
-		if !n.arcWith(a, m.From) {
-			continue
-		}
-		c, ok := n.colorOf(a)
-		if !ok {
-			continue
-		}
-		out = append(out, msg.Message{
-			Kind: msg.KindResponse, From: n.id, To: m.From,
-			Edge: m.Edge, Color: c, Seq: m.Seq + 1,
-		})
-		n.ev.add(evRetransmit, n.curRound)
 	}
 	return out
 }
@@ -919,11 +735,10 @@ func (n *scNode) adoptResponses(inbox, out []msg.Message) []msg.Message {
 		if m.Kind != msg.KindResponse || m.To != n.id || m.Seq == 0 || m.Color < 0 {
 			continue
 		}
-		a := graph.ArcID(m.Edge)
-		if !n.arcWith(a, m.From) {
+		if !n.between(m.Edge, m.From) {
 			continue
 		}
-		if c, ok := n.colorOf(a); ok {
+		if c, ok := n.colorOf(m.Edge); ok {
 			if c != m.Color {
 				out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			}
@@ -933,7 +748,7 @@ func (n *scNode) adoptResponses(inbox, out []msg.Message) []msg.Message {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			continue
 		}
-		n.adopt(a, m.Color)
+		n.adopt(graph.ArcID(m.Edge), m.Color)
 	}
 	return out
 }
@@ -947,27 +762,32 @@ func (n *scNode) adopt(a graph.ArcID, c int) {
 	n.reaffirm(a, c)
 }
 
-// reannounceMsg builds the periodic full re-announcement of this node's
-// committed colors: one Update whose paints name (arc, color) pairs.
-// Receivers fold each pair into one-hop knowledge and run conflictCheck,
-// so any conflict whose forming broadcasts were lost is re-detected every
-// period until the losing side reverts. Both live and finished nodes
-// re-announce — a latent conflict can sit entirely between finished
-// nodes.
-func (n *scNode) reannounceMsg() (msg.Message, bool) {
+// reannounce appends the queued keep-Decides and, in a recovery period
+// round, the full re-announcement of this node's committed colors: one
+// Update whose paints name (arc, color) pairs. Receivers fold each pair
+// into one-hop knowledge and run conflictCheck, so any conflict whose
+// forming broadcasts were lost is re-detected every period until the
+// losing side reverts. Both live and finished nodes re-announce — a
+// latent conflict can sit entirely between finished nodes.
+func (n *scNode) reannounce(out []msg.Message) []msg.Message {
+	out = append(out, n.reaffirmQ...)
+	n.reaffirmQ = nil
+	if !n.period() {
+		return out
+	}
 	var paints []msg.Paint
 	for s, c := range n.colors {
 		if c >= 0 {
-			paints = append(paints, msg.Paint{Edge: int(n.arcAt(s)), Color: int(c)})
+			paints = append(paints, msg.Paint{Edge: n.itemAt(s), Color: int(c)})
 		}
 	}
 	if len(paints) == 0 {
-		return msg.Message{}, false
+		return out
 	}
-	return msg.Message{
+	return append(out, msg.Message{
 		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
 		Edge: -1, Color: -1, Seq: 1, Paints: paints,
-	}, true
+	})
 }
 
 // reaffirm queues a keep-Decide re-announcing a committed arc color,
@@ -989,14 +809,14 @@ func (n *scNode) reaffirm(a graph.ArcID, c int) {
 // Neighbor knowledge (announced dead lists, colorsNbr) is left as is:
 // over-approximating a dead color is always safe.
 func (n *scNode) revertArc(a graph.ArcID, c int) {
-	s := n.slot(a)
+	s := n.slot(int(a))
 	if s < 0 || int(n.colors[s]) != c {
 		return
 	}
 	n.colors[s] = -1
 	n.remaining++
 	if s < len(n.inc) {
-		n.uncoloredOut = append(n.uncoloredOut, int32(s))
+		n.open = append(n.open, int32(s))
 	}
 	n.colorsSelf = ColorSet{}
 	for _, cc := range n.colors {
@@ -1005,63 +825,4 @@ func (n *scNode) revertArc(a graph.ArcID, c int) {
 		}
 	}
 	n.ev.add(evRevert, n.curRound)
-}
-
-// arcAt returns the arc of slot s: the out arc to Neighbors(u)[s] for
-// s < deg, the in arc from Neighbors(u)[s-deg] otherwise — the out-then-in
-// order recovery scans iterate in.
-func (n *scNode) arcAt(s int) graph.ArcID {
-	deg := len(n.inc)
-	in := s >= deg
-	if in {
-		s -= deg
-	}
-	e := n.inc[s]
-	a := graph.ArcID(2 * e)
-	if n.d.Under().EdgeAt(e).U != n.id {
-		a++
-	}
-	if in {
-		a ^= 1
-	}
-	return a
-}
-
-// slot returns the slot of arc a at this node, or -1 if a is not one of
-// its arcs.
-func (n *scNode) slot(a graph.ArcID) int {
-	if a < 0 || int(a) >= n.d.A() {
-		return -1
-	}
-	arc := n.d.ArcAt(a)
-	v, base := arc.To, 0
-	if arc.To == n.id {
-		v, base = arc.From, len(n.inc)
-	} else if arc.From != n.id {
-		return -1
-	}
-	i, ok := n.adj.index(v)
-	if !ok || n.inc[i] != n.d.EdgeOf(a) {
-		return -1
-	}
-	return base + i
-}
-
-// colorOf returns the color of incident arc a, with ok == false while a
-// is uncolored or not incident.
-func (n *scNode) colorOf(a graph.ArcID) (int, bool) {
-	if s := n.slot(a); s >= 0 && n.colors[s] >= 0 {
-		return int(n.colors[s]), true
-	}
-	return 0, false
-}
-
-// arcWith reports whether a is an arc between this node and from — the
-// validity gate for recovery messages before they touch state.
-func (n *scNode) arcWith(a graph.ArcID, from int) bool {
-	if a < 0 || int(a) >= n.d.A() {
-		return false
-	}
-	arc := n.d.ArcAt(a)
-	return (arc.From == n.id && arc.To == from) || (arc.From == from && arc.To == n.id)
 }

@@ -102,7 +102,7 @@ func (res *Result) addEvents(e *nodeEvents) {
 // aggregates; Paired <= Active and Inviters + Listeners == Active in
 // every round; ColoredTotal of the last round is the number of colored
 // items.
-func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, events []*nodeEvents, phases, items, nNodes int) {
+func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, nodes []*colorNode, phases, items int) {
 	compRounds := (len(traffic) + phases - 1) / phases
 	if compRounds == 0 {
 		return
@@ -143,7 +143,8 @@ func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, events []*nod
 	}
 	counts := make([][numEvents]int, compRounds)
 	assignsByRound := make([][]assignEvent, compRounds)
-	for _, e := range events {
+	for _, n := range nodes {
+		e := &n.ev
 		for r, ev := range e.rounds {
 			c := &counts[clamp(r)]
 			for k, v := range ev {
@@ -182,7 +183,7 @@ func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, events []*nod
 		s.ColoredTotal = coloredTotal
 		s.NumColors = palette.Count()
 		s.MaxColor = maxColor
-		s.Done = nNodes - s.Active
+		s.Done = len(nodes) - s.Active
 		sink.EmitRound(*s)
 	}
 }

@@ -180,15 +180,26 @@ func BarabasiAlbert(r *rng.Rand, n, k int, power float64) (*graph.Graph, error) 
 	}
 	weights := make([]float64, n)
 	var totalW float64
+	// recompute sets the roulette weights to (degree/scale)^power.
+	// Dividing by scale = 1 is exact, so runs whose degree^power sum
+	// stays finite draw the same graphs as unscaled weights. When that
+	// sum overflows to +Inf the wheel would stop on NaN and fall back to
+	// the last candidate every time, so the weights are rescaled by the
+	// max degree: the same proportions, with the hubs at weight 1.
 	recompute := func() {
-		totalW = 0
-		for u := 0; u < n; u++ {
-			if d := g.Degree(u); d > 0 {
-				weights[u] = math.Pow(float64(d), power)
-			} else {
-				weights[u] = 0
+		for _, scale := range []float64{1, float64(g.MaxDegree())} {
+			totalW = 0
+			for u := 0; u < n; u++ {
+				if d := g.Degree(u); d > 0 {
+					weights[u] = math.Pow(float64(d)/scale, power)
+				} else {
+					weights[u] = 0
+				}
+				totalW += weights[u]
 			}
-			totalW += weights[u]
+			if !math.IsInf(totalW, 1) {
+				return
+			}
 		}
 	}
 	recompute()

@@ -257,6 +257,23 @@ func TestBarabasiAlbertPowerIncreasesHub(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertHugePowerStaysHubHeavy: when degree^power overflows
+// float64 the attachment weights are rescaled, so a large power still
+// grows a hub (or would be rejected), never the near-path an overflowed
+// roulette falls back to.
+func TestBarabasiAlbertHugePowerStaysHubHeavy(t *testing.T) {
+	const n = 400
+	for _, power := range []float64{200, 1000, math.Inf(1)} {
+		g, err := BarabasiAlbert(rng.New(7), n, 2, power)
+		if err != nil {
+			continue // rejecting the power is the other acceptable outcome
+		}
+		if g.MaxDegree() < n/2 {
+			t.Fatalf("power %v: Δ = %d with m = %d; want a hub of degree >= %d", power, g.MaxDegree(), g.M(), n/2)
+		}
+	}
+}
+
 func TestBarabasiAlbertErrors(t *testing.T) {
 	r := rng.New(6)
 	if _, err := BarabasiAlbert(r, 10, 0, 1); err == nil {
