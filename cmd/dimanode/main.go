@@ -26,7 +26,7 @@ import (
 	"os"
 	"strconv"
 
-	_ "dima/internal/core" // registers the dima/edge/v2 and dima/strong/v2 node factories
+	_ "dima/internal/core" // registers the dima/edge/v3 and dima/strong/v3 node factories
 	"dima/internal/net"
 )
 

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dima/internal/graph"
 	"dima/internal/metrics"
@@ -19,17 +19,18 @@ import (
 // and the options blob encoded here. Construction must be byte-
 // identical on both sides — rng.Rand.Derive is a pure function of the
 // parent state and the index, so remote newECNodes/newSCNodes calls get
-// exactly the RNG streams the coordinator's twins got. After the run
-// the remote nodes' harvestable state (the fields the post-run
-// assembly, Options.color, reads) is restored into the twins via the
-// StateNode methods below.
+// exactly the RNG streams the coordinator's twins got. After every
+// round each node process ships, per node whose state changed, a blob
+// of the fields the post-run assembly and the round fold read (colors,
+// run totals, event record), which the coordinator applies to the
+// twins through the StateNode methods below.
 
 // Factory names are versioned: any change to node construction, the
-// options blob, or the state encoding must bump them so mixed-version
+// options blob, or the state blob must bump them so mixed-version
 // clusters fail the factory lookup instead of diverging silently.
 const (
-	edgeFactoryName   = "dima/edge/v2"
-	strongFactoryName = "dima/strong/v2"
+	edgeFactoryName   = "dima/edge/v3"
+	strongFactoryName = "dima/strong/v3"
 )
 
 func init() {
@@ -39,25 +40,29 @@ func init() {
 
 // The two factories differ only in the nodes they build.
 var (
-	edgeClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) []net.Node {
-		nets, _ := asNodes(newECNodes(g, lo, hi, o))
-		return nets
+	edgeClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode) {
+		return asNodes(newECNodes(g, lo, hi, o))
 	})
-	strongClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) []net.Node {
-		nets, _ := asNodes(newSCNodes(graph.NewSymmetric(g), lo, hi, o))
-		return nets
+	strongClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode) {
+		return asNodes(newSCNodes(graph.NewSymmetric(g), lo, hi, o))
 	})
 )
 
 // clusterFactory is the node factory a node process builds its shard
-// with: the options blob decoded, then build's nodes of [lo, hi).
-func clusterFactory(build func(g *graph.Graph, lo, hi int, o *Options) []net.Node) net.NodeFactory {
+// with: the options blob decoded, then build's nodes of [lo, hi), each
+// with its construction state — the state of its twin — as the state
+// last sent.
+func clusterFactory(build func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode)) net.NodeFactory {
 	return func(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
 		opt, err := decodeClusterOptions(spec)
 		if err != nil {
 			return nil, err
 		}
-		return build(g, lo, hi, opt), nil
+		nets, nodes := build(g, lo, hi, opt)
+		for _, n := range nodes {
+			n.sent = slices.Clone(n.colors)
+		}
+		return nets, nil
 	}
 }
 
@@ -82,7 +87,7 @@ const (
 	cofNoOverhear      = 1 << 1 // DisableOverhearFilter
 	cofNoConfirm       = 1 << 2 // UnsafeNoConfirm
 	cofRecovery        = 1 << 3 // Recovery.Enabled
-	cofTelemetry       = 1 << 4 // Metrics != nil (nodes keep event logs)
+	cofTelemetry       = 1 << 4 // Metrics != nil (nodes keep event records)
 )
 
 // appendClusterOptions encodes the Options fields that influence node
@@ -135,125 +140,134 @@ func decodeClusterOptions(spec []byte) (*Options, error) {
 	o.UnsafeNoConfirm = flags&cofNoConfirm != 0
 	o.Recovery.Enabled = flags&cofRecovery != 0
 	if flags&cofTelemetry != 0 {
-		// The nodes keep their per-round event logs (nodeEvents.log) for the
-		// harvest; per-round engine stats are the coordinator's job.
+		// The nodes keep their event records for the per-round state
+		// blobs; the round fold is the coordinator's job.
 		o.Metrics = discardSink{}
 	}
 	return o, nil
 }
 
 // discardSink makes opt.Metrics non-nil on node processes — switching
-// the nodes' event logging on — without emitting anything locally.
+// the nodes' event records on — without emitting anything locally.
 type discardSink struct{}
 
 func (discardSink) EmitRound(metrics.RoundStats) {}
 
-// State encodings. Only the fields the post-run assembly reads survive
-// the harvest: the color map and the event record. Mid-negotiation
-// state (pending invitations, acknowledgement clocks) dies with the
-// process — by the time a harvest happens the run is over at a round
-// barrier, and assembly never looks at it.
+// The per-round state blob. Every coloring passes through
+// nodeEvents.assign and every revert records evRevert, so the colors of
+// a node whose record is neither dirty nor recolored did not change
+// since its last blob. For the others a node process diffs the colors
+// against the ones it last shipped (colorNode.sent, which only
+// clusterFactory allocates) and sends
+//
+//	uvarint k, then k (uvarint slot, uvarint color+1) pairs
+//	a byte: 1 when the events follow, 0 when the record is not dirty
+//	the events: the run totals, then, on nodes with an event record,
+//	both slots: the event counts, uvarint m and m (item, color) pairs
+//
+// every number a uvarint. Mid-negotiation state (pending invitations,
+// acknowledgement clocks) never crosses: the twins are never stepped.
 
-func (n *colorNode) AppendState(buf []byte) []byte {
-	return appendEvents(appendColors(buf, n), &n.ev)
-}
-
-func (n *colorNode) RestoreState(data []byte) error {
-	d := msg.NewDec("core", data)
-	decodeColors(&d, n)
-	decodeEvents(&d, n)
-	return d.Finish("node state")
-}
-
-// appendColors encodes a node's colored slots as (item, color) pairs
-// sorted by item id: the same bytes the id → color map this state once
-// was encoded as.
-func appendColors(buf []byte, n *colorNode) []byte {
-	type pair struct{ id, color int }
-	var pairs []pair
-	for s, c := range n.colors {
-		if c >= 0 {
-			pairs = append(pairs, pair{n.itemAt(s), int(c)})
+// AppendChanges appends the blob of what changed since the previous call
+// — since construction on the first — and nothing when nothing did. Only
+// nodes clusterFactory built have a copy to diff against.
+func (n *colorNode) AppendChanges(buf []byte) []byte {
+	e := &n.ev
+	if !e.dirty && !e.recolored {
+		return buf
+	}
+	changed := 0
+	for i, c := range n.colors {
+		if c != n.sent[i] {
+			changed++
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p.id))
-		buf = binary.AppendUvarint(buf, uint64(p.color))
+	buf = binary.AppendUvarint(buf, uint64(changed))
+	for i, c := range n.colors {
+		if c != n.sent[i] {
+			buf = binary.AppendUvarint(buf, uint64(i))
+			buf = binary.AppendUvarint(buf, uint64(c+1))
+			n.sent[i] = c
+		}
 	}
-	return buf
+	events := e.dirty
+	e.dirty, e.recolored = false, false
+	if !events {
+		return append(buf, 0)
+	}
+	return appendEvents(append(buf, 1), e)
 }
 
-// appendEvents encodes a node's event record: the run totals, then the
-// per-round log and the assignments (both empty unless the node logs).
+// appendEvents encodes a node's event record: the run totals, then both
+// slots of the per-round record if the node keeps one.
 func appendEvents(buf []byte, e *nodeEvents) []byte {
 	for _, v := range e.total {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(e.rounds)))
-	for _, ev := range e.rounds {
-		for _, v := range ev {
+	if e.rec == nil {
+		return buf
+	}
+	for _, r := range e.rec {
+		for _, v := range r.n {
 			buf = binary.AppendUvarint(buf, uint64(v))
 		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(e.assigns)))
-	for _, a := range e.assigns {
-		buf = binary.AppendUvarint(buf, uint64(a.round))
-		buf = binary.AppendUvarint(buf, uint64(a.item))
-		buf = binary.AppendUvarint(buf, uint64(a.color))
+		buf = binary.AppendUvarint(buf, uint64(len(r.assigns)))
+		for _, a := range r.assigns {
+			buf = binary.AppendUvarint(buf, uint64(a.item))
+			buf = binary.AppendUvarint(buf, uint64(a.color))
+		}
 	}
 	return buf
 }
 
-// maxCount bounds every count and id in a state or options blob, so
-// each decodes to a non-negative int.
+// maxCount bounds every count in a state or options blob, so each
+// decodes to a non-negative int.
 const maxCount = 1 << 62
 
-// decodeColors decodes appendColors' pairs into a node's slot colors;
-// every item must be one of the node's.
-func decodeColors(d *msg.Dec, n *colorNode) {
+// ApplyChanges loads a blob AppendChanges made on the remote instance
+// into this twin. Strict: a slot out of range, a color outside
+// [-1, MaxInt32], an assignment of an item that is not the node's, and
+// trailing bytes are errors, so a hostile blob cannot make the assembly
+// or the round fold index out of range.
+func (n *colorNode) ApplyChanges(data []byte) error {
+	d := msg.NewDec("core", data)
 	// Each pair costs at least two bytes.
-	count := d.Count("color count", 2)
-	for i := 0; i < count && d.Err == nil; i++ {
-		id := d.Int("color id", maxCount)
-		c := d.Int("color", math.MaxInt32)
-		if d.Err != nil {
-			return
+	k := d.Count("color count", 2)
+	for i := 0; i < k && d.Err == nil; i++ {
+		s := d.Int("slot", maxCount)
+		c := d.Int("color+1", math.MaxInt32+1) - 1
+		if d.Err == nil && s >= len(n.colors) {
+			d.Fail("slot %d out of range for %d slots", s, len(n.colors))
 		}
-		s := n.slot(id)
-		if s < 0 {
-			d.Fail("item %d color %d does not belong to this node", id, c)
-			return
+		if d.Err == nil {
+			n.colors[s] = int32(c)
 		}
-		n.colors[s] = int32(c)
 	}
-}
-
-// decodeEvents decodes appendEvents' record into the node's. Counts are
-// bounded by the bytes left, and every assignment must name one of the
-// node's items, so a hostile blob cannot make the post-run fold index
-// out of range.
-func decodeEvents(d *msg.Dec, n *colorNode) {
+	if flag := d.Byte("events flag"); flag != 1 {
+		if flag > 1 {
+			d.Fail("events flag %d", flag)
+		}
+		return d.Finish("node state")
+	}
 	e := &n.ev
 	for k := range e.total {
 		e.total[k] = d.Int("event total", maxCount)
 	}
-	// Each round record costs at least numEvents bytes, each assignment 3.
-	e.rounds = make([][numEvents]int, d.Count("event round count", int(numEvents)))
-	for r := range e.rounds {
-		for k := range e.rounds[r] {
-			e.rounds[r][k] = d.Int("round event count", maxCount)
+	for i := 0; e.rec != nil && i < len(e.rec); i++ {
+		r := &e.rec[i]
+		for k := range r.n {
+			r.n[k] = int32(d.Int("round event count", math.MaxInt32))
+		}
+		// Each assignment costs at least two bytes.
+		r.assigns = r.assigns[:0]
+		m := d.Count("assignment count", 2)
+		for j := 0; j < m && d.Err == nil; j++ {
+			a := assignment{item: d.Int("assignment item", maxCount), color: d.Int("assignment color", math.MaxInt32)}
+			if d.Err == nil && n.slot(a.item) < 0 {
+				d.Fail("assignment of item %d color %d does not belong to this node", a.item, a.color)
+			}
+			r.assigns = append(r.assigns, a)
 		}
 	}
-	e.assigns = make([]assignEvent, d.Count("assignment count", 3))
-	for i := range e.assigns {
-		a := &e.assigns[i]
-		a.round = d.Int("assignment round", maxCount)
-		a.item = d.Int("assignment id", maxCount)
-		a.color = d.Int("assignment color", math.MaxInt32)
-		if d.Err == nil && n.slot(a.item) < 0 {
-			d.Fail("assignment of item %d color %d does not belong to this node", a.item, a.color)
-		}
-	}
+	return d.Finish("node state")
 }

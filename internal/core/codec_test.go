@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dima/internal/automaton"
@@ -11,10 +15,11 @@ import (
 	"dima/internal/net"
 )
 
-// The harvest state and the options blob cross a process boundary: a
-// node process decodes the options, and the coordinator decodes the
-// state each node process sends back. These tests pin both encodings
-// per factory name and fuzz both decoders.
+// The options blob and the per-round state blob cross a process
+// boundary: a node process decodes the options, and the coordinator
+// applies the state blobs each node process sends after every round.
+// These tests pin both encodings per factory name and fuzz both
+// decoders.
 
 // codecFactories maps each registered factory name to its factory and
 // the phases per computation round of its algorithm.
@@ -50,43 +55,57 @@ func codecOptions() *Options {
 	}
 }
 
-// harvest builds every node of g through the factory from spec, as a
-// node process owning the whole graph would, runs them on the sync
-// engine, and returns each node's encoded state.
-func harvest(t testing.TB, factory net.NodeFactory, phases int, g *graph.Graph, spec []byte, fault net.FaultInjector) [][]byte {
+// stateBlob is one state blob a node made, with the node's index.
+type stateBlob struct {
+	node int
+	blob []byte
+}
+
+// runBlobs builds every node of g through the factory from spec, as a
+// node process owning the whole graph would, and runs them on the sync
+// engine for at most rounds communication rounds. With perRound set it
+// returns every non-empty blob the nodes make after each round, as a
+// node process ships them; otherwise one blob per node, made once after
+// the run, which holds its whole state.
+func runBlobs(t testing.TB, factory net.NodeFactory, rounds int, g *graph.Graph, spec []byte, fault net.FaultInjector, perRound bool) []stateBlob {
 	t.Helper()
 	nodes, err := factory(g, spec, 0, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RunSync(g, nodes, net.Config{MaxRounds: phases * 200, Fault: fault}); err != nil {
+	var blobs []stateBlob
+	collect := func(net.RoundTraffic) {
+		for i, n := range nodes {
+			if b := n.(net.StateNode).AppendChanges(nil); len(b) > 0 {
+				blobs = append(blobs, stateBlob{i, b})
+			}
+		}
+	}
+	cfg := net.Config{MaxRounds: rounds, Fault: fault}
+	if perRound {
+		cfg.Observe = collect
+	}
+	if _, err := net.RunSync(g, nodes, cfg); err != nil {
 		t.Fatal(err)
 	}
-	states := make([][]byte, len(nodes))
-	for i, n := range nodes {
-		states[i] = n.(net.StateNode).AppendState(nil)
+	if !perRound {
+		for i, n := range nodes {
+			blobs = append(blobs, stateBlob{i, n.(net.StateNode).AppendChanges(nil)})
+		}
 	}
-	return states
+	return blobs
 }
 
 // TestClusterEncodingGolden pins the bytes of the options blob and of
-// node 0's harvested state after a lossy recovery run with event logging,
-// per factory name. A change to either encoding, or to node behavior,
+// node 0's state blob after a lossy recovery run with event records,
+// stopped one phase into its ninth computation round so that the record
+// is not empty, per factory name. A change to either encoding, or to node behavior,
 // must come with a new factory name, so that mixed-version clusters fail
 // the factory lookup instead of diverging silently.
 func TestClusterEncodingGolden(t *testing.T) {
 	golden := map[string]struct{ options, state string }{
-		"dima/edge/v2": {"dc0f1f0305",
-			"030003030204010000000000000b0000000000000100010000000000000001010000000000000000" +
-				"01010000000000000000010001000000000000000100010100000000000001000100000000000000" +
-				"01000100000000000000010001010000000000000100010000000000000001000100000000000000" +
-				"01010001030404010703020a0003"},
-		"dima/strong/v2": {"dc0f1f0305",
-			"060007010906060702080009040000000000010f0000000000000100010000000000000001010001" +
-				"00000000000001010000000000000000010001000000000000000100010100000000000001000100" +
-				"00000000000001000100000000000000010001010000000000000100010000000000000001000100" +
-				"00000000000001010001000000000000010100010000000000010100010000000000000001000100" +
-				"00000000000001000101060108000407020709040a06060b00070e0109"},
+		"dima/edge/v3":   {"dc0f1f0305", "020103020201000000000000000000000000010001000000000000000001000101010302"},
+		"dima/strong/v3": {"dc0f1f0305", "0302010403050501000000000000000000000000010001000000000000000001000101010904"},
 	}
 	for _, f := range codecFactories {
 		want, ok := golden[f.name]
@@ -99,24 +118,24 @@ func TestClusterEncodingGolden(t *testing.T) {
 			opt.UnsafeNoConfirm = false // keep the strong run's colorings valid
 		}
 		spec := appendClusterOptions(nil, codecOptions())
-		state := harvest(t, f.factory, f.phases, codecGraph(), appendClusterOptions(nil, opt),
-			net.DropRate{Seed: 3, P: 0.2})[0]
+		state := runBlobs(t, f.factory, 8*f.phases+1, codecGraph(), appendClusterOptions(nil, opt),
+			net.DropRate{Seed: 3, P: 0.2}, false)[0].blob
 		if got := hex.EncodeToString(spec); got != want.options {
 			t.Errorf("%s: options blob changed to %s (golden %s): bump the factory version in cluster.go and record the new bytes under the new name",
 				f.name, got, want.options)
 		}
 		if got := hex.EncodeToString(state); got != want.state {
-			t.Errorf("%s: harvested node state changed to %s (golden %s): bump the factory version in cluster.go and record the new bytes under the new name",
+			t.Errorf("%s: node state blob changed to %s (golden %s): bump the factory version in cluster.go and record the new bytes under the new name",
 				f.name, got, want.state)
 		}
 	}
 }
 
-// codecSeeds returns real harvested states: reliable without a log,
-// reliable with one, and lossy with recovery and a log.
-func codecSeeds(t testing.TB, factory net.NodeFactory, phases int) [][]byte {
+// codecSeeds returns real per-round state blobs: reliable without event
+// records, reliable with them, and lossy with recovery and records.
+func codecSeeds(t testing.TB, factory net.NodeFactory, phases int) []stateBlob {
 	g := codecGraph()
-	var seeds [][]byte
+	var seeds []stateBlob
 	for _, c := range []struct {
 		opt   Options
 		fault net.FaultInjector
@@ -125,18 +144,19 @@ func codecSeeds(t testing.TB, factory net.NodeFactory, phases int) [][]byte {
 		{Options{Seed: 2, Metrics: discardSink{}}, nil},
 		{Options{Seed: 3, Metrics: discardSink{}, Recovery: automaton.Recovery{Enabled: true}}, net.DropRate{Seed: 4, P: 0.25}},
 	} {
-		seeds = append(seeds, harvest(t, factory, phases, g, appendClusterOptions(nil, &c.opt), c.fault)...)
+		seeds = append(seeds, runBlobs(t, factory, 200*phases, g, appendClusterOptions(nil, &c.opt), c.fault, true)...)
 	}
 	return seeds
 }
 
-// FuzzRestoreState feeds arbitrary bytes to the edge and strong nodes'
-// RestoreState: it must return an error, never panic, and a blob it
-// accepts must re-encode to a fixed point.
+// FuzzRestoreState feeds arbitrary bytes, for any node, to the edge and
+// strong twins' ApplyChanges: it must return an error, never panic, and
+// a twin that accepts a blob must re-encode its state to a fixed point.
+// The seeds are the per-round blobs of real runs, each for its node.
 func FuzzRestoreState(f *testing.F) {
 	for i, c := range codecFactories {
-		for node, s := range codecSeeds(f, c.factory, c.phases) {
-			f.Add(i == 1, uint8(node), s)
+		for _, s := range codecSeeds(f, c.factory, c.phases) {
+			f.Add(i == 1, uint8(s.node), s.blob)
 		}
 	}
 	g := codecGraph()
@@ -152,20 +172,92 @@ func FuzzRestoreState(f *testing.F) {
 		}
 		return nodes[int(node)%len(nodes)].(net.StateNode)
 	}
+	// full returns a blob of n's whole state: its diff against the
+	// construction state, with the events.
+	full := func(n net.StateNode) []byte {
+		b := n.(interface{ base() *colorNode }).base()
+		b.ev.dirty, b.ev.recolored = true, true
+		return n.AppendChanges(nil)
+	}
 	f.Fuzz(func(t *testing.T, strong bool, node uint8, data []byte) {
 		n := fresh(t, strong, node)
-		if n.RestoreState(data) != nil {
+		if n.ApplyChanges(data) != nil {
 			return
 		}
-		once := n.AppendState(nil)
+		once := full(n)
 		again := fresh(t, strong, node)
-		if err := again.RestoreState(once); err != nil {
+		if err := again.ApplyChanges(once); err != nil {
 			t.Fatalf("re-encoded state rejected: %v", err)
 		}
-		if twice := again.AppendState(nil); !bytes.Equal(once, twice) {
+		if twice := full(again); !bytes.Equal(once, twice) {
 			t.Fatalf("state encoding is not a fixed point:\n%x\n%x", once, twice)
 		}
 	})
+}
+
+// TestApplyChangesRejectsHostileBlobs: every blob no node process can
+// make is an error on the twin, never a panic or an out-of-range write.
+func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
+	g := codecGraph()
+	u := binary.AppendUvarint
+	// record encodes one event record slot: numEvents counts, then the
+	// assignments.
+	record := func(counts uint64, assigns ...uint64) []byte {
+		var b []byte
+		for range numEvents {
+			b = u(b, counts)
+		}
+		b = u(b, uint64(len(assigns)/2))
+		for _, v := range assigns {
+			b = u(b, v)
+		}
+		return b
+	}
+	ok := record(0)
+	for _, c := range codecFactories {
+		nodes, err := c.factory(g, appendClusterOptions(nil, &Options{Metrics: discardSink{}}), 0, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := nodes[0].(net.StateNode) // vertex 0: degree 3, edges 0, 3 and 4
+		b := nodes[0].(interface{ base() *colorNode }).base()
+		own, foreign := uint64(b.itemAt(0)), uint64(1<<b.arcs) // edge 1 joins vertices 1 and 2
+		// ev is a blob without colors whose events hold zero run totals,
+		// then the record r.
+		ev := func(r []byte) []byte { return append([]byte{0, 1, 0, 0, 0, 0, 0, 0}, r...) }
+		cases := []struct {
+			name, want string
+			blob       []byte
+		}{
+			{"slot out of range", fmt.Sprintf("slot %d out of range", len(b.colors)), []byte{1, byte(len(b.colors)), 1}},
+			{"color above MaxInt32", "color+1 2147483649 out of range", u([]byte{1, 0}, math.MaxInt32+2)},
+			{"truncated pair", "truncated color+1", []byte{1, 0, 0x80}},
+			{"implausible color count", "implausible color count", []byte{9, 0, 1, 0}},
+			{"missing events flag", "truncated events flag", []byte{0}},
+			{"bad events flag", "events flag 2", []byte{0, 2}},
+			{"missing events", "truncated event total", []byte{0, 1}},
+			{"total above bound", "event total", u([]byte{0, 1}, 1<<62+1)},
+			{"truncated totals", "truncated event total", []byte{0, 1, 0}},
+			{"count above MaxInt32", "round event count 2147483648 out of range", append(ev(record(math.MaxInt32+1)), ok...)},
+			{"foreign assignment", "does not belong to this node", append(ev(record(0, foreign, 1)), ok...)},
+			{"assignment color above MaxInt32", "assignment color", append(ev(record(0, own, math.MaxInt32+1)), ok...)},
+			{"one record slot", "truncated round event count", ev(ok)},
+			{"trailing bytes", "1 trailing bytes after node state", append(ev(append(ok, ok...)), 0)},
+		}
+		for _, hc := range cases {
+			err := n.ApplyChanges(hc.blob)
+			if err == nil || !strings.Contains(err.Error(), hc.want) {
+				t.Errorf("%s: %s: got %v, want an error containing %q", c.name, hc.name, err, hc.want)
+			}
+		}
+		plain, err := c.factory(g, appendClusterOptions(nil, &Options{}), 0, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plain[0].(net.StateNode).ApplyChanges(append(ev(ok), ok...)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+			t.Errorf("%s: a node without an event record accepted one: %v", c.name, err)
+		}
+	}
 }
 
 // FuzzDecodeClusterOptions feeds arbitrary bytes to the node process's

@@ -49,10 +49,13 @@ type colorNode struct {
 	// Step touches all three, and one cache line can hold them.
 	curRound int
 	ev       nodeEvents
+
+	sent []int32 // node processes only: the colors the twin last received
 }
 
 // skeleton lays out the shared state of the nodes of vertices [lo, hi)
-// in run-wide arrays (see arena.go): colors, open slots and outboxes.
+// in run-wide arrays (see arena.go): colors, open slots, outboxes and,
+// with Options.Metrics, event records.
 type skeleton struct {
 	g      *graph.Graph
 	opt    *Options
@@ -63,6 +66,7 @@ type skeleton struct {
 	open   []int32
 	outs   []msg.Message
 	outCap int
+	recs   [][2]roundEvents
 }
 
 func newSkeleton(g *graph.Graph, lo, hi int, arcs uint, outCap int, opt *Options) *skeleton {
@@ -74,6 +78,9 @@ func newSkeleton(g *graph.Graph, lo, hi int, arcs uint, outCap int, opt *Options
 	}
 	s.open = make([]int32, total)
 	s.outs = make([]msg.Message, outCap*(hi-lo))
+	if opt.Metrics != nil {
+		s.recs = make([][2]roundEvents, hi-lo)
+	}
 	return s
 }
 
@@ -99,7 +106,9 @@ func (s *skeleton) node(u int, paints []msg.Paint) colorNode {
 		open:   s.open[a:b:b],
 		paints: paintSlab{buf: paints},
 		out:    s.outs[o : o : o+s.outCap],
-		ev:     nodeEvents{log: s.opt.Metrics != nil},
+	}
+	if s.recs != nil {
+		n.ev.rec = &s.recs[u-s.c.lo]
 	}
 	for i := range n.open {
 		n.open[i] = int32(i)
@@ -120,11 +129,20 @@ func (n *colorNode) recOn() bool { return n.opt.Recovery.Enabled }
 // state of either algorithm's node.
 func (n *colorNode) base() *colorNode { return n }
 
-// begin opens a Step: it records the computation round and returns the
-// phase within it and the emptied outbox.
+// begin opens a Step: it records the computation round, opens the
+// round's event slot at its first phase, and returns the phase within
+// the round and the emptied outbox.
 func (n *colorNode) begin(round, phases int) (int, []msg.Message) {
 	n.curRound = round / phases
-	return round % phases, n.out[:0]
+	phase := round % phases
+	if phase == 0 && n.ev.rec != nil {
+		// Round r's slot last held round r-2, which the fold emitted at
+		// the end of round r-1.
+		s := &n.ev.rec[n.curRound&1]
+		*s = roundEvents{assigns: s.assigns[:0]}
+		n.ev.dirty = true
+	}
+	return phase, n.out[:0]
 }
 
 // toss runs the C state's coin toss (line 1.8): the node counts as
@@ -265,15 +283,51 @@ func asNodes[T any, P interface {
 	return nets, bases
 }
 
-// color runs the nodes to completion on the engine the options select,
-// then assembles the Result for the run's items (edges or arcs) from
-// the nodes' final state: both endpoints must agree on every item's
-// color, an item only one endpoint colored counts as half-colored, and
-// a terminated run must have colored everything.
+// color runs the nodes on the engine the options select — Engine, where
+// nil means net.RunSync, or the TCP engine closed over the algorithm's
+// node factory when Cluster is set — bounded at phases communication
+// rounds per computation round. With Metrics set, the engine's round
+// observer drives a roundFold, which streams RoundStats to the sink
+// during the run. color then assembles the Result for the run's items
+// (edges or arcs) from the nodes' final state: both endpoints must
+// agree on every item's color, an item only one endpoint colored counts
+// as half-colored, and a terminated run must have colored everything.
 func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, nodes []*colorNode, factory string, phases, items int) (*Result, error) {
-	res, traffic, err := o.run(ctx, g, nets, factory, phases, items)
+	engine := o.Engine
+	if engine == nil {
+		engine = net.RunSync
+	}
+	if o.Cluster != nil {
+		var err error
+		if engine, err = o.clusterEngine(factory); err != nil {
+			return nil, err
+		}
+	}
+	cfg := net.Config{MaxRounds: phases * o.maxCompRounds(), Ctx: ctx, Fault: o.Fault, Workers: o.Workers}
+	var fold *roundFold
+	if o.Metrics != nil {
+		fold = &roundFold{sink: o.Metrics, nodes: nodes, phases: phases, seen: make([]bool, items), maxColor: -1}
+		cfg.Observe = fold.observe
+	}
+	netRes, err := engine(g, nets, cfg)
 	if err != nil {
 		return nil, err
+	}
+	res := &Result{
+		Colors:     make([]int, items),
+		CommRounds: netRes.Rounds,
+		CompRounds: (netRes.Rounds + phases - 1) / phases,
+		Messages:   netRes.Messages,
+		Deliveries: netRes.Deliveries,
+		Bytes:      netRes.Bytes,
+		Terminated: netRes.Terminated,
+		Aborted:    netRes.Aborted,
+	}
+	if fold != nil {
+		fold.flush(res.CompRounds)
+	}
+	for i := range res.Colors {
+		res.Colors[i] = -1
 	}
 	endpoints := make([]int8, items)
 	for _, n := range nodes {
@@ -295,9 +349,6 @@ func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, no
 		if k == 1 {
 			res.HalfColored++
 		}
-	}
-	if o.Metrics != nil {
-		emitRoundStats(o.Metrics, traffic, nodes, phases, items)
 	}
 	if res.Terminated {
 		for item, c := range res.Colors {

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"dima/internal/automaton"
 	"dima/internal/gen"
 	"dima/internal/graph"
+	"dima/internal/metrics"
 	"dima/internal/msg"
 	"dima/internal/net"
+	"dima/internal/rng"
 )
 
 // Tests of the node skeleton both algorithms share (node.go).
@@ -29,23 +33,53 @@ var skeletonAlgs = []struct {
 	}},
 }
 
-// TestNodesKeepNoRoundLogByDefault: without a Metrics sink the nodes of
-// either algorithm keep their run totals but no per-round log.
-func TestNodesKeepNoRoundLogByDefault(t *testing.T) {
-	g := gen.Cycle(6)
+// TestEventRecordDoesNotGrowWithRounds: a node's event memory is fixed
+// for the run. Without a Metrics sink no node keeps a per-round record
+// at all; with one, running 30 more computation rounds allocates under
+// 8 bytes per node per round beyond what the same runs allocate without
+// a sink — the round fold's per-round ByKind map and nothing per node. A
+// per-node, per-round log costs at least the 40 bytes of one round's
+// event counts.
+func TestEventRecordDoesNotGrowWithRounds(t *testing.T) {
+	g, err := gen.ErdosRenyiAvgDegree(rng.New(5), 600, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alg := range skeletonAlgs {
 		t.Run(alg.name, func(t *testing.T) {
 			opt := Options{Seed: 32}
 			nets, nodes := alg.nodes(g, &opt)
-			res, err := net.RunSync(g, nets, net.Config{MaxRounds: 1000})
-			if err != nil || !res.Terminated {
-				t.Fatalf("run failed: %v", err)
+			if _, err := opt.color(context.Background(), g, nets, nodes, "", alg.phases, g.M()<<nodes[0].arcs); err != nil {
+				t.Fatal(err)
 			}
 			for _, n := range nodes {
-				if e := &n.ev; e.rounds != nil || e.assigns != nil {
-					t.Fatalf("node %d logged %d rounds, %d assignments without opt-in", n.id, len(e.rounds), len(e.assigns))
+				if n.ev.rec != nil {
+					t.Fatalf("node %d keeps an event record without a Metrics sink", n.id)
 				}
 			}
+			// bytes allocated by a run of rounds computation rounds.
+			bytes := func(sink metrics.Sink, rounds int) uint64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				opt := Options{Seed: 32, MaxCompRounds: rounds, Metrics: sink}
+				nets, nodes := alg.nodes(g, &opt)
+				res, err := opt.color(context.Background(), g, nets, nodes, "", alg.phases, g.M()<<nodes[0].arcs)
+				runtime.ReadMemStats(&m1)
+				if err != nil || res.Terminated {
+					t.Fatalf("run of %d rounds: terminated %v, err %v", rounds, res != nil && res.Terminated, err)
+				}
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			overhead := func(rounds int) int64 {
+				return int64(bytes(discardSink{}, rounds)) - int64(bytes(nil, rounds))
+			}
+			short, long := overhead(10), overhead(40)
+			perNodeRound := float64(long-short) / float64(30*g.N())
+			if perNodeRound >= 8 {
+				t.Fatalf("Metrics overhead grows by %.1f bytes per node per round (%d B at 10 rounds, %d B at 40)",
+					perNodeRound, short, long)
+			}
+			t.Logf("Metrics overhead: %d B at 10 rounds, %d B at 40 (%.2f B per node per round)", short, long, perNodeRound)
 		})
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-
 	"dima/internal/automaton"
-	"dima/internal/graph"
 	"dima/internal/metrics"
 	"dima/internal/net"
 )
@@ -86,65 +83,22 @@ type Options struct {
 	// implementation.
 	Recovery automaton.Recovery
 	// Metrics, when non-nil, receives one metrics.RoundStats per
-	// computation round after the run completes: automaton activity,
-	// pairing and palette progress, and traffic split by message kind.
-	// Its Active and Paired fields measure the pairing probability of the
-	// paper's Proposition 1 / Equation (1). Summed over the stream, the
-	// traffic, conflict and recovery fields equal this Result's
-	// aggregates, on every engine. Nil (the default) skips all per-round
-	// accounting.
+	// computation round, in round order, during the run: round r is
+	// emitted at the barrier that closes round r+1 (Algorithm 2 credits a
+	// claim's outcome to the round it formed in, one round back), and the
+	// last rounds when the engine returns. Each record holds automaton
+	// activity, pairing and palette progress, and traffic split by message
+	// kind. Its Active and Paired fields measure the pairing probability
+	// of the paper's Proposition 1 / Equation (1). Summed over the stream,
+	// the traffic, conflict and recovery fields equal this Result's
+	// aggregates, on every engine. A run that fails mid-way may already
+	// have emitted a prefix of its stream. The sink is called on the
+	// goroutine that called ColorEdges or ColorStrong. Nil (the default)
+	// skips all per-round accounting.
 	Metrics metrics.Sink
 }
 
 const defaultMaxCompRounds = 100_000
-
-// run executes nodes on the engine the options select — Engine, where
-// nil means net.RunSync, or the TCP engine closed over the algorithm's
-// node factory when Cluster is set — bounded at phases communication
-// rounds per computation round. It returns the Result header, with
-// items colors all unassigned, and the per-round traffic when Metrics
-// is set.
-func (o *Options) run(ctx context.Context, g *graph.Graph, nodes []net.Node, factory string, phases, items int) (*Result, []net.RoundTraffic, error) {
-	engine := o.Engine
-	if engine == nil {
-		engine = net.RunSync
-	}
-	if o.Cluster != nil {
-		var err error
-		if engine, err = o.clusterEngine(factory); err != nil {
-			return nil, nil, err
-		}
-	}
-	var traffic []net.RoundTraffic
-	var observe net.RoundObserver
-	if o.Metrics != nil {
-		observe = func(rt net.RoundTraffic) { traffic = append(traffic, rt) }
-	}
-	netRes, err := engine(g, nodes, net.Config{
-		MaxRounds: phases * o.maxCompRounds(),
-		Ctx:       ctx,
-		Fault:     o.Fault,
-		Observe:   observe,
-		Workers:   o.Workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &Result{
-		Colors:     make([]int, items),
-		CommRounds: netRes.Rounds,
-		CompRounds: (netRes.Rounds + phases - 1) / phases,
-		Messages:   netRes.Messages,
-		Deliveries: netRes.Deliveries,
-		Bytes:      netRes.Bytes,
-		Terminated: netRes.Terminated,
-		Aborted:    netRes.Aborted,
-	}
-	for i := range res.Colors {
-		res.Colors[i] = -1
-	}
-	return res, traffic, nil
-}
 
 func (o *Options) maxCompRounds() int {
 	if o.MaxCompRounds <= 0 {

@@ -18,7 +18,7 @@ const (
 	evRepair                  // recovery: assignment adopted from the partner's state
 	evRevert                  // recovery: one-sided assignment undone
 	evProbe                   // recovery: status query for a stalled arc
-	// Round events: logged per computation round only.
+	// Round events: recorded per computation round only.
 	evActive // started the round with uncolored work
 	evInvite // the C-state coin made it an inviter
 	evListen // the C-state coin made it a listener
@@ -29,33 +29,44 @@ const (
 // numRunEvents is the number of run events, which come first.
 const numRunEvents = evActive
 
-// assignEvent is one item (edge or arc) receiving a color, attributed
-// to the computation round its negotiation formed in.
-type assignEvent struct {
-	round, item, color int
+// assignment is one item (edge or arc) receiving a color.
+type assignment struct {
+	item, color int
+}
+
+// roundEvents is one computation round's share of a node's events: the
+// event counts and the items colored through negotiations attributed
+// to the round.
+type roundEvents struct {
+	n       [numEvents]int32
+	assigns []assignment
 }
 
 // nodeEvents is a node's one record of its protocol events. The run
-// totals are always kept; the per-computation-round log and the
-// assignments only when log is set (Options.Metrics). Only the owning
-// node mutates it, so no engine needs synchronization; the records are
-// folded into the Result and the RoundStats stream after the run.
+// totals are always kept. With Options.Metrics the node also keeps rec,
+// two roundEvents carved from one run-wide array: computation round r
+// lives in rec[r&1], so a round's slot is reused two rounds later, after
+// the round fold has read it. Only the owning node mutates the record,
+// so no engine needs synchronization.
 type nodeEvents struct {
-	log     bool // first: Step reads it every round
-	total   [numRunEvents]int
-	rounds  [][numEvents]int
-	assigns []assignEvent
+	rec   *[2]roundEvents // first: Step reads it every round
+	total [numRunEvents]int
+	// dirty marks a write to total or rec, and recolored an assign, since
+	// the last state blob (cluster.go); only node processes clear them.
+	dirty, recolored bool
 }
 
 // add records one event of kind k in computation round r. Events that
 // belong to a negotiation (drops) are attributed to the round it formed
-// in; all others to the round they happened in.
+// in, at most one round back; all others to the round they happened in.
 func (e *nodeEvents) add(k event, r int) {
 	if k < numRunEvents {
 		e.total[k]++
+		e.dirty = true
 	}
-	if e.log {
-		e.at(r)[k]++
+	if e.rec != nil {
+		e.rec[r&1].n[k]++
+		e.dirty = true
 	}
 }
 
@@ -65,22 +76,16 @@ func (e *nodeEvents) add(k event, r int) {
 // recovery repair by a finished or lingering node colors an item without
 // a pairing event, which keeps Paired <= Active.
 func (e *nodeEvents) assign(r, item, color int) {
-	if !e.log {
+	e.recolored = true
+	if e.rec == nil {
 		return
 	}
-	e.assigns = append(e.assigns, assignEvent{round: r, item: item, color: color})
-	if ev := e.at(r); ev[evActive] > 0 {
-		ev[evPaired] = 1
+	e.dirty = true
+	s := &e.rec[r&1]
+	s.assigns = append(s.assigns, assignment{item: item, color: color})
+	if s.n[evActive] > 0 {
+		s.n[evPaired] = 1
 	}
-}
-
-// at returns the log entry of computation round r, growing the log as
-// needed.
-func (e *nodeEvents) at(r int) *[numEvents]int {
-	for len(e.rounds) <= r {
-		e.rounds = append(e.rounds, [numEvents]int{})
-	}
-	return &e.rounds[r]
 }
 
 // addEvents adds a node's run totals to the Result.
@@ -92,9 +97,11 @@ func (res *Result) addEvents(e *nodeEvents) {
 	}
 }
 
-// emitRoundStats folds the engine's per-communication-round traffic and
-// the nodes' event logs into one metrics.RoundStats per computation
-// round, emitted to the sink in round order.
+// roundFold turns the engine's per-communication-round traffic and the
+// nodes' event records into one metrics.RoundStats per computation
+// round, emitted in round order during the run: round r at the barrier
+// that closes round r+1, because Algorithm 2 credits drops and
+// assignments to the round its claim formed in, one round back.
 //
 // Invariants (tested in telemetry_test.go, reliable and under
 // recovery): summing Messages, Deliveries, Bytes and the six run-event
@@ -102,88 +109,88 @@ func (res *Result) addEvents(e *nodeEvents) {
 // aggregates; Paired <= Active and Inviters + Listeners == Active in
 // every round; ColoredTotal of the last round is the number of colored
 // items.
-func emitRoundStats(sink metrics.Sink, traffic []net.RoundTraffic, nodes []*colorNode, phases, items int) {
-	compRounds := (len(traffic) + phases - 1) / phases
-	if compRounds == 0 {
-		return
+type roundFold struct {
+	sink   metrics.Sink
+	nodes  []*colorNode
+	phases int
+	stats  [2]metrics.RoundStats // computation round r's traffic in stats[r&1]
+	next   int                   // the next computation round to emit
+
+	// Palette and colored counts over the emitted rounds. Both endpoints
+	// record an assignment for the same item, so distinctness is tracked
+	// per item.
+	seen         []bool
+	palette      ColorSet
+	maxColor     int
+	coloredTotal int
+}
+
+// observe is the run's net.RoundObserver: it folds one communication
+// round's traffic into its computation round and, at the barrier that
+// closes computation round r+1, emits round r.
+func (f *roundFold) observe(rt net.RoundTraffic) {
+	r, phase := rt.Round/f.phases, rt.Round%f.phases
+	s := &f.stats[r&1]
+	if phase == 0 {
+		*s = metrics.RoundStats{Round: r}
 	}
-	stats := make([]metrics.RoundStats, compRounds)
-	for i := range stats {
-		stats[i].Round = i
+	s.CommRounds++
+	s.Messages += rt.Messages
+	s.Deliveries += rt.Deliveries
+	s.Bytes += rt.Bytes
+	for k, kt := range rt.Kinds {
+		if kt.Messages == 0 && kt.Deliveries == 0 {
+			continue
+		}
+		if s.ByKind == nil {
+			s.ByKind = make(map[string]metrics.Traffic)
+		}
+		name := msg.Kind(k).String()
+		t := s.ByKind[name]
+		t.Messages += kt.Messages
+		t.Deliveries += kt.Deliveries
+		t.Bytes += kt.Bytes
+		s.ByKind[name] = t
 	}
-	// Traffic: each communication round folds into its computation round.
-	for _, rt := range traffic {
-		s := &stats[rt.Round/phases]
-		s.CommRounds++
-		s.Messages += rt.Messages
-		s.Deliveries += rt.Deliveries
-		s.Bytes += rt.Bytes
-		for k, kt := range rt.Kinds {
-			if kt.Messages == 0 && kt.Deliveries == 0 {
-				continue
-			}
-			if s.ByKind == nil {
-				s.ByKind = make(map[string]metrics.Traffic)
-			}
-			name := msg.Kind(k).String()
-			t := s.ByKind[name]
-			t.Messages += kt.Messages
-			t.Deliveries += kt.Deliveries
-			t.Bytes += kt.Bytes
-			s.ByKind[name] = t
-		}
+	if phase == f.phases-1 && r > 0 {
+		f.emit(r - 1)
 	}
-	// Node events. A final truncated round can log events past the last
-	// traffic-complete computation round; clamp rather than drop them.
-	clamp := func(r int) int {
-		if r >= compRounds {
-			return compRounds - 1
-		}
-		return r
+}
+
+// flush emits the rounds still pending after a run of compRounds
+// computation rounds: the last one, and the one before it when the run
+// stopped inside the last.
+func (f *roundFold) flush(compRounds int) {
+	for f.next < compRounds {
+		f.emit(f.next)
 	}
-	counts := make([][numEvents]int, compRounds)
-	assignsByRound := make([][]assignEvent, compRounds)
-	for _, n := range nodes {
-		e := &n.ev
-		for r, ev := range e.rounds {
-			c := &counts[clamp(r)]
-			for k, v := range ev {
-				c[k] += v
-			}
+}
+
+// emit sums the nodes' records of round r onto its traffic and sends
+// the round to the sink.
+func (f *roundFold) emit(r int) {
+	s := &f.stats[r&1]
+	fields := [numEvents]*int{&s.DefensiveRejects, &s.ConflictsDropped, &s.Retransmits,
+		&s.Repairs, &s.Reverts, &s.Probes, &s.Active, &s.Inviters, &s.Listeners, &s.Paired}
+	for _, n := range f.nodes {
+		rec := &n.ev.rec[r&1]
+		for k, v := range rec.n {
+			*fields[k] += int(v)
 		}
-		for _, a := range e.assigns {
-			r := clamp(a.round)
-			assignsByRound[r] = append(assignsByRound[r], a)
-		}
-	}
-	// Event counts, palette growth and colored counts, walked in round
-	// order. Both endpoints log an assignment for the same item, so
-	// distinctness is tracked per item.
-	seen := make([]bool, items)
-	var palette ColorSet
-	maxColor, coloredTotal := -1, 0
-	for r := range stats {
-		s := &stats[r]
-		fields := [numEvents]*int{&s.DefensiveRejects, &s.ConflictsDropped, &s.Retransmits,
-			&s.Repairs, &s.Reverts, &s.Probes, &s.Active, &s.Inviters, &s.Listeners, &s.Paired}
-		for k, v := range counts[r] {
-			*fields[k] = v
-		}
-		for _, a := range assignsByRound[r] {
-			if !seen[a.item] {
-				seen[a.item] = true
+		for _, a := range rec.assigns {
+			if !f.seen[a.item] {
+				f.seen[a.item] = true
 				s.Colored++
 			}
-			palette.Add(a.color)
-			if a.color > maxColor {
-				maxColor = a.color
-			}
+			f.palette.Add(a.color)
+			f.maxColor = max(f.maxColor, a.color)
 		}
-		coloredTotal += s.Colored
-		s.ColoredTotal = coloredTotal
-		s.NumColors = palette.Count()
-		s.MaxColor = maxColor
-		s.Done = len(nodes) - s.Active
-		sink.EmitRound(*s)
 	}
+	f.coloredTotal += s.Colored
+	s.ColoredTotal = f.coloredTotal
+	s.NumColors = f.palette.Count()
+	s.MaxColor = f.maxColor
+	s.Done = len(f.nodes) - s.Active
+	f.sink.EmitRound(*s)
+	f.next = r + 1
 }

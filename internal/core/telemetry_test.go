@@ -187,6 +187,61 @@ func TestRoundStatsEngineEquivalence(t *testing.T) {
 	}
 }
 
+// roundClock is a metrics.Sink that records, for every RoundStats it
+// receives, how many communication rounds the engine had completed.
+type roundClock struct {
+	commDone int   // communication rounds completed, per the engine's observer
+	at       []int // at[r]: commDone when round r arrived
+}
+
+func (c *roundClock) EmitRound(rs metrics.RoundStats) { c.at = append(c.at, c.commDone) }
+
+// engine wraps eng so that every communication round it completes
+// advances the clock before the run's own observer sees the round.
+func (c *roundClock) engine(eng net.Engine) net.Engine {
+	return func(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
+		observe := cfg.Observe
+		cfg.Observe = func(rt net.RoundTraffic) {
+			c.commDone = rt.Round + 1
+			observe(rt)
+		}
+		return eng(g, nodes, cfg)
+	}
+}
+
+// TestRoundStatsStreamIsLive: the sink receives computation round r
+// during the run, before communication round (r+2)·phases runs — one
+// computation round behind the barrier, not after the run.
+func TestRoundStatsStreamIsLive(t *testing.T) {
+	g := telemetryGraphs(t)["er"]
+	engines := map[string]net.Engine{"sync": net.RunSync, "shard-3": shardWorkers(3)}
+	for _, algo := range []string{"edges", "strong"} {
+		phases := ecPhases
+		if algo == "strong" {
+			phases = scPhases
+		}
+		for ename, eng := range engines {
+			clock := &roundClock{}
+			opt := Options{Seed: 19, Engine: clock.engine(eng), Metrics: clock}
+			var res *Result
+			if algo == "strong" {
+				res = mustColorStrong(t, graph.NewSymmetric(g), opt)
+			} else {
+				res = mustColorEdges(t, g, opt)
+			}
+			if len(clock.at) != res.CompRounds || res.CompRounds < 4 {
+				t.Fatalf("%s/%s: %d rounds streamed for %d comp rounds", algo, ename, len(clock.at), res.CompRounds)
+			}
+			for r, done := range clock.at {
+				if done > (r+2)*phases {
+					t.Fatalf("%s/%s: round %d arrived after %d communication rounds, want at most %d",
+						algo, ename, r, done, (r+2)*phases)
+				}
+			}
+		}
+	}
+}
+
 // TestParticipationInvariants covers the stream's participation
 // fields on ER and regular graphs for both algorithms: on reliable runs
 // Active never increases (under recovery a revert can resurrect a

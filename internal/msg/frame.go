@@ -142,8 +142,10 @@ func DecodeMessages(buf []byte) ([]Message, error) {
 // Wire protocol version of the cluster handshake. Bump on any change to
 // the frame grammar; coordinator and node refuse mismatched peers.
 // Version 2 replaced the round frame's per-delivery (vertex, message)
-// pairs with per-shard (sender, message, drop list) records.
-const HandshakeVersion = 2
+// pairs with per-shard (sender, message, drop list) records. Version 3
+// retired the end-of-run harvest and state frames: every outbox frame
+// carries the state its shard's nodes changed in the round.
+const HandshakeVersion = 3
 
 // helloMagic opens every handshake so a stray connection (or a peer
 // speaking a different protocol entirely) is rejected on the first

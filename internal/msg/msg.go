@@ -12,6 +12,7 @@ package msg
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Kind discriminates message types.
@@ -166,14 +167,10 @@ func varintLen(v int64) int {
 	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// uvarintLen returns the unsigned varint encoding length of v.
+// uvarintLen returns the unsigned varint encoding length of v: one byte
+// per started group of 7 significant bits, and one byte for zero.
 func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // Flag bits of the encoded flags byte.

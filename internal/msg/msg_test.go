@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,52 @@ func TestSize(t *testing.T) {
 		if m.Size() != len(m.Append(nil)) {
 			t.Fatalf("Size mismatch for %v", m)
 		}
+	}
+}
+
+// TestSizeAtVarintBoundaries checks Size against the encoding at every
+// varint length boundary: each signed field (zig-zag encoded) and each
+// paint field set to 0, 127, 128, 2^14-1, 2^14, MaxInt32 and their
+// negatives, and Seq (unsigned, only encoded when nonzero) at 0, 1,
+// 127, 128, 2^14-1, 2^14 and MaxUint32.
+func TestSizeAtVarintBoundaries(t *testing.T) {
+	var values []int
+	for _, v := range []int{0, 1, 63, 64, 127, 128, 1<<14 - 1, 1 << 14, math.MaxInt32} {
+		values = append(values, v, -v)
+	}
+	values = append(values, math.MinInt32)
+	check := func(m Message) {
+		t.Helper()
+		if got, want := m.Size(), len(m.Append(nil)); got != want {
+			t.Fatalf("Size %d, encoding %d bytes: %+v", got, want, m)
+		}
+	}
+	for _, v := range values {
+		for field := 0; field < 6; field++ {
+			m := Message{Kind: KindUpdate, From: 1, To: Broadcast, Edge: -1, Color: -1}
+			switch field {
+			case 0:
+				m.From = v
+			case 1:
+				m.To = v
+			case 2:
+				m.Edge = v
+			case 3:
+				m.Color = v
+			case 4:
+				m.Paints = []Paint{{Edge: v, Color: 0}}
+			case 5:
+				m.Paints = []Paint{{Edge: 3, Color: v}, {Edge: v, Color: v}}
+			}
+			check(m)
+		}
+	}
+	for _, seq := range []uint32{0, 1, 127, 128, 1<<14 - 1, 1 << 14, math.MaxUint32} {
+		check(Message{Kind: KindResponse, From: 2, To: 5, Edge: 9, Color: 4, Seq: seq})
+	}
+	// 127 and 128 paints put the paint count on its boundary.
+	for _, k := range []int{127, 128} {
+		check(Message{Kind: KindUpdate, From: 1, To: Broadcast, Edge: -1, Color: -1, Paints: make([]Paint, k)})
 	}
 }
 

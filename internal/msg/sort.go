@@ -10,19 +10,33 @@ import "math/bits"
 // The implementation is specialized to []Message — no reflection, no
 // interface dispatch — because inbox sorting sits on the hottest path of
 // every run (once per node per communication round). Every engine
-// delivers in ascending sender order, so the common inbox has strictly
-// ascending From, Less's first key, and is already canonical: one
-// linear check returns it untouched. An inbox that fails the check is
-// still short (at most one message per neighbor per phase), so it
-// usually takes the insertion sort; larger inboxes take a
-// median-of-three quicksort with a depth bound and a heapsort
-// fallback, keeping the worst case O(n log n).
+// delivers in ascending sender order, so an inbox arrives grouped by
+// From, Less's first key: one linear pass finds the runs of equal From
+// and sorts only those, and an inbox with strictly ascending From (the
+// common case) is returned untouched. A run is short (the messages one
+// neighbor sent in one round), so it takes the insertion sort. Only an
+// inbox whose From decreases somewhere is sorted whole, by a
+// median-of-three quicksort with a depth bound and a heapsort fallback;
+// longer runs take it too, keeping the worst case O(n log n).
 func Sort(msgs []Message) {
+	run := 0 // start of the current run of equal From
 	for i := 1; i < len(msgs); i++ {
-		if msgs[i-1].From >= msgs[i].From {
-			quickSortMsgs(msgs, 2*bits.Len(uint(len(msgs))))
+		switch {
+		case msgs[i-1].From < msgs[i].From:
+			sortRun(msgs[run:i])
+			run = i
+		case msgs[i-1].From > msgs[i].From:
+			sortRun(msgs)
 			return
 		}
+	}
+	sortRun(msgs[run:])
+}
+
+// sortRun sorts s, which is usually a run of one sender's messages.
+func sortRun(s []Message) {
+	if len(s) > 1 {
+		quickSortMsgs(s, 2*bits.Len(uint(len(s))))
 	}
 }
 

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -116,6 +118,64 @@ func TestSortAdversarialShapes(t *testing.T) {
 		want := make([]Message, n)
 		copy(want, msgs)
 		sort.Slice(want, func(i, j int) bool { return Less(want[i], want[j]) })
+		Sort(msgs)
+		assertSorted(t, name, msgs, want)
+	}
+}
+
+// compareLess is Less as a three-way comparison for slices.SortFunc.
+func compareLess(a, b Message) int {
+	switch {
+	case Less(a, b):
+		return -1
+	case Less(b, a):
+		return 1
+	}
+	return 0
+}
+
+// TestSortGroupedInboxes covers the inbox shape Algorithm 2 produces:
+// ascending From with some senders repeated, each run of one sender in
+// arbitrary order. Sort orders each run in place and must agree with
+// slices.SortFunc under Less; runs of every length up to past the
+// insertion-sort cutoff, a lone run, and a decrease after grouped runs
+// (which sorts the whole inbox) are all covered.
+func TestSortGroupedInboxes(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	grouped := func(runs []int) []Message {
+		var out []Message
+		for from, k := range runs {
+			for _, m := range randomMessages(r, k) {
+				m.From = 3 * from
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	shapes := map[string][]Message{
+		"empty":          nil,
+		"one-run":        grouped([]int{9}),
+		"long-run":       grouped([]int{2, 40, 1}),
+		"pairs":          grouped([]int{2, 2, 2, 2, 2}),
+		"mixed":          grouped([]int{1, 3, 1, 1, 5, 2, 1, 17, 1}),
+		"trailing-run":   grouped([]int{1, 1, 1, 4}),
+		"leading-run":    grouped([]int{4, 1, 1, 1}),
+		"sorted-runs":    nil,
+		"decrease-after": append(grouped([]int{1, 3, 2}), Message{Kind: KindInvite, From: 1}),
+	}
+	sortedRuns := grouped([]int{3, 1, 6, 2})
+	slices.SortFunc(sortedRuns, compareLess)
+	shapes["sorted-runs"] = sortedRuns
+	for trial := 0; trial < 50; trial++ {
+		runs := make([]int, 1+r.Intn(8))
+		for i := range runs {
+			runs[i] = 1 + r.Intn(4)
+		}
+		shapes[fmt.Sprintf("random-%d", trial)] = grouped(runs)
+	}
+	for name, msgs := range shapes {
+		want := slices.Clone(msgs)
+		slices.SortFunc(want, compareLess)
 		Sort(msgs)
 		assertSorted(t, name, msgs, want)
 	}

@@ -16,22 +16,25 @@ import (
 	"dima/internal/msg"
 )
 
-// StateNode is a Node whose final state can cross a process boundary.
-// The TCP engine requires it: node processes run the protocol on their
-// own instances, and after the last round the coordinator restores each
-// remote instance's exported state into the local twin it constructed
-// (but never stepped), so the caller's post-run assembly sees exactly
-// the objects an in-process engine would have produced.
+// StateNode is a Node whose state can cross a process boundary. The
+// TCP engine requires it: node processes run the protocol on their own
+// instances, and after every round the coordinator applies each remote
+// instance's changes to the local twin it constructed (but never
+// steps), so the round observer during the run and the caller's
+// post-run assembly see exactly the state an in-process engine would
+// have produced.
 type StateNode interface {
 	Node
-	// AppendState appends the node's harvestable state to buf. Only the
-	// state the protocol's post-run assembly reads needs to survive the
-	// trip; transient negotiation state does not.
-	AppendState(buf []byte) []byte
-	// RestoreState loads state exported by AppendState on an identically
-	// constructed instance. data is only valid during the call. Strict:
-	// trailing bytes are an error.
-	RestoreState(data []byte) error
+	// AppendChanges appends a blob of the state that changed since the
+	// previous call (since construction on the first), and nothing when
+	// none did. Node processes call it after each of the node's Steps.
+	// Only the state the observer and the post-run assembly read need
+	// cross; transient negotiation state does not.
+	AppendChanges(buf []byte) []byte
+	// ApplyChanges loads a blob AppendChanges made on the remote
+	// instance into this twin; data is only valid during the call.
+	// Strict: a blob no remote instance can make is an error.
+	ApplyChanges(data []byte) error
 }
 
 // NodeSpec tells node processes how to rebuild their vertex shard: a
@@ -66,7 +69,7 @@ type TCPCluster struct {
 	// mode, so use it only on trusted networks.
 	External bool
 	// BarrierTimeout bounds every per-connection wait: handshake
-	// accepts, round-frame writes, outbox reads, harvest. A node that
+	// accepts, round-frame writes, outbox reads. A node that
 	// crashes or hangs surfaces as a NodeError within roughly this
 	// duration. 0 means 30s.
 	BarrierTimeout time.Duration
@@ -142,9 +145,10 @@ const (
 // and AddEdge. graph.Compacted rebuilds any graph into that form.
 //
 // The nodes slice plays the role it does for the in-process engines —
-// except these instances are never stepped; after the run each remote
-// node's state is restored into its local twin, so every Node must
-// implement StateNode.
+// except these instances are never stepped: every outbox frame carries
+// the state its shard's nodes changed in the round, which is applied to
+// their local twins before the round reaches cfg.Observe, so every Node
+// must implement StateNode.
 func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
 		return Result{}, err
@@ -209,7 +213,7 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			}
 		}
 		router := newTCPRouter(g, owner, shards, cfg.Fault)
-		var bs []broadcast
+		var ob outbox
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for s := 0; s < shards; s++ {
 				run.buf = router.frame(run.buf[:0], round, s)
@@ -220,20 +224,17 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			doneAll := true
 			for s := 0; s < shards; s++ {
 				payload, err := run.recv(s, frameOutbox)
-				if err != nil {
-					return false, &NodeError{Shard: s, Round: round, Err: err}
+				if err == nil {
+					err = ob.decode(payload)
 				}
-				var r int
-				var done bool
-				r, done, bs, err = decodeOutbox(payload, bs[:0])
-				if err == nil && r != round {
-					err = fmt.Errorf("outbox for round %d, want %d", r, round)
+				if err == nil {
+					err = ob.apply(round, bounds[s], bounds[s+1], nodes)
 				}
 				if err != nil {
 					return false, &NodeError{Shard: s, Round: round, Err: err}
 				}
-				doneAll = doneAll && done
-				for _, b := range bs {
+				doneAll = doneAll && ob.done
+				for _, b := range ob.bs {
 					if b.from < bounds[s] || b.from >= bounds[s+1] {
 						return false, &NodeError{Shard: s, Round: round,
 							Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
@@ -248,43 +249,30 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	if err != nil || run == nil {
 		return res, err
 	}
-
-	// Harvest: restore every remote node's final state into its local
-	// twin so the caller's assembly code sees the run's outcome. This
-	// runs on every exit from the round loop — termination, abort, and
-	// max-rounds truncation all report the state actually reached.
-	hround := res.Rounds
-	for s := 0; s < shards; s++ {
-		if err := run.send(s, frameHarvest, nil); err != nil {
-			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
-		}
-	}
-	for s := 0; s < shards; s++ {
-		payload, err := run.recv(s, frameState)
-		if err != nil {
-			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
-		}
-		next := bounds[s]
-		err = decodeState(payload, func(vertex int, blob []byte) error {
-			if vertex != next {
-				return fmt.Errorf("state for vertex %d, want %d", vertex, next)
-			}
-			next++
-			return nodes[vertex].(StateNode).RestoreState(blob)
-		})
-		if err == nil && next != bounds[s+1] {
-			err = fmt.Errorf("state for %d vertices, want %d", next-bounds[s], bounds[s+1]-bounds[s])
-		}
-		if err != nil {
-			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
-		}
-	}
 	for s := 0; s < shards; s++ {
 		if err := run.send(s, frameShutdown, nil); err != nil {
-			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
+			return Result{}, &NodeError{Shard: s, Round: res.Rounds, Err: err}
 		}
 	}
 	return res, nil
+}
+
+// apply checks one shard's decoded outbox for round and applies its
+// state entries, which must come from the shard's vertex range [lo, hi),
+// to the twins.
+func (ob *outbox) apply(round, lo, hi int, nodes []Node) error {
+	if ob.round != round {
+		return fmt.Errorf("outbox for round %d, want %d", ob.round, round)
+	}
+	for _, st := range ob.states {
+		if st.vertex < lo || st.vertex >= hi {
+			return fmt.Errorf("state of vertex %d outside shard [%d, %d)", st.vertex, lo, hi)
+		}
+		if err := nodes[st.vertex].(StateNode).ApplyChanges(st.blob); err != nil {
+			return fmt.Errorf("state of vertex %d: %w", st.vertex, err)
+		}
+	}
+	return nil
 }
 
 // tcpRouter is the coordinator's routing stage. Each broadcast becomes

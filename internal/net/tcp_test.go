@@ -38,13 +38,14 @@ func init() {
 // gossipNode is a deterministic test protocol: for `rounds` rounds each
 // node broadcasts one message tagged with its id and the round, and
 // folds everything it hears into a running sum plus a per-round receipt
-// log. The sum and log make up its harvestable state, so the test can
-// compare remote executions field by field against RunSync.
+// log. The sum and log make up the state it ships every round, so the
+// test can compare remote executions field by field against RunSync.
 type gossipNode struct {
 	id     int
 	rounds int
 	sum    int64
 	log    []int
+	sent   int // log entries already shipped (node processes only)
 }
 
 func gossipSpec(rounds int) []byte { return binary.AppendUvarint(nil, uint64(rounds)) }
@@ -79,16 +80,22 @@ func (n *gossipNode) Step(round int, inbox []msg.Message) []msg.Message {
 	}}
 }
 
-func (n *gossipNode) AppendState(buf []byte) []byte {
+// AppendChanges ships the sum and the log entries added since the
+// previous call.
+func (n *gossipNode) AppendChanges(buf []byte) []byte {
+	if n.sent == len(n.log) {
+		return buf
+	}
 	buf = binary.AppendUvarint(buf, uint64(n.sum))
-	buf = binary.AppendUvarint(buf, uint64(len(n.log)))
-	for _, v := range n.log {
+	buf = binary.AppendUvarint(buf, uint64(len(n.log)-n.sent))
+	for _, v := range n.log[n.sent:] {
 		buf = binary.AppendUvarint(buf, uint64(v))
 	}
+	n.sent = len(n.log)
 	return buf
 }
 
-func (n *gossipNode) RestoreState(data []byte) error {
+func (n *gossipNode) ApplyChanges(data []byte) error {
 	sum, c := binary.Uvarint(data)
 	if c <= 0 {
 		return fmt.Errorf("bad gossip state")
@@ -100,7 +107,6 @@ func (n *gossipNode) RestoreState(data []byte) error {
 	}
 	data = data[c:]
 	n.sum = int64(sum)
-	n.log = nil
 	for i := uint64(0); i < count; i++ {
 		v, c := binary.Uvarint(data)
 		if c <= 0 {
@@ -261,8 +267,8 @@ func assertNoChildren(t *testing.T) {
 }
 
 // TestRunTCPMatchesRunSync is the transport-level equivalence property:
-// identical Results, per-round traffic streams, and harvested node
-// state at every shard count, with and without faults.
+// identical Results, per-round traffic streams, and twin node state at
+// every shard count, with and without faults.
 func TestRunTCPMatchesRunSync(t *testing.T) {
 	g := testGraph(23)
 	faults := []net.FaultInjector{nil, net.DropRate{Seed: 7, P: 0.2}}
@@ -282,11 +288,19 @@ func TestRunTCPMatchesRunSync(t *testing.T) {
 				tc := &net.TCPCluster{Nodes: shards, BarrierTimeout: 30 * time.Second}
 				var gotTraffic []net.RoundTraffic
 				tcpNodes := gossipNodes(g, 6)
+				// The twins are in step when the observer sees a round:
+				// every node has logged that round.
+				lagging := -1
+				observe := func(rt net.RoundTraffic) {
+					gotTraffic = append(gotTraffic, rt)
+					for u, n := range tcpNodes {
+						if len(n.(*gossipNode).log) != rt.Round+1 && lagging < 0 {
+							lagging = u
+						}
+					}
+				}
 				gotRes, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(6)},
-					g, tcpNodes, net.Config{
-						Fault:   fault,
-						Observe: func(rt net.RoundTraffic) { gotTraffic = append(gotTraffic, rt) },
-					})
+					g, tcpNodes, net.Config{Fault: fault, Observe: observe})
 				if err != nil {
 					t.Fatalf("RunTCP: %v", err)
 				}
@@ -295,6 +309,9 @@ func TestRunTCPMatchesRunSync(t *testing.T) {
 				}
 				if !reflect.DeepEqual(gotTraffic, wantTraffic) {
 					t.Errorf("round traffic mismatch:\n tcp  %+v\n sync %+v", gotTraffic, wantTraffic)
+				}
+				if lagging >= 0 {
+					t.Errorf("twin of node %d lagged its remote node when the observer ran", lagging)
 				}
 				for u := range tcpNodes {
 					got, want := tcpNodes[u].(*gossipNode), syncNodes[u].(*gossipNode)
@@ -713,9 +730,10 @@ func hostileRound(from int, drops []int) []byte {
 }
 
 // serveThroughProxy runs shard 0's node half behind a man in the middle
-// that relays every frame but swaps the first round frame for round. It
-// returns the node's ServeNode error once everything has shut down.
-func serveThroughProxy(addr string, shards int, round []byte) <-chan error {
+// that relays every frame but swaps the first frame of the given kind,
+// in whichever direction it travels, for payload. It returns the node's
+// ServeNode error once everything has shut down.
+func serveThroughProxy(addr string, shards int, kind msg.FrameKind, payload []byte) <-chan error {
 	res := make(chan error, 1)
 	go func() {
 		coord, err := dialRetry(addr)
@@ -726,31 +744,61 @@ func serveThroughProxy(addr string, shards int, round []byte) <-chan error {
 		nodeEnd, proxyEnd := stdnet.Pipe()
 		served := make(chan error, 1)
 		go func() { served <- net.ServeNode(nodeEnd, 0, shards, 0) }()
-		copied := make(chan struct{})
+		up := make(chan struct{})
 		go func() {
-			io.Copy(coord, proxyEnd)
-			close(copied)
+			relayFrames(coord, proxyEnd, kind, payload)
+			close(up)
 		}()
-		fr := msg.NewFrameReader(coord, 0)
-		swapped := false
-		for {
-			kind, payload, err := fr.Next()
-			if err != nil {
-				break
-			}
-			if kind == 0x04 && !swapped {
-				payload, swapped = round, true
-			}
-			if msg.WriteFrame(proxyEnd, kind, payload) != nil {
-				break
-			}
-		}
+		relayFrames(proxyEnd, coord, kind, payload)
 		proxyEnd.Close()
 		coord.Close()
-		<-copied
+		<-up
 		res <- <-served
 	}()
 	return res
+}
+
+// relayFrames copies frames from src to dst until either side fails,
+// swapping the first frame of the given kind for payload.
+func relayFrames(dst io.Writer, src io.Reader, kind msg.FrameKind, payload []byte) {
+	fr := msg.NewFrameReader(src, 0)
+	swapped := false
+	for {
+		k, p, err := fr.Next()
+		if err != nil {
+			return
+		}
+		if k == kind && !swapped {
+			p, swapped = payload, true
+		}
+		if msg.WriteFrame(dst, k, p) != nil {
+			return
+		}
+	}
+}
+
+// hostileTwoShardRun runs the gossip protocol on g with two external
+// node processes, shard 0 behind serveThroughProxy, and returns the
+// coordinator's error and shard 0's ServeNode error.
+func hostileTwoShardRun(t *testing.T, g *graph.Graph, kind msg.FrameKind, payload []byte) (error, error) {
+	t.Helper()
+	addr := freeLoopbackAddr(t)
+	tc := &net.TCPCluster{Nodes: 2, External: true, Listen: addr, BarrierTimeout: 10 * time.Second}
+	node0 := serveThroughProxy(addr, 2, kind, payload)
+	node1 := make(chan error, 1)
+	go func() {
+		conn, err := dialRetry(addr)
+		if err != nil {
+			node1 <- err
+			return
+		}
+		node1 <- net.ServeNode(conn, 1, 2, 0)
+	}()
+	_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(4)},
+		g, gossipNodes(g, 4), net.Config{})
+	nodeErr := <-node0
+	<-node1
+	return err, nodeErr
 }
 
 // TestRunTCPHostileRoundFrame feeds a node process round frames the
@@ -786,22 +834,7 @@ func TestRunTCPHostileRoundFrame(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			defer leakCheck(t)()
-			addr := freeLoopbackAddr(t)
-			tc := &net.TCPCluster{Nodes: 2, External: true, Listen: addr, BarrierTimeout: 10 * time.Second}
-			node0 := serveThroughProxy(addr, 2, c.frame)
-			node1 := make(chan error, 1)
-			go func() {
-				conn, err := dialRetry(addr)
-				if err != nil {
-					node1 <- err
-					return
-				}
-				node1 <- net.ServeNode(conn, 1, 2, 0)
-			}()
-			_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(4)},
-				g, gossipNodes(g, 4), net.Config{})
-			nodeErr := <-node0
-			<-node1
+			err, nodeErr := hostileTwoShardRun(t, g, 0x04, c.frame)
 			var ne *net.NodeError
 			if !errors.As(err, &ne) {
 				t.Fatalf("want *net.NodeError, got %v", err)
@@ -812,6 +845,54 @@ func TestRunTCPHostileRoundFrame(t *testing.T) {
 			}
 			if nodeErr == nil || !strings.Contains(nodeErr.Error(), c.want) {
 				t.Errorf("node returned %v, want an error containing %q", nodeErr, c.want)
+			}
+		})
+	}
+}
+
+// hostileOutbox hand-encodes shard 0's round-0 outbox frame with no
+// broadcasts and the given state section: uvarint round, flags byte,
+// uvarint broadcast count, uvarint entry count, then (uvarint vertex,
+// uvarint blob length, blob) entries.
+func hostileOutbox(vertices []int, blobs [][]byte) []byte {
+	buf := []byte{0, 0, 0}
+	buf = binary.AppendUvarint(buf, uint64(len(vertices)))
+	for i, v := range vertices {
+		buf = binary.AppendUvarint(buf, uint64(v))
+		buf = binary.AppendUvarint(buf, uint64(len(blobs[i])))
+		buf = append(buf, blobs[i]...)
+	}
+	return buf
+}
+
+// TestRunTCPHostileStateSection feeds the coordinator outbox frames
+// whose state section no node process can send. Each must fail the run
+// with a NodeError for shard 0, round 0 — never a panic, never a twin
+// silently written out of step.
+func TestRunTCPHostileStateSection(t *testing.T) {
+	g := testGraph(14) // 2 shards: [0, 7) and [7, 14)
+	state := []byte{5, 1, 2}
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"vertex outside shard", hostileOutbox([]int{9}, [][]byte{state}), "state of vertex 9 outside shard [0, 7)"},
+		{"vertex out of order", hostileOutbox([]int{3, 2}, [][]byte{state, state}), "state of vertex 2 after vertex 3"},
+		{"repeated vertex", hostileOutbox([]int{3, 3}, [][]byte{state, state}), "state of vertex 3 after vertex 3"},
+		{"blob the twin rejects", hostileOutbox([]int{4}, [][]byte{{5, 0, 7}}), "state of vertex 4: 1 trailing bytes in gossip state"},
+		{"truncated blob", hostileOutbox([]int{4}, [][]byte{state})[:6], "net: state blob of 3 bytes exceeds"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer leakCheck(t)()
+			err, _ := hostileTwoShardRun(t, g, 0x05, c.frame)
+			var ne *net.NodeError
+			if !errors.As(err, &ne) {
+				t.Fatalf("want *net.NodeError, got %v", err)
+			}
+			if ne.Shard != 0 || ne.Round != 0 || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("want shard 0 round 0 failing with %q, got %v", c.want, err)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ import (
 // twins — same graph, same options decoded from spec, same derived RNG
 // streams — so the distributed run is byte-identical to an in-process
 // one. Protocol packages register their factories in init (the core
-// package registers "dima/edge/v2" and "dima/strong/v2").
+// package registers "dima/edge/v3" and "dima/strong/v3").
 type NodeFactory func(g *graph.Graph, spec []byte, lo, hi int) ([]Node, error)
 
 var (
@@ -119,12 +119,14 @@ func ServeNode(conn gonet.Conn, shard, shards int, token uint64) error {
 
 // serveNode is the node process's side of RunTCP: handshake, build
 // the shard's nodes from the welcome frame, then answer round frames
-// until harvest and shutdown. Each round frame's records are expanded
-// over the shard's neighbor segments into one flat inbox arena, with
-// the fill RunShard's merge runs; inboxes are sorted and the shard's
-// vertices stepped in ascending id order, and their broadcasts go back
-// in one outbox frame. The coordinator keeps fault decisions and
-// traffic accounting; the node only applies the drop lists it is sent.
+// until shutdown. Each round frame's records are expanded over the
+// shard's neighbor segments into one flat inbox arena, with the fill
+// RunShard's merge runs; inboxes are sorted and the shard's vertices
+// stepped in ascending id order, and their broadcasts go back in one
+// outbox frame, followed by the state changes of every node whose
+// state changed in the round. The coordinator keeps fault decisions
+// and traffic accounting; the node only applies the drop lists it is
+// sent.
 func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 	// No read deadlines here: the coordinator owns the barrier timeout,
 	// and a dead coordinator closes the connection (or the kernel does),
@@ -175,7 +177,7 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 
 	in := newNodeInbox(w.g, w.lo, w.hi)
 	var outb []broadcast
-	var buf []byte
+	var buf, section, blob []byte
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -187,38 +189,26 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 			if err != nil {
 				return err
 			}
-			outb = outb[:0]
-			for i, n := range nodes {
+			outb, section = outb[:0], section[:0]
+			done, entries := true, 0
+			for i, sn := range states {
 				inbox := in.arena.inbox(i)
 				msg.Sort(inbox)
-				for _, m := range n.Step(round, inbox) {
+				for _, m := range sn.Step(round, inbox) {
 					outb = append(outb, broadcast{from: w.lo + i, m: m})
 				}
-			}
-			// Same evaluation point as RunSync's allDone: after every
-			// node stepped the round.
-			done := true
-			for _, n := range nodes {
-				if !n.Done() {
-					done = false
-					break
+				// A node's state changes only in its own Step, so once it
+				// stepped, its Done and its changes are what RunSync's
+				// allDone and the coordinator's twin see after the round.
+				done = done && sn.Done()
+				if blob = sn.AppendChanges(blob[:0]); len(blob) > 0 {
+					section = appendState(section, w.lo+i, blob)
+					entries++
 				}
 			}
-			buf = appendOutbox(buf[:0], round, done, outb)
+			buf = appendOutbox(buf[:0], round, done, outb, entries, section)
 			if err := msg.WriteFrame(conn, frameOutbox, buf); err != nil {
 				return fmt.Errorf("send outbox: %w", err)
-			}
-		case frameHarvest:
-			if len(payload) != 0 {
-				return fmt.Errorf("net: %d trailing bytes after harvest frame", len(payload))
-			}
-			blobs := make([][]byte, len(states))
-			for i, sn := range states {
-				blobs[i] = sn.AppendState(nil)
-			}
-			buf = appendState(buf[:0], w.lo, blobs)
-			if err := msg.WriteFrame(conn, frameState, buf); err != nil {
-				return fmt.Errorf("send state: %w", err)
 			}
 		case frameShutdown:
 			if len(payload) != 0 {

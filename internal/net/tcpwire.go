@@ -18,33 +18,17 @@ const (
 	frameWelcome  msg.FrameKind = 0x02 // coord → node: spec + graph + shard bounds
 	frameReady    msg.FrameKind = 0x03 // node → coord: nodes constructed
 	frameRound    msg.FrameKind = 0x04 // coord → node: round number + (sender, message, drop list) records
-	frameOutbox   msg.FrameKind = 0x05 // node → coord: round number + broadcasts + done bit
-	frameHarvest  msg.FrameKind = 0x06 // coord → node: export final node state
-	frameState    msg.FrameKind = 0x07 // node → coord: per-vertex state blobs
+	frameOutbox   msg.FrameKind = 0x05 // node → coord: round number + done bit + broadcasts + state changes
 	frameShutdown msg.FrameKind = 0x08 // coord → node: run over, exit 0
 	frameError    msg.FrameKind = 0x09 // node → coord: fatal node-side error text
 )
 
+var frameNames = [...]string{frameHello: "hello", frameWelcome: "welcome", frameReady: "ready",
+	frameRound: "round", frameOutbox: "outbox", frameShutdown: "shutdown", frameError: "error"}
+
 func frameKindName(k msg.FrameKind) string {
-	switch k {
-	case frameHello:
-		return "hello"
-	case frameWelcome:
-		return "welcome"
-	case frameReady:
-		return "ready"
-	case frameRound:
-		return "round"
-	case frameOutbox:
-		return "outbox"
-	case frameHarvest:
-		return "harvest"
-	case frameState:
-		return "state"
-	case frameShutdown:
-		return "shutdown"
-	case frameError:
-		return "error"
+	if int(k) < len(frameNames) && frameNames[k] != "" {
+		return frameNames[k]
 	}
 	return fmt.Sprintf("frame(%#x)", uint8(k))
 }
@@ -217,8 +201,10 @@ const outboxFlagDone = 1 << 0
 
 // appendOutbox appends an outbox frame payload: uvarint round, a flags
 // byte, uvarint broadcast count, then (uvarint sender vertex, message)
-// pairs in the order the senders were stepped (ascending vertex id).
-func appendOutbox(buf []byte, round int, done bool, bs []broadcast) []byte {
+// pairs in the order the senders were stepped (ascending vertex id),
+// then the state section: uvarint entry count and states, which holds
+// that many entries encoded by appendState in ascending vertex order.
+func appendOutbox(buf []byte, round int, done bool, bs []broadcast, nstates int, states []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
 	var flags byte
 	if done {
@@ -230,12 +216,21 @@ func appendOutbox(buf []byte, round int, done bool, bs []broadcast) []byte {
 		buf = binary.AppendUvarint(buf, uint64(b.from))
 		buf = b.m.Append(buf)
 	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(nstates))
+	return append(buf, states...)
+}
+
+// appendState appends one state-section entry: uvarint vertex, uvarint
+// blob length, then the blob the vertex's StateNode.AppendChanges made.
+func appendState(buf []byte, vertex int, blob []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(vertex))
+	buf = binary.AppendUvarint(buf, uint64(len(blob)))
+	return append(buf, blob...)
 }
 
 // broadcast is one sent message paired with its sending vertex — the
 // routing key the coordinator fans out over the sender's neighbor
-// segments. raw is the message's encoding as decodeOutbox found it in
+// segments. raw is the message's encoding as outbox.decode found it in
 // the frame (nil on the node side), which the coordinator forwards
 // verbatim; it aliases the frame buffer.
 type broadcast struct {
@@ -244,15 +239,35 @@ type broadcast struct {
 	raw  []byte
 }
 
-// decodeOutbox parses an outbox frame strictly, appending its
-// broadcasts to bs (pass it back truncated to reuse it across rounds).
-func decodeOutbox(buf []byte, bs []broadcast) (round int, done bool, _ []broadcast, err error) {
+// nodeState is one state-section entry: a vertex and its node's blob,
+// which aliases the frame buffer.
+type nodeState struct {
+	vertex int
+	blob   []byte
+}
+
+// outbox is one decoded outbox frame. decode reuses its slices, so one
+// value serves every round.
+type outbox struct {
+	round  int
+	done   bool
+	bs     []broadcast
+	states []nodeState
+}
+
+// decode parses an outbox frame strictly. Vertex ids are only
+// range-checked against maxVertex, and state entries for ascending
+// order, here: whether they lie in the sending shard is the
+// coordinator's check.
+func (ob *outbox) decode(buf []byte) error {
 	d := msg.NewDec("net", buf)
-	round = d.Int("round", math.MaxInt32)
+	ob.bs, ob.states = ob.bs[:0], ob.states[:0]
+	ob.round = d.Int("round", math.MaxInt32)
 	flags := d.Byte("flags")
 	if flags&^byte(outboxFlagDone) != 0 {
 		d.Fail("unknown outbox flag bits %#x", flags)
 	}
+	ob.done = flags&outboxFlagDone != 0
 	count := d.Count("broadcast count", 1)
 	for i := 0; i < count && d.Err == nil; i++ {
 		from := d.Int("sender vertex", maxVertex)
@@ -261,45 +276,19 @@ func decodeOutbox(buf []byte, bs []broadcast) (round int, done bool, _ []broadca
 		}
 		m, used, err := msg.Decode(d.Buf)
 		if err != nil {
-			return 0, false, bs, fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
+			return fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}
-		bs = append(bs, broadcast{from: from, m: m, raw: d.Buf[:used:used]})
+		ob.bs = append(ob.bs, broadcast{from: from, m: m, raw: d.Buf[:used:used]})
 		d.Buf = d.Buf[used:]
 	}
-	if err := d.Finish("outbox frame"); err != nil {
-		return 0, false, bs, err
-	}
-	return round, flags&outboxFlagDone != 0, bs, nil
-}
-
-// appendState appends a state frame payload: uvarint blob count, then
-// (uvarint vertex, uvarint length, blob) triples.
-func appendState(buf []byte, lo int, blobs [][]byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(blobs)))
-	for i, b := range blobs {
-		buf = binary.AppendUvarint(buf, uint64(lo+i))
-		buf = binary.AppendUvarint(buf, uint64(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
-}
-
-// decodeState parses a state frame strictly, calling restore(vertex,
-// blob) per entry. Blobs alias the payload buffer and must be consumed
-// within the callback.
-func decodeState(buf []byte, restore func(vertex int, blob []byte) error) error {
-	d := msg.NewDec("net", buf)
 	// Each entry costs at least two bytes: its vertex and blob length.
-	count := d.Count("state count", 2)
+	count = d.Count("state count", 2)
 	for i := 0; i < count && d.Err == nil; i++ {
-		vertex := d.Int("state vertex", maxVertex)
-		blob := d.Bytes("state blob")
-		if d.Err != nil {
-			break
+		st := nodeState{vertex: d.Int("state vertex", maxVertex), blob: d.Bytes("state blob")}
+		if d.Err == nil && i > 0 && st.vertex <= ob.states[i-1].vertex {
+			d.Fail("state of vertex %d after vertex %d", st.vertex, ob.states[i-1].vertex)
 		}
-		if err := restore(vertex, blob); err != nil {
-			return err
-		}
+		ob.states = append(ob.states, st)
 	}
-	return d.Finish("state frame")
+	return d.Finish("outbox frame")
 }

@@ -52,39 +52,54 @@ func FuzzDecodeRound(f *testing.F) {
 }
 
 func FuzzDecodeOutbox(f *testing.F) {
-	f.Add(appendOutbox(nil, 0, false, nil))
-	f.Add(appendOutbox(nil, 4, true, []broadcast{{from: 3, m: wireSeeds[0]}, {from: 5, m: wireSeeds[1]}}))
+	states := appendState(appendState(nil, 3, []byte{0, 1, 2}), 5, []byte{1, 0, 1, 0})
+	f.Add(appendOutbox(nil, 0, false, nil, 0, nil))
+	f.Add(appendOutbox(nil, 4, true, []broadcast{{from: 3, m: wireSeeds[0]}, {from: 5, m: wireSeeds[1]}}, 0, nil))
+	f.Add(appendOutbox(nil, 4, false, []broadcast{{from: 3, m: wireSeeds[0]}}, 2, states))
 	f.Add([]byte{1, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		round, done, bs, err := decodeOutbox(data, nil)
-		if err != nil {
+		var ob outbox
+		if ob.decode(data) != nil {
 			return
 		}
 		trailing := append(append([]byte(nil), data...), 0)
-		if _, _, _, err := decodeOutbox(trailing, nil); err == nil {
+		if (&outbox{}).decode(trailing) == nil {
 			t.Fatal("trailing byte accepted")
 		}
-		enc := appendOutbox(nil, round, done, bs)
-		round2, done2, bs2, err := decodeOutbox(enc, nil)
-		if err != nil {
+		var body []byte
+		for _, st := range ob.states {
+			body = appendState(body, st.vertex, st.blob)
+		}
+		enc := appendOutbox(nil, ob.round, ob.done, ob.bs, len(ob.states), body)
+		var ob2 outbox
+		if err := ob2.decode(enc); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if round2 != round || done2 != done || len(bs2) != len(bs) {
-			t.Fatalf("round trip changed the header: %d %v %d -> %d %v %d", round, done, len(bs), round2, done2, len(bs2))
+		if ob2.round != ob.round || ob2.done != ob.done || len(ob2.bs) != len(ob.bs) {
+			t.Fatalf("round trip changed the header: %d %v %d -> %d %v %d",
+				ob.round, ob.done, len(ob.bs), ob2.round, ob2.done, len(ob2.bs))
 		}
-		for i := range bs {
-			if bs2[i].from != bs[i].from || !reflect.DeepEqual(bs2[i].m, bs[i].m) {
-				t.Fatalf("broadcast %d changed: %+v -> %+v", i, bs[i], bs2[i])
+		for i := range ob.bs {
+			if ob2.bs[i].from != ob.bs[i].from || !reflect.DeepEqual(ob2.bs[i].m, ob.bs[i].m) {
+				t.Fatalf("broadcast %d changed: %+v -> %+v", i, ob.bs[i], ob2.bs[i])
 			}
-			if !bytes.Equal(bs2[i].raw, bs2[i].m.Append(nil)) {
+			if !bytes.Equal(ob2.bs[i].raw, ob2.bs[i].m.Append(nil)) {
 				t.Fatalf("broadcast %d: raw bytes are not the message's encoding", i)
+			}
+		}
+		if len(ob2.states) != len(ob.states) {
+			t.Fatalf("round trip changed the state count: %d -> %d", len(ob.states), len(ob2.states))
+		}
+		for i, st := range ob.states {
+			if ob2.states[i].vertex != st.vertex || !bytes.Equal(ob2.states[i].blob, st.blob) {
+				t.Fatalf("state entry %d changed: %+v -> %+v", i, st, ob2.states[i])
 			}
 		}
 	})
 }
 
 // recordingNode passes Step through and keeps what its node broadcast
-// in one chosen round, with each message's encoding as decodeOutbox
+// in one chosen round, with each message's encoding as outbox.decode
 // would hand it to the router.
 type recordingNode struct {
 	Node

@@ -13,7 +13,8 @@ import (
 // GET /jobs/{id}/events streams the job's telemetry as Server-Sent
 // Events: every lifecycle transition ("status", a JobStatus document),
 // every computation round of the run ("round", a RoundStats document,
-// delivered when the engine emits its stream), and — for dynamic jobs —
+// delivered during the run, one computation round behind the round
+// barrier), and — for dynamic jobs —
 // every mutation batch ("mutation", a MutateResponse document). A
 // subscriber that falls behind receives a "dropped" event whose data is
 // {"dropped": n} in place of the n events it missed; the full round

@@ -275,9 +275,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
-	// The engines deliver RoundStats when the run completes, so the
-	// stream exists only for terminal jobs; a running job has nothing
-	// to serve yet (docs/SERVING.md).
+	// The run appends RoundStats to j.stats during the run, one
+	// computation round behind the barrier, on its worker goroutine and
+	// without a lock. Only a terminal job's stream is complete and no
+	// longer written, so only terminal jobs are served; a running job's
+	// rounds are live on /events instead (docs/SERVING.md).
 	if !state.terminal() {
 		httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s: stats arrive when it finishes", j.id, state))
 		return

@@ -105,8 +105,9 @@ type WorkerInfo struct {
 }
 
 // Runner executes one coloring job. The sink receives the run's
-// per-round stats (delivered when the run completes); implementations
-// must honor ctx by returning a Result with Aborted set.
+// per-round stats (delivered during the run by the local runner, and
+// after the attempt by a cluster front end); implementations must
+// honor ctx by returning a Result with Aborted set.
 type Runner func(ctx context.Context, req JobRequest, sink metrics.Sink) (*core.Result, error)
 
 // JobRequest is a parsed, validated submission.
