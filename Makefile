@@ -7,7 +7,10 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check loc fuzz-smoke bench bench-smoke bench-check check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
+# Directory make profile writes its test binaries and profiles to.
+PROFILE_DIR ?= .profile
+
+.PHONY: all build test race vet fmt fmt-check loc fuzz-smoke bench bench-smoke bench-check profile check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -57,6 +60,18 @@ bench:
 # `go vet` only compile the benchmarks, and this keeps them running.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# One CPU profile per coloring algorithm, each of its one-worker
+# RunShard benchmark (ER, n = 2,000, average degree 8) at GOMAXPROCS=1,
+# and the top 20 functions of each by flat time. The profiles stay in
+# $(PROFILE_DIR) (cpu-Edges.out, cpu-Strong.out) for `go tool pprof`.
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	@set -e; for alg in Edges Strong; do \
+		GOMAXPROCS=1 $(GO) test -run '^$$' -bench "^BenchmarkColor$${alg}Shard$$" -benchtime 4s \
+			-o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cpu-$$alg.out ./internal/core; \
+		$(GO) tool pprof -top -nodecount 20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu-$$alg.out; \
+	done
 
 # The benchmark harness is a module of its own (bench/go.mod), so the
 # root `go test ./...` never builds it. Its tests include the Step-shim

@@ -240,7 +240,9 @@ type Pairing = automaton.Pairing
 // per computation round).
 type Driver = automaton.Driver
 
-// Message is the wire message type exchanged by protocol nodes.
+// Message is the wire message type exchanged by protocol nodes: int32
+// vertex, item and color fields, paints read with Paints and set with
+// SetPaints, and the arrival Port every engine stamps on delivery.
 type Message = msg.Message
 
 // NewDriver wraps a custom Pairing for execution with RunProtocol.

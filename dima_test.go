@@ -191,7 +191,7 @@ func (p *counterPairing) Exchange() []Message    { return nil }
 func (p *counterPairing) Complete(resp Message)  { p.count++ }
 func (p *counterPairing) Invite(r *Rand) (Message, bool) {
 	nbrs := p.g.Neighbors(p.id)
-	return Message{From: p.id, To: nbrs[r.Intn(len(nbrs))], Edge: -1, Color: -1}, true
+	return Message{From: int32(p.id), To: int32(nbrs[r.Intn(len(nbrs))]), Edge: -1, Color: -1}, true
 }
 func (p *counterPairing) Respond(mine, _ []Message, r *Rand) (Message, bool) {
 	m := mine[r.Intn(len(mine))]

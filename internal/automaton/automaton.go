@@ -166,7 +166,7 @@ func (m *Machine) Restart(t State) {
 
 // IsInviteFor reports whether m is an invitation addressed to node u.
 func IsInviteFor(m msg.Message, u int) bool {
-	return m.Kind == msg.KindInvite && m.To == u
+	return m.Kind == msg.KindInvite && int(m.To) == u
 }
 
 // FindResponse returns the response in the inbox addressed to node u for
@@ -174,7 +174,7 @@ func IsInviteFor(m msg.Message, u int) bool {
 // wins.
 func FindResponse(u, edge int, inbox []msg.Message) (accepted msg.Message, ok bool) {
 	for _, m := range inbox {
-		if m.Kind == msg.KindResponse && m.To == u && m.Edge == edge {
+		if m.Kind == msg.KindResponse && int(m.To) == u && int(m.Edge) == edge {
 			accepted, ok = m, true
 		}
 	}

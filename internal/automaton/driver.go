@@ -56,8 +56,8 @@ type Driver struct {
 	mach *Machine
 	rec  Recovery
 
-	inviteEdge int
-	inviteTo   int
+	inviteEdge int32
+	inviteTo   int32
 	invited    bool
 
 	// Recovery state: the last invitation sent, kept while its response
@@ -146,7 +146,7 @@ func (d *Driver) step(phase int, inbox, out []msg.Message) []msg.Message {
 		}
 		if d.r.Bool() {
 			if m, ok := d.p.Invite(d.r); ok {
-				if m.From != d.id {
+				if int(m.From) != d.id {
 					panic(fmt.Sprintf("automaton: node %d built invitation from %d", d.id, m.From))
 				}
 				d.mach.MustTransition(Invite)
@@ -184,7 +184,7 @@ func (d *Driver) step(phase int, inbox, out []msg.Message) []msg.Message {
 		}
 		if m, ok := d.p.Respond(d.mine, d.overheard, d.r); ok {
 			m.Kind = msg.KindResponse
-			m.From = d.id
+			m.From = int32(d.id)
 			out = append(out, m)
 		}
 		return out
@@ -192,7 +192,7 @@ func (d *Driver) step(phase int, inbox, out []msg.Message) []msg.Message {
 	default:
 		switch d.mach.State() {
 		case Wait:
-			if m, ok := FindResponse(d.id, d.inviteEdge, inbox); ok && m.From == d.inviteTo {
+			if m, ok := FindResponse(d.id, int(d.inviteEdge), inbox); ok && m.From == d.inviteTo {
 				d.p.Complete(m)
 				d.clearPending()
 			} else if d.rec.Enabled {
@@ -228,7 +228,7 @@ func (d *Driver) reaffirm(inbox, out []msg.Message) []msg.Message {
 			continue
 		}
 		if m, ok := ref.Reaffirm(inv); ok {
-			m.From = d.id
+			m.From = int32(d.id)
 			m.Seq = inv.Seq
 			out = append(out, m)
 		}
@@ -254,7 +254,7 @@ func (d *Driver) settleWait(inbox []msg.Message) {
 		if m.From == d.inviteTo {
 			if m.Edge == d.inviteEdge {
 				d.p.Complete(msg.Message{
-					Kind: msg.KindResponse, From: m.From, To: d.id,
+					Kind: msg.KindResponse, From: m.From, To: int32(d.id),
 					Edge: d.inviteEdge, Color: d.sentInvite.Color,
 				})
 			}
@@ -284,7 +284,7 @@ func (d *Driver) recoverPending(inbox, out []msg.Message) ([]msg.Message, bool) 
 		if m.Kind == msg.KindUpdate && m.From == d.sentInvite.To {
 			if m.Edge == d.sentInvite.Edge {
 				d.p.Complete(msg.Message{
-					Kind: msg.KindResponse, From: m.From, To: d.id,
+					Kind: msg.KindResponse, From: m.From, To: int32(d.id),
 					Edge: m.Edge, Color: d.sentInvite.Color,
 				})
 			}

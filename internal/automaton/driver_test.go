@@ -19,7 +19,7 @@ import (
 type maxPairing struct {
 	id       int
 	g        *graph.Graph
-	value    int
+	value    int32
 	rounds   int // pairings still wanted
 	patience int // computation rounds before giving up
 	partner  map[int]bool
@@ -35,7 +35,7 @@ func (p *maxPairing) Invite(r *rng.Rand) (msg.Message, bool) {
 	nbrs := p.g.Neighbors(p.id)
 	v := nbrs[r.Intn(len(nbrs))]
 	// Carry the value in the Color field.
-	return msg.Message{From: p.id, To: v, Edge: -1, Color: p.value}, true
+	return msg.Message{From: int32(p.id), To: int32(v), Edge: -1, Color: p.value}, true
 }
 
 func (p *maxPairing) Respond(mine, _ []msg.Message, r *rng.Rand) (msg.Message, bool) {
@@ -44,7 +44,7 @@ func (p *maxPairing) Respond(mine, _ []msg.Message, r *rng.Rand) (msg.Message, b
 	if m.Color > p.value {
 		p.value = m.Color
 	}
-	p.pairDone(m.From)
+	p.pairDone(int(m.From))
 	return reply, true
 }
 
@@ -52,7 +52,7 @@ func (p *maxPairing) Complete(response msg.Message) {
 	if response.Color > p.value {
 		p.value = response.Color
 	}
-	p.pairDone(response.From)
+	p.pairDone(int(response.From))
 }
 
 func (p *maxPairing) pairDone(partner int) {
@@ -74,7 +74,7 @@ func TestDriverHostsCustomPairing(t *testing.T) {
 	nodes := make([]net.Node, g.N())
 	ps := make([]*maxPairing, g.N())
 	for u := 0; u < g.N(); u++ {
-		ps[u] = &maxPairing{id: u, g: g, value: u * 10, rounds: 3, patience: 60, partner: map[int]bool{}}
+		ps[u] = &maxPairing{id: u, g: g, value: int32(u * 10), rounds: 3, patience: 60, partner: map[int]bool{}}
 		nodes[u] = NewDriver(u, base.Derive(uint64(u)), ps[u], nil)
 	}
 	res, err := net.RunSync(g, nodes, net.Config{MaxRounds: 3 * 500})
@@ -88,7 +88,7 @@ func TestDriverHostsCustomPairing(t *testing.T) {
 	for u, p := range ps {
 		paired += len(p.partner)
 		// Values only ever increase and never exceed the global max.
-		if p.value < u*10 || p.value > 50 {
+		if p.value < int32(u*10) || p.value > 50 {
 			t.Fatalf("node %d value %d out of range", u, p.value)
 		}
 		// Every partner is an actual neighbor: pairs formed on edges.
@@ -224,7 +224,7 @@ func TestDriverRespondGetsBothInviteGroups(t *testing.T) {
 // edge: it always invites the other node, accepts the first invitation,
 // and announces every round from a preallocated exchange slice.
 type pingPairing struct {
-	id       int
+	id       int32
 	exchange [1]msg.Message
 }
 

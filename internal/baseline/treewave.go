@@ -106,11 +106,11 @@ func (n *treeNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if !n.root && !n.assigned {
 		// Wait for the parent's assignment.
 		for _, m := range inbox {
-			if m.Kind == msg.KindUpdate && m.To == n.id {
+			if m.Kind == msg.KindUpdate && int(m.To) == n.id {
 				e := graph.EdgeID(m.Edge)
-				n.colors[e] = m.Color
-				n.parentColor = m.Color
-				n.parent = m.From
+				n.colors[e] = int(m.Color)
+				n.parentColor = int(m.Color)
+				n.parent = int(m.From)
 				break
 			}
 		}
@@ -134,7 +134,7 @@ func (n *treeNode) Step(round int, inbox []msg.Message) []msg.Message {
 		e := n.g.IncidentEdges(n.id)[i]
 		n.colors[e] = next
 		out = append(out, msg.Message{
-			Kind: msg.KindUpdate, From: n.id, To: v, Edge: int(e), Color: next,
+			Kind: msg.KindUpdate, From: int32(n.id), To: int32(v), Edge: int32(e), Color: int32(next),
 		})
 		next++
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"dima/internal/graph"
 	"dima/internal/msg"
 )
@@ -16,34 +14,16 @@ import (
 
 // incidence is the run-wide CSR layout of the vertex range [lo, hi):
 // vertex u's window in every per-incidence array is
-// [off[u-lo], off[u-lo+1]). order holds, per window, the slot numbers
-// sorted by neighbor id; it is nil when every neighbor list in the
-// range is already ascending (as gen's generators build them), in which
-// case slot k is also the k-th smallest neighbor.
+// [off[u-lo], off[u-lo+1]).
 type incidence struct {
-	lo    int
-	off   []int
-	order []int32
+	lo  int
+	off []int
 }
 
 func newIncidence(g *graph.Graph, lo, hi int) incidence {
 	inc := incidence{lo: lo, off: make([]int, hi-lo+1)}
-	sorted := true
 	for u := lo; u < hi; u++ {
-		nb := g.Neighbors(u)
-		inc.off[u-lo+1] = inc.off[u-lo] + len(nb)
-		sorted = sorted && slices.IsSorted(nb)
-	}
-	if !sorted {
-		inc.order = make([]int32, inc.total())
-		for u := lo; u < hi; u++ {
-			nb := g.Neighbors(u)
-			w := inc.order[inc.off[u-lo]:inc.off[u-lo+1]]
-			for i := range w {
-				w[i] = int32(i)
-			}
-			slices.SortFunc(w, func(a, b int32) int { return nb[a] - nb[b] })
-		}
+		inc.off[u-lo+1] = inc.off[u-lo] + g.Degree(u)
 	}
 	return inc
 }
@@ -55,16 +35,6 @@ func (c *incidence) total() int { return c.off[len(c.off)-1] }
 // span returns vertex u's window bounds.
 func (c *incidence) span(u int) (int, int) { return c.off[u-c.lo], c.off[u-c.lo+1] }
 
-// adjacency returns vertex u's neighbor lookup.
-func (c *incidence) adjacency(g *graph.Graph, u int) adjacency {
-	a := adjacency{nbrs: g.Neighbors(u)}
-	if c.order != nil {
-		lo, hi := c.span(u)
-		a.order = c.order[lo:hi:hi]
-	}
-	return a
-}
-
 // window carves vertex u's window out of a run-wide array, capped so an
 // append past the window reallocates instead of spilling into the next
 // vertex's.
@@ -73,45 +43,10 @@ func window[T any](arr []T, c *incidence, u int) []T {
 	return arr[lo:hi:hi]
 }
 
-// adjacency maps a neighbor vertex id to its slot by binary search over
-// the neighbor list (through order when the list is not ascending): the
-// map-free replacement for a per-node neighbor → index table.
-type adjacency struct {
-	nbrs  []int
-	order []int32
-}
-
-func (a *adjacency) at(k int) int {
-	if a.order == nil {
-		return a.nbrs[k]
-	}
-	return a.nbrs[a.order[k]]
-}
-
-// index returns the slot of neighbor v, or ok == false if v is not a
-// neighbor.
-func (a *adjacency) index(v int) (int, bool) {
-	lo, hi := 0, len(a.nbrs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.at(mid) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(a.nbrs) || a.at(lo) != v {
-		return -1, false
-	}
-	if a.order == nil {
-		return lo, true
-	}
-	return int(a.order[lo]), true
-}
-
-// paintSlab is a node's append-only arena for the Paints of its Update
-// broadcasts. A sent Update's Paints alias the slab — receivers' inboxes
-// and the engines hold copies of the message — so paints already sent
+// paintSlab is a node's append-only arena for the paints of its Update
+// broadcasts. A sent Update points into the slab (Message.SetPaints) —
+// receivers' inboxes and the engines hold copies of the message, each
+// with that pointer — so paints already sent
 // are never rewritten: only the unsent tail buf[sent:] changes. The
 // first chunk is a window of a run-wide array; a full chunk is replaced
 // by a fresh one holding the unsent tail, and the old chunk is left to

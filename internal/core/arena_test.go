@@ -7,39 +7,51 @@ import (
 	"dima/internal/msg"
 )
 
-// TestAdjacencyIndexUnsorted covers the slot lookup on neighbor lists in
-// insertion order that is not ascending, where the lookup goes through
-// the sorted order table.
-func TestAdjacencyIndexUnsorted(t *testing.T) {
+// TestSlotUnsortedAdjacency covers the item → slot lookups on neighbor
+// lists in insertion order that is not ascending, as RemoveEdge and
+// AddEdge leave them: slot (through the port table) and at (through a
+// message's arrival port) agree with a scan of the incidence list, for
+// edges and for both arcs of each edge, and reject items that are not
+// the node's.
+func TestSlotUnsortedAdjacency(t *testing.T) {
 	g := graph.New(8)
 	for _, e := range [][2]int{{0, 5}, {0, 2}, {0, 7}, {0, 1}, {3, 2}, {6, 4}} {
 		g.MustAddEdge(e[0], e[1])
 	}
-	c := newIncidence(g, 0, g.N())
-	if c.order == nil {
-		t.Fatal("unsorted neighbor lists got no order table")
-	}
-	for u := 0; u < g.N(); u++ {
-		a := c.adjacency(g, u)
-		nbr := map[int]int{}
-		for i, v := range g.Neighbors(u) {
-			nbr[v] = i
-		}
-		for v := -1; v <= g.N(); v++ {
-			i, ok := a.index(v)
-			want, isNbr := nbr[v]
-			if ok != isNbr || (ok && i != want) {
-				t.Fatalf("u=%d: index(%d) = %d,%v; want %d,%v", u, v, i, ok, want, isNbr)
+	for _, arcs := range []uint{0, 1} {
+		sk := newSkeleton(g, 0, g.N(), arcs, 1, &Options{})
+		for u := 0; u < g.N(); u++ {
+			n := sk.node(u, nil)
+			deg := len(n.inc)
+			for item := -1; item < (g.M()+1)<<arcs; item++ {
+				want := -1
+				for i, e := range n.inc {
+					if int(e) != item>>arcs || item < 0 {
+						continue
+					}
+					want = i
+					// Arc 2e runs from U to V: it is in at V, and arc 2e+1 at U.
+					if arcs == 1 && (item&1 == 1) == (n.nbrs[i] > u) {
+						want += deg
+					}
+				}
+				if got := n.slot(item); got != want {
+					t.Fatalf("arcs %d, u=%d: slot(%d) = %d, want %d", arcs, u, item, got, want)
+				}
+				for p := range n.inc {
+					w := want
+					if want >= 0 && want%deg != p {
+						w = -1
+					}
+					if got := n.at(int32(item), int32(p)); got != w {
+						t.Fatalf("arcs %d, u=%d: at(%d, port %d) = %d, want %d", arcs, u, item, p, got, w)
+					}
+				}
+				if want >= 0 && n.itemAt(want) != item {
+					t.Fatalf("arcs %d, u=%d: itemAt(%d) = %d, want %d", arcs, u, want, n.itemAt(want), item)
+				}
 			}
 		}
-	}
-	// Ascending lists need no table.
-	p := graph.New(4)
-	p.MustAddEdge(0, 1)
-	p.MustAddEdge(1, 2)
-	p.MustAddEdge(2, 3)
-	if c := newIncidence(p, 0, p.N()); c.order != nil {
-		t.Fatal("ascending neighbor lists built an order table")
 	}
 }
 

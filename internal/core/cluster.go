@@ -228,7 +228,8 @@ const maxCount = 1 << 62
 // into this twin. Strict: a slot out of range, a color outside
 // [-1, MaxInt32], an assignment of an item that is not the node's, and
 // trailing bytes are errors, so a hostile blob cannot make the assembly
-// or the round fold index out of range.
+// or the round fold index out of range; and both count colors in a
+// palette, so the largest color a blob may carry costs them O(1) memory.
 func (n *colorNode) ApplyChanges(data []byte) error {
 	d := msg.NewDec("core", data)
 	// Each pair costs at least two bytes.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,6 +250,28 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), hc.want) {
 				t.Errorf("%s: %s: got %v, want an error containing %q", c.name, hc.name, err, hc.want)
 			}
+		}
+		// The largest color a blob may carry, MaxInt32, on slot 0 and in
+		// an assignment: accepted, and counted by the post-run assembly
+		// and the round fold in O(1) memory, not in a bitmap reaching it.
+		big := append(u([]byte{1, 0}, math.MaxInt32+1), 1, 0, 0, 0, 0, 0, 0)
+		big = append(append(big, record(0, own, math.MaxInt32)...), ok...)
+		if err := n.ApplyChanges(big); err != nil {
+			t.Fatalf("%s: MaxInt32 blob rejected: %v", c.name, err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := &Result{Colors: []int{int(b.colors[0]), 1, -1}}
+		res.countColors()
+		fold := newRoundFold(discardSink{}, []*colorNode{b}, c.phases, g.M()<<b.arcs)
+		fold.emit(0)
+		runtime.ReadMemStats(&m1)
+		if res.NumColors != 2 || res.MaxColor != math.MaxInt32 || fold.palette.count() != 1 || fold.maxColor != math.MaxInt32 {
+			t.Errorf("%s: MaxInt32 blob counted %d colors (max %d), fold %d (max %d)",
+				c.name, res.NumColors, res.MaxColor, fold.palette.count(), fold.maxColor)
+		}
+		if d := m1.TotalAlloc - m0.TotalAlloc; d > 64<<10 {
+			t.Errorf("%s: counting a MaxInt32 color allocated %d bytes", c.name, d)
 		}
 		plain, err := c.factory(g, appendClusterOptions(nil, &Options{}), 0, g.N())
 		if err != nil {

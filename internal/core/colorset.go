@@ -25,6 +25,30 @@ type ColorSet struct {
 	hi []uint64 // hi[i] holds colors 64(i+1) .. 64(i+1)+63
 }
 
+// palette counts distinct colors without a bitmap as wide as the
+// largest: colors below limit (the run's item count, which bounds every
+// honest palette's size) go into a ColorSet, and the rest, which only a
+// hostile node process's state blob can carry, into a map. A color
+// near MaxInt32 thus costs one map entry, not a 256 MB bitmap.
+type palette struct {
+	low   ColorSet
+	limit int
+	high  map[int]struct{}
+}
+
+func (p *palette) add(c int) {
+	if c < p.limit {
+		p.low.Add(c)
+		return
+	}
+	if p.high == nil {
+		p.high = map[int]struct{}{}
+	}
+	p.high[c] = struct{}{}
+}
+
+func (p *palette) count() int { return p.low.Count() + len(p.high) }
+
 // word returns the w-th 64-color word of the set (zero past the end).
 func (s *ColorSet) word(w int) uint64 {
 	if w == 0 {

@@ -115,7 +115,7 @@ func (n *ecNode) seedForbidden(forbidden []*ColorSet) {
 		n.forbid = f.Clone()
 		n.usedSelf.AddSet(n.forbid)
 	}
-	for i, v := range n.g.Neighbors(n.id) {
+	for i, v := range n.nbrs {
 		n.usedNbr[i].AddSet(forbidden[v])
 	}
 }
@@ -171,13 +171,11 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 		if m.Kind != msg.KindUpdate {
 			continue
 		}
-		if i, ok := n.adj.index(m.From); ok {
-			for _, p := range m.Paints {
-				n.usedNbr[i].Add(p.Color)
-			}
-			if n.recOn() {
-				out = n.absorbPaints(m, out)
-			}
+		for _, p := range m.Paints() {
+			n.usedNbr[m.Port].Add(int(p.Color))
+		}
+		if n.recOn() {
+			out = n.absorbPaints(m, out)
 		}
 	}
 	if n.recOn() {
@@ -200,7 +198,7 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 	if n.recOn() {
 		n.attempts[e]++
 	}
-	return n.invite(out, int(e), n.adj.nbrs[i], c)
+	return n.invite(out, i, c)
 }
 
 // absorbPaints handles the recovery significance of one neighbor's paint
@@ -210,22 +208,22 @@ func (n *ecNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 // this side behind). An unadoptable color is answered with a negative
 // acknowledgement so the partner reverts.
 func (n *ecNode) absorbPaints(m msg.Message, out []msg.Message) []msg.Message {
-	for _, p := range m.Paints {
-		e := graph.EdgeID(p.Edge)
-		if !n.between(p.Edge, m.From) {
+	for _, p := range m.Paints() {
+		e, s := graph.EdgeID(p.Edge), n.at(p.Edge, m.Port)
+		if s < 0 {
 			continue
 		}
 		if pa, ok := n.pendingAck[e]; ok && pa.partner == m.From {
 			delete(n.pendingAck, e)
 		}
-		if !n.isUncolored(p.Edge) {
+		if n.colors[s] >= 0 {
 			continue
 		}
-		if n.usedSelf.Has(p.Color) {
-			out = append(out, ackMsg(n.id, m.From, int(e), p.Color, false))
+		if n.usedSelf.Has(int(p.Color)) {
+			out = append(out, ackMsg(n.id, m.From, p.Edge, p.Color, false))
 			continue
 		}
-		n.assign(e, p.Color, m.From)
+		n.assign(s, p.Color)
 		n.ev.add(evRepair, n.curRound)
 	}
 	return out
@@ -253,7 +251,7 @@ func (n *ecNode) ageAcks() {
 		pa.age = 0
 		n.retransQ = append(n.retransQ, msg.Message{
 			Kind: msg.KindResponse, From: n.id, To: pa.partner,
-			Edge: int(e), Color: pa.color, Seq: uint32(pa.tries),
+			Edge: int32(e), Color: pa.color, Seq: uint32(pa.tries),
 		})
 		n.ev.add(evRetransmit, n.curRound)
 	}
@@ -306,11 +304,11 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	// stale invitations are rejected here.
 	valid := 0
 	for _, m := range inbox {
-		if !automaton.IsInviteFor(m, n.id) {
+		if !automaton.IsInviteFor(m, int(n.id)) {
 			continue
 		}
 		if n.recOn() {
-			if _, ok := n.colorOf(m.Edge); ok && n.between(m.Edge, m.From) {
+			if s := n.at(m.Edge, m.Port); s >= 0 && n.colors[s] >= 0 {
 				continue // answered above
 			}
 		}
@@ -329,14 +327,14 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	k := n.r.Intn(valid)
 	var m msg.Message
 	for _, m = range inbox {
-		if automaton.IsInviteFor(m, n.id) && n.acceptable(m) {
+		if automaton.IsInviteFor(m, int(n.id)) && n.acceptable(m) {
 			if k == 0 {
 				break
 			}
 			k--
 		}
 	}
-	n.assign(graph.EdgeID(m.Edge), m.Color, m.From)
+	n.assign(int(m.Port), m.Color)
 	if n.recOn() {
 		n.pendingAck[graph.EdgeID(m.Edge)] = &ecPending{color: m.Color, partner: m.From}
 	}
@@ -346,9 +344,10 @@ func (n *ecNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 }
 
 // acceptable reports whether invitation m may be accepted: its color is
-// unused here and its edge still uncolored.
+// unused here and its edge — the edge of its port — still uncolored.
 func (n *ecNode) acceptable(m msg.Message) bool {
-	return !n.usedSelf.Has(m.Color) && n.isUncolored(m.Edge)
+	s := n.at(m.Edge, m.Port)
+	return !n.usedSelf.Has(int(m.Color)) && s >= 0 && n.colors[s] < 0
 }
 
 // phaseUpdateExchange closes the round: inviters apply an acceptance if
@@ -362,9 +361,9 @@ func (n *ecNode) phaseUpdateExchange(inbox, out []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
 		if !n.recOn() {
-			if m, ok := automaton.FindResponse(n.id, n.inviteItem, inbox); ok {
+			if m, ok := automaton.FindResponse(int(n.id), int(n.inviteItem), inbox); ok {
 				if m.From == n.inviteTo && m.Color == n.inviteColor {
-					n.assign(graph.EdgeID(n.inviteItem), m.Color, m.From)
+					n.assign(int(m.Port), m.Color)
 				} else {
 					// A response for my edge with mismatched partner or
 					// color cannot occur under the protocol.
@@ -405,21 +404,21 @@ func (n *ecNode) recoverResponses(inbox []msg.Message, wasWait bool, out []msg.M
 		if m.Kind != msg.KindResponse || m.To != n.id {
 			continue
 		}
-		e := graph.EdgeID(m.Edge)
-		if !n.between(m.Edge, m.From) || m.Color < 0 {
+		s := n.at(m.Edge, m.Port)
+		if s < 0 || m.Color < 0 {
 			continue
 		}
-		if c, ok := n.colorOf(m.Edge); ok {
+		if c := n.colors[s]; c >= 0 {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, c == m.Color))
 			continue
 		}
-		if n.usedSelf.Has(m.Color) {
+		if n.usedSelf.Has(int(m.Color)) {
 			// Cannot adopt: the color is already on another of this
 			// node's edges. Demand a revert.
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			continue
 		}
-		n.assign(e, m.Color, m.From)
+		n.assign(s, m.Color)
 		if !(wasWait && m.Edge == n.inviteItem && m.From == n.inviteTo && m.Color == n.inviteColor) {
 			n.ev.add(evRepair, n.curRound)
 		}
@@ -436,8 +435,8 @@ func (n *ecNode) absorbAcks(inbox []msg.Message) {
 		if m.Kind != msg.KindAck || m.To != n.id {
 			continue
 		}
-		e := graph.EdgeID(m.Edge)
-		if !n.between(m.Edge, m.From) {
+		e, i := graph.EdgeID(m.Edge), n.at(m.Edge, m.Port)
+		if i < 0 {
 			continue
 		}
 		if m.Keep {
@@ -449,16 +448,17 @@ func (n *ecNode) absorbAcks(inbox []msg.Message) {
 		if m.Color < 0 {
 			continue
 		}
-		n.revert(e, m.Color)
+		n.revert(i, m.Color)
 	}
 }
 
-// revert undoes this node's one-sided assignment of color c to edge e
-// after the partner refused it. Stale reverts (the edge has moved on to
-// a different color, or was never colored here) are ignored.
-func (n *ecNode) revert(e graph.EdgeID, c int) {
-	i := n.slot(int(e))
-	if i < 0 || int(n.colors[i]) != c {
+// revert undoes this node's one-sided assignment of color c to the edge
+// of slot i after the partner refused it. Stale reverts (the edge has
+// moved on to a different color, or was never colored here) are
+// ignored.
+func (n *ecNode) revert(i int, c int32) {
+	e := n.inc[i]
+	if n.colors[i] != c {
 		return
 	}
 	n.colors[i] = -1
@@ -487,24 +487,17 @@ func (n *ecNode) rebuildUsedSelf() {
 	}
 }
 
-// assign colors edge e with c, updating the live/dead bookkeeping and
-// queueing the exchange broadcast.
-func (n *ecNode) assign(e graph.EdgeID, c int, partner int) {
-	n.ev.assign(n.curRound, int(e), c)
-	i := n.slot(int(e))
-	n.colors[i] = int32(c)
-	n.usedSelf.Add(c)
+// assign colors the edge of slot i with c, updating the live/dead
+// bookkeeping and queueing the exchange broadcast.
+func (n *ecNode) assign(i int, c int32) {
+	e := n.inc[i]
+	n.ev.assign(n.curRound, int(e), int(c))
+	n.colors[i] = c
+	n.usedSelf.Add(int(c))
 	if n.recOn() {
 		delete(n.attempts, e)
 	}
-	if j, ok := n.adj.index(partner); ok {
-		n.usedNbr[j].Add(c) // the partner uses c now too
-	}
+	n.usedNbr[i].Add(int(c)) // the partner uses c now too
 	n.dropOpen(i)
-	n.paints.add(msg.Paint{Edge: int(e), Color: c})
-}
-
-func (n *ecNode) isUncolored(e int) bool {
-	i := n.slot(e)
-	return i >= 0 && n.colors[i] < 0
+	n.paints.add(msg.Paint{Edge: int32(e), Color: c})
 }

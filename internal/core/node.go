@@ -19,26 +19,28 @@ import (
 // A node colors items: edges for Algorithm 1, arcs for Algorithm 2.
 // Item ids are edge ids shifted left by arcs (0 or 1); an arc's low bit
 // is its direction, so arc 2e runs from edge e's U to its V. Slot i is
-// Neighbors(u)[i] and its edge IncidentEdges(u)[i]; with arcs set, slot
-// i holds the out arc of that edge and slot deg+i its in arc.
+// Neighbors(u)[i] and its edge IncidentEdges(u)[i] — port i, the port
+// messages from that neighbor arrive on; with arcs set, slot i holds
+// the out arc of that edge and slot deg+i its in arc.
 type colorNode struct {
-	id   int
+	id   int32
 	g    *graph.Graph
 	opt  *Options
 	r    rng.Rand
 	mach automaton.Machine
 
 	inc    []graph.EdgeID // IncidentEdges(u)
-	adj    adjacency      // neighbor vertex -> slot
+	nbrs   []int          // Neighbors(u)
+	ports  graph.Ports    // the run's port table: an item's slot without a message
 	arcs   uint           // 1 when items are arcs, 0 when they are edges
 	colors []int32        // colors[s]: color of the item of slot s, -1 while uncolored
 	open   []int32        // slots of uncolored items this node can invite on
 	paints paintSlab      // paints not yet broadcast form the unsent tail
 
 	// Current invitation, valid while the machine is in I/W.
-	inviteItem  int
-	inviteTo    int
-	inviteColor int
+	inviteItem  int32
+	inviteTo    int32
+	inviteColor int32
 
 	// out is the outbox Step returns, reused every round: it stays valid
 	// until this node's next Step, per the net.Node contract.
@@ -55,10 +57,12 @@ type colorNode struct {
 
 // skeleton lays out the shared state of the nodes of vertices [lo, hi)
 // in run-wide arrays (see arena.go): colors, open slots, outboxes and,
-// with Options.Metrics, event records.
+// with Options.Metrics, event records. ports is the graph's port table,
+// which the engine stamps deliveries from too (net.Config.Ports).
 type skeleton struct {
 	g      *graph.Graph
 	opt    *Options
+	ports  graph.Ports
 	c      incidence
 	base   *rng.Rand
 	arcs   uint
@@ -70,7 +74,8 @@ type skeleton struct {
 }
 
 func newSkeleton(g *graph.Graph, lo, hi int, arcs uint, outCap int, opt *Options) *skeleton {
-	s := &skeleton{g: g, opt: opt, c: newIncidence(g, lo, hi), base: rng.New(opt.Seed), arcs: arcs, outCap: outCap}
+	s := &skeleton{g: g, opt: opt, ports: graph.NewPorts(g), c: newIncidence(g, lo, hi),
+		base: rng.New(opt.Seed), arcs: arcs, outCap: outCap}
 	total := s.c.total()
 	s.colors = make([]int32, total<<arcs)
 	for i := range s.colors {
@@ -94,13 +99,14 @@ func (s *skeleton) node(u int, paints []msg.Paint) colorNode {
 	a, b := s.c.span(u)
 	o := s.outCap * (u - s.c.lo)
 	n := colorNode{
-		id:     u,
+		id:     int32(u),
 		g:      s.g,
 		opt:    s.opt,
 		r:      *s.base.Derive(uint64(u)),
 		mach:   *automaton.NewMachine(u, s.opt.Hook),
 		inc:    s.g.IncidentEdges(u),
-		adj:    s.c.adjacency(s.g, u),
+		nbrs:   s.g.Neighbors(u),
+		ports:  s.ports,
 		arcs:   s.arcs,
 		colors: s.colors[a<<s.arcs : b<<s.arcs : b<<s.arcs],
 		open:   s.open[a:b:b],
@@ -119,7 +125,7 @@ func (s *skeleton) node(u int, paints []msg.Paint) colorNode {
 	return n
 }
 
-func (n *colorNode) ID() int { return n.id }
+func (n *colorNode) ID() int { return int(n.id) }
 
 func (n *colorNode) Done() bool { return n.mach.State() == automaton.Done }
 
@@ -161,11 +167,11 @@ func (n *colorNode) toss() (slot int32, ok bool) {
 	return 0, false
 }
 
-// invite records the invitation of item to neighbor to with color c and
+// invite records the invitation of the item of slot s with color c and
 // appends it to out.
-func (n *colorNode) invite(out []msg.Message, item, to, c int) []msg.Message {
-	n.inviteItem, n.inviteTo, n.inviteColor = item, to, c
-	return append(out, msg.Message{Kind: msg.KindInvite, From: n.id, To: to, Edge: item, Color: c})
+func (n *colorNode) invite(out []msg.Message, s int32, c int) []msg.Message {
+	n.inviteItem, n.inviteTo, n.inviteColor = int32(n.itemAt(int(s))), int32(n.nbrs[s]), int32(c)
+	return append(out, msg.Message{Kind: msg.KindInvite, From: n.id, To: n.inviteTo, Edge: n.inviteItem, Color: n.inviteColor})
 }
 
 // appendPaints drains the unsent paints into one Update broadcast
@@ -174,10 +180,9 @@ func (n *colorNode) appendPaints(out []msg.Message) []msg.Message {
 	if len(n.paints.pending()) == 0 {
 		return out
 	}
-	return append(out, msg.Message{
-		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-		Edge: -1, Color: -1, Paints: n.paints.take(),
-	})
+	m := msg.Message{Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1}
+	m.SetPaints(n.paints.take())
+	return append(out, m)
 }
 
 // dropOpen removes slot s from the open slots if it is there.
@@ -197,13 +202,13 @@ func (n *colorNode) dropOpen(s int) {
 // of the recovery re-response.
 func (n *colorNode) answerCommitted(inbox, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
-		if !automaton.IsInviteFor(m, n.id) || !n.between(m.Edge, m.From) {
+		if !automaton.IsInviteFor(m, int(n.id)) {
 			continue
 		}
-		if c, ok := n.colorOf(m.Edge); ok {
+		if s := n.at(m.Edge, m.Port); s >= 0 && n.colors[s] >= 0 {
 			out = append(out, msg.Message{
 				Kind: msg.KindResponse, From: n.id, To: m.From,
-				Edge: m.Edge, Color: c, Seq: m.Seq + 1,
+				Edge: m.Edge, Color: n.colors[s], Seq: m.Seq + 1,
 			})
 			n.ev.add(evRetransmit, n.curRound)
 		}
@@ -211,61 +216,56 @@ func (n *colorNode) answerCommitted(inbox, out []msg.Message) []msg.Message {
 	return out
 }
 
-// between reports whether item lies between this node and from: the
-// validity gate for every recovery message before it touches state.
-func (n *colorNode) between(item, from int) bool {
-	e := graph.EdgeID(item >> n.arcs)
-	if e < 0 || int(e) >= n.g.EdgeIDBound() {
-		return false
+// at returns the slot of item when it lies on the edge of port — the
+// edge a message arrived on — and -1 otherwise: the validity gate for
+// every item a message names before it touches state.
+func (n *colorNode) at(item, port int32) int {
+	if item < 0 || n.inc[port] != graph.EdgeID(item>>n.arcs) {
+		return -1
 	}
-	ed := n.g.EdgeAt(e)
-	return (ed.U == n.id && ed.V == from) || (ed.V == n.id && ed.U == from)
+	return n.inOut(int(item), int(port))
 }
 
 // slot returns the slot of item at this node, or -1 if it is not one of
-// the node's items.
+// the node's items: the lookup for an item no message came with.
 func (n *colorNode) slot(item int) int {
 	e := graph.EdgeID(item >> n.arcs)
 	if e < 0 || int(e) >= n.g.EdgeIDBound() {
 		return -1
 	}
-	ed := n.g.EdgeAt(e)
-	v, own := ed.V, 0
-	if ed.V == n.id {
-		v, own = ed.U, 1
-	} else if ed.U != n.id {
+	ed, own := n.g.EdgeAt(e), 0
+	if ed.V == int(n.id) {
+		own = 1
+	} else if ed.U != int(n.id) {
 		return -1
 	}
-	i, ok := n.adj.index(v)
-	if !ok || n.inc[i] != e {
-		return -1
-	}
-	// An arc whose direction bit differs from this end's out bit is in.
-	in := (item ^ own) & int(n.arcs)
-	return i + in*len(n.inc)
+	return n.inOut(item, int(n.ports[e][own]))
 }
 
-// itemAt returns the item of slot s. Edges keep U < V (graph.Edge),
-// so this end is V exactly when its neighbor's id is the smaller one.
+// inOut returns the slot of item, which lies on the edge of port: the
+// port itself, or deg+port for an in arc.
+func (n *colorNode) inOut(item, port int) int {
+	// An arc whose direction bit differs from this end's out bit is in.
+	in := (item ^ n.own(port)) & int(n.arcs)
+	return port + in*len(n.inc)
+}
+
+// own is 1 when this node is the V end of the edge of port: edges keep
+// U < V (graph.Edge), so exactly when the neighbor's id is the smaller.
+func (n *colorNode) own(port int) int {
+	if n.nbrs[port] < int(n.id) {
+		return 1
+	}
+	return 0
+}
+
+// itemAt returns the item of slot s.
 func (n *colorNode) itemAt(s int) int {
 	in := 0
 	if s >= len(n.inc) {
 		s, in = s-len(n.inc), 1
 	}
-	own := 0
-	if n.adj.nbrs[s] < n.id {
-		own = 1
-	}
-	return int(n.inc[s])<<n.arcs | (own^in)&int(n.arcs)
-}
-
-// colorOf returns the color of item, with ok == false while it is
-// uncolored or not one of the node's.
-func (n *colorNode) colorOf(item int) (int, bool) {
-	if s := n.slot(item); s >= 0 && n.colors[s] >= 0 {
-		return int(n.colors[s]), true
-	}
-	return 0, false
+	return int(n.inc[s])<<n.arcs | (n.own(s)^in)&int(n.arcs)
 }
 
 // asNodes returns the nodes as net.Nodes for an engine, and their shared
@@ -304,9 +304,12 @@ func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, no
 		}
 	}
 	cfg := net.Config{MaxRounds: phases * o.maxCompRounds(), Ctx: ctx, Fault: o.Fault, Workers: o.Workers}
+	if len(nodes) > 0 {
+		cfg.Ports = nodes[0].ports // the engine stamps from the nodes' table: one per run
+	}
 	var fold *roundFold
 	if o.Metrics != nil {
-		fold = &roundFold{sink: o.Metrics, nodes: nodes, phases: phases, seen: make([]bool, items), maxColor: -1}
+		fold = newRoundFold(o.Metrics, nodes, phases, items)
 		cfg.Observe = fold.observe
 	}
 	netRes, err := engine(g, nets, cfg)

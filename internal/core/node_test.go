@@ -33,6 +33,16 @@ var skeletonAlgs = []struct {
 	}},
 }
 
+// stamped returns inbox as an engine delivers it to vertex v: each
+// message stamped with its arrival port, the position of its sender in
+// v's neighbor list.
+func stamped(g *graph.Graph, v int, inbox ...msg.Message) []msg.Message {
+	for i := range inbox {
+		inbox[i].Port = int32(slices.Index(g.Neighbors(v), int(inbox[i].From)))
+	}
+	return inbox
+}
+
 // TestEventRecordDoesNotGrowWithRounds: a node's event memory is fixed
 // for the run. Without a Metrics sink no node keeps a per-round record
 // at all; with one, running 30 more computation rounds allocates under
@@ -187,12 +197,12 @@ func reopen(t *testing.T, alg string, phase int, n *colorNode) []msg.Message {
 		}
 		item := n.itemAt(s)
 		if alg == "edge" || phase != 0 {
-			return []msg.Message{ackMsg(1, n.id, item, int(c), false)}
+			return stamped(n.g, n.ID(), ackMsg(1, n.id, int32(item), c, false))
 		}
 		// Both arcs of edge 1-2 conflict with n's arcs on edge 0-1.
 		for b := graph.ArcID(2); b < 4; b++ {
 			if !staleWins(graph.ArcID(item), b) {
-				return []msg.Message{{Kind: msg.KindDecide, From: 1, To: msg.Broadcast, Edge: int(b), Color: int(c), Keep: true}}
+				return stamped(n.g, n.ID(), msg.Message{Kind: msg.KindDecide, From: 1, To: msg.Broadcast, Edge: int32(b), Color: c, Keep: true})
 			}
 		}
 	}
@@ -212,10 +222,10 @@ func TestListenersRejectForeignItems(t *testing.T) {
 				if nets[1].Step(0, nil); nodes[1].mach.State() != automaton.Listen {
 					continue // the coin made node 1 an inviter; try another seed
 				}
-				inbox := []msg.Message{
-					{Kind: msg.KindInvite, From: 0, To: 1, Edge: -5, Color: 0},
-					{Kind: msg.KindInvite, From: 0, To: 1, Edge: 999, Color: 0},
-				}
+				inbox := stamped(g, 1,
+					msg.Message{Kind: msg.KindInvite, From: 0, To: 1, Edge: -5, Color: 0},
+					msg.Message{Kind: msg.KindInvite, From: 0, To: 1, Edge: 999, Color: 0},
+				)
 				if out := nets[1].Step(1, inbox); len(out) != 0 {
 					t.Fatalf("listener answered foreign invitations: %v", out)
 				}

@@ -157,16 +157,16 @@ type Result struct {
 // countColors fills NumColors and MaxColor from Colors, ignoring
 // unassigned (-1) entries.
 func (res *Result) countColors() {
-	var seen ColorSet
+	seen := palette{limit: len(res.Colors)}
 	res.MaxColor = -1
 	for _, c := range res.Colors {
 		if c < 0 {
 			continue
 		}
-		seen.Add(c)
+		seen.add(c)
 		if c > res.MaxColor {
 			res.MaxColor = c
 		}
 	}
-	res.NumColors = seen.Count()
+	res.NumColors = seen.count()
 }

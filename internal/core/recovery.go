@@ -31,8 +31,8 @@ import (
 // ecPending tracks one responder-side assignment awaiting its implicit
 // acknowledgement (the partner's paint broadcast naming the edge).
 type ecPending struct {
-	color   int
-	partner int
+	color   int32
+	partner int32
 	age     int // computation rounds since the last (re)transmission
 	tries   int // retransmissions sent
 }
@@ -40,7 +40,7 @@ type ecPending struct {
 // ackMsg builds a KindAck. keep == true acknowledges edge/color as
 // settled; keep == false with color >= 0 demands a revert; keep == false
 // with color == -1 is a status probe.
-func ackMsg(from, to, edge, color int, keep bool) msg.Message {
+func ackMsg(from, to, edge, color int32, keep bool) msg.Message {
 	return msg.Message{Kind: msg.KindAck, From: from, To: to, Edge: edge, Color: color, Keep: keep}
 }
 

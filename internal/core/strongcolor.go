@@ -48,8 +48,9 @@ func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result
 // scClaim is a tentative pairing awaiting the confirm exchange.
 type scClaim struct {
 	arc       graph.ArcID
-	color     int
-	partner   int
+	slot      int // the arc's slot here
+	color     int32
+	partner   int32
 	keep      bool
 	compRound int // computation round the claim formed in (event attribution)
 }
@@ -240,11 +241,11 @@ func (n *scNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 		// owner committed it one-sidedly (a lost decide), no invitation
 		// will ever arrive — ask for its status.
 		deg := len(n.inc)
-		for i, v := range n.adj.nbrs {
+		for i, v := range n.nbrs {
 			if n.colors[deg+i] >= 0 {
 				continue
 			}
-			out = append(out, ackMsg(n.id, v, n.itemAt(deg+i), -1, false))
+			out = append(out, ackMsg(n.id, int32(v), int32(n.itemAt(deg+i)), -1, false))
 			n.ev.add(evProbe, n.curRound)
 		}
 	}
@@ -266,7 +267,7 @@ func (n *scNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 	}
 	c := n.proposeColor(i)
 	n.attempts[i]++
-	return n.invite(out, n.itemAt(int(i)), n.adj.nbrs[i], c)
+	return n.invite(out, i, c)
 }
 
 // period reports whether the current computation round is one of the
@@ -311,20 +312,11 @@ func (n *scNode) proposeColor(i int32) int {
 func (n *scNode) applyDecides(inbox, out []msg.Message) []msg.Message {
 	var partnerKeep, partnerSeen, rivalWins bool
 	for _, m := range inbox {
-		i, nbr := n.adj.index(m.From)
 		if m.Kind == msg.KindUpdate {
 			// A neighbor's dead-list delta: channels no longer usable
 			// for it (relayed one-hop knowledge). Under recovery, paints
 			// naming an arc re-announce a committed color.
-			if nbr {
-				for _, p := range m.Paints {
-					n.deadNbr[i].Add(p.Color)
-					if n.recOn() && p.Edge >= 0 {
-						n.addColorAt(p.Color)
-						out = n.conflictCheck(graph.ArcID(p.Edge), p.Color, out)
-					}
-				}
-			}
+			out = n.absorbDead(m, n.recOn(), out)
 			continue
 		}
 		if m.Kind != msg.KindDecide {
@@ -338,15 +330,13 @@ func (n *scNode) applyDecides(inbox, out []msg.Message) []msg.Message {
 		// over-approximates, which can only make future proposals more
 		// conservative — never incorrect (see DESIGN.md).
 		if m.Keep {
-			if nbr {
-				n.addColorAt(m.Color)
-				if n.recOn() {
-					out = n.conflictCheck(graph.ArcID(m.Edge), m.Color, out)
-				}
+			n.addColorAt(int(m.Color))
+			if n.recOn() {
+				out = n.conflictCheck(graph.ArcID(m.Edge), int(m.Color), out)
 			}
 			if n.recOn() && n.claim != nil && n.claim.keep &&
 				m.Color == n.claim.color && graph.ArcID(m.Edge) != n.claim.arc &&
-				m.Edge >= 0 && m.Edge < n.d.A() &&
+				m.Edge >= 0 && int(m.Edge) < n.d.A() &&
 				n.d.ArcsConflict(n.claim.arc, graph.ArcID(m.Edge)) {
 				// A kept conflicting decision whose claim broadcast this
 				// node never heard. Yield if it outranks the claim:
@@ -357,7 +347,7 @@ func (n *scNode) applyDecides(inbox, out []msg.Message) []msg.Message {
 				} else {
 					p := claimPriority(n.curRound-1, graph.ArcID(m.Edge))
 					my := claimPriority(n.curRound-1, n.claim.arc)
-					if p < my || (p == my && m.Edge < int(n.claim.arc)) {
+					if p < my || (p == my && graph.ArcID(m.Edge) < n.claim.arc) {
 						rivalWins = true
 					}
 				}
@@ -380,17 +370,17 @@ func (n *scNode) applyDecides(inbox, out []msg.Message) []msg.Message {
 		if n.recOn() && !partnerSeen {
 			// The partner may have heard this node's keep and finalized
 			// one-sidedly; demand a revert (a no-op if it also dropped).
-			out = append(out, ackMsg(n.id, cl.partner, int(cl.arc), cl.color, false))
+			out = append(out, ackMsg(n.id, cl.partner, int32(cl.arc), cl.color, false))
 		}
 		return out
 	}
 	if rivalWins {
 		n.ev.add(evDrop, cl.compRound)
-		out = append(out, ackMsg(n.id, cl.partner, int(cl.arc), cl.color, false))
+		out = append(out, ackMsg(n.id, cl.partner, int32(cl.arc), cl.color, false))
 		return out
 	}
-	n.ev.assign(cl.compRound, int(cl.arc), cl.color)
-	n.finalize(cl.arc, cl.color)
+	n.ev.assign(cl.compRound, int(cl.arc), int(cl.color))
+	n.finalize(cl.slot, int(cl.color))
 	return out
 }
 
@@ -406,17 +396,16 @@ func (n *scNode) addColorAt(c int) {
 func (n *scNode) markDead(c int) {
 	if !n.announced.Has(c) {
 		n.announced.Add(c)
-		n.paints.add(msg.Paint{Edge: -1, Color: c})
+		n.paints.add(msg.Paint{Edge: -1, Color: int32(c)})
 	}
 }
 
-// finalize records the color of an incident arc.
-func (n *scNode) finalize(a graph.ArcID, c int) {
-	if _, dup := n.colorOf(int(a)); dup {
+// finalize records the color of the incident arc of slot s.
+func (n *scNode) finalize(s int, c int) {
+	if n.colors[s] >= 0 {
 		n.ev.add(evReject, n.curRound)
 		return
 	}
-	s := n.slot(int(a))
 	n.colors[s] = int32(c)
 	n.colorsSelf.Add(c)
 	n.markDead(c)
@@ -449,11 +438,11 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	// found again in a second pass, so the phase needs no buffer.
 	valid := 0
 	for _, m := range inbox {
-		if !automaton.IsInviteFor(m, n.id) {
+		if !automaton.IsInviteFor(m, int(n.id)) {
 			continue
 		}
 		if !n.arcOpen(m) {
-			if _, already := n.colorOf(m.Edge); n.recOn() && already {
+			if s := n.at(m.Edge, m.Port); n.recOn() && s >= 0 && n.colors[s] >= 0 {
 				continue // answered authoritatively above
 			}
 			n.ev.add(evReject, n.curRound)
@@ -469,24 +458,25 @@ func (n *scNode) phaseRespond(inbox, out []msg.Message) []msg.Message {
 	k := n.r.Intn(valid)
 	var m msg.Message
 	for _, m = range inbox {
-		if automaton.IsInviteFor(m, n.id) && n.arcOpen(m) && n.acceptable(m, inbox) {
+		if automaton.IsInviteFor(m, int(n.id)) && n.arcOpen(m) && n.acceptable(m, inbox) {
 			if k == 0 {
 				break
 			}
 			k--
 		}
 	}
-	n.setClaim(scClaim{arc: graph.ArcID(m.Edge), color: m.Color, partner: m.From, keep: true, compRound: n.curRound})
+	n.setClaim(scClaim{arc: graph.ArcID(m.Edge), slot: n.at(m.Edge, m.Port), color: m.Color, partner: m.From, keep: true,
+		compRound: n.curRound})
 	return append(out, msg.Message{
 		Kind: msg.KindResponse, From: n.id, To: m.From, Edge: m.Edge, Color: m.Color,
 	})
 }
 
 // arcOpen reports whether invitation m names an uncolored arc into this
-// node; anything else is a defensive rejection (or, under recovery, a
-// re-invitation answered from committed state).
+// node from its sender; anything else is a defensive rejection (or,
+// under recovery, a re-invitation answered from committed state).
 func (n *scNode) arcOpen(m msg.Message) bool {
-	s := n.slot(m.Edge) // in arcs take the slots from deg on
+	s := n.at(m.Edge, m.Port) // in arcs take the slots from deg on
 	return s >= len(n.inc) && n.colors[s] < 0
 }
 
@@ -498,7 +488,7 @@ func (n *scNode) arcOpen(m msg.Message) bool {
 // to this node's arcs by the link it arrived on, so a color collision
 // with an overheard invitation also disqualifies m.
 func (n *scNode) acceptable(m msg.Message, inbox []msg.Message) bool {
-	if n.forbids(m.Color) {
+	if n.forbids(int(m.Color)) {
 		return false
 	}
 	if !n.opt.DisableOverhearFilter {
@@ -525,10 +515,10 @@ func (n *scNode) setClaim(cl scClaim) {
 func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
-		if m, ok := automaton.FindResponse(n.id, n.inviteItem, inbox); ok {
+		if m, ok := automaton.FindResponse(int(n.id), int(n.inviteItem), inbox); ok {
 			if m.From == n.inviteTo && m.Color == n.inviteColor && (!n.recOn() || m.Seq == 0) {
-				n.setClaim(scClaim{arc: graph.ArcID(n.inviteItem), color: n.inviteColor, partner: n.inviteTo, keep: true,
-					compRound: n.curRound})
+				n.setClaim(scClaim{arc: graph.ArcID(n.inviteItem), slot: n.at(m.Edge, m.Port), color: n.inviteColor,
+					partner: n.inviteTo, keep: true, compRound: n.curRound})
 			} else if !n.recOn() {
 				n.ev.add(evReject, n.curRound)
 			}
@@ -551,16 +541,15 @@ func (n *scNode) phaseClaim(inbox, out []msg.Message) []msg.Message {
 	if n.opt.UnsafeNoConfirm {
 		cl := n.claim
 		n.claim = nil
-		n.ev.assign(cl.compRound, int(cl.arc), cl.color)
-		n.finalize(cl.arc, cl.color)
-		return append(out, msg.Message{
-			Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1,
-			Paints: []msg.Paint{{Edge: int(cl.arc), Color: cl.color}},
-		})
+		n.ev.assign(cl.compRound, int(cl.arc), int(cl.color))
+		n.finalize(cl.slot, int(cl.color))
+		m := msg.Message{Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1}
+		m.SetPaints([]msg.Paint{{Edge: int32(cl.arc), Color: cl.color}})
+		return append(out, m)
 	}
 	return append(out, msg.Message{
 		Kind: msg.KindClaim, From: n.id, To: msg.Broadcast,
-		Edge: int(n.claim.arc), Color: n.claim.color,
+		Edge: int32(n.claim.arc), Color: n.claim.color,
 	})
 }
 
@@ -590,10 +579,8 @@ func (n *scNode) phaseDecide(inbox, out []msg.Message) []msg.Message {
 			if m.Kind != msg.KindUpdate {
 				continue
 			}
-			if _, ok := n.adj.index(m.From); ok {
-				for _, p := range m.Paints {
-					n.addColorAt(p.Color)
-				}
+			for _, p := range m.Paints() {
+				n.addColorAt(int(p.Color))
 			}
 		}
 		return n.appendPaints(out)
@@ -607,14 +594,14 @@ func (n *scNode) phaseDecide(inbox, out []msg.Message) []msg.Message {
 			continue
 		}
 		p := claimPriority(n.curRound, graph.ArcID(m.Edge))
-		if p < myPrio || (p == myPrio && m.Edge < int(n.claim.arc)) {
+		if p < myPrio || (p == myPrio && graph.ArcID(m.Edge) < n.claim.arc) {
 			n.claim.keep = false
 			break
 		}
 	}
 	return append(n.appendPaints(out), msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
-		Edge: int(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
+		Edge: int32(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
 	})
 }
 
@@ -631,24 +618,28 @@ func claimPriority(compRound int, a graph.ArcID) uint64 {
 // this node's committed arcs.
 func (n *scNode) scanAnnouncements(inbox, out []msg.Message) []msg.Message {
 	for _, m := range inbox {
-		i, nbr := n.adj.index(m.From)
-		if !nbr {
-			continue
-		}
 		switch m.Kind {
 		case msg.KindUpdate:
-			for _, p := range m.Paints {
-				n.deadNbr[i].Add(p.Color)
-				if p.Edge >= 0 {
-					n.addColorAt(p.Color)
-					out = n.conflictCheck(graph.ArcID(p.Edge), p.Color, out)
-				}
-			}
+			out = n.absorbDead(m, true, out)
 		case msg.KindDecide:
 			if m.Keep {
-				n.addColorAt(m.Color)
-				out = n.conflictCheck(graph.ArcID(m.Edge), m.Color, out)
+				n.addColorAt(int(m.Color))
+				out = n.conflictCheck(graph.ArcID(m.Edge), int(m.Color), out)
 			}
+		}
+	}
+	return out
+}
+
+// absorbDead folds a neighbor's dead-list delta into its dead list —
+// the one of the port it arrived on — and, with check, treats each paint
+// naming an arc as a re-announced commitment to fold and check.
+func (n *scNode) absorbDead(m msg.Message, check bool, out []msg.Message) []msg.Message {
+	for _, p := range m.Paints() {
+		n.deadNbr[m.Port].Add(int(p.Color))
+		if check && p.Edge >= 0 {
+			n.addColorAt(int(p.Color))
+			out = n.conflictCheck(graph.ArcID(p.Edge), int(p.Color), out)
 		}
 	}
 	return out
@@ -679,13 +670,8 @@ func (n *scNode) conflictCheck(b graph.ArcID, c int, out []msg.Message) []msg.Me
 			n.reaffirm(a, c)
 			continue
 		}
-		arc := n.d.ArcAt(a)
-		partner := arc.To
-		if partner == n.id {
-			partner = arc.From
-		}
-		n.revertArc(a, c)
-		out = append(out, ackMsg(n.id, partner, int(a), c, false))
+		n.revertArc(s, c)
+		out = append(out, ackMsg(n.id, int32(n.nbrs[s%len(n.inc)]), int32(a), int32(c), false))
 	}
 	return out
 }
@@ -707,14 +693,15 @@ func (n *scNode) processAcks(inbox, out []msg.Message) []msg.Message {
 		if m.Kind != msg.KindAck || m.To != n.id || m.Keep {
 			continue
 		}
-		if !n.between(m.Edge, m.From) {
+		s := n.at(m.Edge, m.Port)
+		if s < 0 {
 			continue
 		}
 		if m.Color >= 0 {
-			n.revertArc(graph.ArcID(m.Edge), m.Color)
+			n.revertArc(s, int(m.Color))
 			continue
 		}
-		if c, ok := n.colorOf(m.Edge); ok {
+		if c := n.colors[s]; c >= 0 {
 			out = append(out, msg.Message{
 				Kind: msg.KindResponse, From: n.id, To: m.From,
 				Edge: m.Edge, Color: c, Seq: 1,
@@ -735,28 +722,31 @@ func (n *scNode) adoptResponses(inbox, out []msg.Message) []msg.Message {
 		if m.Kind != msg.KindResponse || m.To != n.id || m.Seq == 0 || m.Color < 0 {
 			continue
 		}
-		if !n.between(m.Edge, m.From) {
+		s := n.at(m.Edge, m.Port)
+		if s < 0 {
 			continue
 		}
-		if c, ok := n.colorOf(m.Edge); ok {
+		if c := n.colors[s]; c >= 0 {
 			if c != m.Color {
 				out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			}
 			continue
 		}
-		if (n.claim != nil && n.claim.color == m.Color) || n.forbids(m.Color) {
+		if (n.claim != nil && n.claim.color == m.Color) || n.forbids(int(m.Color)) {
 			out = append(out, ackMsg(n.id, m.From, m.Edge, m.Color, false))
 			continue
 		}
-		n.adopt(graph.ArcID(m.Edge), m.Color)
+		n.adopt(s, int(m.Color))
 	}
 	return out
 }
 
-// adopt finalizes an arc from the partner's authoritative state and
-// queues a re-announcement so the neighborhood learns the color.
-func (n *scNode) adopt(a graph.ArcID, c int) {
-	n.finalize(a, c)
+// adopt finalizes the arc of slot s from the partner's authoritative
+// state and queues a re-announcement so the neighborhood learns the
+// color.
+func (n *scNode) adopt(s int, c int) {
+	a := graph.ArcID(n.itemAt(s))
+	n.finalize(s, c)
 	n.ev.add(evRepair, n.curRound)
 	n.ev.assign(n.curRound, int(a), c)
 	n.reaffirm(a, c)
@@ -778,39 +768,38 @@ func (n *scNode) reannounce(out []msg.Message) []msg.Message {
 	var paints []msg.Paint
 	for s, c := range n.colors {
 		if c >= 0 {
-			paints = append(paints, msg.Paint{Edge: n.itemAt(s), Color: int(c)})
+			paints = append(paints, msg.Paint{Edge: int32(n.itemAt(s)), Color: c})
 		}
 	}
 	if len(paints) == 0 {
 		return out
 	}
-	return append(out, msg.Message{
-		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
-		Edge: -1, Color: -1, Seq: 1, Paints: paints,
-	})
+	m := msg.Message{Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1, Seq: 1}
+	m.SetPaints(paints)
+	return append(out, m)
 }
 
 // reaffirm queues a keep-Decide re-announcing a committed arc color,
 // deduplicating per arc; the queue drains at the decide phase.
 func (n *scNode) reaffirm(a graph.ArcID, c int) {
 	for _, m := range n.reaffirmQ {
-		if m.Edge == int(a) {
+		if graph.ArcID(m.Edge) == a {
 			return
 		}
 	}
 	n.reaffirmQ = append(n.reaffirmQ, msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
-		Edge: int(a), Color: c, Keep: true, Seq: 1,
+		Edge: int32(a), Color: int32(c), Keep: true, Seq: 1,
 	})
 }
 
-// revertArc undoes this node's commitment of color c to arc a. Stale
-// requests (the arc moved on, or was never committed here) are ignored.
-// Neighbor knowledge (announced dead lists, colorsNbr) is left as is:
-// over-approximating a dead color is always safe.
-func (n *scNode) revertArc(a graph.ArcID, c int) {
-	s := n.slot(int(a))
-	if s < 0 || int(n.colors[s]) != c {
+// revertArc undoes this node's commitment of color c to the arc of
+// slot s. Stale requests (the arc moved on, or was never committed
+// here) are ignored. Neighbor knowledge (announced dead lists,
+// colorsNbr) is left as is: over-approximating a dead color is always
+// safe.
+func (n *scNode) revertArc(s int, c int) {
+	if int(n.colors[s]) != c {
 		return
 	}
 	n.colors[s] = -1

@@ -120,9 +120,16 @@ type roundFold struct {
 	// record an assignment for the same item, so distinctness is tracked
 	// per item.
 	seen         []bool
-	palette      ColorSet
+	palette      palette
 	maxColor     int
 	coloredTotal int
+}
+
+// newRoundFold returns the fold of a run of the given nodes over items
+// items that streams to sink.
+func newRoundFold(sink metrics.Sink, nodes []*colorNode, phases, items int) *roundFold {
+	return &roundFold{sink: sink, nodes: nodes, phases: phases, seen: make([]bool, items),
+		palette: palette{limit: items}, maxColor: -1}
 }
 
 // observe is the run's net.RoundObserver: it folds one communication
@@ -182,13 +189,13 @@ func (f *roundFold) emit(r int) {
 				f.seen[a.item] = true
 				s.Colored++
 			}
-			f.palette.Add(a.color)
+			f.palette.add(a.color)
 			f.maxColor = max(f.maxColor, a.color)
 		}
 	}
 	f.coloredTotal += s.Colored
 	s.ColoredTotal = f.coloredTotal
-	s.NumColors = f.palette.Count()
+	s.NumColors = f.palette.count()
 	s.MaxColor = f.maxColor
 	s.Done = len(f.nodes) - s.Active
 	f.sink.EmitRound(*s)

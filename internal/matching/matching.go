@@ -179,7 +179,7 @@ func (p *mmPairing) Live() bool {
 func (p *mmPairing) Absorb(inbox []msg.Message) {
 	for _, m := range inbox {
 		if m.Kind == msg.KindUpdate {
-			delete(p.liveNbrs, m.From)
+			delete(p.liveNbrs, int(m.From))
 		}
 	}
 }
@@ -220,7 +220,7 @@ func (p *mmPairing) Invite(r *rng.Rand) (msg.Message, bool) {
 		}
 	}
 	e, _ := p.g.EdgeIDOf(p.id, target)
-	return msg.Message{From: p.id, To: target, Edge: int(e), Color: -1}, true
+	return msg.Message{From: int32(p.id), To: int32(target), Edge: int32(e), Color: -1}, true
 }
 
 // Respond accepts one invitation — uniform, or the heaviest when
@@ -255,10 +255,10 @@ func (p *mmPairing) Reaffirm(invite msg.Message) (msg.Message, bool) {
 	if p.matchedEdge < 0 {
 		return msg.Message{}, false
 	}
-	if int(p.matchedEdge) == invite.Edge {
+	if int32(p.matchedEdge) == invite.Edge {
 		return msg.Message{Kind: msg.KindResponse, To: invite.From, Edge: invite.Edge, Color: -1}, true
 	}
-	return msg.Message{Kind: msg.KindUpdate, To: msg.Broadcast, Edge: int(p.matchedEdge), Color: -1}, true
+	return msg.Message{Kind: msg.KindUpdate, To: msg.Broadcast, Edge: int32(p.matchedEdge), Color: -1}, true
 }
 
 // Exchange announces a fresh match to the neighborhood, once.
@@ -268,6 +268,6 @@ func (p *mmPairing) Exchange() []msg.Message {
 	}
 	p.announced = true
 	return []msg.Message{{
-		Kind: msg.KindUpdate, From: p.id, To: msg.Broadcast, Edge: int(p.matchedEdge), Color: -1,
+		Kind: msg.KindUpdate, From: int32(p.id), To: msg.Broadcast, Edge: int32(p.matchedEdge), Color: -1,
 	}}
 }

@@ -185,8 +185,8 @@ func (n *mprNode) phaseTentative(inbox []msg.Message) []msg.Message {
 		if m.Kind != msg.KindUpdate {
 			continue
 		}
-		for _, p := range m.Paints {
-			n.applyFinal(graph.EdgeID(p.Edge), p.Color, m.From)
+		for _, p := range m.Paints() {
+			n.applyFinal(graph.EdgeID(p.Edge), int(p.Color), int(m.From))
 		}
 	}
 	if n.incident == 0 {
@@ -210,7 +210,7 @@ func (n *mprNode) phaseTentative(inbox []msg.Message) []msg.Message {
 		c := avail[n.r.Intn(len(avail))]
 		n.tentative[e] = c
 		out = append(out, msg.Message{
-			Kind: msg.KindClaim, From: n.id, To: msg.Broadcast, Edge: int(e), Color: c,
+			Kind: msg.KindClaim, From: int32(n.id), To: msg.Broadcast, Edge: int32(e), Color: int32(c),
 		})
 	}
 	return out
@@ -237,7 +237,7 @@ func (n *mprNode) phaseVeto(inbox []msg.Message) []msg.Message {
 		if ed.U != n.id && ed.V != n.id {
 			continue // a pick for an edge not incident here; ignore
 		}
-		picks = append(picks, pick{e, m.Color})
+		picks = append(picks, pick{e, int(m.Color)})
 	}
 	// Sort for determinism across engines (inbox is sorted, but merged
 	// with own picks from map iteration).
@@ -256,8 +256,8 @@ func (n *mprNode) phaseVeto(inbox []msg.Message) []msg.Message {
 		if colorCount[p.color] > 1 || n.usedSelf[p.color] {
 			n.selfVetoed[p.edge] = true
 			out = append(out, msg.Message{
-				Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
-				Edge: int(p.edge), Color: p.color, Keep: false,
+				Kind: msg.KindDecide, From: int32(n.id), To: msg.Broadcast,
+				Edge: int32(p.edge), Color: int32(p.color), Keep: false,
 			})
 		}
 	}
@@ -292,7 +292,7 @@ func (n *mprNode) phaseCommit(inbox []msg.Message) []msg.Message {
 		}
 		c := n.tentative[e]
 		n.applyFinal(e, c, n.id)
-		paints = append(paints, msg.Paint{Edge: int(e), Color: c})
+		paints = append(paints, msg.Paint{Edge: int32(e), Color: int32(c)})
 	}
 	n.tentative = nil
 	// Relay partner finalizations so the partner's neighbors learn them.
@@ -307,9 +307,9 @@ func (n *mprNode) phaseCommit(inbox []msg.Message) []msg.Message {
 			paints[j], paints[j-1] = paints[j-1], paints[j]
 		}
 	}
-	return []msg.Message{{
-		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1, Paints: paints,
-	}}
+	m := msg.Message{Kind: msg.KindUpdate, From: int32(n.id), To: msg.Broadcast, Edge: -1, Color: -1}
+	m.SetPaints(paints)
+	return []msg.Message{m}
 }
 
 // applyFinal records a finalized (edge, color), updating whichever of
@@ -337,7 +337,7 @@ func (n *mprNode) applyFinal(e graph.EdgeID, c, from int) {
 		}
 		if from != n.id {
 			// Learned from the owner: relay to this side's neighborhood.
-			n.relay = append(n.relay, msg.Paint{Edge: int(e), Color: c})
+			n.relay = append(n.relay, msg.Paint{Edge: int32(e), Color: int32(c)})
 		}
 	default:
 		// An edge incident to the broadcasting neighbor but not to us:

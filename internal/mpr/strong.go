@@ -203,11 +203,11 @@ func (n *strongNode) phasePick(inbox []msg.Message) []msg.Message {
 				partner[graph.ArcID(m.Edge)] = true
 			}
 		case msg.KindUpdate:
-			for _, p := range m.Paints {
+			for _, p := range m.Paints() {
 				if p.Edge >= 0 {
-					n.applyFinal(graph.ArcID(p.Edge), p.Color, m.From)
-				} else if i, ok := n.nbrIndex[m.From]; ok {
-					n.deadNbr[i][p.Color] = true
+					n.applyFinal(graph.ArcID(p.Edge), int(p.Color), int(m.From))
+				} else if i, ok := n.nbrIndex[int(m.From)]; ok {
+					n.deadNbr[i][int(p.Color)] = true
 				}
 			}
 		}
@@ -223,7 +223,7 @@ func (n *strongNode) phasePick(inbox []msg.Message) []msg.Message {
 		if v.keep && partner[a] {
 			if _, dup := n.colors[a]; !dup {
 				n.applyFinal(a, v.color, n.id)
-				n.paints = append(n.paints, msg.Paint{Edge: int(a), Color: v.color})
+				n.paints = append(n.paints, msg.Paint{Edge: int32(a), Color: int32(v.color)})
 			}
 		}
 	}
@@ -249,7 +249,7 @@ func (n *strongNode) phasePick(inbox []msg.Message) []msg.Message {
 		c := avail[n.r.Intn(len(avail))]
 		n.picks[a] = c
 		out = append(out, msg.Message{
-			Kind: msg.KindClaim, From: n.id, To: msg.Broadcast, Edge: int(a), Color: c,
+			Kind: msg.KindClaim, From: int32(n.id), To: msg.Broadcast, Edge: int32(a), Color: int32(c),
 		})
 	}
 	return out
@@ -266,7 +266,7 @@ func (n *strongNode) phaseRelay(inbox []msg.Message) []msg.Message {
 		n.heardPicks = append(n.heardPicks, m)
 		if n.d.ArcAt(graph.ArcID(m.Edge)).To == n.id {
 			out = append(out, msg.Message{
-				Kind: msg.KindClaim, From: n.id, To: msg.Broadcast, Edge: m.Edge, Color: m.Color,
+				Kind: msg.KindClaim, From: int32(n.id), To: msg.Broadcast, Edge: m.Edge, Color: m.Color,
 			})
 		}
 	}
@@ -305,7 +305,7 @@ func (n *strongNode) phaseVeto(inbox []msg.Message) []msg.Message {
 		pickOf[a] = c
 	}
 	for _, m := range n.heardPicks {
-		pickOf[graph.ArcID(m.Edge)] = m.Color
+		pickOf[graph.ArcID(m.Edge)] = int(m.Color)
 	}
 	for _, c := range pickOf {
 		chanCount[c]++
@@ -332,7 +332,7 @@ func (n *strongNode) phaseVeto(inbox []msg.Message) []msg.Message {
 		if bad {
 			n.selfVeto[a] = true
 			out = append(out, msg.Message{
-				Kind: msg.KindDecide, From: n.id, To: msg.Broadcast, Edge: int(a), Color: c, Keep: false,
+				Kind: msg.KindDecide, From: int32(n.id), To: msg.Broadcast, Edge: int32(a), Color: int32(c), Keep: false,
 			})
 		}
 	}
@@ -368,8 +368,8 @@ func (n *strongNode) phaseVerdict(inbox []msg.Message) []msg.Message {
 		v.keep = !vetoed[a] && !n.selfVeto[a]
 		n.verdicts[a] = v
 		out = append(out, msg.Message{
-			Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
-			Edge: int(a), Color: v.color, Keep: v.keep,
+			Kind: msg.KindDecide, From: int32(n.id), To: msg.Broadcast,
+			Edge: int32(a), Color: int32(v.color), Keep: v.keep,
 		})
 	}
 	n.picks = nil
@@ -378,13 +378,13 @@ func (n *strongNode) phaseVerdict(inbox []msg.Message) []msg.Message {
 	paints := n.paints
 	n.paints = nil
 	for _, c := range n.deadQueue {
-		paints = append(paints, msg.Paint{Edge: -1, Color: c})
+		paints = append(paints, msg.Paint{Edge: -1, Color: int32(c)})
 	}
 	n.deadQueue = nil
 	if len(paints) > 0 {
-		out = append(out, msg.Message{
-			Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: -1, Color: -1, Paints: paints,
-		})
+		m := msg.Message{Kind: msg.KindUpdate, From: int32(n.id), To: msg.Broadcast, Edge: -1, Color: -1}
+		m.SetPaints(paints)
+		out = append(out, m)
 	}
 	return out
 }

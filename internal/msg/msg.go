@@ -12,7 +12,9 @@ package msg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // Kind discriminates message types.
@@ -74,21 +76,52 @@ func (k Kind) String() string {
 
 // Paint is one (edge, color) assignment inside a KindUpdate message.
 type Paint struct {
-	Edge  int
-	Color int
+	Edge  int32
+	Color int32
 }
 
 // Message is the single concrete message type used by all protocols.
-// Unused fields are zero; Edge and Color are -1 when absent.
+// Unused fields are zero; Edge and Color are -1 when absent. Vertex,
+// item and color values are int32 — the wire decoder rejects anything
+// wider — so that a message is 40 bytes: engines copy one per delivery.
+// The fields are ordered to leave no padding.
 type Message struct {
-	Kind   Kind
-	From   int
-	To     int // addressee, or Broadcast
-	Edge   int // EdgeID (Algorithm 1) or ArcID (Algorithm 2)
-	Color  int
-	Keep   bool    // KindDecide: endpoint's verdict; KindAck: ack vs nack/probe
-	Seq    uint32  // retransmission sequence number; 0 for first sends
-	Paints []Paint // KindUpdate: finalized assignments
+	Kind  Kind
+	Keep  bool  // KindDecide: endpoint's verdict; KindAck: ack vs nack/probe
+	From  int32 // sender vertex
+	To    int32 // addressee, or Broadcast
+	Edge  int32 // EdgeID (Algorithm 1) or ArcID (Algorithm 2)
+	Color int32
+	Seq   uint32 // retransmission sequence number; 0 for first sends
+	// Port is the receiver's incidence position of From: at receiver v,
+	// Neighbors(v)[Port] == From and IncidentEdges(v)[Port] is the edge
+	// the message arrived on — the port-numbering model's arrival port.
+	// Engines stamp it on every delivery. It is not encoded, not
+	// compared by Less or Equal, and meaningless on a sent message.
+	Port int32
+	// The KindUpdate paints, read through Paints and set through
+	// SetPaints: a pointer and a count take 12 bytes where a slice
+	// header would take 24.
+	npaints int32
+	paints  *Paint
+}
+
+// Paints returns the finalized assignments a KindUpdate message
+// carries. The slice aliases the sender's storage (see SetPaints), so
+// holders must not write through it; its capacity is its length.
+func (m Message) Paints() []Paint {
+	return unsafe.Slice(m.paints, m.npaints)
+}
+
+// SetPaints makes m carry p. m aliases p's backing array rather than
+// copying it, as a slice field would: every copy of m shares the paints,
+// so the sender must never rewrite paints it has sent.
+func (m *Message) SetPaints(p []Paint) {
+	if len(p) == 0 {
+		m.paints, m.npaints = nil, 0
+		return
+	}
+	m.paints, m.npaints = unsafe.SliceData(p), int32(len(p))
 }
 
 func (m Message) String() string {
@@ -100,7 +133,7 @@ func (m Message) String() string {
 	case KindDecide, KindAck:
 		return fmt.Sprintf("%s{%d->%d e%d c%d keep=%v%s}", m.Kind, m.From, m.To, m.Edge, m.Color, m.Keep, seq)
 	case KindUpdate:
-		return fmt.Sprintf("%s{%d->%d %v%s}", m.Kind, m.From, m.To, m.Paints, seq)
+		return fmt.Sprintf("%s{%d->%d %v%s}", m.Kind, m.From, m.To, m.Paints(), seq)
 	default:
 		return fmt.Sprintf("%s{%d->%d e%d c%d%s}", m.Kind, m.From, m.To, m.Edge, m.Color, seq)
 	}
@@ -135,15 +168,16 @@ func Less(a, b Message) bool {
 		return !a.Keep // false sorts before true
 	}
 	// Paints compare lexicographically, a strict prefix sorting first.
-	for i := 0; i < len(a.Paints) && i < len(b.Paints); i++ {
-		if a.Paints[i] != b.Paints[i] {
-			if a.Paints[i].Edge != b.Paints[i].Edge {
-				return a.Paints[i].Edge < b.Paints[i].Edge
+	ap, bp := a.Paints(), b.Paints()
+	for i := 0; i < len(ap) && i < len(bp); i++ {
+		if ap[i] != bp[i] {
+			if ap[i].Edge != bp[i].Edge {
+				return ap[i].Edge < bp[i].Edge
 			}
-			return a.Paints[i].Color < b.Paints[i].Color
+			return ap[i].Color < bp[i].Color
 		}
 	}
-	return len(a.Paints) < len(b.Paints)
+	return len(ap) < len(bp)
 }
 
 // Size returns the encoded size of m in bytes without encoding it.
@@ -152,11 +186,11 @@ func (m Message) Size() int {
 		varintLen(int64(m.From)) + varintLen(int64(m.To)) +
 		varintLen(int64(m.Edge)) + varintLen(int64(m.Color)) +
 		1 + // flags byte
-		uvarintLen(uint64(len(m.Paints)))
+		uvarintLen(uint64(m.npaints))
 	if m.Seq > 0 {
 		n += uvarintLen(uint64(m.Seq))
 	}
-	for _, p := range m.Paints {
+	for _, p := range m.Paints() {
 		n += varintLen(int64(p.Edge)) + varintLen(int64(p.Color))
 	}
 	return n
@@ -202,8 +236,8 @@ func (m Message) Append(buf []byte) []byte {
 	if m.Seq > 0 {
 		buf = binary.AppendUvarint(buf, uint64(m.Seq))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Paints)))
-	for _, p := range m.Paints {
+	buf = binary.AppendUvarint(buf, uint64(m.npaints))
+	for _, p := range m.Paints() {
 		buf = binary.AppendVarint(buf, int64(p.Edge))
 		buf = binary.AppendVarint(buf, int64(p.Color))
 	}
@@ -211,7 +245,8 @@ func (m Message) Append(buf []byte) []byte {
 }
 
 // Decode parses one message from buf, returning the message and the
-// number of bytes consumed.
+// number of bytes consumed. Every vertex, item and color value must fit
+// in an int32; a wider varint is an error, never truncated.
 func Decode(buf []byte) (Message, int, error) {
 	var m Message
 	if len(buf) == 0 {
@@ -222,13 +257,16 @@ func Decode(buf []byte) (Message, int, error) {
 		return m, 0, fmt.Errorf("msg: unknown kind %d", buf[0])
 	}
 	pos := 1
-	readInt := func() (int, error) {
+	readInt := func() (int32, error) {
 		v, n := binary.Varint(buf[pos:])
 		if n <= 0 {
 			return 0, fmt.Errorf("msg: truncated varint at offset %d", pos)
 		}
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return 0, fmt.Errorf("msg: varint %d at offset %d outside int32", v, pos)
+		}
 		pos += n
-		return int(v), nil
+		return int32(v), nil
 	}
 	var err error
 	if m.From, err = readInt(); err != nil {
@@ -275,28 +313,31 @@ func Decode(buf []byte) (Message, int, error) {
 		return m, 0, fmt.Errorf("msg: implausible paint count %d for %d remaining bytes", count, len(buf)-pos)
 	}
 	if count > 0 {
-		m.Paints = make([]Paint, count)
-		for i := range m.Paints {
-			if m.Paints[i].Edge, err = readInt(); err != nil {
+		ps := make([]Paint, count)
+		for i := range ps {
+			if ps[i].Edge, err = readInt(); err != nil {
 				return m, 0, err
 			}
-			if m.Paints[i].Color, err = readInt(); err != nil {
+			if ps[i].Color, err = readInt(); err != nil {
 				return m, 0, err
 			}
 		}
+		m.SetPaints(ps)
 	}
 	return m, pos, nil
 }
 
 // Equal reports whether two messages are identical, including paints.
+// Port is not compared: it is the receiver's view, not message content.
 func Equal(a, b Message) bool {
 	if a.Kind != b.Kind || a.From != b.From || a.To != b.To ||
 		a.Edge != b.Edge || a.Color != b.Color || a.Keep != b.Keep ||
-		a.Seq != b.Seq || len(a.Paints) != len(b.Paints) {
+		a.Seq != b.Seq || a.npaints != b.npaints {
 		return false
 	}
-	for i := range a.Paints {
-		if a.Paints[i] != b.Paints[i] {
+	ap, bp := a.Paints(), b.Paints()
+	for i := range ap {
+		if ap[i] != bp[i] {
 			return false
 		}
 	}

@@ -1,11 +1,20 @@
 package msg
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// withPaints returns m carrying ps.
+func withPaints(m Message, ps ...Paint) Message {
+	m.SetPaints(ps)
+	return m
+}
 
 func sample() []Message {
 	return []Message{
@@ -14,8 +23,8 @@ func sample() []Message {
 		{Kind: KindClaim, From: 3, To: Broadcast, Edge: 12, Color: 5},
 		{Kind: KindDecide, From: 3, To: Broadcast, Edge: 12, Color: 5, Keep: true},
 		{Kind: KindDecide, From: 3, To: Broadcast, Edge: 12, Color: 5, Keep: false},
-		{Kind: KindUpdate, From: 9, To: Broadcast, Edge: -1, Color: -1,
-			Paints: []Paint{{Edge: 1, Color: 2}, {Edge: 40, Color: 0}}},
+		withPaints(Message{Kind: KindUpdate, From: 9, To: Broadcast, Edge: -1, Color: -1},
+			Paint{Edge: 1, Color: 2}, Paint{Edge: 40, Color: 0}),
 		{Kind: KindUpdate, From: 0, To: Broadcast, Edge: -1, Color: -1},
 		{Kind: KindResponse, From: 7, To: 3, Edge: 12, Color: 0, Seq: 2},
 		{Kind: KindAck, From: 3, To: 7, Edge: 12, Color: 0, Keep: true},
@@ -101,13 +110,64 @@ func TestDecodeAdversarialPaintCount(t *testing.T) {
 	// The same shape with a satisfiable count must still decode.
 	ok := append(append([]byte{}, header...), 2, 0, 0, 0, 0)
 	m, n, err := Decode(ok)
-	if err != nil || n != len(ok) || len(m.Paints) != 2 {
+	if err != nil || n != len(ok) || len(m.Paints()) != 2 {
 		t.Fatalf("valid 2-paint message failed: %v n=%d err=%v", m, n, err)
 	}
 	// A huge count must be rejected without allocating.
 	huge := append(append([]byte{}, header...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	if _, _, err := Decode(huge); err == nil {
 		t.Fatal("decoded message with a huge paint count")
+	}
+}
+
+// TestMessageIs40Bytes pins the message width: engines copy one message
+// per delivery into their inbox arenas, so every byte is delivery cost.
+func TestMessageIs40Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Message{}); sz > 40 {
+		t.Fatalf("msg.Message is %d bytes, want at most 40", sz)
+	}
+}
+
+// int32Edges are the values on either side of the int32 range: 2^31-1
+// and -2^31 fit, 2^31 and -2^31-1 do not.
+var int32Edges = []int64{math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1}
+
+// rawUpdate hand-encodes an update whose From, To, Edge, Color and one
+// paint's Edge and Color are vals, in that order: Append cannot encode
+// a value outside int32.
+func rawUpdate(vals [6]int64) []byte {
+	buf := []byte{byte(KindUpdate)}
+	for _, v := range vals[:4] {
+		buf = binary.AppendVarint(buf, v)
+	}
+	buf = append(buf, 0, 1) // no flags, one paint
+	return binary.AppendVarint(binary.AppendVarint(buf, vals[4]), vals[5])
+}
+
+// TestDecodeInt32Range: a varint outside int32 in any of From, To,
+// Edge, Color or a paint is an error naming it, never a silent
+// truncation, and the int32 extremes decode exactly.
+func TestDecodeInt32Range(t *testing.T) {
+	for field := 0; field < 6; field++ {
+		for _, v := range int32Edges {
+			vals := [6]int64{1, 2, 3, 4, 5, 6}
+			vals[field] = v
+			m, _, err := Decode(rawUpdate(vals))
+			if v != int64(int32(v)) {
+				if err == nil || !strings.Contains(err.Error(), "outside int32") {
+					t.Errorf("field %d = %d: got %v, %v; want an int32 range error", field, v, m, err)
+				}
+				continue
+			}
+			p := m.Paints()
+			if err != nil || len(p) != 1 {
+				t.Fatalf("field %d = %d: %v", field, v, err)
+			}
+			got := [6]int64{int64(m.From), int64(m.To), int64(m.Edge), int64(m.Color), int64(p[0].Edge), int64(p[0].Color)}
+			if got != vals {
+				t.Errorf("field %d = %d decoded as %v", field, v, got)
+			}
+		}
 	}
 }
 
@@ -125,8 +185,8 @@ func TestSize(t *testing.T) {
 // negatives, and Seq (unsigned, only encoded when nonzero) at 0, 1,
 // 127, 128, 2^14-1, 2^14 and MaxUint32.
 func TestSizeAtVarintBoundaries(t *testing.T) {
-	var values []int
-	for _, v := range []int{0, 1, 63, 64, 127, 128, 1<<14 - 1, 1 << 14, math.MaxInt32} {
+	var values []int32
+	for _, v := range []int32{0, 1, 63, 64, 127, 128, 1<<14 - 1, 1 << 14, math.MaxInt32} {
 		values = append(values, v, -v)
 	}
 	values = append(values, math.MinInt32)
@@ -149,9 +209,9 @@ func TestSizeAtVarintBoundaries(t *testing.T) {
 			case 3:
 				m.Color = v
 			case 4:
-				m.Paints = []Paint{{Edge: v, Color: 0}}
+				m.SetPaints([]Paint{{Edge: v, Color: 0}})
 			case 5:
-				m.Paints = []Paint{{Edge: 3, Color: v}, {Edge: v, Color: v}}
+				m.SetPaints([]Paint{{Edge: 3, Color: v}, {Edge: v, Color: v}})
 			}
 			check(m)
 		}
@@ -161,7 +221,7 @@ func TestSizeAtVarintBoundaries(t *testing.T) {
 	}
 	// 127 and 128 paints put the paint count on its boundary.
 	for _, k := range []int{127, 128} {
-		check(Message{Kind: KindUpdate, From: 1, To: Broadcast, Edge: -1, Color: -1, Paints: make([]Paint, k)})
+		check(withPaints(Message{Kind: KindUpdate, From: 1, To: Broadcast, Edge: -1, Color: -1}, make([]Paint, k)...))
 	}
 }
 
@@ -187,10 +247,10 @@ func TestLessIsTotal(t *testing.T) {
 	pairs := [][2]Message{
 		{{Kind: KindDecide, From: 3, Edge: 5, Color: 1, Keep: false},
 			{Kind: KindDecide, From: 3, Edge: 5, Color: 1, Keep: true}},
-		{{Kind: KindUpdate, From: 3, Edge: -1, Color: -1, Paints: []Paint{{1, 2}}},
-			{Kind: KindUpdate, From: 3, Edge: -1, Color: -1, Paints: []Paint{{1, 3}}}},
-		{{Kind: KindUpdate, From: 3, Edge: -1, Color: -1, Paints: []Paint{{1, 2}}},
-			{Kind: KindUpdate, From: 3, Edge: -1, Color: -1, Paints: []Paint{{1, 2}, {4, 0}}}},
+		{withPaints(Message{Kind: KindUpdate, From: 3, Edge: -1, Color: -1}, Paint{1, 2}),
+			withPaints(Message{Kind: KindUpdate, From: 3, Edge: -1, Color: -1}, Paint{1, 3})},
+		{withPaints(Message{Kind: KindUpdate, From: 3, Edge: -1, Color: -1}, Paint{1, 2}),
+			withPaints(Message{Kind: KindUpdate, From: 3, Edge: -1, Color: -1}, Paint{1, 2}, Paint{4, 0})},
 		{{Kind: KindResponse, From: 3, To: 1, Edge: 5, Color: 1},
 			{Kind: KindResponse, From: 3, To: 1, Edge: 5, Color: 1, Seq: 1}},
 		{{Kind: KindAck, From: 3, To: 1, Edge: 5, Color: 1, Keep: true},
@@ -253,12 +313,14 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(kind uint8, from, to, edge, color int16, keep bool, seq uint32, paintsRaw []int16) bool {
 		k := Kind(kind%6) + KindInvite
 		m := Message{
-			Kind: k, From: int(from), To: int(to),
-			Edge: int(edge), Color: int(color), Keep: keep, Seq: seq,
+			Kind: k, From: int32(from), To: int32(to),
+			Edge: int32(edge), Color: int32(color), Keep: keep, Seq: seq,
 		}
+		var ps []Paint
 		for i := 0; i+1 < len(paintsRaw); i += 2 {
-			m.Paints = append(m.Paints, Paint{Edge: int(paintsRaw[i]), Color: int(paintsRaw[i+1])})
+			ps = append(ps, Paint{Edge: int32(paintsRaw[i]), Color: int32(paintsRaw[i+1])})
 		}
+		m.SetPaints(ps)
 		got, n, err := Decode(m.Append(nil))
 		return err == nil && n == m.Size() && Equal(m, got)
 	}
@@ -289,6 +351,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	for field := 0; field < 6; field++ {
+		for _, v := range int32Edges {
+			vals := [6]int64{1, 2, 3, 4, 5, 6}
+			vals[field] = v
+			f.Add(rawUpdate(vals))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := Decode(data)
 		if err != nil {

@@ -17,15 +17,15 @@ func randomMessages(r *rand.Rand, n int) []Message {
 	for i := range out {
 		m := Message{
 			Kind:  kinds[r.Intn(len(kinds))],
-			From:  r.Intn(6),
-			To:    r.Intn(6),
-			Edge:  r.Intn(4),
-			Color: r.Intn(3) - 1,
+			From:  int32(r.Intn(6)),
+			To:    int32(r.Intn(6)),
+			Edge:  int32(r.Intn(4)),
+			Color: int32(r.Intn(3) - 1),
 			Keep:  r.Intn(2) == 0,
 			Seq:   uint32(r.Intn(3)),
 		}
 		if r.Intn(4) == 0 {
-			m.Paints = []Paint{{Edge: r.Intn(3), Color: r.Intn(3)}}
+			m.SetPaints([]Paint{{Edge: int32(r.Intn(3)), Color: int32(r.Intn(3))}})
 		}
 		out[i] = m
 	}
@@ -73,7 +73,7 @@ func TestSortAdversarialShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	ascending := func(i int) Message {
 		m := randomMessages(r, 1)[0]
-		m.From = 2 * i
+		m.From = int32(2 * i)
 		return m
 	}
 	shapes := map[string]func(i int) Message{
@@ -98,17 +98,17 @@ func TestSortAdversarialShapes(t *testing.T) {
 			}
 			return ascending(i)
 		},
-		"sorted":    func(i int) Message { return Message{Kind: KindInvite, From: i} },
-		"reversed":  func(i int) Message { return Message{Kind: KindInvite, From: n - i} },
+		"sorted":    func(i int) Message { return Message{Kind: KindInvite, From: int32(i)} },
+		"reversed":  func(i int) Message { return Message{Kind: KindInvite, From: int32(n - i)} },
 		"all-equal": func(i int) Message { return Message{Kind: KindClaim, From: 3, Edge: 7} },
 		"organpipe": func(i int) Message {
 			v := i
 			if v > n/2 {
 				v = n - v
 			}
-			return Message{Kind: KindInvite, From: v}
+			return Message{Kind: KindInvite, From: int32(v)}
 		},
-		"two-values": func(i int) Message { return Message{Kind: KindInvite, From: i % 2} },
+		"two-values": func(i int) Message { return Message{Kind: KindInvite, From: int32(i % 2)} },
 	}
 	for name, f := range shapes {
 		msgs := make([]Message, n)
@@ -146,7 +146,7 @@ func TestSortGroupedInboxes(t *testing.T) {
 		var out []Message
 		for from, k := range runs {
 			for _, m := range randomMessages(r, k) {
-				m.From = 3 * from
+				m.From = int32(3 * from)
 				out = append(out, m)
 			}
 		}
@@ -190,7 +190,7 @@ func BenchmarkSortInbox(b *testing.B) {
 	delivered := make([]Message, len(base))
 	copy(delivered, base)
 	for i := range delivered {
-		delivered[i].From = i
+		delivered[i].From = int32(i)
 	}
 	b.Run("delivered", func(b *testing.B) {
 		b.ReportAllocs()

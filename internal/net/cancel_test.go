@@ -27,7 +27,7 @@ func (c *chatterNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if round >= c.lifetime {
 		return nil
 	}
-	c.out = append(c.out[:0], msg.Message{Kind: msg.KindUpdate, From: c.id, To: msg.Broadcast, Edge: -1, Color: -1})
+	c.out = append(c.out[:0], msg.Message{Kind: msg.KindUpdate, From: int32(c.id), To: msg.Broadcast, Edge: -1, Color: -1})
 	return c.out
 }
 

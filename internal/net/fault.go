@@ -44,7 +44,7 @@ type DropLink struct {
 
 // Drop implements FaultInjector.
 func (d DropLink) Drop(round int, m msg.Message, to int) bool {
-	return m.From == d.From && to == d.To
+	return int(m.From) == d.From && to == d.To
 }
 
 // Blackout drops every delivery during the round interval
@@ -66,7 +66,7 @@ type Partition struct {
 
 // Drop implements FaultInjector.
 func (p Partition) Drop(round int, m msg.Message, to int) bool {
-	if m.From >= len(p.Side) || to >= len(p.Side) || m.From < 0 || to < 0 {
+	if int(m.From) >= len(p.Side) || to >= len(p.Side) || m.From < 0 || to < 0 {
 		return false
 	}
 	return p.Side[m.From] != p.Side[to]

@@ -22,7 +22,7 @@ func TestDropRateStatistics(t *testing.T) {
 	dropped := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		m := msg.Message{Kind: msg.KindInvite, From: i % 50, Edge: i}
+		m := msg.Message{Kind: msg.KindInvite, From: int32(i % 50), Edge: int32(i)}
 		if d.Drop(i%97, m, (i+1)%50) {
 			dropped++
 		}

@@ -45,6 +45,13 @@ type Node interface {
 	// msg.Less. The returned messages are locally broadcast: delivered
 	// to every neighbor at the next round.
 	//
+	// Every engine stamps each delivered message with its arrival port:
+	// Port is the receiver's incidence position of From, so
+	// Neighbors(ID())[m.Port] == m.From and IncidentEdges(ID())[m.Port]
+	// is the edge it arrived on. The port is the receiver's view — it
+	// is not encoded on the wire, not a sort key, and the Port of a
+	// returned message is ignored.
+	//
 	// The inbox slice is owned by the engine and reused across rounds:
 	// engines overwrite it before the node's next Step, so
 	// implementations may copy Message values out of it but must not
@@ -55,9 +62,11 @@ type Node interface {
 	// one reused outbox. Engines copy the messages out before that next
 	// Step — RunSync and RunShard copy the values into their inboxes
 	// and buckets during the round, and a RunTCP node process copies
-	// them into its outbox frame. The Paints a message carries are
-	// shared, not copied, so a node must never rewrite paints it has
-	// sent; it may carve them from an append-only slab.
+	// them into its outbox frame. The paints a message carries
+	// (msg.Message.SetPaints) are shared, not copied: every copy of the
+	// message points at the slice the node set, so a node must never
+	// rewrite paints it has sent; it may carve them from an append-only
+	// slab.
 	Step(round int, inbox []msg.Message) []msg.Message
 	// Done reports whether this node has completed all of its work and
 	// flushed every message its neighbors still need.
@@ -94,6 +103,12 @@ type Config struct {
 	// Workers is the number of shard goroutines RunShard uses; 0 means
 	// runtime.GOMAXPROCS(0). The other engines ignore it.
 	Workers int
+	// Ports is the graph's port table (graph.NewPorts), from which
+	// RunSync and RunShard stamp each delivery's Port; nil means the
+	// engine builds it. Callers whose nodes read the same table pass
+	// it, so a run builds one. RunTCP's node processes build their own
+	// from the graph they are sent.
+	Ports graph.Ports
 }
 
 // KindTraffic aggregates one message kind's traffic within a round.
@@ -160,6 +175,14 @@ func (c Config) ctx() context.Context {
 		return context.Background()
 	}
 	return c.Ctx
+}
+
+// ports returns the run's port table.
+func (c Config) ports(g *graph.Graph) graph.Ports {
+	if c.Ports == nil {
+		return graph.NewPorts(g)
+	}
+	return c.Ports
 }
 
 // canceled reports whether the run should abort.
@@ -295,17 +318,21 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		// them out of a reused slice stay valid.
 		inboxes := make([][]msg.Message, g.N())
 		next := make([][]msg.Message, g.N())
+		ports := cfg.ports(g)
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for u := 0; u < g.N(); u++ {
 				in := inboxes[u]
 				msg.Sort(in)
+				nb, ie := g.Neighbors(u), g.IncidentEdges(u)
 				for _, m := range nodes[u].Step(round, in) {
 					var delivered int64
-					for _, v := range g.Neighbors(u) {
+					for i, v := range nb {
 						if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
 							continue
 						}
-						next[v] = append(next[v], m)
+						d := m
+						d.Port = ports.Port(ie[i], u, v)
+						next[v] = append(next[v], d)
 						delivered++
 					}
 					rt.count(m.Kind, int64(m.Size()), delivered)

@@ -26,7 +26,7 @@ func (e *echoNode) Step(round int, inbox []msg.Message) []msg.Message {
 	e.heard = append(e.heard, inbox...)
 	e.mu.Unlock()
 	if round == 0 {
-		return []msg.Message{{Kind: msg.KindUpdate, From: e.id, To: msg.Broadcast, Edge: -1, Color: -1}}
+		return []msg.Message{{Kind: msg.KindUpdate, From: int32(e.id), To: msg.Broadcast, Edge: -1, Color: -1}}
 	}
 	return nil
 }
@@ -260,8 +260,8 @@ func TestFaultInjection(t *testing.T) {
 
 func TestBytesCounted(t *testing.T) {
 	g := gen.Path(2)
-	m := msg.Message{Kind: msg.KindUpdate, From: 0, To: msg.Broadcast, Edge: -1, Color: -1,
-		Paints: []msg.Paint{{Edge: 3, Color: 1}}}
+	m := msg.Message{Kind: msg.KindUpdate, From: 0, To: msg.Broadcast, Edge: -1, Color: -1}
+	m.SetPaints([]msg.Paint{{Edge: 3, Color: 1}})
 	for name, run := range engines() {
 		sent := false
 		nodes := []Node{

@@ -21,11 +21,12 @@ func (c *chattyNode) ID() int { return c.id }
 func (c *chattyNode) Step(round int, inbox []msg.Message) []msg.Message {
 	c.round = round + 1
 	if round < c.sends {
-		return []msg.Message{{Kind: msg.KindInvite, From: c.id, To: (c.id + 1), Edge: c.id, Color: round}}
+		return []msg.Message{{Kind: msg.KindInvite, From: int32(c.id), To: int32(c.id + 1), Edge: int32(c.id), Color: int32(round)}}
 	}
 	if round == c.sends {
-		return []msg.Message{{Kind: msg.KindUpdate, From: c.id, To: msg.Broadcast, Edge: -1, Color: -1,
-			Paints: []msg.Paint{{Edge: c.id, Color: 0}}}}
+		m := msg.Message{Kind: msg.KindUpdate, From: int32(c.id), To: msg.Broadcast, Edge: -1, Color: -1}
+		m.SetPaints([]msg.Paint{{Edge: int32(c.id), Color: 0}})
+		return []msg.Message{m}
 	}
 	return nil
 }

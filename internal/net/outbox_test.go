@@ -40,7 +40,8 @@ func (n *outboxNode) Step(round int, inbox []msg.Message) []msg.Message {
 	if n.reuse {
 		prev := n.out[:cap(n.out)]
 		for i := range prev {
-			prev[i] = msg.Message{Kind: msg.KindAck, From: -3, To: -5, Edge: -7, Color: -9, Seq: 99, Paints: n.junk}
+			prev[i] = msg.Message{Kind: msg.KindAck, From: -3, To: -5, Edge: -7, Color: -9, Seq: 99}
+			prev[i].SetPaints(n.junk)
 		}
 	}
 	n.step++
@@ -48,7 +49,7 @@ func (n *outboxNode) Step(round int, inbox []msg.Message) []msg.Message {
 	for _, m := range inbox {
 		h = rng.Mix64(h ^ uint64(m.From)<<32 ^ uint64(m.Kind)<<24 ^ uint64(uint32(m.Color)))
 		h = rng.Mix64(h ^ uint64(uint32(m.Edge)) ^ uint64(m.Seq)<<40)
-		for _, p := range m.Paints {
+		for _, p := range m.Paints() {
 			h = rng.Mix64(h ^ uint64(uint32(p.Edge))<<32 ^ uint64(uint32(p.Color)))
 		}
 	}
@@ -62,9 +63,9 @@ func (n *outboxNode) Step(round int, inbox []msg.Message) []msg.Message {
 	}
 	for k := 0; k < int(h%3); k++ {
 		h = rng.Mix64(h + uint64(k))
-		m := msg.Message{Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast, Edge: int(h % 97), Color: int(h>>8) % 13}
+		m := msg.Message{Kind: msg.KindUpdate, From: int32(n.id), To: msg.Broadcast, Edge: int32(h % 97), Color: int32(int(h>>8) % 13)}
 		if np := int(h>>16) % 4; np > 0 {
-			m.Paints = n.paints(np, h)
+			m.SetPaints(n.paints(np, h))
 		}
 		out = append(out, m)
 	}
@@ -83,13 +84,13 @@ func (n *outboxNode) paints(k int, h uint64) []msg.Paint {
 		}
 		lo := len(n.slab)
 		for i := 0; i < k; i++ {
-			n.slab = append(n.slab, msg.Paint{Edge: int(h>>uint(8*i)) % 101, Color: i})
+			n.slab = append(n.slab, msg.Paint{Edge: int32(int(h>>uint(8*i)) % 101), Color: int32(i)})
 		}
 		return n.slab[lo:len(n.slab):len(n.slab)]
 	}
 	var ps []msg.Paint
 	for i := 0; i < k; i++ {
-		ps = append(ps, msg.Paint{Edge: int(h>>uint(8*i)) % 101, Color: i})
+		ps = append(ps, msg.Paint{Edge: int32(int(h>>uint(8*i)) % 101), Color: int32(i)})
 	}
 	return ps
 }

@@ -49,8 +49,8 @@ type recordBatch struct {
 type shardInbox struct {
 	buf []msg.Message
 	off []int32
-	cnt []int32 // fill scratch: one cursor per vertex
-	idx []int32 // fill scratch: the record number of each buf slot
+	cnt []int32  // fill scratch: one cursor per vertex
+	idx []uint64 // fill scratch: each buf slot's record number<<32 | arrival port
 }
 
 // newShardInbox returns the empty arena of a shard of size vertices.
@@ -75,16 +75,18 @@ func grow[T any](s []T, n int) []T {
 }
 
 // fill rebuilds the arena of the shard whose first vertex is base from
-// the records of batches, taken in order. Three passes: count
-// per-vertex arrivals and prefix-sum them into the offset table; place
-// each delivery's record number, counted across the batches, into its
-// inbox slot — a 4-byte scattered store rather than a 72-byte message;
-// then gather the messages into buf in slot order, one sequential
-// write. When the records arrive in ascending sender order, as both
-// RunShard's merge and RunTCP's round frames guarantee, every inbox
-// fills in ascending sender id: exactly the append order RunSync
-// produces.
-func (a *shardInbox) fill(base int32, flat []int32, batches []recordBatch) {
+// the records of batches, taken in order, expanded over the segments
+// of ss. Three passes: count per-vertex arrivals and prefix-sum them
+// into the offset table; place each delivery's record number, counted
+// across the batches, packed with its arrival port (ss.port) into its
+// inbox slot — one 8-byte scattered store rather than a 40-byte
+// message; then gather the messages into buf in slot order, stamping
+// each with its port, one sequential write. When the records arrive in
+// ascending sender order, as both RunShard's merge and RunTCP's round
+// frames guarantee, every inbox fills in ascending sender id: exactly
+// the append order RunSync produces.
+func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) {
+	flat := ss.flat
 	cnt := a.cnt
 	for i := range cnt {
 		cnt[i] = 0
@@ -120,40 +122,43 @@ func (a *shardInbox) fill(base int32, flat []int32, batches []recordBatch) {
 	a.idx = grow(a.idx, int(total))
 	copy(cnt, a.off[:size])
 	idx := a.idx
-	first := int32(0) // the number of the batch's first record
+	first := uint64(0) // the number of the batch's first record
 	for _, b := range batches {
 		for i, r := range b.recs {
-			rec := first + int32(i)
+			rec := (first + uint64(i)) << 32
+			port := ss.port[r.lo:r.hi]
 			if len(b.spans) == 0 {
-				for _, v := range flat[r.lo:r.hi] {
-					idx[cnt[v-base]] = rec
+				for j, v := range flat[r.lo:r.hi] {
+					idx[cnt[v-base]] = rec | uint64(port[j])
 					cnt[v-base]++
 				}
 				continue
 			}
 			sp := b.spans[i]
 			drops := b.drops[sp.lo:sp.hi]
-			for _, v := range flat[r.lo:r.hi] {
+			for j, v := range flat[r.lo:r.hi] {
 				if len(drops) > 0 && drops[0] == v {
 					drops = drops[1:]
 					continue
 				}
-				idx[cnt[v-base]] = rec
+				idx[cnt[v-base]] = rec | uint64(port[j])
 				cnt[v-base]++
 			}
 		}
-		first += int32(len(b.recs))
+		first += uint64(len(b.recs))
 	}
 	// Gather. Record numbers run across the batches, so record r is
 	// found by stepping past whole batches: one comparison when there
 	// is one batch, as at one worker and in every TCP node process.
-	for i, r := range idx {
-		b := 0
-		for int(r) >= len(batches[b].recs) {
-			r -= int32(len(batches[b].recs))
+	for i, x := range idx {
+		r, b := int(x>>32), 0
+		for r >= len(batches[b].recs) {
+			r -= len(batches[b].recs)
 			b++
 		}
-		a.buf[i] = batches[b].recs[r].m
+		m := &a.buf[i]
+		*m = batches[b].recs[r].m
+		m.Port = int32(uint32(x))
 	}
 }
 
@@ -170,8 +175,11 @@ type nbrSeg struct {
 // shard. Built once per run, it is what lets a sender emit one record
 // per (message, destination shard) and the fill phase expand records
 // to receivers without the sender ever touching per-neighbor state.
+// port, beside flat, holds each receiver's arrival port for a message
+// from u: the port fill stamps.
 type shardSegments struct {
 	flat  []int32
+	port  []int32
 	segs  []nbrSeg
 	segOf []int32
 }
@@ -212,9 +220,10 @@ func shardBounds(n, k int) (bounds []int, owner []int32) {
 
 // buildShardSegments groups every vertex's neighbor list by owning
 // shard. Within one segment the adjacency order is preserved; segments
-// are emitted in ascending shard order. O(n·workers + m) time, one
-// pass of scratch counters.
-func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegments {
+// are emitted in ascending shard order. The port column is filled from
+// ports, and left nil when ports is (the TCP coordinator only routes).
+// O(n·workers + m) time, one pass of scratch counters.
+func buildShardSegments(g *graph.Graph, owner []int32, workers int, ports graph.Ports) shardSegments {
 	n := g.N()
 	total := 0
 	for u := 0; u < n; u++ {
@@ -223,6 +232,9 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegment
 	ss := shardSegments{
 		flat:  make([]int32, total),
 		segOf: make([]int32, n+1),
+	}
+	if ports != nil {
+		ss.port = make([]int32, total)
 	}
 	cnt := make([]int32, workers)
 	cur := make([]int32, workers)
@@ -246,9 +258,12 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegment
 			pos += c
 			cnt[d] = 0
 		}
-		for _, v := range adj {
+		for i, v := range adj {
 			d := owner[v]
 			ss.flat[cur[d]] = int32(v)
+			if ports != nil {
+				ss.port[cur[d]] = ports.Port(g.IncidentEdges(u)[i], u, v)
+			}
 			cur[d]++
 		}
 	}
@@ -343,7 +358,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		workers = max(min(workers, n), 1)
 
 		bounds, owner := shardBounds(n, workers)
-		segs := buildShardSegments(g, owner, workers)
+		segs := buildShardSegments(g, owner, workers, cfg.ports(g))
 
 		// out[s][d] buffers shard s's records addressed to shard d.
 		// Worker s truncates all of its buckets at the start of each
@@ -429,7 +444,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 								batches = append(batches, b)
 							}
 						}
-						arena.fill(int32(lo), segs.flat, batches)
+						arena.fill(int32(lo), &segs, batches)
 						rep[s] <- struct{}{}
 					default: // cmdStop
 						rep[s] <- struct{}{}

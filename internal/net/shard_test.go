@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"dima/internal/gen"
 	"dima/internal/graph"
@@ -40,10 +41,10 @@ func (n *replayNode) Step(round int, inbox []msg.Message) []msg.Message {
 	}
 	return []msg.Message{{
 		Kind:  msg.KindInvite,
-		From:  n.id,
+		From:  int32(n.id),
 		To:    msg.Broadcast,
-		Edge:  int(acc % 64),
-		Color: int(acc>>8) % 8,
+		Edge:  int32(acc % 64),
+		Color: int32(int(acc>>8) % 8),
 	}}
 }
 
@@ -131,7 +132,8 @@ func TestShardDeterministicAcrossRuns(t *testing.T) {
 // sender, so if every vertex's segments partition its neighbor list
 // into at most min(workers, degree) shard-owned pieces, a run buffers
 // at most workers records per message and never more than one per
-// delivery.
+// delivery. Each receiver's port column entry is the sender's position
+// in the receiver's neighbor list.
 func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 	dense, err := gen.ErdosRenyiAvgDegree(rng.New(31), 400, 8)
 	if err != nil {
@@ -144,7 +146,7 @@ func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 	for _, g := range []*graph.Graph{dense, sparse} {
 		for _, workers := range []int{1, 2, 3, 4, 8, g.N()} {
 			_, owner := shardBounds(g.N(), workers)
-			segs := buildShardSegments(g, owner, workers)
+			segs := buildShardSegments(g, owner, workers, graph.NewPorts(g))
 			pos := int32(0)
 			for u := 0; u < g.N(); u++ {
 				us := segs.of(u)
@@ -163,10 +165,14 @@ func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 							g.N(), workers, u, sg, pos)
 					}
 					pos = sg.hi
-					for _, v := range segs.flat[sg.lo:sg.hi] {
+					for j, v := range segs.flat[sg.lo:sg.hi] {
 						if owner[v] != sg.dst {
 							t.Fatalf("n=%d workers=%d: vertex %d segment for shard %d holds %d, owned by %d",
 								g.N(), workers, u, sg.dst, v, owner[v])
+						}
+						if p := segs.port[int(sg.lo)+j]; g.Neighbors(int(v))[p] != u {
+							t.Fatalf("n=%d workers=%d: port %d of %d at receiver %d names %d",
+								g.N(), workers, p, u, v, g.Neighbors(int(v))[p])
 						}
 						got = append(got, int(v))
 					}
@@ -184,4 +190,38 @@ func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkShardFill times one shard's inbox fill at the scale of
+// bench's edge-er workload (ER, n = 62,500, average degree 8), whose
+// arena outgrows the caches: every vertex broadcasts one message, and
+// one worker's arena takes all of them as one batch. It reports the
+// time per delivery and the bytes per delivery the fill writes into the
+// arena (the message plus its slot's record/port entry).
+func BenchmarkShardFill(b *testing.B) {
+	g, err := gen.ErdosRenyiAvgDegree(rng.New(1), 62_500, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner := make([]int32, g.N())
+	segs := buildShardSegments(g, owner, 1, graph.NewPorts(g))
+	var batch recordBatch
+	for u := 0; u < g.N(); u++ {
+		for _, sg := range segs.of(u) {
+			m := msg.Message{Kind: msg.KindInvite, From: int32(u), To: msg.Broadcast, Edge: int32(u), Color: 1}
+			batch.recs = append(batch.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
+		}
+	}
+	batches := []recordBatch{batch}
+	arena := newShardInbox(g.N())
+	arena.fill(0, &segs, batches)
+	deliveries := len(arena.buf)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.fill(0, &segs, batches)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(deliveries), "ns/delivery")
+	written := len(arena.buf)*int(unsafe.Sizeof(msg.Message{})) + len(arena.idx)*int(unsafe.Sizeof(arena.idx[0]))
+	b.ReportMetric(float64(written)/float64(deliveries), "B/delivery")
 }

@@ -296,7 +296,7 @@ func newTCPRouter(g *graph.Graph, owner []int32, shards int, fault FaultInjector
 	return &tcpRouter{
 		g:     g,
 		owner: owner,
-		segs:  buildShardSegments(g, owner, shards),
+		segs:  buildShardSegments(g, owner, shards, nil),
 		fault: fault,
 		body:  make([][]byte, shards),
 		count: make([]int, shards),

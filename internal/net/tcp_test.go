@@ -75,8 +75,8 @@ func (n *gossipNode) Step(round int, inbox []msg.Message) []msg.Message {
 		return nil
 	}
 	return []msg.Message{{
-		Kind: msg.KindInvite, From: n.id, To: msg.Broadcast,
-		Edge: n.id*7 + round, Color: round,
+		Kind: msg.KindInvite, From: int32(n.id), To: msg.Broadcast,
+		Edge: int32(n.id*7 + round), Color: int32(round),
 	}}
 }
 
@@ -721,7 +721,7 @@ func hostileRound(from int, drops []int) []byte {
 	buf := binary.AppendUvarint(nil, 0)
 	buf = binary.AppendUvarint(buf, 1)
 	buf = binary.AppendUvarint(buf, uint64(from))
-	buf = msg.Message{Kind: msg.KindInvite, From: from, To: msg.Broadcast, Edge: 1}.Append(buf)
+	buf = msg.Message{Kind: msg.KindInvite, From: int32(from), To: msg.Broadcast, Edge: 1}.Append(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(drops)))
 	for _, v := range drops {
 		buf = binary.AppendUvarint(buf, uint64(v))

@@ -245,14 +245,15 @@ func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
 	return &nodeInbox{
 		lo:    lo,
 		hi:    hi,
-		segs:  buildShardSegments(g, owner, 2),
+		segs:  buildShardSegments(g, owner, 2, graph.NewPorts(g)),
 		arena: newShardInbox(hi - lo),
 	}
 }
 
 // receive decodes one round frame into the arena and returns its
 // round. Records the coordinator cannot have sent are errors: a sender
-// outside the graph or out of ascending order, a sender with no
+// outside the graph, out of ascending order or unlike its message's
+// From (the fill stamps ports from the sender), a sender with no
 // neighbor in this shard, or a drop list that is not a subsequence of
 // the sender's neighbors here.
 func (ni *nodeInbox) receive(payload []byte) (int, error) {
@@ -269,6 +270,9 @@ func (ni *nodeInbox) receive(payload []byte) (int, error) {
 	for _, r := range recs {
 		if r.from >= n {
 			return 0, fmt.Errorf("net: record from vertex %d, graph has %d", r.from, n)
+		}
+		if int(r.m.From) != r.from {
+			return 0, fmt.Errorf("net: record from vertex %d carries a message from %d", r.from, r.m.From)
 		}
 		if r.from < prev {
 			return 0, fmt.Errorf("net: record from vertex %d after vertex %d", r.from, prev)
@@ -287,7 +291,7 @@ func (ni *nodeInbox) receive(payload []byte) (int, error) {
 			b.spans = append(b.spans, r.drops)
 		}
 	}
-	ni.arena.fill(int32(ni.lo), ni.segs.flat, ni.batch[:])
+	ni.arena.fill(int32(ni.lo), &ni.segs, ni.batch[:])
 	return round, nil
 }
 

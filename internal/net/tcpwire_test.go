@@ -2,8 +2,12 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dima/internal/gen"
@@ -14,10 +18,64 @@ import (
 
 // wireSeeds are the messages the round and outbox fuzz corpora start
 // from: a bare invitation and a retransmitted update carrying paints.
-var wireSeeds = []msg.Message{
-	{Kind: msg.KindInvite, From: 3, To: msg.Broadcast, Edge: 9, Color: 2},
-	{Kind: msg.KindUpdate, From: 5, To: msg.Broadcast, Edge: 40, Color: 1, Seq: 3,
-		Paints: []msg.Paint{{Edge: 40, Color: 1}, {Edge: 41, Color: 7}}},
+var wireSeeds = func() []msg.Message {
+	up := msg.Message{Kind: msg.KindUpdate, From: 5, To: msg.Broadcast, Edge: 40, Color: 1, Seq: 3}
+	up.SetPaints([]msg.Paint{{Edge: 40, Color: 1}, {Edge: 41, Color: 7}})
+	return []msg.Message{{Kind: msg.KindInvite, From: 3, To: msg.Broadcast, Edge: 9, Color: 2}, up}
+}()
+
+// int32Edges are the values on either side of the int32 range: 2^31-1
+// and -2^31 decode, 2^31 and -2^31-1 must be rejected.
+var int32Edges = []int64{math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1}
+
+// boundaryMessage hand-encodes an update from vertex 3 whose To, Edge,
+// Color and one paint all hold v, which Message.Append cannot produce
+// outside int32.
+func boundaryMessage(v int64) []byte {
+	m := binary.AppendVarint([]byte{byte(msg.KindUpdate)}, 3) // From
+	for range 3 {
+		m = binary.AppendVarint(m, v) // To, Edge, Color
+	}
+	m = append(m, 0, 1) // no flags, one paint
+	return binary.AppendVarint(binary.AppendVarint(m, v), v)
+}
+
+// rawOutbox wraps one broadcast from vertex 3, given as its message
+// bytes, in an outbox frame of round 4 without states.
+func rawOutbox(m []byte) []byte {
+	frame := binary.AppendUvarint(nil, 4)  // round
+	frame = append(frame, 0)               // flags
+	frame = binary.AppendUvarint(frame, 1) // one broadcast
+	frame = binary.AppendUvarint(frame, 3) // from vertex 3
+	return binary.AppendUvarint(append(frame, m...), 0)
+}
+
+// TestFramesRejectWideInts: a message field or paint outside int32 in a
+// round frame's record or an outbox frame's broadcast is a decode
+// error, never a silent truncation; the int32 extremes decode exactly.
+func TestFramesRejectWideInts(t *testing.T) {
+	for _, v := range int32Edges {
+		m := boundaryMessage(v)
+		_, recs, _, rerr := decodeRound(appendRound(nil, 0, 1, appendRecord(nil, 3, m, nil)), nil, nil)
+		var ob outbox
+		oerr := ob.decode(rawOutbox(m))
+		if v != int64(int32(v)) {
+			if rerr == nil || oerr == nil || !strings.Contains(rerr.Error(), "outside int32") {
+				t.Errorf("%d: round frame %v, outbox frame %v; want both rejected", v, rerr, oerr)
+			}
+			continue
+		}
+		if rerr != nil || oerr != nil {
+			t.Fatalf("%d: round frame %v, outbox frame %v", v, rerr, oerr)
+		}
+		for _, got := range []msg.Message{recs[0].m, ob.bs[0].m} {
+			p := got.Paints()
+			if int64(got.To) != v || int64(got.Edge) != v || int64(got.Color) != v ||
+				len(p) != 1 || int64(p[0].Edge) != v || int64(p[0].Color) != v {
+				t.Fatalf("%d decoded as %v", v, got)
+			}
+		}
+	}
 }
 
 func FuzzDecodeRound(f *testing.F) {
@@ -27,6 +85,9 @@ func FuzzDecodeRound(f *testing.F) {
 	f.Add(appendRound(nil, 7, 2, body))
 	f.Add(appendRound(nil, 7, 3, body))
 	f.Add([]byte{0x80})
+	for _, v := range int32Edges {
+		f.Add(appendRound(nil, 7, 1, appendRecord(nil, 3, boundaryMessage(v), nil)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		round, recs, drops, err := decodeRound(data, nil, nil)
 		if err != nil {
@@ -57,6 +118,9 @@ func FuzzDecodeOutbox(f *testing.F) {
 	f.Add(appendOutbox(nil, 4, true, []broadcast{{from: 3, m: wireSeeds[0]}, {from: 5, m: wireSeeds[1]}}, 0, nil))
 	f.Add(appendOutbox(nil, 4, false, []broadcast{{from: 3, m: wireSeeds[0]}}, 2, states))
 	f.Add([]byte{1, 2, 1})
+	for _, v := range int32Edges {
+		f.Add(rawOutbox(boundaryMessage(v)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ob outbox
 		if ob.decode(data) != nil {
@@ -80,7 +144,7 @@ func FuzzDecodeOutbox(f *testing.F) {
 				ob.round, ob.done, len(ob.bs), ob2.round, ob2.done, len(ob2.bs))
 		}
 		for i := range ob.bs {
-			if ob2.bs[i].from != ob.bs[i].from || !reflect.DeepEqual(ob2.bs[i].m, ob.bs[i].m) {
+			if ob2.bs[i].from != ob.bs[i].from || !msg.Equal(ob2.bs[i].m, ob.bs[i].m) {
 				t.Fatalf("broadcast %d changed: %+v -> %+v", i, ob.bs[i], ob2.bs[i])
 			}
 			if !bytes.Equal(ob2.bs[i].raw, ob2.bs[i].m.Append(nil)) {
@@ -173,7 +237,9 @@ func TestRoundFrameRecords(t *testing.T) {
 						continue
 					}
 					alive[owner[v]] = true
-					wantInbox[v] = append(wantInbox[v], b.m)
+					m := b.m // as delivered: stamped with its arrival port
+					m.Port = int32(slices.Index(g.Neighbors(v), b.from))
+					wantInbox[v] = append(wantInbox[v], m)
 					wantDelivered++
 				}
 				wantRecs += len(alive)
