@@ -7,9 +7,6 @@
 
 GO ?= go
 
-# Directory make profile writes its test binaries and profiles to.
-PROFILE_DIR ?= .profile
-
 .PHONY: all build test race vet fmt fmt-check loc fuzz-smoke bench bench-smoke bench-check profile check serve-smoke dynamic-smoke load-smoke cluster-smoke cluster-serve-smoke
 
 all: build
@@ -64,13 +61,13 @@ bench-smoke:
 # One CPU profile per coloring algorithm, each of its one-worker
 # RunShard benchmark (ER, n = 2,000, average degree 8) at GOMAXPROCS=1,
 # and the top 20 functions of each by flat time. The profiles stay in
-# $(PROFILE_DIR) (cpu-Edges.out, cpu-Strong.out) for `go tool pprof`.
+# .profile (cpu-Edges.out, cpu-Strong.out) for `go tool pprof`.
 profile:
-	@mkdir -p $(PROFILE_DIR)
+	@mkdir -p .profile
 	@set -e; for alg in Edges Strong; do \
 		GOMAXPROCS=1 $(GO) test -run '^$$' -bench "^BenchmarkColor$${alg}Shard$$" -benchtime 4s \
-			-o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cpu-$$alg.out ./internal/core; \
-		$(GO) tool pprof -top -nodecount 20 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cpu-$$alg.out; \
+			-o .profile/core.test -cpuprofile .profile/cpu-$$alg.out ./internal/core; \
+		$(GO) tool pprof -top -nodecount 20 .profile/core.test .profile/cpu-$$alg.out; \
 	done
 
 # The benchmark harness is a module of its own (bench/go.mod), so the

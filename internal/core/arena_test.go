@@ -9,10 +9,9 @@ import (
 
 // TestSlotUnsortedAdjacency covers the item → slot lookups on neighbor
 // lists in insertion order that is not ascending, as RemoveEdge and
-// AddEdge leave them: slot (through the port table) and at (through a
-// message's arrival port) agree with a scan of the incidence list, for
-// edges and for both arcs of each edge, and reject items that are not
-// the node's.
+// AddEdge leave them: at (through a message's arrival port) and itemAt
+// agree with a scan of the incidence list, for edges and for both arcs
+// of each edge, and at and owns reject items that are not the node's.
 func TestSlotUnsortedAdjacency(t *testing.T) {
 	g := graph.New(8)
 	for _, e := range [][2]int{{0, 5}, {0, 2}, {0, 7}, {0, 1}, {3, 2}, {6, 4}} {
@@ -35,8 +34,8 @@ func TestSlotUnsortedAdjacency(t *testing.T) {
 						want += deg
 					}
 				}
-				if got := n.slot(item); got != want {
-					t.Fatalf("arcs %d, u=%d: slot(%d) = %d, want %d", arcs, u, item, got, want)
+				if got := n.owns(item); got != (want >= 0) {
+					t.Fatalf("arcs %d, u=%d: owns(%d) = %v, want %v", arcs, u, item, got, want >= 0)
 				}
 				for p := range n.inc {
 					w := want

@@ -264,7 +264,7 @@ func (n *colorNode) ApplyChanges(data []byte) error {
 		m := d.Count("assignment count", 2)
 		for j := 0; j < m && d.Err == nil; j++ {
 			a := assignment{item: d.Int("assignment item", maxCount), color: d.Int("assignment color", math.MaxInt32)}
-			if d.Err == nil && n.slot(a.item) < 0 {
+			if d.Err == nil && !n.owns(a.item) {
 				d.Fail("assignment of item %d color %d does not belong to this node", a.item, a.color)
 			}
 			r.assigns = append(r.assigns, a)

@@ -31,7 +31,6 @@ type colorNode struct {
 
 	inc    []graph.EdgeID // IncidentEdges(u)
 	nbrs   []int          // Neighbors(u)
-	ports  graph.Ports    // the run's port table: an item's slot without a message
 	arcs   uint           // 1 when items are arcs, 0 when they are edges
 	colors []int32        // colors[s]: color of the item of slot s, -1 while uncolored
 	open   []int32        // slots of uncolored items this node can invite on
@@ -57,12 +56,10 @@ type colorNode struct {
 
 // skeleton lays out the shared state of the nodes of vertices [lo, hi)
 // in run-wide arrays (see arena.go): colors, open slots, outboxes and,
-// with Options.Metrics, event records. ports is the graph's port table,
-// which the engine stamps deliveries from too (net.Config.Ports).
+// with Options.Metrics, event records.
 type skeleton struct {
 	g      *graph.Graph
 	opt    *Options
-	ports  graph.Ports
 	c      incidence
 	base   *rng.Rand
 	arcs   uint
@@ -74,7 +71,7 @@ type skeleton struct {
 }
 
 func newSkeleton(g *graph.Graph, lo, hi int, arcs uint, outCap int, opt *Options) *skeleton {
-	s := &skeleton{g: g, opt: opt, ports: graph.NewPorts(g), c: newIncidence(g, lo, hi),
+	s := &skeleton{g: g, opt: opt, c: newIncidence(g, lo, hi),
 		base: rng.New(opt.Seed), arcs: arcs, outCap: outCap}
 	total := s.c.total()
 	s.colors = make([]int32, total<<arcs)
@@ -106,7 +103,6 @@ func (s *skeleton) node(u int, paints []msg.Paint) colorNode {
 		mach:   *automaton.NewMachine(u, s.opt.Hook),
 		inc:    s.g.IncidentEdges(u),
 		nbrs:   s.g.Neighbors(u),
-		ports:  s.ports,
 		arcs:   s.arcs,
 		colors: s.colors[a<<s.arcs : b<<s.arcs : b<<s.arcs],
 		open:   s.open[a:b:b],
@@ -226,20 +222,16 @@ func (n *colorNode) at(item, port int32) int {
 	return n.inOut(int(item), int(port))
 }
 
-// slot returns the slot of item at this node, or -1 if it is not one of
-// the node's items: the lookup for an item no message came with.
-func (n *colorNode) slot(item int) int {
+// owns reports whether item is one of the node's items: its edge is
+// live and has this node as an endpoint. It is the check for an item no
+// message came with.
+func (n *colorNode) owns(item int) bool {
 	e := graph.EdgeID(item >> n.arcs)
-	if e < 0 || int(e) >= n.g.EdgeIDBound() {
-		return -1
+	if !n.g.Live(e) {
+		return false
 	}
-	ed, own := n.g.EdgeAt(e), 0
-	if ed.V == int(n.id) {
-		own = 1
-	} else if ed.U != int(n.id) {
-		return -1
-	}
-	return n.inOut(item, int(n.ports[e][own]))
+	ed := n.g.EdgeAt(e)
+	return ed.U == int(n.id) || ed.V == int(n.id)
 }
 
 // inOut returns the slot of item, which lies on the edge of port: the
@@ -304,9 +296,6 @@ func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, no
 		}
 	}
 	cfg := net.Config{MaxRounds: phases * o.maxCompRounds(), Ctx: ctx, Fault: o.Fault, Workers: o.Workers}
-	if len(nodes) > 0 {
-		cfg.Ports = nodes[0].ports // the engine stamps from the nodes' table: one per run
-	}
 	var fold *roundFold
 	if o.Metrics != nil {
 		fold = newRoundFold(o.Metrics, nodes, phases, items)

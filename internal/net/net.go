@@ -103,12 +103,6 @@ type Config struct {
 	// Workers is the number of shard goroutines RunShard uses; 0 means
 	// runtime.GOMAXPROCS(0). The other engines ignore it.
 	Workers int
-	// Ports is the graph's port table (graph.NewPorts), from which
-	// RunSync and RunShard stamp each delivery's Port; nil means the
-	// engine builds it. Callers whose nodes read the same table pass
-	// it, so a run builds one. RunTCP's node processes build their own
-	// from the graph they are sent.
-	Ports graph.Ports
 }
 
 // KindTraffic aggregates one message kind's traffic within a round.
@@ -175,14 +169,6 @@ func (c Config) ctx() context.Context {
 		return context.Background()
 	}
 	return c.Ctx
-}
-
-// ports returns the run's port table.
-func (c Config) ports(g *graph.Graph) graph.Ports {
-	if c.Ports == nil {
-		return graph.NewPorts(g)
-	}
-	return c.Ports
 }
 
 // canceled reports whether the run should abort.
@@ -318,7 +304,7 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		// them out of a reused slice stay valid.
 		inboxes := make([][]msg.Message, g.N())
 		next := make([][]msg.Message, g.N())
-		ports := cfg.ports(g)
+		ports := graph.NewPorts(g)
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for u := 0; u < g.N(); u++ {
 				in := inboxes[u]

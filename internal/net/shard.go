@@ -358,7 +358,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		workers = max(min(workers, n), 1)
 
 		bounds, owner := shardBounds(n, workers)
-		segs := buildShardSegments(g, owner, workers, cfg.ports(g))
+		segs := buildShardSegments(g, owner, workers, graph.NewPorts(g))
 
 		// out[s][d] buffers shard s's records addressed to shard d.
 		// Worker s truncates all of its buckets at the start of each

@@ -106,8 +106,13 @@ func FuzzDecodeRound(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if round2 != round || !reflect.DeepEqual(recs2, recs) || !reflect.DeepEqual(drops2, drops) {
+		if round2 != round || len(recs2) != len(recs) || !reflect.DeepEqual(drops2, drops) {
 			t.Fatalf("round trip changed the frame:\n%d %+v %v\n%d %+v %v", round, recs, drops, round2, recs2, drops2)
+		}
+		for i := range recs {
+			if recs2[i].from != recs[i].from || recs2[i].drops != recs[i].drops || !msg.Equal(recs2[i].m, recs[i].m) {
+				t.Fatalf("record %d changed: %+v -> %+v", i, recs[i], recs2[i])
+			}
 		}
 	})
 }
