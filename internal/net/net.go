@@ -43,7 +43,8 @@ type Node interface {
 	// Step executes one communication round. The inbox holds every
 	// message broadcast by a neighbor in the previous round, sorted by
 	// msg.Less. The returned messages are locally broadcast: delivered
-	// to every neighbor at the next round.
+	// to every neighbor at the next round. Each must carry From ==
+	// ID(): RunTCP routes by From, and its node processes check it.
 	//
 	// Every engine stamps each delivered message with its arrival port:
 	// Port is the receiver's incidence position of From, so

@@ -116,16 +116,12 @@ func TestNodeInboxStampsPorts(t *testing.T) {
 	bs := recordRound(t, g, round)
 	for _, fault := range []FaultInjector{nil, DropRate{Seed: 3, P: 0.3}} {
 		for _, k := range []int{1, 3} {
-			bounds, owner := shardBounds(g.N(), k)
-			r := newTCPRouter(g, owner, k, fault)
-			var want int64
-			for _, b := range bs {
-				want += r.route(round, b)
-			}
+			bounds, _ := shardBounds(g.N(), k)
+			frames, want := routeFrames(coordRouter(g, k, fault), round, bs)
 			var heard int64
 			for s := 0; s < k; s++ {
 				ni := newNodeInbox(g, bounds[s], bounds[s+1])
-				if _, err := ni.receive(r.frame(nil, round, s)); err != nil {
+				if _, err := ni.receive(frames[s]); err != nil {
 					t.Fatal(err)
 				}
 				for v := bounds[s]; v < bounds[s+1]; v++ {

@@ -28,12 +28,12 @@ type shardDelivery struct {
 // dropSpan locates one record's drop list, drops[lo:hi] of its batch.
 type dropSpan struct{ lo, hi int32 }
 
-// recordBatch is a run of records in ascending sender order. When a
-// fault injector is configured, spans[i] locates recs[i]'s drop list:
-// the receivers in its segment that the injector dropped, in segment
-// order. Reliable batches leave spans empty. RunShard keeps one batch
-// per (source worker, destination shard); a TCP node process decodes
-// one per round frame.
+// recordBatch is a run of records in ascending sender order. spans[i],
+// when spans is set, locates recs[i]'s drop list: the receivers in its
+// segment that the fault injector dropped, in segment order. A batch
+// without drops fills as a reliable one. RunShard keeps one batch per
+// (source worker, destination shard); a TCP node process decodes one
+// per round frame.
 type recordBatch struct {
 	recs  []shardDelivery
 	spans []dropSpan
@@ -95,7 +95,7 @@ func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) 
 	for _, b := range batches {
 		for i, r := range b.recs {
 			total += r.hi - r.lo
-			if len(b.spans) == 0 {
+			if len(b.drops) == 0 {
 				for _, v := range flat[r.lo:r.hi] {
 					cnt[v-base]++
 				}
@@ -127,7 +127,7 @@ func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) 
 		for i, r := range b.recs {
 			rec := (first + uint64(i)) << 32
 			port := ss.port[r.lo:r.hi]
-			if len(b.spans) == 0 {
+			if len(b.drops) == 0 {
 				for j, v := range flat[r.lo:r.hi] {
 					idx[cnt[v-base]] = rec | uint64(port[j])
 					cnt[v-base]++
@@ -271,28 +271,68 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int, ports graph.
 	return ss
 }
 
-// askDrops asks f about every delivery of m from a sender with
-// neighbor list adj, in adjacency order — RunSync's call order — and
-// appends the dropped receivers to buf in that order.
-func askDrops(f FaultInjector, round int, m msg.Message, adj []int, buf []int32) []int32 {
-	for _, v := range adj {
-		if f.Drop(round, m, v) {
-			buf = append(buf, int32(v))
-		}
-	}
-	return buf
+// router is the one record builder of both multi-shard engines. route
+// turns one broadcast into a shardDelivery per destination shard that
+// keeps a surviving receiver, appended to that shard's batch in out.
+// RunShard gives each worker a router whose out holds the worker's
+// buckets; RunTCP's coordinator routes every shard's outbox through one
+// router whose out holds the next round frames (appendRound).
+type router struct {
+	g     *graph.Graph
+	owner []int32
+	segs  *shardSegments
+	fault FaultInjector
+	out   []recordBatch
 }
 
-// appendOwned appends the vertices of dropped that shard d owns, in
-// order: one segment's drop list, since a segment keeps its receivers
-// in adjacency order.
-func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
-	for _, v := range dropped {
-		if owner[v] == d {
-			buf = append(buf, v)
+// route appends the records of u's broadcast m and returns how many of
+// its deliveries survive the fault injector. The injector is asked
+// about every delivery in u's adjacency order — RunSync's call order —
+// and each dropped receiver is appended straight to its shard's drop
+// list: u's segments lie in distinct batches, and a batch's drops end
+// where its last span does, so the drops appended here are exactly one
+// record's drop list, in segment order.
+func (r *router) route(round, u int, m msg.Message) int64 {
+	segs := r.segs.of(u)
+	if r.fault == nil {
+		for _, sg := range segs {
+			b := &r.out[sg.dst]
+			b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
+		}
+		return int64(r.g.Degree(u))
+	}
+	adj := r.g.Neighbors(u)
+	dropped := 0
+	for _, v := range adj {
+		if r.fault.Drop(round, m, v) {
+			b := &r.out[r.owner[v]]
+			b.drops = append(b.drops, int32(v))
+			dropped++
 		}
 	}
-	return buf
+	for _, sg := range segs {
+		b := &r.out[sg.dst]
+		lo := int32(0)
+		if len(b.spans) > 0 {
+			lo = b.spans[len(b.spans)-1].hi
+		}
+		hi := int32(len(b.drops))
+		if hi-lo == sg.hi-sg.lo {
+			b.drops = b.drops[:lo] // every receiver in this shard dropped
+			continue
+		}
+		b.spans = append(b.spans, dropSpan{lo: lo, hi: hi})
+		b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
+	}
+	return int64(len(adj) - dropped)
+}
+
+// reset empties every batch, keeping their storage.
+func (r *router) reset() {
+	for d := range r.out {
+		b := &r.out[d]
+		b.recs, b.spans, b.drops = b.recs[:0], b.spans[:0], b.drops[:0]
+	}
 }
 
 // RunShard executes the protocol with cfg.Workers goroutines, each
@@ -317,10 +357,11 @@ func appendOwned(buf, dropped, owner []int32, d int32) []int32 {
 //     place. It belongs to the round that reads the inboxes because
 //     only a following round needs it.
 //  2. Step: every worker steps its own vertices in id order, sorting
-//     each inbox with msg.Sort first, and buffers each outbound
-//     broadcast as one shardDelivery per destination shard that holds
-//     a surviving receiver. A fault injector is asked about every
-//     delivery at fan-out, where the sender's adjacency order fixes
+//     each inbox with msg.Sort first, and routes each outbound
+//     broadcast into its own buckets with router.route, RunTCP's
+//     record builder too: one shardDelivery per destination shard that
+//     holds a surviving receiver. A fault injector is asked about
+//     every delivery there, where the sender's adjacency order fixes
 //     the call order; its verdicts ride along as per-record drop
 //     lists. Workers touch only their own vertices' inboxes and their
 //     own outbound buckets, so the phase is data-race free by
@@ -360,12 +401,13 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		bounds, owner := shardBounds(n, workers)
 		segs := buildShardSegments(g, owner, workers, graph.NewPorts(g))
 
-		// out[s][d] buffers shard s's records addressed to shard d.
-		// Worker s truncates all of its buckets at the start of each
+		// routers[s].out[d] buffers shard s's records addressed to
+		// shard d. Worker s resets its buckets at the start of each
 		// step.
-		out := make([][]recordBatch, workers)
-		for s := range out {
-			out[s] = make([]recordBatch, workers)
+		routers := make([]router, workers)
+		for s := range routers {
+			routers[s] = router{g: g, owner: owner, segs: &segs, fault: cfg.Fault,
+				out: make([]recordBatch, workers)}
 		}
 
 		tally := make([]RoundTraffic, workers)
@@ -381,50 +423,22 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			go func(s int) {
 				lo, hi := bounds[s], bounds[s+1]
 				// One worker-local inbox arena, refilled in place by each
-				// merge: the only cross-worker traffic is the out
+				// merge: the only cross-worker traffic is the routers'
 				// buckets, synchronized by the phase barriers.
 				arena := newShardInbox(hi - lo)
-				myOut := out[s]
-				var dropped []int32
+				rtr := &routers[s]
 				var batches []recordBatch
 				for {
 					c := <-cmd[s]
 					switch {
 					case c >= 0: // step phase for round c
 						var t RoundTraffic
-						for d := range myOut {
-							myOut[d].recs = myOut[d].recs[:0]
-							myOut[d].spans = myOut[d].spans[:0]
-							myOut[d].drops = myOut[d].drops[:0]
-						}
+						rtr.reset()
 						for u := lo; u < hi; u++ {
 							inbox := arena.inbox(u - lo)
 							msg.Sort(inbox)
-							msgs := nodes[u].Step(c, inbox)
-							if len(msgs) == 0 {
-								continue
-							}
-							deg := int64(g.Degree(u))
-							usegs := segs.of(u)
-							for _, m := range msgs {
-								if cfg.Fault != nil {
-									dropped = askDrops(cfg.Fault, c, m, g.Neighbors(u), dropped[:0])
-								}
-								t.count(m.Kind, int64(m.Size()), deg-int64(len(dropped)))
-								for _, sg := range usegs {
-									b := &myOut[sg.dst]
-									if cfg.Fault != nil {
-										dlo := int32(len(b.drops))
-										b.drops = appendOwned(b.drops, dropped, owner, sg.dst)
-										if int32(len(b.drops))-dlo == sg.hi-sg.lo {
-											// Every receiver in this shard dropped.
-											b.drops = b.drops[:dlo]
-											continue
-										}
-										b.spans = append(b.spans, dropSpan{lo: dlo, hi: int32(len(b.drops))})
-									}
-									b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
-								}
+							for _, m := range nodes[u].Step(c, inbox) {
+								t.count(m.Kind, int64(m.Size()), rtr.route(c, u, m))
 							}
 						}
 						// Done is evaluated here, after the shard's steps
@@ -439,8 +453,8 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					case c == cmdMerge:
 						// Ascending source order fixes the fill order.
 						batches = batches[:0]
-						for src := range out {
-							if b := out[src][s]; len(b.recs) > 0 {
+						for src := range routers {
+							if b := routers[src].out[s]; len(b.recs) > 0 {
 								batches = append(batches, b)
 							}
 						}

@@ -65,12 +65,19 @@ type runCapture struct {
 	heard  [][]msg.Message
 }
 
-func captureRun(t *testing.T, run Engine, n, limit int, seed uint64, fault FaultInjector) runCapture {
+// captureGraph is the graph captureRun runs on.
+func captureGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(77), n, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func captureRun(t *testing.T, run Engine, n, limit int, seed uint64, fault FaultInjector) runCapture {
+	t.Helper()
+	g := captureGraph(t, n)
 	nodes := replayNodes(n, limit, seed)
 	var rc runCapture
 	res, err := run(g, nodes, Config{
@@ -89,14 +96,42 @@ func captureRun(t *testing.T, run Engine, n, limit int, seed uint64, fault Fault
 	return rc
 }
 
+// segmentCut reports whether side cuts some sender off from every one
+// of its neighbors in some shard of a k-way split, so the router has a
+// record whose whole segment is dropped.
+func segmentCut(g *graph.Graph, side []bool, k int) bool {
+	_, owner := shardBounds(g.N(), k)
+	segs := buildShardSegments(g, owner, k, nil)
+	for u := 0; u < g.N(); u++ {
+		for _, sg := range segs.of(u) {
+			cut := true
+			for _, v := range segs.flat[sg.lo:sg.hi] {
+				cut = cut && side[v] != side[u]
+			}
+			if cut {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // RunShard must be observationally identical to RunSync — Result,
 // per-round RoundTraffic stream, and every node's full sorted-inbox
 // history — for any worker count, with and without faults.
 func TestShardMatchesSync(t *testing.T) {
 	const n, limit = 47, 12
+	side := make([]bool, n)
+	for v := range 8 {
+		side[v] = true
+	}
+	if !segmentCut(captureGraph(t, n), side, 3) {
+		t.Fatal("partition drops no whole segment at 3 workers")
+	}
 	faults := map[string]FaultInjector{
-		"reliable": nil,
-		"droprate": DropRate{Seed: 9, P: 0.2},
+		"reliable":  nil,
+		"droprate":  DropRate{Seed: 9, P: 0.2},
+		"partition": Partition{Side: side},
 	}
 	for fname, fault := range faults {
 		want := captureRun(t, RunSync, n, limit, 5, fault)

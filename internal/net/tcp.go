@@ -129,13 +129,15 @@ const (
 // connected over TCP. The coordinator supplies the shared round loop
 // with a round that sends round frames out and reads outboxes in: it
 // owns fault injection and traffic accounting, while node processes
-// step their vertex shards. Routing is split: for each broadcast the
-// coordinator sends one record per destination shard holding a
-// surviving receiver — the sender, the message bytes as the node sent
-// them, and the receivers the fault injector dropped — and each node
-// process expands the records over its own copy of the graph into a
-// flat inbox arena. Records travel in ascending sender order, so every
-// inbox fills in RunSync's order. Results, colorings, and per-round
+// step their vertex shards. Routing is split: the coordinator routes
+// every broadcast with RunShard's record builder (router.route), one
+// record per destination shard holding a surviving receiver, and sends
+// each shard its batch as a round frame (appendRound) — the sender,
+// the re-encoded message and the receivers the fault injector dropped
+// per record. Each node process decodes the frame into a batch and
+// expands it over its own copy of the graph into a flat inbox arena
+// with RunShard's fill. Records travel in ascending sender order, so
+// every inbox fills in RunSync's order. Results, colorings, and per-round
 // telemetry are byte-identical to RunSync at every shard count,
 // including under faults and mid-round cancel.
 //
@@ -212,15 +214,18 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 				return nil, &NodeError{Shard: s, Round: -1, Err: err}
 			}
 		}
-		router := newTCPRouter(g, owner, shards, cfg.Fault)
+		// One router routes every outbox: out[d] is shard d's next frame.
+		segs := buildShardSegments(g, owner, shards, nil)
+		rtr := router{g: g, owner: owner, segs: &segs, fault: cfg.Fault, out: make([]recordBatch, shards)}
 		var ob outbox
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for s := 0; s < shards; s++ {
-				run.buf = router.frame(run.buf[:0], round, s)
+				run.buf = appendRound(run.buf[:0], round, &rtr.out[s])
 				if err := run.send(s, frameRound, run.buf); err != nil {
 					return false, &NodeError{Shard: s, Round: round, Err: err}
 				}
 			}
+			rtr.reset()
 			doneAll := true
 			for s := 0; s < shards; s++ {
 				payload, err := run.recv(s, frameOutbox)
@@ -234,13 +239,8 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 					return false, &NodeError{Shard: s, Round: round, Err: err}
 				}
 				doneAll = doneAll && ob.done
-				for _, b := range ob.bs {
-					if b.from < bounds[s] || b.from >= bounds[s+1] {
-						return false, &NodeError{Shard: s, Round: round,
-							Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
-								b.from, bounds[s], bounds[s+1])}
-					}
-					rt.count(b.m.Kind, int64(b.m.Size()), router.route(round, b))
+				for _, m := range ob.bs {
+					rt.count(m.Kind, int64(m.Size()), rtr.route(round, int(m.From), m))
 				}
 			}
 			return doneAll, nil
@@ -258,11 +258,16 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 }
 
 // apply checks one shard's decoded outbox for round and applies its
-// state entries, which must come from the shard's vertex range [lo, hi),
-// to the twins.
+// state entries to the twins. Its broadcasts and state entries must
+// come from the shard's vertex range [lo, hi).
 func (ob *outbox) apply(round, lo, hi int, nodes []Node) error {
 	if ob.round != round {
 		return fmt.Errorf("outbox for round %d, want %d", ob.round, round)
+	}
+	for _, m := range ob.bs {
+		if int(m.From) < lo || int(m.From) >= hi {
+			return fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)", m.From, lo, hi)
+		}
 	}
 	for _, st := range ob.states {
 		if st.vertex < lo || st.vertex >= hi {
@@ -273,64 +278,6 @@ func (ob *outbox) apply(round, lo, hi int, nodes []Node) error {
 		}
 	}
 	return nil
-}
-
-// tcpRouter is the coordinator's routing stage. Each broadcast becomes
-// one record per destination shard holding a surviving receiver,
-// encoded straight into that shard's next round frame. The fault
-// injector is asked about every delivery here, in RunSync's call
-// order (ascending sender, then adjacency order), and its verdicts
-// travel as drop lists, so node processes never see it.
-type tcpRouter struct {
-	g        *graph.Graph
-	owner    []int32
-	segs     shardSegments
-	fault    FaultInjector
-	body     [][]byte // per destination shard: the next round frame's records
-	count    []int    // per destination shard: records in body
-	dropped  []int32  // one broadcast's dropped receivers, adjacency order
-	segDrops []int32  // the part of dropped inside one segment
-}
-
-func newTCPRouter(g *graph.Graph, owner []int32, shards int, fault FaultInjector) *tcpRouter {
-	return &tcpRouter{
-		g:     g,
-		owner: owner,
-		segs:  buildShardSegments(g, owner, shards, nil),
-		fault: fault,
-		body:  make([][]byte, shards),
-		count: make([]int, shards),
-	}
-}
-
-// route appends b's records to the pending round frames and returns
-// how many of its deliveries survived the fault injector.
-func (r *tcpRouter) route(round int, b broadcast) int64 {
-	if r.fault != nil {
-		r.dropped = askDrops(r.fault, round, b.m, r.g.Neighbors(b.from), r.dropped[:0])
-	}
-	for _, sg := range r.segs.of(b.from) {
-		drops := r.segDrops[:0]
-		if len(r.dropped) > 0 {
-			drops = appendOwned(drops, r.dropped, r.owner, sg.dst)
-			r.segDrops = drops
-			if int32(len(drops)) == sg.hi-sg.lo {
-				continue // every receiver in this shard dropped
-			}
-		}
-		r.body[sg.dst] = appendRecord(r.body[sg.dst], b.from, b.raw, drops)
-		r.count[sg.dst]++
-	}
-	return int64(r.g.Degree(b.from) - len(r.dropped))
-}
-
-// frame appends shard d's round frame payload to buf and empties d's
-// pending records.
-func (r *tcpRouter) frame(buf []byte, round, d int) []byte {
-	buf = appendRound(buf, round, r.count[d], r.body[d])
-	r.body[d] = r.body[d][:0]
-	r.count[d] = 0
-	return buf
 }
 
 // tcpRun is the coordinator's live cluster: listener, one connection

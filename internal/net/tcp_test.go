@@ -33,6 +33,7 @@ func init() {
 	net.RegisterNodeFactory("test/gossip/v1", gossipFactory)
 	net.RegisterNodeFactory("test/kill/v1", killFactory)
 	net.RegisterNodeFactory("test/hang/v1", hangFactory)
+	net.RegisterNodeFactory("test/forge/v1", forgeFactory)
 }
 
 // gossipNode is a deterministic test protocol: for `rounds` rounds each
@@ -182,6 +183,26 @@ func (n *hangNode) Step(round int, inbox []msg.Message) []msg.Message {
 		select {}
 	}
 	return n.gossipNode.Step(round, inbox)
+}
+
+// forgeNode sends one message whose From names the next vertex at its
+// trigger, breaking the Node contract.
+type forgeNode struct{ killNode }
+
+func forgeFactory(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
+	nodes, err := killFactory(g, spec, lo, hi)
+	for i, n := range nodes {
+		nodes[i] = &forgeNode{killNode: *n.(*killNode)}
+	}
+	return nodes, err
+}
+
+func (n *forgeNode) Step(round int, inbox []msg.Message) []msg.Message {
+	out := n.gossipNode.Step(round, inbox)
+	if n.id == n.killVertex && round == n.killRound {
+		out[0].From++
+	}
+	return out
 }
 
 // testGraph builds a deterministic connected graph with some extra
@@ -414,6 +435,25 @@ func TestRunTCPNodeHang(t *testing.T) {
 	}
 	if d := time.Since(start); d > 30*time.Second {
 		t.Errorf("hang detection took %v, want about the 1s barrier timeout", d)
+	}
+}
+
+// TestRunTCPForgedFrom: a node whose Step returns a message from
+// another vertex fails its node process in that round, since the
+// coordinator routes each broadcast by its From.
+func TestRunTCPForgedFrom(t *testing.T) {
+	defer leakCheck(t)()
+	g := testGraph(12)
+	nodes, err := forgeFactory(g, killSpec(50, 3, 2), 0, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = net.RunTCP(&net.TCPCluster{Nodes: 2}, net.NodeSpec{Factory: "test/forge/v1", Spec: killSpec(50, 3, 2)},
+		g, nodes, net.Config{MaxRounds: 100})
+	var ne *net.NodeError
+	if !errors.As(err, &ne) || ne.Shard != 0 || ne.Round != 2 ||
+		!strings.Contains(err.Error(), "vertex 3 sent a message from 4") {
+		t.Fatalf("want a NodeError for shard 0 round 2 naming the forged sender, got %v", err)
 	}
 }
 
@@ -714,6 +754,28 @@ func TestRunTCPFaultCallOrder(t *testing.T) {
 	}
 }
 
+// TestRunShardFaultCallOrder: RunShard at one worker builds its
+// records with the router RunTCP's coordinator uses, and asks Fault.Drop
+// with RunSync's (round, message, receiver) sequence too.
+func TestRunShardFaultCallOrder(t *testing.T) {
+	g := testGraph(23)
+	side := make([]bool, g.N())
+	side[13], side[15] = true, true
+	for _, fault := range []net.FaultInjector{net.DropRate{Seed: 7, P: 0.2}, net.Partition{Side: side}} {
+		want := &recordingFault{inner: fault}
+		if _, err := net.RunSync(g, gossipNodes(g, 6), net.Config{Fault: want}); err != nil {
+			t.Fatal(err)
+		}
+		got := &recordingFault{inner: fault}
+		if _, err := net.RunShard(g, gossipNodes(g, 6), net.Config{Fault: got, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want.calls) == 0 || !reflect.DeepEqual(got.calls, want.calls) {
+			t.Errorf("%T: Drop call sequence differs: shard %d calls, sync %d", fault, len(got.calls), len(want.calls))
+		}
+	}
+}
+
 // hostileRound hand-encodes a round frame carrying one record: uvarint
 // round, uvarint record count, then uvarint sender, the message,
 // uvarint drop count, and the dropped vertices.
@@ -850,12 +912,18 @@ func TestRunTCPHostileRoundFrame(t *testing.T) {
 	}
 }
 
-// hostileOutbox hand-encodes shard 0's round-0 outbox frame with no
-// broadcasts and the given state section: uvarint round, flags byte,
-// uvarint broadcast count, uvarint entry count, then (uvarint vertex,
-// uvarint blob length, blob) entries.
-func hostileOutbox(vertices []int, blobs [][]byte) []byte {
-	buf := []byte{0, 0, 0}
+// hostileOutbox hand-encodes shard 0's round-0 outbox frame: uvarint
+// round, flags byte, uvarint broadcast count, then per broadcast the
+// uvarint sender senders[i][0] and an invitation whose From is
+// senders[i][1], uvarint entry count, then (uvarint vertex, uvarint blob
+// length, blob) entries.
+func hostileOutbox(senders [][2]int, vertices []int, blobs [][]byte) []byte {
+	buf := []byte{0, 0}
+	buf = binary.AppendUvarint(buf, uint64(len(senders)))
+	for _, s := range senders {
+		buf = binary.AppendUvarint(buf, uint64(s[0]))
+		buf = msg.Message{Kind: msg.KindInvite, From: int32(s[1]), To: msg.Broadcast, Edge: 1}.Append(buf)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(vertices)))
 	for i, v := range vertices {
 		buf = binary.AppendUvarint(buf, uint64(v))
@@ -866,7 +934,7 @@ func hostileOutbox(vertices []int, blobs [][]byte) []byte {
 }
 
 // TestRunTCPHostileStateSection feeds the coordinator outbox frames
-// whose state section no node process can send. Each must fail the run
+// whose broadcasts or state section no node process can send. Each must fail the run
 // with a NodeError for shard 0, round 0 — never a panic, never a twin
 // silently written out of step.
 func TestRunTCPHostileStateSection(t *testing.T) {
@@ -877,11 +945,14 @@ func TestRunTCPHostileStateSection(t *testing.T) {
 		frame []byte
 		want  string
 	}{
-		{"vertex outside shard", hostileOutbox([]int{9}, [][]byte{state}), "state of vertex 9 outside shard [0, 7)"},
-		{"vertex out of order", hostileOutbox([]int{3, 2}, [][]byte{state, state}), "state of vertex 2 after vertex 3"},
-		{"repeated vertex", hostileOutbox([]int{3, 3}, [][]byte{state, state}), "state of vertex 3 after vertex 3"},
-		{"blob the twin rejects", hostileOutbox([]int{4}, [][]byte{{5, 0, 7}}), "state of vertex 4: 1 trailing bytes in gossip state"},
-		{"truncated blob", hostileOutbox([]int{4}, [][]byte{state})[:6], "net: state blob of 3 bytes exceeds"},
+		{"vertex outside shard", hostileOutbox(nil, []int{9}, [][]byte{state}), "state of vertex 9 outside shard [0, 7)"},
+		{"vertex out of order", hostileOutbox(nil, []int{3, 2}, [][]byte{state, state}), "state of vertex 2 after vertex 3"},
+		{"repeated vertex", hostileOutbox(nil, []int{3, 3}, [][]byte{state, state}), "state of vertex 3 after vertex 3"},
+		{"blob the twin rejects", hostileOutbox(nil, []int{4}, [][]byte{{5, 0, 7}}), "state of vertex 4: 1 trailing bytes in gossip state"},
+		{"truncated blob", hostileOutbox(nil, []int{4}, [][]byte{state})[:6], "net: state blob of 3 bytes exceeds"},
+		{"broadcast outside shard", hostileOutbox([][2]int{{9, 9}}, nil, nil), "broadcast from vertex 9 outside shard [0, 7)"},
+		{"broadcast out of order", hostileOutbox([][2]int{{3, 3}, {2, 2}}, nil, nil), "broadcast from vertex 2 after vertex 3"},
+		{"broadcast From mismatch", hostileOutbox([][2]int{{3, 4}}, nil, nil), "broadcast from vertex 3 carries a message from 4"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

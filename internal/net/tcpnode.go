@@ -176,7 +176,7 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 	}
 
 	in := newNodeInbox(w.g, w.lo, w.hi)
-	var outb []broadcast
+	var outb []msg.Message
 	var buf, section, blob []byte
 	for {
 		kind, payload, err := fr.Next()
@@ -195,7 +195,10 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 				inbox := in.arena.inbox(i)
 				msg.Sort(inbox)
 				for _, m := range sn.Step(round, inbox) {
-					outb = append(outb, broadcast{from: w.lo + i, m: m})
+					if int(m.From) != w.lo+i {
+						return fmt.Errorf("vertex %d sent a message from %d", w.lo+i, m.From)
+					}
+					outb = append(outb, m)
 				}
 				// A node's state changes only in its own Step, so once it
 				// stepped, its Done and its changes are what RunSync's
@@ -230,7 +233,6 @@ type nodeInbox struct {
 	// neighbors inside [lo, hi) in adjacency order, the order the
 	// coordinator lists drops in.
 	segs  shardSegments
-	recs  []roundRecord
 	batch [1]recordBatch
 	arena shardInbox
 }
@@ -252,44 +254,36 @@ func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
 
 // receive decodes one round frame into the arena and returns its
 // round. Records the coordinator cannot have sent are errors: a sender
-// outside the graph, out of ascending order or unlike its message's
-// From (the fill stamps ports from the sender), a sender with no
+// outside the graph or out of ascending order, a sender with no
 // neighbor in this shard, or a drop list that is not a subsequence of
 // the sender's neighbors here.
 func (ni *nodeInbox) receive(payload []byte) (int, error) {
 	b := &ni.batch[0]
-	round, recs, drops, err := decodeRound(payload, ni.recs[:0], b.drops[:0])
-	ni.recs, b.drops = recs, drops
+	round, err := decodeRound(payload, b)
 	if err != nil {
 		return 0, err
 	}
 	n := len(ni.segs.segOf) - 1
-	b.recs = b.recs[:0]
-	b.spans = b.spans[:0]
 	prev := 0
-	for _, r := range recs {
-		if r.from >= n {
-			return 0, fmt.Errorf("net: record from vertex %d, graph has %d", r.from, n)
+	for i := range b.recs {
+		r := &b.recs[i]
+		from := int(r.m.From)
+		if from >= n {
+			return 0, fmt.Errorf("net: record from vertex %d, graph has %d", from, n)
 		}
-		if int(r.m.From) != r.from {
-			return 0, fmt.Errorf("net: record from vertex %d carries a message from %d", r.from, r.m.From)
+		if from < prev {
+			return 0, fmt.Errorf("net: record from vertex %d after vertex %d", from, prev)
 		}
-		if r.from < prev {
-			return 0, fmt.Errorf("net: record from vertex %d after vertex %d", r.from, prev)
-		}
-		prev = r.from
-		lo, hi, ok := ni.segs.segment(r.from, 0)
+		prev = from
+		lo, hi, ok := ni.segs.segment(from, 0)
 		if !ok {
-			return 0, fmt.Errorf("net: record from vertex %d, which has no neighbor in shard [%d, %d)", r.from, ni.lo, ni.hi)
+			return 0, fmt.Errorf("net: record from vertex %d, which has no neighbor in shard [%d, %d)", from, ni.lo, ni.hi)
 		}
-		if err := ni.checkDrops(r.from, ni.segs.flat[lo:hi], drops[r.drops.lo:r.drops.hi]); err != nil {
+		sp := b.spans[i]
+		if err := ni.checkDrops(from, ni.segs.flat[lo:hi], b.drops[sp.lo:sp.hi]); err != nil {
 			return 0, err
 		}
-		b.recs = append(b.recs, shardDelivery{lo: lo, hi: hi, m: r.m})
-		// A frame without drops fills as a reliable batch.
-		if len(drops) > 0 {
-			b.spans = append(b.spans, r.drops)
-		}
+		r.lo, r.hi = lo, hi
 	}
 	ni.arena.fill(int32(ni.lo), &ni.segs, ni.batch[:])
 	return round, nil

@@ -128,46 +128,40 @@ func decodeWelcome(buf []byte) (welcome, error) {
 // engines index int32 arrays by vertex.
 const maxVertex = 1<<31 - 1
 
-// appendRound appends a round frame payload: uvarint round, uvarint
-// record count, then body, which holds count records encoded by
-// appendRecord in ascending sender order.
-func appendRound(buf []byte, round, count int, body []byte) []byte {
+// appendRound appends a round frame payload, the wire form of b, one
+// destination shard's batch of a router: uvarint round, uvarint record
+// count, then per record, in ascending sender order, the uvarint
+// sender vertex (its message's From), the message encoding, uvarint
+// drop count and the dropped receivers as uvarints. A record stands
+// for every delivery of the broadcast to the sender's neighbors in the
+// destination shard; its drops are the ones the fault injector
+// dropped, in adjacency order. The record's segment is not sent: the
+// receiving node finds it in its own copy of the graph.
+func appendRound(buf []byte, round int, b *recordBatch) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(count))
-	return append(buf, body...)
-}
-
-// appendRecord appends one round-frame record: uvarint sender vertex,
-// the message encoding m exactly as the sender's node process sent it,
-// uvarint drop count, then the dropped receivers as uvarints. A record
-// stands for every delivery of the broadcast to the sender's
-// neighbors in the destination shard; drops lists the ones the fault
-// injector dropped, in adjacency order.
-func appendRecord(buf []byte, from int, m []byte, drops []int32) []byte {
-	buf = binary.AppendUvarint(buf, uint64(from))
-	buf = append(buf, m...)
-	buf = binary.AppendUvarint(buf, uint64(len(drops)))
-	for _, v := range drops {
-		buf = binary.AppendUvarint(buf, uint64(v))
+	buf = binary.AppendUvarint(buf, uint64(len(b.recs)))
+	for i, r := range b.recs {
+		buf = binary.AppendUvarint(buf, uint64(r.m.From))
+		buf = r.m.Append(buf)
+		var drops []int32
+		if len(b.spans) > 0 {
+			drops = b.drops[b.spans[i].lo:b.spans[i].hi]
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(drops)))
+		for _, v := range drops {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
 	}
 	return buf
 }
 
-// roundRecord is one decoded round-frame record. Its drop list is
-// drops[drops.lo:drops.hi] of the drop arena decodeRound filled
-// alongside.
-type roundRecord struct {
-	from  int
-	drops dropSpan
-	m     msg.Message
-}
-
-// decodeRound parses a round frame strictly, appending its records to
-// recs and their drop lists to drops; callers pass both back truncated
-// to reuse them across rounds. Vertex ids are only range-checked
-// against maxVertex here: whether they fit the graph and shard is the
-// receiving node's check.
-func decodeRound(buf []byte, recs []roundRecord, drops []int32) (round int, _ []roundRecord, _ []int32, err error) {
+// decodeRound parses a round frame strictly into b, reusing its
+// storage, and returns the round. The records' segments are left unset,
+// and every record gets a drop span, empty or not. Vertex ids are
+// only range-checked against maxVertex here: whether they fit the graph
+// and shard is the receiving node's check.
+func decodeRound(buf []byte, b *recordBatch) (round int, err error) {
+	b.recs, b.spans, b.drops = b.recs[:0], b.spans[:0], b.drops[:0]
 	d := msg.NewDec("net", buf)
 	round = d.Int("round", math.MaxInt32)
 	count := d.Count("record count", 1)
@@ -178,21 +172,25 @@ func decodeRound(buf []byte, recs []roundRecord, drops []int32) (round int, _ []
 		}
 		m, used, err := msg.Decode(d.Buf)
 		if err != nil {
-			return 0, recs, drops, fmt.Errorf("net: record %d of %d: %w", i, count, err)
+			return 0, fmt.Errorf("net: record %d of %d: %w", i, count, err)
+		}
+		if int(m.From) != from {
+			return 0, fmt.Errorf("net: record from vertex %d carries a message from %d", from, m.From)
 		}
 		d.Buf = d.Buf[used:]
 		nd := d.Count("drop count", 1)
-		r := roundRecord{from: from, drops: dropSpan{lo: int32(len(drops))}, m: m}
+		sp := dropSpan{lo: int32(len(b.drops))}
 		for j := 0; j < nd; j++ {
-			drops = append(drops, int32(d.Int("dropped vertex", maxVertex)))
+			b.drops = append(b.drops, int32(d.Int("dropped vertex", maxVertex)))
 		}
-		r.drops.hi = int32(len(drops))
-		recs = append(recs, r)
+		sp.hi = int32(len(b.drops))
+		b.recs = append(b.recs, shardDelivery{m: m})
+		b.spans = append(b.spans, sp)
 	}
 	if err := d.Finish("round frame"); err != nil {
-		return 0, recs, drops, err
+		return 0, err
 	}
-	return round, recs, drops, nil
+	return round, nil
 }
 
 // outboxFlagDone marks a shard whose every node reported Done after
@@ -202,9 +200,10 @@ const outboxFlagDone = 1 << 0
 // appendOutbox appends an outbox frame payload: uvarint round, a flags
 // byte, uvarint broadcast count, then (uvarint sender vertex, message)
 // pairs in the order the senders were stepped (ascending vertex id),
-// then the state section: uvarint entry count and states, which holds
-// that many entries encoded by appendState in ascending vertex order.
-func appendOutbox(buf []byte, round int, done bool, bs []broadcast, nstates int, states []byte) []byte {
+// where the sender is the message's From, then the state section:
+// uvarint entry count and states, which holds that many entries
+// encoded by appendState in ascending vertex order.
+func appendOutbox(buf []byte, round int, done bool, bs []msg.Message, nstates int, states []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
 	var flags byte
 	if done {
@@ -212,9 +211,9 @@ func appendOutbox(buf []byte, round int, done bool, bs []broadcast, nstates int,
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(bs)))
-	for _, b := range bs {
-		buf = binary.AppendUvarint(buf, uint64(b.from))
-		buf = b.m.Append(buf)
+	for _, m := range bs {
+		buf = binary.AppendUvarint(buf, uint64(m.From))
+		buf = m.Append(buf)
 	}
 	buf = binary.AppendUvarint(buf, uint64(nstates))
 	return append(buf, states...)
@@ -226,17 +225,6 @@ func appendState(buf []byte, vertex int, blob []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(vertex))
 	buf = binary.AppendUvarint(buf, uint64(len(blob)))
 	return append(buf, blob...)
-}
-
-// broadcast is one sent message paired with its sending vertex — the
-// routing key the coordinator fans out over the sender's neighbor
-// segments. raw is the message's encoding as outbox.decode found it in
-// the frame (nil on the node side), which the coordinator forwards
-// verbatim; it aliases the frame buffer.
-type broadcast struct {
-	from int
-	m    msg.Message
-	raw  []byte
 }
 
 // nodeState is one state-section entry: a vertex and its node's blob,
@@ -251,14 +239,15 @@ type nodeState struct {
 type outbox struct {
 	round  int
 	done   bool
-	bs     []broadcast
+	bs     []msg.Message
 	states []nodeState
 }
 
 // decode parses an outbox frame strictly. Vertex ids are only
-// range-checked against maxVertex, and state entries for ascending
-// order, here: whether they lie in the sending shard is the
-// coordinator's check.
+// range-checked against maxVertex here, broadcasts for ascending
+// sender order and a message From equal to the sender, and state
+// entries for ascending order: whether they lie in the sending shard
+// is the coordinator's check.
 func (ob *outbox) decode(buf []byte) error {
 	d := msg.NewDec("net", buf)
 	ob.bs, ob.states = ob.bs[:0], ob.states[:0]
@@ -278,7 +267,13 @@ func (ob *outbox) decode(buf []byte) error {
 		if err != nil {
 			return fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}
-		ob.bs = append(ob.bs, broadcast{from: from, m: m, raw: d.Buf[:used:used]})
+		if int(m.From) != from {
+			return fmt.Errorf("net: broadcast from vertex %d carries a message from %d", from, m.From)
+		}
+		if i > 0 && m.From < ob.bs[i-1].From {
+			return fmt.Errorf("net: broadcast from vertex %d after vertex %d", from, ob.bs[i-1].From)
+		}
+		ob.bs = append(ob.bs, m)
 		d.Buf = d.Buf[used:]
 	}
 	// Each entry costs at least two bytes: its vertex and blob length.
