@@ -18,8 +18,8 @@ import (
 // allocations per edge stay a small constant. The budgets below hold
 // that line; a per-node map or a per-Step slice would blow them at once
 // (Algorithm 1 used to allocate 25 objects per edge on this graph,
-// Algorithm 2 136 per undirected edge; now they take about 0.26 and
-// 0.34).
+// Algorithm 2 136 per undirected edge; now they take about 0.01 and
+// 0.09, since each node's RNG is derived by value into its struct).
 const (
 	edgeAllocsPerEdge   = 2.0
 	strongAllocsPerEdge = 1.0
@@ -87,6 +87,41 @@ func TestAllocBudgetColorStrong(t *testing.T) {
 	}
 }
 
+// coordBytesPerEdge bounds the heap bytes a cluster coloring of the
+// budget graph allocates in the coordinator process, per edge, with one
+// node process (not counted): the board, the router's batches, the
+// frame buffers and the paint slab. A coordinator that builds a twin of
+// every node allocates about 360 bytes per edge here.
+const coordBytesPerEdge = 200
+
+// clusterOneOptions runs RunTCP with one node process.
+func clusterOneOptions(seed uint64) Options {
+	return Options{Seed: seed, Cluster: &net.TCPCluster{Nodes: 1}}
+}
+
+func TestAllocBudgetColorEdgesTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a node process")
+	}
+	g := allocGraph(t)
+	if _, err := ColorEdges(g, clusterOneOptions(7)); err != nil { // warms the runtime up
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := ColorEdges(g, clusterOneOptions(7))
+	runtime.ReadMemStats(&m1)
+	if err != nil || !res.Terminated {
+		t.Fatalf("cluster run: %v (terminated %v)", err, res != nil && res.Terminated)
+	}
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(g.M()); per > coordBytesPerEdge {
+		t.Fatalf("Algorithm 1 on one node process: the coordinator allocated %.0f bytes per edge, budget %d", per, coordBytesPerEdge)
+	} else {
+		t.Logf("Algorithm 1 on one node process: the coordinator allocated %.0f bytes per edge (budget %d)", per, coordBytesPerEdge)
+	}
+	assertNoChildProcesses(t)
+}
+
 // benchColor times color over b.N seeds on a graph of m edges and
 // reports heap allocations per edge and wall time per delivery: the
 // per-layer figures of the node Step plus shard engine path.
@@ -125,5 +160,15 @@ func BenchmarkColorStrongShard(b *testing.B) {
 	d := graph.NewSymmetric(g)
 	benchColor(b, g.M(), func(seed uint64) (*Result, error) {
 		return ColorStrong(d, shardOneOptions(seed))
+	})
+}
+
+// BenchmarkColorEdgesTCP is Algorithm 1 on the budget graph over the TCP
+// engine with one node process. B/op and allocs/edge count the
+// coordinator process only.
+func BenchmarkColorEdgesTCP(b *testing.B) {
+	g := allocGraph(b)
+	benchColor(b, g.M(), func(seed uint64) (*Result, error) {
+		return ColorEdges(g, clusterOneOptions(seed))
 	})
 }

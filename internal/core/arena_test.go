@@ -11,14 +11,15 @@ import (
 // lists in insertion order that is not ascending, as RemoveEdge and
 // AddEdge leave them: at (through a message's arrival port) and itemAt
 // agree with a scan of the incidence list, for edges and for both arcs
-// of each edge, and at and owns reject items that are not the node's.
+// of each edge, and at and the board's owns reject items that are not
+// the node's.
 func TestSlotUnsortedAdjacency(t *testing.T) {
 	g := graph.New(8)
 	for _, e := range [][2]int{{0, 5}, {0, 2}, {0, 7}, {0, 1}, {3, 2}, {6, 4}} {
 		g.MustAddEdge(e[0], e[1])
 	}
 	for _, arcs := range []uint{0, 1} {
-		sk := newSkeleton(g, 0, g.N(), arcs, 1, &Options{})
+		sk := newSkeleton(newBoard(g, 0, g.N(), arcs, &Options{}), 1, &Options{})
 		for u := 0; u < g.N(); u++ {
 			n := sk.node(u, nil)
 			deg := len(n.inc)
@@ -34,7 +35,7 @@ func TestSlotUnsortedAdjacency(t *testing.T) {
 						want += deg
 					}
 				}
-				if got := n.owns(item); got != (want >= 0) {
+				if got := sk.owns(u, item); got != (want >= 0) {
 					t.Fatalf("arcs %d, u=%d: owns(%d) = %v, want %v", arcs, u, item, got, want >= 0)
 				}
 				for p := range n.inc {

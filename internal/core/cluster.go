@@ -14,16 +14,13 @@ import (
 
 // Cluster support for the multi-process TCP engine (net.RunTCP).
 //
-// A node process rebuilds its vertex shard from three inputs the
-// coordinator ships in the welcome frame: the graph, a factory name,
-// and the options blob encoded here. Construction must be byte-
-// identical on both sides — rng.Rand.Derive is a pure function of the
-// parent state and the index, so remote newECNodes/newSCNodes calls get
-// exactly the RNG streams the coordinator's twins got. After every
-// round each node process ships, per node whose state changed, a blob
-// of the fields the post-run assembly and the round fold read (colors,
-// run totals, event record), which the coordinator applies to the
-// twins through the StateNode methods below.
+// A node process rebuilds its vertex shard from the graph, a factory
+// name and the options blob encoded here; rng.Rand.Child is a pure
+// function of the parent state and the index, so its nodes draw the RNG
+// streams an in-process run's nodes draw. The coordinator builds only a
+// board (node.go): after every round each node process ships, per node
+// whose state changed, a blob of the node's window of its own board,
+// which the coordinator loads (board.Apply) before the fold reads it.
 
 // Factory names are versioned: any change to node construction, the
 // options blob, or the state blob must bump them so mixed-version
@@ -38,47 +35,43 @@ func init() {
 	net.RegisterNodeFactory(strongFactoryName, strongClusterFactory)
 }
 
-// The two factories differ only in the nodes they build.
+// The two factories differ in the items of their board and the nodes
+// they build on it.
 var (
-	edgeClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode) {
-		return asNodes(newECNodes(g, lo, hi, o))
-	})
-	strongClusterFactory = clusterFactory(func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode) {
-		return asNodes(newSCNodes(graph.NewSymmetric(g), lo, hi, o))
-	})
+	edgeClusterFactory   = clusterFactory(0, edgeNodes)
+	strongClusterFactory = clusterFactory(1, strongNodes)
 )
 
-// clusterFactory is the node factory a node process builds its shard
-// with: the options blob decoded, then build's nodes of [lo, hi), each
-// with its construction state — the state of its twin — as the state
-// last sent.
-func clusterFactory(build func(g *graph.Graph, lo, hi int, o *Options) ([]net.Node, []*colorNode)) net.NodeFactory {
+func edgeNodes(b *board, o *Options) []net.Node { return asNodes(newECNodes(b, o)) }
+
+func strongNodes(b *board, o *Options) []net.Node {
+	return asNodes(newSCNodes(graph.NewSymmetric(b.g), b, o))
+}
+
+// clusterFactory is the node factory of node processes: build's nodes
+// on a board of [lo, hi), whose construction colors count as sent.
+func clusterFactory(arcs uint, build func(b *board, o *Options) []net.Node) net.NodeFactory {
 	return func(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
 		opt, err := decodeClusterOptions(spec)
 		if err != nil {
 			return nil, err
 		}
-		nets, nodes := build(g, lo, hi, opt)
-		for _, n := range nodes {
-			n.sent = slices.Clone(n.colors)
-		}
-		return nets, nil
+		b := newBoard(g, lo, hi, arcs, opt)
+		b.sent = slices.Clone(b.colors)
+		return build(b, opt), nil
 	}
 }
 
-// clusterEngine validates that the configured cluster run is possible
-// and returns the TCP engine closed over this algorithm's factory.
-func (o *Options) clusterEngine(factory string) (net.Engine, error) {
+// runCluster runs a valid cluster configuration on the TCP engine with
+// the algorithm's factory, loading the node processes' state into b.
+func (o *Options) runCluster(factory string, b *board, cfg net.Config) (net.Result, error) {
 	if o.Engine != nil {
-		return nil, fmt.Errorf("core: Options.Engine and Options.Cluster are mutually exclusive")
+		return net.Result{}, fmt.Errorf("core: Options.Engine and Options.Cluster are mutually exclusive")
 	}
 	if o.Hook != nil {
-		return nil, fmt.Errorf("core: automaton hooks cannot cross process boundaries; unset Options.Hook for cluster runs")
+		return net.Result{}, fmt.Errorf("core: automaton hooks cannot cross process boundaries; unset Options.Hook for cluster runs")
 	}
-	return o.Cluster.Engine(net.NodeSpec{
-		Factory: factory,
-		Spec:    appendClusterOptions(nil, o),
-	}), nil
+	return net.RunTCP(o.Cluster, net.NodeSpec{Factory: factory, Spec: appendClusterOptions(nil, o), State: b}, b.g, cfg)
 }
 
 // Option flag bits of the cluster blob.
@@ -166,7 +159,7 @@ func (discardSink) EmitRound(metrics.RoundStats) {}
 //	both slots: the event counts, uvarint m and m (item, color) pairs
 //
 // every number a uvarint. Mid-negotiation state (pending invitations,
-// acknowledgement clocks) never crosses: the twins are never stepped.
+// acknowledgement clocks) never crosses: the coordinator steps nothing.
 
 // AppendChanges appends the blob of what changed since the previous call
 // — since construction on the first — and nothing when nothing did. Only
@@ -224,24 +217,31 @@ func appendEvents(buf []byte, e *nodeEvents) []byte {
 // decodes to a non-negative int.
 const maxCount = 1 << 62
 
-// ApplyChanges loads a blob AppendChanges made on the remote instance
-// into this twin. Strict: a slot out of range, a color outside
-// [-1, MaxInt32], an assignment of an item that is not the node's, and
-// trailing bytes are errors, so a hostile blob cannot make the assembly
-// or the round fold index out of range; and both count colors in a
-// palette, so the largest color a blob may carry costs them O(1) memory.
-func (n *colorNode) ApplyChanges(data []byte) error {
+// Done reports whether every node of the board is done as constructed,
+// which is exactly when no vertex has items: net.RunTCP's initial
+// all-done check, made before any node process starts.
+func (b *board) Done() bool { return b.c.total() == 0 }
+
+// Apply loads a blob AppendChanges made on vertex u's node, which
+// net.RunTCP checked lies in the sending shard. Strict: a slot out of
+// range, a color outside [-1, MaxInt32], an assignment of an item that
+// is not u's, and trailing bytes are errors, so a hostile blob cannot
+// make the assembly or the round fold index out of range; and both
+// count colors in a palette, so the largest color a blob may carry
+// costs them O(1) memory.
+func (b *board) Apply(u int, data []byte) error {
 	d := msg.NewDec("core", data)
+	colors := b.colorsOf(u)
 	// Each pair costs at least two bytes.
 	k := d.Count("color count", 2)
 	for i := 0; i < k && d.Err == nil; i++ {
 		s := d.Int("slot", maxCount)
 		c := d.Int("color+1", math.MaxInt32+1) - 1
-		if d.Err == nil && s >= len(n.colors) {
-			d.Fail("slot %d out of range for %d slots", s, len(n.colors))
+		if d.Err == nil && s >= len(colors) {
+			d.Fail("slot %d out of range for %d slots", s, len(colors))
 		}
 		if d.Err == nil {
-			n.colors[s] = int32(c)
+			colors[s] = int32(c)
 		}
 	}
 	if flag := d.Byte("events flag"); flag != 1 {
@@ -250,12 +250,12 @@ func (n *colorNode) ApplyChanges(data []byte) error {
 		}
 		return d.Finish("node state")
 	}
-	e := &n.ev
-	for k := range e.total {
-		e.total[k] = d.Int("event total", maxCount)
+	total := &b.totals[u-b.c.lo]
+	for k := range total {
+		total[k] = d.Int("event total", maxCount)
 	}
-	for i := 0; e.rec != nil && i < len(e.rec); i++ {
-		r := &e.rec[i]
+	for i := 0; b.recs != nil && i < 2; i++ {
+		r := &b.recs[u-b.c.lo][i]
 		for k := range r.n {
 			r.n[k] = int32(d.Int("round event count", math.MaxInt32))
 		}
@@ -264,7 +264,7 @@ func (n *colorNode) ApplyChanges(data []byte) error {
 		m := d.Count("assignment count", 2)
 		for j := 0; j < m && d.Err == nil; j++ {
 			a := assignment{item: d.Int("assignment item", maxCount), color: d.Int("assignment color", math.MaxInt32)}
-			if d.Err == nil && !n.owns(a.item) {
+			if d.Err == nil && !b.owns(u, a.item) {
 				d.Fail("assignment of item %d color %d does not belong to this node", a.item, a.color)
 			}
 			r.assigns = append(r.assigns, a)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,8 @@ import (
 
 // The options blob and the per-round state blob cross a process
 // boundary: a node process decodes the options, and the coordinator
-// applies the state blobs each node process sends after every round.
+// loads the state blobs each node process sends after every round into
+// its board.
 // These tests pin both encodings per factory name and fuzz both
 // decoders.
 
@@ -54,6 +56,18 @@ func codecOptions() *Options {
 		Recovery:              automaton.Recovery{Enabled: true, TimeoutRounds: 3, RetryBudget: 5},
 		Metrics:               discardSink{},
 	}
+}
+
+// shardOf builds the board and the nodes that a node process owning all
+// of g builds from opt with the edge, or the strong, factory.
+func shardOf(strong bool, g *graph.Graph, opt *Options) (*board, []net.Node) {
+	arcs, build := uint(0), edgeNodes
+	if strong {
+		arcs, build = 1, strongNodes
+	}
+	b := newBoard(g, 0, g.N(), arcs, opt)
+	b.sent = slices.Clone(b.colors)
+	return b, build(b, opt)
 }
 
 // stateBlob is one state blob a node made, with the node's index.
@@ -151,9 +165,10 @@ func codecSeeds(t testing.TB, factory net.NodeFactory, phases int) []stateBlob {
 }
 
 // FuzzRestoreState feeds arbitrary bytes, for any node, to the edge and
-// strong twins' ApplyChanges: it must return an error, never panic, and
-// a twin that accepts a blob must re-encode its state to a fixed point.
-// The seeds are the per-round blobs of real runs, each for its node.
+// strong boards' Apply: it must return an error, never panic, and a
+// vertex's state on a board that accepts a blob must re-encode, through
+// the vertex's node on that board, to a fixed point. The seeds are the
+// per-round blobs of real runs, each for its node.
 func FuzzRestoreState(f *testing.F) {
 	for i, c := range codecFactories {
 		for _, s := range codecSeeds(f, c.factory, c.phases) {
@@ -161,43 +176,39 @@ func FuzzRestoreState(f *testing.F) {
 		}
 	}
 	g := codecGraph()
-	spec := appendClusterOptions(nil, &Options{Metrics: discardSink{}})
-	fresh := func(t *testing.T, strong bool, node uint8) net.StateNode {
-		c := codecFactories[0]
-		if strong {
-			c = codecFactories[1]
-		}
-		nodes, err := c.factory(g, spec, 0, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nodes[int(node)%len(nodes)].(net.StateNode)
+	opt := &Options{Metrics: discardSink{}}
+	// fresh returns a fresh board, the vertex node names and its node.
+	fresh := func(strong bool, node uint8) (*board, int, net.StateNode) {
+		b, nodes := shardOf(strong, g, opt)
+		u := int(node) % len(nodes)
+		return b, u, nodes[u].(net.StateNode)
 	}
-	// full returns a blob of n's whole state: its diff against the
-	// construction state, with the events.
+	// full returns a blob of n's whole state on its board: its diff
+	// against the construction state, with the events.
 	full := func(n net.StateNode) []byte {
-		b := n.(interface{ base() *colorNode }).base()
+		b := baseOf(n)
 		b.ev.dirty, b.ev.recolored = true, true
 		return n.AppendChanges(nil)
 	}
 	f.Fuzz(func(t *testing.T, strong bool, node uint8, data []byte) {
-		n := fresh(t, strong, node)
-		if n.ApplyChanges(data) != nil {
+		b, u, n := fresh(strong, node)
+		if b.Apply(u, data) != nil {
 			return
 		}
 		once := full(n)
-		again := fresh(t, strong, node)
-		if err := again.ApplyChanges(once); err != nil {
+		again, _, n2 := fresh(strong, node)
+		if err := again.Apply(u, once); err != nil {
 			t.Fatalf("re-encoded state rejected: %v", err)
 		}
-		if twice := full(again); !bytes.Equal(once, twice) {
+		if twice := full(n2); !bytes.Equal(once, twice) {
 			t.Fatalf("state encoding is not a fixed point:\n%x\n%x", once, twice)
 		}
 	})
 }
 
 // TestApplyChangesRejectsHostileBlobs: every blob no node process can
-// make is an error on the twin, never a panic or an out-of-range write.
+// make is an error on the coordinator's board, never a panic or an
+// out-of-range write.
 func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 	g := codecGraph()
 	u := binary.AppendUvarint
@@ -216,13 +227,11 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 	}
 	ok := record(0)
 	for _, c := range codecFactories {
-		nodes, err := c.factory(g, appendClusterOptions(nil, &Options{Metrics: discardSink{}}), 0, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := nodes[0].(net.StateNode) // vertex 0: degree 3, edges 0, 3 and 4
-		b := nodes[0].(interface{ base() *colorNode }).base()
-		own, foreign := uint64(b.itemAt(0)), uint64(1<<b.arcs) // edge 1 joins vertices 1 and 2
+		strong := c.name == strongFactoryName
+		b, _ := shardOf(strong, g, &Options{Metrics: discardSink{}})
+		colors := b.colorsOf(0) // vertex 0: degree 3, edges 0, 3 and 4
+		own := uint64(itemOf(g.IncidentEdges(0), g.Neighbors(0), 0, b.arcs, 0))
+		foreign := uint64(1 << b.arcs) // edge 1 joins vertices 1 and 2
 		// ev is a blob without colors whose events hold zero run totals,
 		// then the record r.
 		ev := func(r []byte) []byte { return append([]byte{0, 1, 0, 0, 0, 0, 0, 0}, r...) }
@@ -230,7 +239,7 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 			name, want string
 			blob       []byte
 		}{
-			{"slot out of range", fmt.Sprintf("slot %d out of range", len(b.colors)), []byte{1, byte(len(b.colors)), 1}},
+			{"slot out of range", fmt.Sprintf("slot %d out of range", len(colors)), []byte{1, byte(len(colors)), 1}},
 			{"color above MaxInt32", "color+1 2147483649 out of range", u([]byte{1, 0}, math.MaxInt32+2)},
 			{"truncated pair", "truncated color+1", []byte{1, 0, 0x80}},
 			{"implausible color count", "implausible color count", []byte{9, 0, 1, 0}},
@@ -246,7 +255,7 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 			{"trailing bytes", "1 trailing bytes after node state", append(ev(append(ok, ok...)), 0)},
 		}
 		for _, hc := range cases {
-			err := n.ApplyChanges(hc.blob)
+			err := b.Apply(0, hc.blob)
 			if err == nil || !strings.Contains(err.Error(), hc.want) {
 				t.Errorf("%s: %s: got %v, want an error containing %q", c.name, hc.name, err, hc.want)
 			}
@@ -256,14 +265,14 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 		// and the round fold in O(1) memory, not in a bitmap reaching it.
 		big := append(u([]byte{1, 0}, math.MaxInt32+1), 1, 0, 0, 0, 0, 0, 0)
 		big = append(append(big, record(0, own, math.MaxInt32)...), ok...)
-		if err := n.ApplyChanges(big); err != nil {
+		if err := b.Apply(0, big); err != nil {
 			t.Fatalf("%s: MaxInt32 blob rejected: %v", c.name, err)
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res := &Result{Colors: []int{int(b.colors[0]), 1, -1}}
+		res := &Result{Colors: []int{int(colors[0]), 1, -1}}
 		res.countColors()
-		fold := newRoundFold(discardSink{}, []*colorNode{b}, c.phases, g.M()<<b.arcs)
+		fold := newRoundFold(discardSink{}, b, c.phases, g.M()<<b.arcs)
 		fold.emit(0)
 		runtime.ReadMemStats(&m1)
 		if res.NumColors != 2 || res.MaxColor != math.MaxInt32 || fold.palette.count() != 1 || fold.maxColor != math.MaxInt32 {
@@ -273,11 +282,8 @@ func TestApplyChangesRejectsHostileBlobs(t *testing.T) {
 		if d := m1.TotalAlloc - m0.TotalAlloc; d > 64<<10 {
 			t.Errorf("%s: counting a MaxInt32 color allocated %d bytes", c.name, d)
 		}
-		plain, err := c.factory(g, appendClusterOptions(nil, &Options{}), 0, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := plain[0].(net.StateNode).ApplyChanges(append(ev(ok), ok...)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		plain, _ := shardOf(strong, g, &Options{})
+		if err := plain.Apply(0, append(ev(ok), ok...)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 			t.Errorf("%s: a node without an event record accepted one: %v", c.name, err)
 		}
 	}

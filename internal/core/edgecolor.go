@@ -7,6 +7,7 @@ import (
 	"dima/internal/automaton"
 	"dima/internal/graph"
 	"dima/internal/msg"
+	"dima/internal/net"
 )
 
 // ecPhases is the number of communication rounds per computation round
@@ -52,14 +53,14 @@ func colorEdges(ctx context.Context, g *graph.Graph, forbidden []*ColorSet, opt 
 	if forbidden != nil && opt.Cluster != nil {
 		return nil, fmt.Errorf("core: constrained coloring is not supported on the tcp engine")
 	}
-	ecs := newECNodes(g, 0, g.N(), &opt)
-	if forbidden != nil {
-		for u := range ecs {
+	b := newBoard(g, 0, g.N(), 0, &opt)
+	return opt.color(ctx, b, func() []net.Node {
+		ecs := newECNodes(b, &opt)
+		for u := 0; forbidden != nil && u < len(ecs); u++ {
 			ecs[u].seedForbidden(forbidden)
 		}
-	}
-	nets, nodes := asNodes(ecs)
-	return opt.color(ctx, g, nets, nodes, edgeFactoryName, ecPhases, g.M())
+		return asNodes(ecs)
+	}, edgeFactoryName, ecPhases, g.M())
 }
 
 // ecNode is one vertex of Algorithm 1: the shared automaton node, whose
@@ -83,16 +84,16 @@ type ecNode struct {
 	attempts   map[graph.EdgeID]int
 }
 
-// newECNodes builds the nodes of vertices [lo, hi) with their per-vertex
-// state carved from run-wide arrays.
-func newECNodes(g *graph.Graph, lo, hi int, opt *Options) []ecNode {
-	sk := newSkeleton(g, lo, hi, 0, 1, opt)
+// newECNodes builds the nodes of board b's vertices with their
+// per-vertex state carved from run-wide arrays.
+func newECNodes(b *board, opt *Options) []ecNode {
+	sk := newSkeleton(b, 1, opt)
 	total := sk.c.total()
 	usedNbr := make([]ColorSet, total)
 	paints := make([]msg.Paint, total)
-	nodes := make([]ecNode, hi-lo)
-	for u := lo; u < hi; u++ {
-		n := &nodes[u-lo]
+	nodes := make([]ecNode, len(b.totals))
+	for i := range nodes {
+		u, n := sk.c.lo+i, &nodes[i]
 		*n = ecNode{
 			colorNode: sk.node(u, window(paints, &sk.c, u)[:0]),
 			usedNbr:   window(usedNbr, &sk.c, u),

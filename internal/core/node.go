@@ -24,7 +24,6 @@ import (
 // the out arc of that edge and slot deg+i its in arc.
 type colorNode struct {
 	id   int32
-	g    *graph.Graph
 	opt  *Options
 	r    rng.Rand
 	mach automaton.Machine
@@ -51,66 +50,91 @@ type colorNode struct {
 	curRound int
 	ev       nodeEvents
 
-	sent []int32 // node processes only: the colors the twin last received
+	sent []int32 // node processes only: the colors last shipped
 }
 
-// skeleton lays out the shared state of the nodes of vertices [lo, hi)
-// in run-wide arrays (see arena.go): colors, open slots, outboxes and,
-// with Options.Metrics, event records.
-type skeleton struct {
+// board holds what the post-run assembly and the round fold read of the
+// nodes of [lo, hi), in run-wide arrays the nodes write in place. A
+// cluster run's coordinator builds no nodes: board.Apply loads into it.
+type board struct {
 	g      *graph.Graph
-	opt    *Options
 	c      incidence
-	base   *rng.Rand
 	arcs   uint
-	colors []int32
+	colors []int32             // vertex u's window: its slots' colors, -1 while uncolored
+	totals [][numRunEvents]int // per vertex: its run-event totals
+	recs   [][2]roundEvents    // per vertex, with Options.Metrics only
+	sent   []int32             // node processes only: the colors last shipped
+}
+
+func newBoard(g *graph.Graph, lo, hi int, arcs uint, opt *Options) *board {
+	c := newIncidence(g, lo, hi)
+	b := &board{g: g, c: c, arcs: arcs, colors: make([]int32, c.total()<<arcs),
+		totals: make([][numRunEvents]int, hi-lo)}
+	for i := range b.colors {
+		b.colors[i] = -1
+	}
+	if opt.Metrics != nil {
+		b.recs = make([][2]roundEvents, hi-lo)
+	}
+	return b
+}
+
+// colorsOf returns vertex u's window of colors.
+func (b *board) colorsOf(u int) []int32 {
+	lo, hi := b.c.span(u)
+	return b.colors[lo<<b.arcs : hi<<b.arcs : hi<<b.arcs]
+}
+
+// owns reports whether item is one of vertex u's items: its edge is
+// live and has u as an endpoint.
+func (b *board) owns(u, item int) bool {
+	e := graph.EdgeID(item >> b.arcs)
+	return b.g.Live(e) && (b.g.EdgeAt(e).U == u || b.g.EdgeAt(e).V == u)
+}
+
+// skeleton lays out a board's nodes in run-wide arrays (arena.go).
+type skeleton struct {
+	*board
+	opt    *Options
+	base   *rng.Rand
 	open   []int32
 	outs   []msg.Message
 	outCap int
-	recs   [][2]roundEvents
 }
 
-func newSkeleton(g *graph.Graph, lo, hi int, arcs uint, outCap int, opt *Options) *skeleton {
-	s := &skeleton{g: g, opt: opt, c: newIncidence(g, lo, hi),
-		base: rng.New(opt.Seed), arcs: arcs, outCap: outCap}
-	total := s.c.total()
-	s.colors = make([]int32, total<<arcs)
-	for i := range s.colors {
-		s.colors[i] = -1
-	}
-	s.open = make([]int32, total)
-	s.outs = make([]msg.Message, outCap*(hi-lo))
-	if opt.Metrics != nil {
-		s.recs = make([][2]roundEvents, hi-lo)
-	}
-	return s
+func newSkeleton(b *board, outCap int, opt *Options) *skeleton {
+	return &skeleton{board: b, opt: opt, base: rng.New(opt.Seed), outCap: outCap,
+		open: make([]int32, b.c.total()), outs: make([]msg.Message, outCap*len(b.totals))}
 }
 
 // node returns the shared state of vertex u's node with paints as its
 // first paint chunk. Node u draws from the stream
 // rng.New(opt.Seed).Derive(u), so a shard built by a node process
-// matches the coordinator's nodes exactly. Every item starts uncolored
-// and every slot open; a vertex without edges walks straight to Done,
-// so the machine invariant (all terminations pass through D) holds.
+// matches an in-process run's nodes. Every item starts uncolored and
+// every slot open; a vertex without edges walks straight to Done, so
+// the machine invariant (all terminations pass through D) holds.
 func (s *skeleton) node(u int, paints []msg.Paint) colorNode {
 	a, b := s.c.span(u)
 	o := s.outCap * (u - s.c.lo)
 	n := colorNode{
 		id:     int32(u),
-		g:      s.g,
 		opt:    s.opt,
-		r:      *s.base.Derive(uint64(u)),
+		r:      s.base.Child(uint64(u)),
 		mach:   *automaton.NewMachine(u, s.opt.Hook),
 		inc:    s.g.IncidentEdges(u),
 		nbrs:   s.g.Neighbors(u),
 		arcs:   s.arcs,
-		colors: s.colors[a<<s.arcs : b<<s.arcs : b<<s.arcs],
+		colors: s.colorsOf(u),
 		open:   s.open[a:b:b],
 		paints: paintSlab{buf: paints},
 		out:    s.outs[o : o : o+s.outCap],
+		ev:     nodeEvents{total: &s.totals[u-s.c.lo]},
 	}
 	if s.recs != nil {
 		n.ev.rec = &s.recs[u-s.c.lo]
+	}
+	if s.sent != nil {
+		n.sent = s.sent[a<<s.arcs : b<<s.arcs : b<<s.arcs]
 	}
 	for i := range n.open {
 		n.open[i] = int32(i)
@@ -126,10 +150,6 @@ func (n *colorNode) ID() int { return int(n.id) }
 func (n *colorNode) Done() bool { return n.mach.State() == automaton.Done }
 
 func (n *colorNode) recOn() bool { return n.opt.Recovery.Enabled }
-
-// base gives the post-run assembly and the cluster codec the shared
-// state of either algorithm's node.
-func (n *colorNode) base() *colorNode { return n }
 
 // begin opens a Step: it records the computation round, opens the
 // round's event slot at its first phase, and returns the phase within
@@ -222,86 +242,69 @@ func (n *colorNode) at(item, port int32) int {
 	return n.inOut(int(item), int(port))
 }
 
-// owns reports whether item is one of the node's items: its edge is
-// live and has this node as an endpoint. It is the check for an item no
-// message came with.
-func (n *colorNode) owns(item int) bool {
-	e := graph.EdgeID(item >> n.arcs)
-	if !n.g.Live(e) {
-		return false
-	}
-	ed := n.g.EdgeAt(e)
-	return ed.U == int(n.id) || ed.V == int(n.id)
-}
-
 // inOut returns the slot of item, which lies on the edge of port: the
 // port itself, or deg+port for an in arc.
 func (n *colorNode) inOut(item, port int) int {
-	// An arc whose direction bit differs from this end's out bit is in.
-	in := (item ^ n.own(port)) & int(n.arcs)
+	// An arc whose direction bit differs from this end's out arc's is in.
+	in := (item ^ n.itemAt(port)) & int(n.arcs)
 	return port + in*len(n.inc)
 }
 
-// own is 1 when this node is the V end of the edge of port: edges keep
-// U < V (graph.Edge), so exactly when the neighbor's id is the smaller.
-func (n *colorNode) own(port int) int {
-	if n.nbrs[port] < int(n.id) {
-		return 1
-	}
-	return 0
-}
-
 // itemAt returns the item of slot s.
-func (n *colorNode) itemAt(s int) int {
+func (n *colorNode) itemAt(s int) int { return itemOf(n.inc, n.nbrs, int(n.id), n.arcs, s) }
+
+// itemOf returns the item of slot s of vertex u with incident edges inc
+// and neighbors nbrs.
+func itemOf(inc []graph.EdgeID, nbrs []int, u int, arcs uint, s int) int {
 	in := 0
-	if s >= len(n.inc) {
-		s, in = s-len(n.inc), 1
+	if s >= len(inc) {
+		s, in = s-len(inc), 1
 	}
-	return int(n.inc[s])<<n.arcs | (n.own(s)^in)&int(n.arcs)
+	// Edges keep U < V (graph.Edge), so u is the V end of the edge, whose
+	// out arc has direction bit 1, exactly when the neighbor is smaller.
+	if nbrs[s] < u {
+		in ^= 1
+	}
+	return int(inc[s])<<arcs | in&int(arcs)
 }
 
-// asNodes returns the nodes as net.Nodes for an engine, and their shared
-// state for the post-run assembly.
+// asNodes returns the nodes as net.Nodes for an engine.
 func asNodes[T any, P interface {
 	*T
 	net.Node
-	base() *colorNode
-}](nodes []T) ([]net.Node, []*colorNode) {
-	nets, bases := make([]net.Node, len(nodes)), make([]*colorNode, len(nodes))
+}](nodes []T) []net.Node {
+	nets := make([]net.Node, len(nodes))
 	for i := range nodes {
-		p := P(&nodes[i])
-		nets[i], bases[i] = p, p.base()
+		nets[i] = P(&nodes[i])
 	}
-	return nets, bases
+	return nets
 }
 
-// color runs the nodes on the engine the options select — Engine, where
-// nil means net.RunSync, or the TCP engine closed over the algorithm's
-// node factory when Cluster is set — bounded at phases communication
-// rounds per computation round. With Metrics set, the engine's round
-// observer drives a roundFold, which streams RoundStats to the sink
-// during the run. color then assembles the Result for the run's items
-// (edges or arcs) from the nodes' final state: both endpoints must
-// agree on every item's color, an item only one endpoint colored counts
-// as half-colored, and a terminated run must have colored everything.
-func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, nodes []*colorNode, factory string, phases, items int) (*Result, error) {
+// color runs the nodes build makes on board b on Engine (nil means
+// net.RunSync) or, with Cluster set, the algorithm's factory on
+// net.RunTCP, which loads the node processes' state into b; bounded at
+// phases communication rounds per computation round. With Metrics set,
+// a roundFold over b streams RoundStats to the sink during the run.
+// color then assembles the Result for the run's items (edges or arcs)
+// from b: both endpoints must agree on every item's color, an item only
+// one endpoint colored counts as half-colored, and a terminated run
+// must have colored everything.
+func (o *Options) color(ctx context.Context, b *board, build func() []net.Node, factory string, phases, items int) (*Result, error) {
+	cfg := net.Config{MaxRounds: phases * o.maxCompRounds(), Ctx: ctx, Fault: o.Fault, Workers: o.Workers}
+	var fold *roundFold
+	if o.Metrics != nil {
+		fold = newRoundFold(o.Metrics, b, phases, items)
+		cfg.Observe = fold.observe
+	}
 	engine := o.Engine
 	if engine == nil {
 		engine = net.RunSync
 	}
+	run := func() (net.Result, error) { return engine(b.g, build(), cfg) }
 	if o.Cluster != nil {
-		var err error
-		if engine, err = o.clusterEngine(factory); err != nil {
-			return nil, err
-		}
+		run = func() (net.Result, error) { return o.runCluster(factory, b, cfg) }
 	}
-	cfg := net.Config{MaxRounds: phases * o.maxCompRounds(), Ctx: ctx, Fault: o.Fault, Workers: o.Workers}
-	var fold *roundFold
-	if o.Metrics != nil {
-		fold = newRoundFold(o.Metrics, nodes, phases, items)
-		cfg.Observe = fold.observe
-	}
-	netRes, err := engine(g, nets, cfg)
+	netRes, err := run()
 	if err != nil {
 		return nil, err
 	}
@@ -322,13 +325,15 @@ func (o *Options) color(ctx context.Context, g *graph.Graph, nets []net.Node, no
 		res.Colors[i] = -1
 	}
 	endpoints := make([]int8, items)
-	for _, n := range nodes {
-		res.addEvents(&n.ev)
-		for s, c32 := range n.colors {
+	for i := range b.totals {
+		res.addEvents(&b.totals[i])
+		u := b.c.lo + i
+		inc, nbrs := b.g.IncidentEdges(u), b.g.Neighbors(u)
+		for s, c32 := range b.colorsOf(u) {
 			if c32 < 0 {
 				continue
 			}
-			item, c := n.itemAt(s), int(c32)
+			item, c := itemOf(inc, nbrs, u, b.arcs, s), int(c32)
 			endpoints[item]++
 			if res.Colors[item] == -1 {
 				res.Colors[item] = c

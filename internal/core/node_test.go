@@ -18,19 +18,41 @@ import (
 
 // Tests of the node skeleton both algorithms share (node.go).
 
-// skeletonAlgs builds every node of g for one algorithm, and names the
-// number of communication rounds per computation round.
+// skeletonAlgs builds every node of g for one algorithm, with their
+// shared state and the board they run on, and names the number of
+// communication rounds per computation round.
 var skeletonAlgs = []struct {
 	name   string
 	phases int
-	nodes  func(g *graph.Graph, opt *Options) ([]net.Node, []*colorNode)
+	nodes  func(g *graph.Graph, opt *Options) ([]net.Node, []*colorNode, *board)
 }{
-	{"edge", ecPhases, func(g *graph.Graph, opt *Options) ([]net.Node, []*colorNode) {
-		return asNodes(newECNodes(g, 0, g.N(), opt))
-	}},
-	{"strong", scPhases, func(g *graph.Graph, opt *Options) ([]net.Node, []*colorNode) {
-		return asNodes(newSCNodes(graph.NewSymmetric(g), 0, g.N(), opt))
-	}},
+	{"edge", ecPhases, onBoard(0, edgeNodes)},
+	{"strong", scPhases, onBoard(1, strongNodes)},
+}
+
+// onBoard returns a builder of every node of g on a fresh board whose
+// items are edges (arcs 0) or arcs (arcs 1).
+func onBoard(arcs uint, build func(*board, *Options) []net.Node) func(*graph.Graph, *Options) ([]net.Node, []*colorNode, *board) {
+	return func(g *graph.Graph, opt *Options) ([]net.Node, []*colorNode, *board) {
+		b := newBoard(g, 0, g.N(), arcs, opt)
+		nets := build(b, opt)
+		nodes := make([]*colorNode, len(nets))
+		for i, n := range nets {
+			nodes[i] = baseOf(n)
+		}
+		return nets, nodes, b
+	}
+}
+
+// baseOf returns the shared state of either algorithm's node.
+func baseOf(n net.Node) *colorNode {
+	switch n := n.(type) {
+	case *ecNode:
+		return &n.colorNode
+	case *scNode:
+		return &n.colorNode
+	}
+	panic(fmt.Sprintf("%T is not a coloring node", n))
 }
 
 // stamped returns inbox as an engine delivers it to vertex v: each
@@ -58,8 +80,8 @@ func TestEventRecordDoesNotGrowWithRounds(t *testing.T) {
 	for _, alg := range skeletonAlgs {
 		t.Run(alg.name, func(t *testing.T) {
 			opt := Options{Seed: 32}
-			nets, nodes := alg.nodes(g, &opt)
-			if _, err := opt.color(context.Background(), g, nets, nodes, "", alg.phases, g.M()<<nodes[0].arcs); err != nil {
+			nets, nodes, b := alg.nodes(g, &opt)
+			if _, err := opt.color(context.Background(), b, func() []net.Node { return nets }, "", alg.phases, g.M()<<b.arcs); err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range nodes {
@@ -72,8 +94,8 @@ func TestEventRecordDoesNotGrowWithRounds(t *testing.T) {
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
 				opt := Options{Seed: 32, MaxCompRounds: rounds, Metrics: sink}
-				nets, nodes := alg.nodes(g, &opt)
-				res, err := opt.color(context.Background(), g, nets, nodes, "", alg.phases, g.M()<<nodes[0].arcs)
+				nets, _, b := alg.nodes(g, &opt)
+				res, err := opt.color(context.Background(), b, func() []net.Node { return nets }, "", alg.phases, g.M()<<b.arcs)
 				runtime.ReadMemStats(&m1)
 				if err != nil || res.Terminated {
 					t.Fatalf("run of %d rounds: terminated %v, err %v", rounds, res != nil && res.Terminated, err)
@@ -132,7 +154,7 @@ func TestIsolatedNodesWalkLegallyToDone(t *testing.T) {
 	for _, alg := range skeletonAlgs {
 		t.Run(alg.name, func(t *testing.T) {
 			w := newWalkRecorder(t)
-			_, nodes := alg.nodes(g, &Options{Hook: w.hook})
+			_, nodes, _ := alg.nodes(g, &Options{Hook: w.hook})
 			for _, u := range []int{2, 3} {
 				if !nodes[u].Done() || !slices.Equal(w.walks[u], want) {
 					t.Fatalf("isolated node %d: done %v, walk %v, want %v", u, nodes[u].Done(), w.walks[u], want)
@@ -169,13 +191,13 @@ func TestRecoveryResumesInTheStateItsPhaseExpects(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/phase-%d", alg.name, c.phase), func(t *testing.T) {
 			w := newWalkRecorder(t)
 			opt := Options{Seed: 5, Hook: w.hook, Recovery: automaton.Recovery{Enabled: true}}
-			nets, nodes := alg.nodes(g, &opt)
+			nets, nodes, _ := alg.nodes(g, &opt)
 			res, err := net.RunSync(g, nets, net.Config{MaxRounds: 100 * alg.phases})
 			if err != nil || !res.Terminated {
 				t.Fatalf("reliable run failed: %v", err)
 			}
 			n := nodes[0]
-			inbox := reopen(t, alg.name, c.phase, n)
+			inbox := reopen(t, g, alg.name, c.phase, n)
 			round := res.Rounds - res.Rounds%alg.phases + alg.phases + c.phase
 			nets[0].Step(round, inbox)
 			if n.Done() || n.mach.State() != c.want {
@@ -190,19 +212,19 @@ func TestRecoveryResumesInTheStateItsPhaseExpects(t *testing.T) {
 // in the given phase: a keep-Decide for a conflicting arc in Algorithm
 // 2's announcement phase, which n's arc loses, and otherwise a negative
 // acknowledgement from n's neighbor 1.
-func reopen(t *testing.T, alg string, phase int, n *colorNode) []msg.Message {
+func reopen(t *testing.T, g *graph.Graph, alg string, phase int, n *colorNode) []msg.Message {
 	for s, c := range n.colors {
 		if c < 0 {
 			continue
 		}
 		item := n.itemAt(s)
 		if alg == "edge" || phase != 0 {
-			return stamped(n.g, n.ID(), ackMsg(1, n.id, int32(item), c, false))
+			return stamped(g, n.ID(), ackMsg(1, n.id, int32(item), c, false))
 		}
 		// Both arcs of edge 1-2 conflict with n's arcs on edge 0-1.
 		for b := graph.ArcID(2); b < 4; b++ {
 			if !staleWins(graph.ArcID(item), b) {
-				return stamped(n.g, n.ID(), msg.Message{Kind: msg.KindDecide, From: 1, To: msg.Broadcast, Edge: int32(b), Color: c, Keep: true})
+				return stamped(g, n.ID(), msg.Message{Kind: msg.KindDecide, From: 1, To: msg.Broadcast, Edge: int32(b), Color: c, Keep: true})
 			}
 		}
 	}
@@ -218,7 +240,7 @@ func TestListenersRejectForeignItems(t *testing.T) {
 	for _, alg := range skeletonAlgs {
 		t.Run(alg.name, func(t *testing.T) {
 			for seed := uint64(0); ; seed++ {
-				nets, nodes := alg.nodes(g, &Options{Seed: seed})
+				nets, nodes, _ := alg.nodes(g, &Options{Seed: seed})
 				if nets[1].Step(0, nil); nodes[1].mach.State() != automaton.Listen {
 					continue // the coin made node 1 an inviter; try another seed
 				}

@@ -7,6 +7,7 @@ import (
 	"dima/internal/automaton"
 	"dima/internal/graph"
 	"dima/internal/msg"
+	"dima/internal/net"
 	"dima/internal/rng"
 )
 
@@ -41,8 +42,9 @@ func ColorStrong(d *graph.Digraph, opt Options) (*Result, error) {
 // cancellation are byte-identical to an uncanceled run with the same
 // options, on every engine.
 func ColorStrongCtx(ctx context.Context, d *graph.Digraph, opt Options) (*Result, error) {
-	nets, nodes := asNodes(newSCNodes(d, 0, d.N(), &opt))
-	return opt.color(ctx, d.Under(), nets, nodes, strongFactoryName, scPhases, d.A())
+	b := newBoard(d.Under(), 0, d.N(), 1, &opt)
+	return opt.color(ctx, b, func() []net.Node { return asNodes(newSCNodes(d, b, &opt)) },
+		strongFactoryName, scPhases, d.A())
 }
 
 // scClaim is a tentative pairing awaiting the confirm exchange.
@@ -121,13 +123,12 @@ func scSetWords(maxDeg int) int {
 	return min(3, max(0, (8*maxDeg+63)/64-1))
 }
 
-// newSCNodes builds the nodes of vertices [lo, hi) of the symmetric
-// digraph d, with per-vertex state carved from run-wide arrays. Node u
-// draws from the stream rng.New(opt.Seed).Derive(u), so a shard built by
-// a node process matches the coordinator's nodes exactly.
-func newSCNodes(d *graph.Digraph, lo, hi int, opt *Options) []scNode {
-	g := d.Under()
-	sk := newSkeleton(g, lo, hi, 1, scOutboxCap, opt)
+// newSCNodes builds the nodes of board b's vertices of the symmetric
+// digraph d, whose underlying graph is b's, with per-vertex state carved
+// from run-wide arrays.
+func newSCNodes(d *graph.Digraph, b *board, opt *Options) []scNode {
+	g, lo, hi := b.g, b.c.lo, b.c.lo+len(b.totals)
+	sk := newSkeleton(b, scOutboxCap, opt)
 	total := sk.c.total()
 	attempts := make([]int32, total)
 	deadNbr := make([]ColorSet, total)

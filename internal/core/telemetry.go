@@ -42,15 +42,15 @@ type roundEvents struct {
 	assigns []assignment
 }
 
-// nodeEvents is a node's one record of its protocol events. The run
-// totals are always kept. With Options.Metrics the node also keeps rec,
-// two roundEvents carved from one run-wide array: computation round r
-// lives in rec[r&1], so a round's slot is reused two rounds later, after
-// the round fold has read it. Only the owning node mutates the record,
-// so no engine needs synchronization.
+// nodeEvents is a node's one record of its protocol events, which lives
+// on the run's board. The run totals are always kept. With
+// Options.Metrics the node also keeps rec, two roundEvents: computation
+// round r lives in rec[r&1], so a round's slot is reused two rounds
+// later, after the round fold has read it. Only the owning node mutates
+// the record, so no engine needs synchronization.
 type nodeEvents struct {
 	rec   *[2]roundEvents // first: Step reads it every round
-	total [numRunEvents]int
+	total *[numRunEvents]int
 	// dirty marks a write to total or rec, and recolored an assign, since
 	// the last state blob (cluster.go); only node processes clear them.
 	dirty, recolored bool
@@ -89,19 +89,19 @@ func (e *nodeEvents) assign(r, item, color int) {
 }
 
 // addEvents adds a node's run totals to the Result.
-func (res *Result) addEvents(e *nodeEvents) {
+func (res *Result) addEvents(total *[numRunEvents]int) {
 	fields := [numRunEvents]*int{&res.DefensiveRejects, &res.ConflictsDropped,
 		&res.Retransmits, &res.Repairs, &res.Reverts, &res.Probes}
-	for k, v := range e.total {
+	for k, v := range total {
 		*fields[k] += v
 	}
 }
 
 // roundFold turns the engine's per-communication-round traffic and the
-// nodes' event records into one metrics.RoundStats per computation
-// round, emitted in round order during the run: round r at the barrier
-// that closes round r+1, because Algorithm 2 credits drops and
-// assignments to the round its claim formed in, one round back.
+// event records on the run's board into one metrics.RoundStats per
+// computation round, emitted in round order during the run: round r at
+// the barrier that closes round r+1, because Algorithm 2 credits drops
+// and assignments to the round its claim formed in, one round back.
 //
 // Invariants (tested in telemetry_test.go, reliable and under
 // recovery): summing Messages, Deliveries, Bytes and the six run-event
@@ -111,7 +111,7 @@ func (res *Result) addEvents(e *nodeEvents) {
 // items.
 type roundFold struct {
 	sink   metrics.Sink
-	nodes  []*colorNode
+	recs   [][2]roundEvents // the board's, one per vertex
 	phases int
 	stats  [2]metrics.RoundStats // computation round r's traffic in stats[r&1]
 	next   int                   // the next computation round to emit
@@ -125,10 +125,10 @@ type roundFold struct {
 	coloredTotal int
 }
 
-// newRoundFold returns the fold of a run of the given nodes over items
-// items that streams to sink.
-func newRoundFold(sink metrics.Sink, nodes []*colorNode, phases, items int) *roundFold {
-	return &roundFold{sink: sink, nodes: nodes, phases: phases, seen: make([]bool, items),
+// newRoundFold returns the fold of a run on board b over items items
+// that streams to sink.
+func newRoundFold(sink metrics.Sink, b *board, phases, items int) *roundFold {
+	return &roundFold{sink: sink, recs: b.recs, phases: phases, seen: make([]bool, items),
 		palette: palette{limit: items}, maxColor: -1}
 }
 
@@ -173,14 +173,14 @@ func (f *roundFold) flush(compRounds int) {
 	}
 }
 
-// emit sums the nodes' records of round r onto its traffic and sends
-// the round to the sink.
+// emit sums the records of round r onto its traffic and sends the
+// round to the sink.
 func (f *roundFold) emit(r int) {
 	s := &f.stats[r&1]
 	fields := [numEvents]*int{&s.DefensiveRejects, &s.ConflictsDropped, &s.Retransmits,
 		&s.Repairs, &s.Reverts, &s.Probes, &s.Active, &s.Inviters, &s.Listeners, &s.Paired}
-	for _, n := range f.nodes {
-		rec := &n.ev.rec[r&1]
+	for i := range f.recs {
+		rec := &f.recs[i][r&1]
 		for k, v := range rec.n {
 			*fields[k] += int(v)
 		}
@@ -197,7 +197,7 @@ func (f *roundFold) emit(r int) {
 	s.ColoredTotal = f.coloredTotal
 	s.NumColors = f.palette.count()
 	s.MaxColor = f.maxColor
-	s.Done = len(f.nodes) - s.Active
+	s.Done = len(f.recs) - s.Active
 	f.sink.EmitRound(*s)
 	f.next = r + 1
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -246,8 +247,18 @@ func (m Message) Append(buf []byte) []byte {
 
 // Decode parses one message from buf, returning the message and the
 // number of bytes consumed. Every vertex, item and color value must fit
-// in an int32; a wider varint is an error, never truncated.
-func Decode(buf []byte) (Message, int, error) {
+// in an int32; a wider varint is an error, never truncated. The paints
+// of an Update land in a fresh slice, which the message owns.
+func Decode(buf []byte) (Message, int, error) { return decode(buf, nil) }
+
+// DecodeAppend is Decode with the paints appended to *slab: a caller
+// decoding many messages at a time allocates only when the slab grows.
+// The message aliases the slab, so it is valid until the caller
+// rewrites the slab's contents (a slab that grows leaves earlier
+// messages on the old array, unchanged).
+func DecodeAppend(buf []byte, slab *[]Paint) (Message, int, error) { return decode(buf, slab) }
+
+func decode(buf []byte, slab *[]Paint) (Message, int, error) {
 	var m Message
 	if len(buf) == 0 {
 		return m, 0, fmt.Errorf("msg: empty buffer")
@@ -313,7 +324,14 @@ func Decode(buf []byte) (Message, int, error) {
 		return m, 0, fmt.Errorf("msg: implausible paint count %d for %d remaining bytes", count, len(buf)-pos)
 	}
 	if count > 0 {
-		ps := make([]Paint, count)
+		var ps []Paint
+		if slab == nil {
+			ps = make([]Paint, count)
+		} else {
+			k := len(*slab)
+			*slab = slices.Grow(*slab, int(count))[:k+int(count)]
+			ps = (*slab)[k:]
+		}
 		for i := range ps {
 			if ps[i].Edge, err = readInt(); err != nil {
 				return m, 0, err

@@ -71,6 +71,41 @@ func TestRoundTripConcatenated(t *testing.T) {
 	}
 }
 
+// TestDecodeAppendUsesTheSlab: DecodeAppend decodes what Decode does,
+// appends every Update's paints to the slab in message order, and
+// leaves messages decoded before the slab grew intact.
+func TestDecodeAppendUsesTheSlab(t *testing.T) {
+	msgs := append(sample(), sample()...)
+	var buf []byte
+	for _, m := range msgs {
+		buf = m.Append(buf)
+	}
+	slab := make([]Paint, 0, 1) // too small: the slab must grow
+	var got []Message
+	for pos := 0; pos < len(buf); {
+		m, n, err := DecodeAppend(buf[pos:], &slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, pos = append(got, m), pos+n
+	}
+	var paints []Paint
+	for i, m := range msgs {
+		if !Equal(m, got[i]) {
+			t.Fatalf("message %d: %v != %v", i, m, got[i])
+		}
+		paints = append(paints, m.Paints()...)
+	}
+	if len(slab) != len(paints) || len(paints) == 0 {
+		t.Fatalf("slab holds %d paints, the messages %d", len(slab), len(paints))
+	}
+	for i := range paints {
+		if slab[i] != paints[i] {
+			t.Fatalf("slab paint %d is %v, want %v", i, slab[i], paints[i])
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode(nil); err == nil {
 		t.Fatal("decoded empty buffer")

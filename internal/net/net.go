@@ -79,7 +79,7 @@ type Node interface {
 // tests can probe behavior outside the model.
 type FaultInjector interface {
 	// Drop reports whether the delivery of m to vertex to in the given
-	// round should be discarded.
+	// round should be discarded. m's paints are valid only during the call.
 	Drop(round int, m msg.Message, to int) bool
 }
 
@@ -232,18 +232,18 @@ func (rt *RoundTraffic) add(o *RoundTraffic) {
 }
 
 // runRounds is the round barrier every engine shares; engines differ
-// only in the round they supply. The all-done and cancel checks run
-// before start, so a run that is over before round 0 starts nothing;
-// start sets the engine up and returns its round. After each round the
-// per-kind tally becomes the round's totals, is folded into the Result
-// and handed to cfg.Observe, and the run ends at the first of: every
-// node done (Terminated), the context canceled (Aborted), or
-// cfg.MaxRounds rounds. The evaluation points are identical on every
-// engine, so canceled and truncated runs carry identical partial
-// Results.
-func runRounds(nodes []Node, cfg Config, start func() (roundFunc, error)) (Result, error) {
+// only in the round they supply. The all-done check (done: every node
+// is done as built) and the cancel check run before start, so a run
+// that is over before round 0 starts nothing; start sets the engine up
+// and returns its round. After each round the per-kind tally becomes
+// the round's totals, is folded into the Result and handed to
+// cfg.Observe, and the run ends at the first of: every node done
+// (Terminated), the context canceled (Aborted), or cfg.MaxRounds
+// rounds. The evaluation points are identical on every engine, so
+// canceled and truncated runs carry identical partial Results.
+func runRounds(done bool, cfg Config, start func() (roundFunc, error)) (Result, error) {
 	var res Result
-	if allDone(nodes) {
+	if done {
 		res.Terminated = true
 		return res, nil
 	}
@@ -298,7 +298,7 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
 		return Result{}, err
 	}
-	return runRounds(nodes, cfg, func() (roundFunc, error) {
+	return runRounds(allDone(nodes), cfg, func() (roundFunc, error) {
 		// Double-buffered inboxes: the current round's inboxes are
 		// consumed while the next round's fill, then the buffers swap
 		// and truncate. Message values are structs, so nodes copying

@@ -390,7 +390,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			broadcast(cmdStop)
 		}
 	}()
-	return runRounds(nodes, cfg, func() (roundFunc, error) {
+	return runRounds(allDone(nodes), cfg, func() (roundFunc, error) {
 		n := g.N()
 		workers := cfg.Workers
 		if workers <= 0 {

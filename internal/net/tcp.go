@@ -16,13 +16,9 @@ import (
 	"dima/internal/msg"
 )
 
-// StateNode is a Node whose state can cross a process boundary. The
-// TCP engine requires it: node processes run the protocol on their own
-// instances, and after every round the coordinator applies each remote
-// instance's changes to the local twin it constructed (but never
-// steps), so the round observer during the run and the caller's
-// post-run assembly see exactly the state an in-process engine would
-// have produced.
+// StateNode is a Node whose state can cross a process boundary, as the
+// TCP engine's node processes require: after every round they ship each
+// node's changes, which the coordinator loads into its StateSink.
 type StateNode interface {
 	Node
 	// AppendChanges appends a blob of the state that changed since the
@@ -31,20 +27,30 @@ type StateNode interface {
 	// Only the state the observer and the post-run assembly read need
 	// cross; transient negotiation state does not.
 	AppendChanges(buf []byte) []byte
-	// ApplyChanges loads a blob AppendChanges made on the remote
-	// instance into this twin; data is only valid during the call.
-	// Strict: a blob no remote instance can make is an error.
-	ApplyChanges(data []byte) error
+}
+
+// StateSink is the coordinator's view of a RunTCP run's nodes, which it
+// never builds: the state they start in, and the blobs they ship.
+type StateSink interface {
+	// Done reports whether every node is done as constructed: the round
+	// loop's initial all-done check, made before any process starts.
+	Done() bool
+	// Apply loads one blob a node process's StateNode.AppendChanges
+	// made for vertex; blob is only valid during the call. Strict: a
+	// blob no node process can make is an error.
+	Apply(vertex int, blob []byte) error
 }
 
 // NodeSpec tells node processes how to rebuild their vertex shard: a
 // registered NodeFactory name plus an opaque options blob the factory
 // decodes. The pair must determine node construction completely — with
-// the graph and shard bounds from the welcome frame, a remote factory
-// call must yield nodes byte-identical to the coordinator's own.
+// the graph and shard bounds from the welcome frame, node processes
+// must build the nodes an in-process run would. State stays at the
+// coordinator and receives what the nodes ship.
 type NodeSpec struct {
 	Factory string
 	Spec    []byte
+	State   StateSink
 }
 
 // TCPCluster configures the multi-process TCP engine. The zero value is
@@ -84,14 +90,6 @@ func (tc *TCPCluster) timeout() time.Duration {
 		return defaultBarrierTimeout
 	}
 	return tc.BarrierTimeout
-}
-
-// Engine adapts the cluster to the Engine signature, closing over the
-// node spec the way RunSync closes over nothing.
-func (tc *TCPCluster) Engine(spec NodeSpec) Engine {
-	return func(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-		return RunTCP(tc, spec, g, nodes, cfg)
-	}
 }
 
 // NodeError is the typed failure of one node process: which shard, in
@@ -146,14 +144,12 @@ const (
 // order too: no removal holes, and no edge ids recycled by RemoveEdge
 // and AddEdge. graph.Compacted rebuilds any graph into that form.
 //
-// The nodes slice plays the role it does for the in-process engines —
-// except these instances are never stepped: every outbox frame carries
-// the state its shard's nodes changed in the round, which is applied to
-// their local twins before the round reaches cfg.Observe, so every Node
-// must implement StateNode.
-func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	if err := validate(g, nodes); err != nil {
-		return Result{}, err
+// The coordinator builds no nodes: spec.State makes the initial
+// all-done check, and loads the state every outbox frame carries before
+// the round reaches cfg.Observe.
+func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, cfg Config) (Result, error) {
+	if spec.State == nil {
+		return Result{}, fmt.Errorf("net: tcp run without a state sink")
 	}
 	if g.EdgeIDBound() != g.M() {
 		return Result{}, fmt.Errorf("net: graph has removal holes (%d ids, %d edges); compact before a cluster run",
@@ -162,11 +158,6 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	for u := 0; u < g.N(); u++ {
 		if !slices.IsSorted(g.IncidentEdges(u)) {
 			return Result{}, fmt.Errorf("net: vertex %d lists its edges out of edge-id order (ids recycled by RemoveEdge); rebuild the graph with graph.Compacted before a cluster run", u)
-		}
-	}
-	for i, n := range nodes {
-		if _, ok := n.(StateNode); !ok {
-			return Result{}, fmt.Errorf("net: node %d (%T) does not implement StateNode", i, n)
 		}
 	}
 	if tc == nil || tc.Nodes < 1 {
@@ -187,11 +178,9 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			run.teardown()
 		}
 	}()
-	// runRounds makes its initial all-done and cancel checks on the
-	// local twins before start spawns any process: construction is
-	// deterministic, so the twins' initial state equals the remote
-	// instances'.
-	res, err := runRounds(nodes, cfg, func() (roundFunc, error) {
+	// runRounds makes its initial all-done and cancel checks before
+	// start spawns any process.
+	res, err := runRounds(spec.State.Done(), cfg, func() (roundFunc, error) {
 		var err error
 		if run, err = launchCluster(tc, shards); err != nil {
 			return nil, err
@@ -226,6 +215,8 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 				}
 			}
 			rtr.reset()
+			// The frames just sent read the last round's paints last.
+			ob.paints = ob.paints[:0]
 			doneAll := true
 			for s := 0; s < shards; s++ {
 				payload, err := run.recv(s, frameOutbox)
@@ -233,7 +224,7 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 					err = ob.decode(payload)
 				}
 				if err == nil {
-					err = ob.apply(round, bounds[s], bounds[s+1], nodes)
+					err = ob.apply(round, bounds[s], bounds[s+1], spec.State)
 				}
 				if err != nil {
 					return false, &NodeError{Shard: s, Round: round, Err: err}
@@ -257,10 +248,10 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	return res, nil
 }
 
-// apply checks one shard's decoded outbox for round and applies its
-// state entries to the twins. Its broadcasts and state entries must
-// come from the shard's vertex range [lo, hi).
-func (ob *outbox) apply(round, lo, hi int, nodes []Node) error {
+// apply checks one shard's decoded outbox for round and loads its state
+// entries into state. Its broadcasts and state entries must come from
+// the shard's vertex range [lo, hi).
+func (ob *outbox) apply(round, lo, hi int, state StateSink) error {
 	if ob.round != round {
 		return fmt.Errorf("outbox for round %d, want %d", ob.round, round)
 	}
@@ -273,7 +264,7 @@ func (ob *outbox) apply(round, lo, hi int, nodes []Node) error {
 		if st.vertex < lo || st.vertex >= hi {
 			return fmt.Errorf("state of vertex %d outside shard [%d, %d)", st.vertex, lo, hi)
 		}
-		if err := nodes[st.vertex].(StateNode).ApplyChanges(st.blob); err != nil {
+		if err := state.Apply(st.vertex, st.blob); err != nil {
 			return fmt.Errorf("state of vertex %d: %w", st.vertex, err)
 		}
 	}

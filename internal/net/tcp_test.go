@@ -34,6 +34,13 @@ func init() {
 	net.RegisterNodeFactory("test/kill/v1", killFactory)
 	net.RegisterNodeFactory("test/hang/v1", hangFactory)
 	net.RegisterNodeFactory("test/forge/v1", forgeFactory)
+	net.RegisterNodeFactory("test/plain/v1", func(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
+		nodes := make([]net.Node, 0, hi-lo)
+		for u := lo; u < hi; u++ {
+			nodes = append(nodes, plainNode{id: u})
+		}
+		return nodes, nil
+	})
 }
 
 // gossipNode is a deterministic test protocol: for `rounds` rounds each
@@ -96,7 +103,34 @@ func (n *gossipNode) AppendChanges(buf []byte) []byte {
 	return buf
 }
 
-func (n *gossipNode) ApplyChanges(data []byte) error {
+// gossipState is the coordinator's view of a gossip run: each vertex's
+// sum and receipt log, as its node ships them.
+type gossipState struct {
+	rounds int
+	sum    []int64
+	log    [][]int
+}
+
+// tcpSpec returns the node spec of a RunTCP run of the named factory
+// with spec on g, whose nodes gossip for rounds rounds, with a fresh
+// gossipState as its state sink.
+func tcpSpec(factory string, spec []byte, g *graph.Graph, rounds int) net.NodeSpec {
+	st := &gossipState{rounds: rounds, sum: make([]int64, g.N()), log: make([][]int, g.N())}
+	return net.NodeSpec{Factory: factory, Spec: spec, State: st}
+}
+
+// Done mirrors gossipNode.Done over the shipped logs.
+func (s *gossipState) Done() bool {
+	for _, l := range s.log {
+		if len(l) < s.rounds {
+			return false
+		}
+	}
+	return true
+}
+
+// Apply loads a blob gossipNode.AppendChanges made.
+func (s *gossipState) Apply(u int, data []byte) error {
 	sum, c := binary.Uvarint(data)
 	if c <= 0 {
 		return fmt.Errorf("bad gossip state")
@@ -107,14 +141,14 @@ func (n *gossipNode) ApplyChanges(data []byte) error {
 		return fmt.Errorf("bad gossip log count")
 	}
 	data = data[c:]
-	n.sum = int64(sum)
+	s.sum[u] = int64(sum)
 	for i := uint64(0); i < count; i++ {
 		v, c := binary.Uvarint(data)
 		if c <= 0 {
 			return fmt.Errorf("bad gossip log entry")
 		}
 		data = data[c:]
-		n.log = append(n.log, int(v))
+		s.log[u] = append(s.log[u], int(v))
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("%d trailing bytes in gossip state", len(data))
@@ -124,8 +158,8 @@ func (n *gossipNode) ApplyChanges(data []byte) error {
 
 // killNode SIGKILLs its own process when its trigger vertex reaches the
 // trigger round — the kill -9 regression harness. Only node processes
-// ever step it (the coordinator's twins are never stepped), so the test
-// process itself is safe.
+// ever build it (the coordinator builds no nodes), so the test process
+// itself is safe.
 type killNode struct {
 	gossipNode
 	killVertex, killRound int
@@ -288,8 +322,8 @@ func assertNoChildren(t *testing.T) {
 }
 
 // TestRunTCPMatchesRunSync is the transport-level equivalence property:
-// identical Results, per-round traffic streams, and twin node state at
-// every shard count, with and without faults.
+// identical Results, per-round traffic streams, and node state in the
+// state sink at every shard count, with and without faults.
 func TestRunTCPMatchesRunSync(t *testing.T) {
 	g := testGraph(23)
 	faults := []net.FaultInjector{nil, net.DropRate{Seed: 7, P: 0.2}}
@@ -308,20 +342,20 @@ func TestRunTCPMatchesRunSync(t *testing.T) {
 				defer leakCheck(t)()
 				tc := &net.TCPCluster{Nodes: shards, BarrierTimeout: 30 * time.Second}
 				var gotTraffic []net.RoundTraffic
-				tcpNodes := gossipNodes(g, 6)
-				// The twins are in step when the observer sees a round:
+				spec := tcpSpec("test/gossip/v1", gossipSpec(6), g, 6)
+				st := spec.State.(*gossipState)
+				// The sink is in step when the observer sees a round:
 				// every node has logged that round.
 				lagging := -1
 				observe := func(rt net.RoundTraffic) {
 					gotTraffic = append(gotTraffic, rt)
-					for u, n := range tcpNodes {
-						if len(n.(*gossipNode).log) != rt.Round+1 && lagging < 0 {
+					for u, l := range st.log {
+						if len(l) != rt.Round+1 && lagging < 0 {
 							lagging = u
 						}
 					}
 				}
-				gotRes, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(6)},
-					g, tcpNodes, net.Config{Fault: fault, Observe: observe})
+				gotRes, err := net.RunTCP(tc, spec, g, net.Config{Fault: fault, Observe: observe})
 				if err != nil {
 					t.Fatalf("RunTCP: %v", err)
 				}
@@ -332,13 +366,13 @@ func TestRunTCPMatchesRunSync(t *testing.T) {
 					t.Errorf("round traffic mismatch:\n tcp  %+v\n sync %+v", gotTraffic, wantTraffic)
 				}
 				if lagging >= 0 {
-					t.Errorf("twin of node %d lagged its remote node when the observer ran", lagging)
+					t.Errorf("sink state of node %d lagged its remote node when the observer ran", lagging)
 				}
-				for u := range tcpNodes {
-					got, want := tcpNodes[u].(*gossipNode), syncNodes[u].(*gossipNode)
-					if got.sum != want.sum || !reflect.DeepEqual(got.log, want.log) {
+				for u := range st.log {
+					want := syncNodes[u].(*gossipNode)
+					if st.sum[u] != want.sum || !reflect.DeepEqual(st.log[u], want.log) {
 						t.Fatalf("node %d state: tcp sum=%d log=%v, sync sum=%d log=%v",
-							u, got.sum, got.log, want.sum, want.log)
+							u, st.sum[u], st.log[u], want.sum, want.log)
 					}
 				}
 			})
@@ -375,8 +409,8 @@ func TestRunTCPCancel(t *testing.T) {
 		return net.RunSync(g, nodes, cfg)
 	})
 	tc := &net.TCPCluster{Nodes: 3}
-	gotRes, gotTraffic := run(func(nodes []net.Node, cfg net.Config) (net.Result, error) {
-		return net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(10)}, g, nodes, cfg)
+	gotRes, gotTraffic := run(func(_ []net.Node, cfg net.Config) (net.Result, error) {
+		return net.RunTCP(tc, tcpSpec("test/gossip/v1", gossipSpec(10), g, 10), g, cfg)
 	})
 	if !wantRes.Aborted || gotRes != wantRes {
 		t.Errorf("aborted Result mismatch:\n tcp  %+v\n sync %+v", gotRes, wantRes)
@@ -395,12 +429,7 @@ func TestRunTCPNodeKilled(t *testing.T) {
 	// 4 shards of 5 vertices; vertex 12 (shard 2) kills its process at
 	// round 3.
 	tc := &net.TCPCluster{Nodes: 4, BarrierTimeout: 10 * time.Second}
-	nodes, err := killFactory(g, killSpec(50, 12, 3), 0, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = net.RunTCP(tc, net.NodeSpec{Factory: "test/kill/v1", Spec: killSpec(50, 12, 3)},
-		g, nodes, net.Config{MaxRounds: 100})
+	_, err := net.RunTCP(tc, tcpSpec("test/kill/v1", killSpec(50, 12, 3), g, 50), g, net.Config{MaxRounds: 100})
 	var ne *net.NodeError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want *net.NodeError, got %v", err)
@@ -419,13 +448,8 @@ func TestRunTCPNodeHang(t *testing.T) {
 	defer leakCheck(t)()
 	g := testGraph(12)
 	tc := &net.TCPCluster{Nodes: 2, BarrierTimeout: time.Second}
-	nodes, err := hangFactory(g, killSpec(50, 9, 2), 0, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	_, err = net.RunTCP(tc, net.NodeSpec{Factory: "test/hang/v1", Spec: killSpec(50, 9, 2)},
-		g, nodes, net.Config{MaxRounds: 100})
+	_, err := net.RunTCP(tc, tcpSpec("test/hang/v1", killSpec(50, 9, 2), g, 50), g, net.Config{MaxRounds: 100})
 	var ne *net.NodeError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want *net.NodeError, got %v", err)
@@ -444,12 +468,8 @@ func TestRunTCPNodeHang(t *testing.T) {
 func TestRunTCPForgedFrom(t *testing.T) {
 	defer leakCheck(t)()
 	g := testGraph(12)
-	nodes, err := forgeFactory(g, killSpec(50, 3, 2), 0, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = net.RunTCP(&net.TCPCluster{Nodes: 2}, net.NodeSpec{Factory: "test/forge/v1", Spec: killSpec(50, 3, 2)},
-		g, nodes, net.Config{MaxRounds: 100})
+	_, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, tcpSpec("test/forge/v1", killSpec(50, 3, 2), g, 50),
+		g, net.Config{MaxRounds: 100})
 	var ne *net.NodeError
 	if !errors.As(err, &ne) || ne.Shard != 0 || ne.Round != 2 ||
 		!strings.Contains(err.Error(), "vertex 3 sent a message from 4") {
@@ -461,28 +481,38 @@ func TestRunTCPForgedFrom(t *testing.T) {
 // process spawns.
 func TestRunTCPValidation(t *testing.T) {
 	g := testGraph(6)
-	spec := net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(2)}
+	spec := tcpSpec("test/gossip/v1", gossipSpec(2), g, 2)
 	t.Run("no cluster", func(t *testing.T) {
-		if _, err := net.RunTCP(nil, spec, g, gossipNodes(g, 2), net.Config{}); err == nil {
+		if _, err := net.RunTCP(nil, spec, g, net.Config{}); err == nil {
 			t.Error("nil cluster accepted")
 		}
 	})
 	t.Run("zero nodes", func(t *testing.T) {
-		if _, err := net.RunTCP(&net.TCPCluster{}, spec, g, gossipNodes(g, 2), net.Config{}); err == nil {
+		if _, err := net.RunTCP(&net.TCPCluster{}, spec, g, net.Config{}); err == nil {
 			t.Error("zero node count accepted")
 		}
 	})
 	t.Run("unknown factory", func(t *testing.T) {
-		bad := net.NodeSpec{Factory: "test/没有/v0"}
-		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, bad, g, gossipNodes(g, 2), net.Config{}); err == nil {
+		bad := tcpSpec("test/没有/v0", nil, g, 2)
+		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, bad, g, net.Config{}); err == nil {
 			t.Error("unknown factory accepted")
 		}
 	})
+	t.Run("no state sink", func(t *testing.T) {
+		bad := net.NodeSpec{Factory: spec.Factory, Spec: spec.Spec}
+		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, bad, g, net.Config{}); err == nil ||
+			!strings.Contains(err.Error(), "state sink") {
+			t.Errorf("run without a state sink: err = %v", err)
+		}
+	})
 	t.Run("non-StateNode", func(t *testing.T) {
-		nodes := gossipNodes(g, 2)
-		nodes[3] = plainNode{id: 3}
-		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, g, nodes, net.Config{}); err == nil {
-			t.Error("non-StateNode accepted")
+		// Node processes refuse a factory whose nodes cannot ship state.
+		defer leakCheck(t)()
+		plain := tcpSpec("test/plain/v1", nil, g, 2)
+		_, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, plain, g, net.Config{})
+		var ne *net.NodeError
+		if !errors.As(err, &ne) || ne.Round != -1 || !strings.Contains(err.Error(), "want StateNode") {
+			t.Errorf("non-StateNode accepted, or refused other than at setup: %v", err)
 		}
 	})
 	t.Run("removal holes", func(t *testing.T) {
@@ -490,7 +520,7 @@ func TestRunTCPValidation(t *testing.T) {
 		if _, err := h.RemoveEdge(0, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, h, gossipNodes(h, 2), net.Config{}); err == nil {
+		if _, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, h, net.Config{}); err == nil {
 			t.Error("graph with removal holes accepted")
 		}
 	})
@@ -509,7 +539,7 @@ func TestRunTCPValidation(t *testing.T) {
 		if h.EdgeIDBound() != h.M() {
 			t.Fatal("recycling left removal holes")
 		}
-		_, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, h, gossipNodes(h, 2), net.Config{})
+		_, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, h, net.Config{})
 		if err == nil || !strings.Contains(err.Error(), "graph.Compacted") {
 			t.Errorf("graph with recycled edge ids: err = %v, want a pointer to graph.Compacted", err)
 		}
@@ -522,20 +552,19 @@ func (p plainNode) ID() int                               { return p.id }
 func (p plainNode) Done() bool                            { return true }
 func (p plainNode) Step(int, []msg.Message) []msg.Message { return nil }
 
-// TestRunTCPInitialDone checks the pre-spawn fast paths: an all-done
-// node set terminates, and a pre-canceled context aborts, both without
-// launching any process.
+// TestRunTCPInitialDone checks the pre-spawn fast paths: a state sink
+// whose nodes are all done terminates, and a pre-canceled context
+// aborts, both without launching any process.
 func TestRunTCPInitialDone(t *testing.T) {
 	g := testGraph(8)
-	spec := net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(0)}
-	res, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, g, gossipNodes(g, 0), net.Config{})
+	spec := tcpSpec("test/gossip/v1", gossipSpec(0), g, 0)
+	res, err := net.RunTCP(&net.TCPCluster{Nodes: 2}, spec, g, net.Config{})
 	if err != nil || !res.Terminated || res.Rounds != 0 {
 		t.Errorf("all-done run: res=%+v err=%v", res, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = net.RunTCP(&net.TCPCluster{Nodes: 2}, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(3)},
-		g, gossipNodes(g, 3), net.Config{Ctx: ctx})
+	res, err = net.RunTCP(&net.TCPCluster{Nodes: 2}, tcpSpec("test/gossip/v1", gossipSpec(3), g, 3), g, net.Config{Ctx: ctx})
 	if err != nil || !res.Aborted || res.Rounds != 0 {
 		t.Errorf("pre-canceled run: res=%+v err=%v", res, err)
 	}
@@ -572,9 +601,7 @@ func TestRunTCPExternalMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpNodes := gossipNodes(g, 5)
-	gotRes, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(5)},
-		g, tcpNodes, net.Config{})
+	gotRes, err := net.RunTCP(tc, tcpSpec("test/gossip/v1", gossipSpec(5), g, 5), g, net.Config{})
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("RunTCP external: %v", err)
@@ -634,8 +661,7 @@ func TestRunTCPExternalOldHandshake(t *testing.T) {
 			io.Copy(io.Discard, conn) // until the coordinator hangs up
 		}
 	}()
-	_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(3)},
-		g, gossipNodes(g, 3), net.Config{})
+	_, err := net.RunTCP(tc, tcpSpec("test/gossip/v1", gossipSpec(3), g, 3), g, net.Config{})
 	wg.Wait()
 	var ne *net.NodeError
 	if !errors.As(err, &ne) {
@@ -724,12 +750,12 @@ func TestRunTCPFaultCallOrder(t *testing.T) {
 				defer leakCheck(t)()
 				got := &recordingFault{inner: fc.fault}
 				var gotTraffic []net.RoundTraffic
-				tcpNodes := gossipNodes(g, 6)
-				gotRes, err := net.RunTCP(&net.TCPCluster{Nodes: shards},
-					net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(6)}, g, tcpNodes, net.Config{
-						Fault:   got,
-						Observe: func(rt net.RoundTraffic) { gotTraffic = append(gotTraffic, rt) },
-					})
+				spec := tcpSpec("test/gossip/v1", gossipSpec(6), g, 6)
+				st := spec.State.(*gossipState)
+				gotRes, err := net.RunTCP(&net.TCPCluster{Nodes: shards}, spec, g, net.Config{
+					Fault:   got,
+					Observe: func(rt net.RoundTraffic) { gotTraffic = append(gotTraffic, rt) },
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -742,11 +768,11 @@ func TestRunTCPFaultCallOrder(t *testing.T) {
 				if !reflect.DeepEqual(gotTraffic, wantTraffic) {
 					t.Errorf("round traffic mismatch:\n tcp  %+v\n sync %+v", gotTraffic, wantTraffic)
 				}
-				for u := range tcpNodes {
-					got, want := tcpNodes[u].(*gossipNode), syncNodes[u].(*gossipNode)
-					if got.sum != want.sum || !reflect.DeepEqual(got.log, want.log) {
+				for u := range st.log {
+					want := syncNodes[u].(*gossipNode)
+					if st.sum[u] != want.sum || !reflect.DeepEqual(st.log[u], want.log) {
 						t.Fatalf("node %d state: tcp sum=%d log=%v, sync sum=%d log=%v",
-							u, got.sum, got.log, want.sum, want.log)
+							u, st.sum[u], st.log[u], want.sum, want.log)
 					}
 				}
 			})
@@ -856,8 +882,7 @@ func hostileTwoShardRun(t *testing.T, g *graph.Graph, kind msg.FrameKind, payloa
 		}
 		node1 <- net.ServeNode(conn, 1, 2, 0)
 	}()
-	_, err := net.RunTCP(tc, net.NodeSpec{Factory: "test/gossip/v1", Spec: gossipSpec(4)},
-		g, gossipNodes(g, 4), net.Config{})
+	_, err := net.RunTCP(tc, tcpSpec("test/gossip/v1", gossipSpec(4), g, 4), g, net.Config{})
 	nodeErr := <-node0
 	<-node1
 	return err, nodeErr
@@ -935,8 +960,8 @@ func hostileOutbox(senders [][2]int, vertices []int, blobs [][]byte) []byte {
 
 // TestRunTCPHostileStateSection feeds the coordinator outbox frames
 // whose broadcasts or state section no node process can send. Each must fail the run
-// with a NodeError for shard 0, round 0 — never a panic, never a twin
-// silently written out of step.
+// with a NodeError for shard 0, round 0 — never a panic, never a state
+// sink silently written out of step.
 func TestRunTCPHostileStateSection(t *testing.T) {
 	g := testGraph(14) // 2 shards: [0, 7) and [7, 14)
 	state := []byte{5, 1, 2}

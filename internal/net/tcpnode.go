@@ -15,10 +15,9 @@ import (
 
 // NodeFactory rebuilds the protocol nodes of one vertex shard inside a
 // node process: one Node per vertex in [lo, hi), each implementing
-// StateNode, constructed exactly as the coordinator constructs its
-// twins — same graph, same options decoded from spec, same derived RNG
-// streams — so the distributed run is byte-identical to an in-process
-// one. Protocol packages register their factories in init (the core
+// StateNode, constructed exactly as an in-process run constructs them —
+// same graph, same options decoded from spec, same derived RNG streams —
+// so the distributed run is byte-identical to an in-process one. Protocol packages register their factories in init (the core
 // package registers "dima/edge/v3" and "dima/strong/v3").
 type NodeFactory func(g *graph.Graph, spec []byte, lo, hi int) ([]Node, error)
 
@@ -202,7 +201,8 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 				}
 				// A node's state changes only in its own Step, so once it
 				// stepped, its Done and its changes are what RunSync's
-				// allDone and the coordinator's twin see after the round.
+				// allDone and the coordinator's state sink see after the
+				// round.
 				done = done && sn.Done()
 				if blob = sn.AppendChanges(blob[:0]); len(blob) > 0 {
 					section = appendState(section, w.lo+i, blob)

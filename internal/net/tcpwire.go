@@ -235,12 +235,14 @@ type nodeState struct {
 }
 
 // outbox is one decoded outbox frame. decode reuses its slices, so one
-// value serves every round.
+// value serves every round; it appends paints to a slab only the caller
+// resets.
 type outbox struct {
 	round  int
 	done   bool
 	bs     []msg.Message
 	states []nodeState
+	paints []msg.Paint
 }
 
 // decode parses an outbox frame strictly. Vertex ids are only
@@ -263,7 +265,7 @@ func (ob *outbox) decode(buf []byte) error {
 		if d.Err != nil {
 			break
 		}
-		m, used, err := msg.Decode(d.Buf)
+		m, used, err := msg.DecodeAppend(d.Buf, &ob.paints)
 		if err != nil {
 			return fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}

@@ -58,8 +58,14 @@ type Rand struct {
 // New returns a generator seeded from seed via splitmix64, per the
 // xoshiro reference seeding procedure.
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	r := &Rand{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Rand {
+	sm := SplitMix64{state: seed}
+	r := Rand{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
 	// Guard against the (astronomically unlikely) all-zero state, which
 	// is the single fixed point of xoshiro.
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
@@ -72,11 +78,18 @@ func New(seed uint64) *Rand {
 // distinct indices, and the parent itself, produce independent streams.
 // Derive does not disturb the parent's state.
 func (r *Rand) Derive(i uint64) *Rand {
+	c := r.Child(i)
+	return &c
+}
+
+// Child is Derive by value: the same stream, with no heap allocation
+// when the caller stores the generator in place.
+func (r *Rand) Child(i uint64) Rand {
 	// Combine the parent's state with the index through strong mixing;
-	// the parent state is read, not advanced, so Derive is repeatable.
+	// the parent state is read, not advanced, so Child is repeatable.
 	h := Mix64(r.s0 ^ Mix64(i+0x632be59bd9b4e019))
 	h ^= Mix64(r.s2 + i)
-	return New(h)
+	return seeded(h)
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -71,6 +71,23 @@ func TestDeriveRepeatable(t *testing.T) {
 	}
 }
 
+// TestChildIsDeriveByValue: Child yields Derive's stream, so node RNGs
+// stored by value keep every seeded run's choices.
+func TestChildIsDeriveByValue(t *testing.T) {
+	parent := New(11)
+	for _, i := range []uint64{0, 1, 62499, 1 << 40} {
+		a, b := parent.Derive(i), parent.Child(i)
+		for k := 0; k < 100; k++ {
+			if av, bv := a.Uint64(), b.Uint64(); av != bv {
+				t.Fatalf("child %d diverged from Derive at draw %d", i, k)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = parent.Child(5) }); n != 0 {
+		t.Fatalf("Child allocated %v times", n)
+	}
+}
+
 func TestDeriveDoesNotAdvanceParent(t *testing.T) {
 	a := New(9)
 	b := New(9)
