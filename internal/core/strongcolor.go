@@ -600,10 +600,13 @@ func (n *scNode) phaseDecide(inbox, out []msg.Message) []msg.Message {
 			break
 		}
 	}
-	return append(n.appendPaints(out), msg.Message{
+	// The Decide goes first: KindDecide sorts before KindUpdate, so a
+	// reliable outbox leaves this phase in msg.Less order.
+	out = append(out, msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
 		Edge: int32(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
 	})
+	return n.appendPaints(out)
 }
 
 // claimPriority orders same-color claims deterministically; both

@@ -144,8 +144,12 @@ func DecodeMessages(buf []byte) ([]Message, error) {
 // Version 2 replaced the round frame's per-delivery (vertex, message)
 // pairs with per-shard (sender, message, drop list) records. Version 3
 // retired the end-of-run harvest and state frames: every outbox frame
-// carries the state its shard's nodes changed in the round.
-const HandshakeVersion = 3
+// carries the state its shard's nodes changed in the round. Version 4
+// requires every sender's messages in msg.Less order on both sides of
+// the wire: node processes no longer sort their inboxes, so an older
+// node, which sends its outboxes unsorted, is refused at the handshake
+// rather than mid-run.
+const HandshakeVersion = 4
 
 // helloMagic opens every handshake so a stray connection (or a peer
 // speaking a different protocol entirely) is rejected on the first

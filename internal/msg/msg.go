@@ -10,6 +10,7 @@
 package msg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -140,45 +141,37 @@ func (m Message) String() string {
 	}
 }
 
-// Less orders messages canonically, comparing every field so that the
-// order is total: inboxes are sorted with Less before being handed to
-// protocol logic, and any pair of distinct messages — including two
-// Decide or Update messages from the same sender differing only in Keep
-// or Paints — must sort the same way under every engine for the
-// cross-engine equivalence to hold.
+// Compare orders messages canonically, returning -1, 0 or +1 as a
+// sorts before, equal to or after b. It compares every field but Port,
+// so the order is total: inboxes arrive at protocol logic in this
+// order, and any pair of distinct messages — including two Decide or
+// Update messages from the same sender differing only in Keep or
+// Paints — must sort the same way under every engine for the
+// cross-engine equivalence to hold. From is the first key, which is
+// what lets an engine sort each outbox instead of each inbox.
+func Compare(a, b Message) int {
+	// Keep sorts false before true; Paints compare lexicographically,
+	// a strict prefix sorting first.
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.To, b.To), cmp.Compare(a.Edge, b.Edge),
+		cmp.Compare(a.Color, b.Color), cmp.Compare(a.Seq, b.Seq),
+		cmp.Compare(bit(a.Keep), bit(b.Keep)),
+		slices.CompareFunc(a.Paints(), b.Paints(), func(p, q Paint) int {
+			return cmp.Or(cmp.Compare(p.Edge, q.Edge), cmp.Compare(p.Color, q.Color))
+		}))
+}
+
+// bit is b as 0 or 1.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Less reports whether a sorts before b in the Compare order.
 func Less(a, b Message) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.To != b.To {
-		return a.To < b.To
-	}
-	if a.Edge != b.Edge {
-		return a.Edge < b.Edge
-	}
-	if a.Color != b.Color {
-		return a.Color < b.Color
-	}
-	if a.Seq != b.Seq {
-		return a.Seq < b.Seq
-	}
-	if a.Keep != b.Keep {
-		return !a.Keep // false sorts before true
-	}
-	// Paints compare lexicographically, a strict prefix sorting first.
-	ap, bp := a.Paints(), b.Paints()
-	for i := 0; i < len(ap) && i < len(bp); i++ {
-		if ap[i] != bp[i] {
-			if ap[i].Edge != bp[i].Edge {
-				return ap[i].Edge < bp[i].Edge
-			}
-			return ap[i].Color < bp[i].Color
-		}
-	}
-	return len(ap) < len(bp)
+	return Compare(a, b) < 0
 }
 
 // Size returns the encoded size of m in bytes without encoding it.

@@ -3,6 +3,7 @@ package msg
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -306,6 +307,21 @@ func TestLessIsTotal(t *testing.T) {
 		for _, b := range msgs[i+1:] {
 			if !Equal(a, b) && Less(a, b) == Less(b, a) {
 				t.Fatalf("Less cannot order %v and %v", a, b)
+			}
+		}
+	}
+}
+
+// Compare is the three-way form of the order Less reports: antisymmetric
+// in sign, and zero exactly on Equal messages, including random ones
+// that share every field but Keep, Seq or Paints.
+func TestCompareAgreesWithEqual(t *testing.T) {
+	msgs := append(sample(), randomMessages(rand.New(rand.NewSource(5)), 200)...)
+	for _, a := range msgs {
+		for _, b := range msgs {
+			c := Compare(a, b)
+			if c != -Compare(b, a) || (c == 0) != Equal(a, b) || (c < 0) != Less(a, b) {
+				t.Fatalf("Compare(%v, %v) = %d, reversed %d, Equal %v", a, b, c, Compare(b, a), Equal(a, b))
 			}
 		}
 	}

@@ -63,11 +63,8 @@ func TestSortMatchesReferenceSort(t *testing.T) {
 }
 
 // Adversarial shapes: already sorted, reversed, all-equal, organ-pipe,
-// and many-duplicates inputs exercise the pivot selection and the
-// depth-limited fallback. The ascending shapes probe the sorted-inbox
-// check: strictly ascending From returns at once whatever the later
-// fields hold, while one repeated From or one swapped pair must fall
-// through to the sort.
+// and many-duplicates inputs, and ascending From whose later fields are
+// random, with one repeated From or one swapped pair out of order.
 func TestSortAdversarialShapes(t *testing.T) {
 	const n = 500
 	r := rand.New(rand.NewSource(4))
@@ -136,10 +133,9 @@ func compareLess(a, b Message) int {
 
 // TestSortGroupedInboxes covers the inbox shape Algorithm 2 produces:
 // ascending From with some senders repeated, each run of one sender in
-// arbitrary order. Sort orders each run in place and must agree with
-// slices.SortFunc under Less; runs of every length up to past the
-// insertion-sort cutoff, a lone run, and a decrease after grouped runs
-// (which sorts the whole inbox) are all covered.
+// arbitrary order, as an inbox rebuilt from unsorted outboxes would
+// be. Sort must agree with slices.SortFunc under Less; short and long
+// runs, a lone run, and a decrease after grouped runs are all covered.
 func TestSortGroupedInboxes(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	grouped := func(runs []int) []Message {
@@ -185,8 +181,7 @@ func BenchmarkSortInbox(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	base := randomMessages(r, 8)
 	work := make([]Message, len(base))
-	// delivered is the inbox shape engines hand to Step: ascending
-	// sender order, which the sorted-inbox check accepts in one pass.
+	// delivered is an inbox as engines hand it to Step: already sorted.
 	delivered := make([]Message, len(base))
 	copy(delivered, base)
 	for i := range delivered {

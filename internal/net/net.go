@@ -18,7 +18,7 @@
 // checks, the per-round traffic fold into Result and Config.Observe,
 // and the exit conditions. An engine supplies only how one round is
 // stepped and routed. Given nodes whose behavior is a deterministic
-// function of (round, sorted inbox, per-node RNG), all engines produce
+// function of (round, inbox, per-node RNG), all engines produce
 // identical executions; this equivalence is property-tested in the
 // core package. Every engine copies a node's outbox before that node
 // steps again, so nodes may reuse one outbox slice across rounds (see
@@ -35,16 +35,19 @@ import (
 
 // Node is a synchronous protocol participant. Implementations must be
 // deterministic functions of their own state, the round number, and the
-// (canonically sorted) inbox; all randomness must come from a private
-// generator seeded at construction.
+// inbox, which arrives in msg.Less order; all randomness must come from
+// a private generator seeded at construction.
 type Node interface {
 	// ID returns the vertex this node runs on.
 	ID() int
 	// Step executes one communication round. The inbox holds every
-	// message broadcast by a neighbor in the previous round, sorted by
-	// msg.Less. The returned messages are locally broadcast: delivered
-	// to every neighbor at the next round. Each must carry From ==
-	// ID(): RunTCP routes by From, and its node processes check it.
+	// message broadcast by a neighbor in the previous round and arrives
+	// sorted by msg.Less: every engine sorts each returned outbox in
+	// place, in any order the node emitted it, before routing it, and
+	// delivers the senders in ascending order. The returned messages
+	// are locally broadcast: delivered to every neighbor at the next
+	// round. Each must carry From == ID(): RunTCP routes by From, and
+	// its node processes check it.
 	//
 	// Every engine stamps each delivered message with its arrival port:
 	// Port is the receiver's incidence position of From, so
@@ -79,7 +82,10 @@ type Node interface {
 // tests can probe behavior outside the model.
 type FaultInjector interface {
 	// Drop reports whether the delivery of m to vertex to in the given
-	// round should be discarded. m's paints are valid only during the call.
+	// round should be discarded. Every engine asks in one order: senders
+	// ascending, each sender's sorted outbox in msg.Less order, each
+	// message's receivers in adjacency order. m's paints are valid only
+	// during the call.
 	Drop(round int, m msg.Message, to int) bool
 }
 
@@ -159,9 +165,9 @@ type Result struct {
 }
 
 // Engine runs a protocol over a topology; RunSync and RunShard satisfy
-// it, and TCPCluster.Engine adapts RunTCP to it. Cancellation rides in
-// Config.Ctx so that code holding an Engine value needs no second
-// signature.
+// it. RunTCP, whose node processes build their own nodes, does not.
+// Cancellation rides in Config.Ctx so that code holding an Engine value
+// needs no second signature.
 type Engine func(g *graph.Graph, nodes []Node, cfg Config) (Result, error)
 
 // ctx returns the run's context, defaulting to Background.
@@ -206,8 +212,18 @@ func allDone(nodes []Node) bool {
 	return true
 }
 
+// stepNode steps n and sorts its outbox in place before any of it is
+// routed. Every engine steps through it and delivers senders in
+// ascending order, and a fault drops without reordering, so each inbox
+// is sorted outboxes in ascending From, Less's first key: Less-sorted.
+func stepNode(n Node, round int, inbox []msg.Message) []msg.Message {
+	out := n.Step(round, inbox)
+	msg.Sort(out)
+	return out
+}
+
 // roundFunc executes one engine's communication round: every node
-// steps with its sorted inbox, and the round's broadcasts are routed
+// steps through stepNode, and the round's broadcasts are routed
 // toward the next round's inboxes and tallied into rt with count. It
 // reports whether every node is done after the round, evaluated after
 // all of them stepped.
@@ -308,10 +324,8 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		ports := graph.NewPorts(g)
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for u := 0; u < g.N(); u++ {
-				in := inboxes[u]
-				msg.Sort(in)
 				nb, ie := g.Neighbors(u), g.IncidentEdges(u)
-				for _, m := range nodes[u].Step(round, in) {
+				for _, m := range stepNode(nodes[u], round, inboxes[u]) {
 					var delivered int64
 					for i, v := range nb {
 						if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {

@@ -350,14 +350,14 @@ func (r *router) reset() {
 //     expanding each record to the sender's neighbors inside this
 //     shard (shardInbox.fill, shared with the TCP node processes).
 //     Within one sender shard the records are already in sender id
-//     order (workers step in id order), so each inbox fills in
-//     ascending sender id — exactly the append order RunSync produces.
+//     order (workers step in id order), so each inbox fills with the
+//     sorted outboxes in ascending sender id: RunSync's Less order.
 //     The merge runs behind the barrier, after every node finished
 //     the Step that read the arena, so it overwrites the arena in
 //     place. It belongs to the round that reads the inboxes because
 //     only a following round needs it.
-//  2. Step: every worker steps its own vertices in id order, sorting
-//     each inbox with msg.Sort first, and routes each outbound
+//  2. Step: every worker steps its own vertices in id order through
+//     stepNode, which sorts each outbox, and routes each outbound
 //     broadcast into its own buckets with router.route, RunTCP's
 //     record builder too: one shardDelivery per destination shard that
 //     holds a surviving receiver. A fault injector is asked about
@@ -367,7 +367,7 @@ func (r *router) reset() {
 //     own outbound buckets, so the phase is data-race free by
 //     partitioning.
 //
-// Identical pre-sort inboxes plus the shared msg.Sort make the
+// Identical sorted outboxes, delivered in RunSync's order, make the
 // executions byte-identical to RunSync: same final colorings, same
 // Result, same per-round RoundTraffic stream, for any Workers. Each
 // worker tallies its shard's traffic in a RoundTraffic, and the
@@ -435,9 +435,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 						var t RoundTraffic
 						rtr.reset()
 						for u := lo; u < hi; u++ {
-							inbox := arena.inbox(u - lo)
-							msg.Sort(inbox)
-							for _, m := range nodes[u].Step(c, inbox) {
+							for _, m := range stepNode(nodes[u], c, arena.inbox(u-lo)) {
 								t.count(m.Kind, int64(m.Size()), rtr.route(c, u, m))
 							}
 						}

@@ -34,6 +34,7 @@ func init() {
 	net.RegisterNodeFactory("test/kill/v1", killFactory)
 	net.RegisterNodeFactory("test/hang/v1", hangFactory)
 	net.RegisterNodeFactory("test/forge/v1", forgeFactory)
+	net.RegisterNodeFactory("test/reverse/v1", reverseFactory)
 	net.RegisterNodeFactory("test/plain/v1", func(g *graph.Graph, spec []byte, lo, hi int) ([]net.Node, error) {
 		nodes := make([]net.Node, 0, hi-lo)
 		for u := lo; u < hi; u++ {
@@ -806,10 +807,14 @@ func TestRunShardFaultCallOrder(t *testing.T) {
 // round, uvarint record count, then uvarint sender, the message,
 // uvarint drop count, and the dropped vertices.
 func hostileRound(from int, drops []int) []byte {
-	buf := binary.AppendUvarint(nil, 0)
-	buf = binary.AppendUvarint(buf, 1)
+	return appendRecord([]byte{0, 1}, from, 1, drops)
+}
+
+// appendRecord appends one round-frame record: uvarint sender from, its
+// invitation on edge, uvarint drop count and the drops.
+func appendRecord(buf []byte, from, edge int, drops []int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(from))
-	buf = msg.Message{Kind: msg.KindInvite, From: int32(from), To: msg.Broadcast, Edge: 1}.Append(buf)
+	buf = msg.Message{Kind: msg.KindInvite, From: int32(from), To: msg.Broadcast, Edge: int32(edge)}.Append(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(drops)))
 	for _, v := range drops {
 		buf = binary.AppendUvarint(buf, uint64(v))
@@ -915,6 +920,8 @@ func TestRunTCPHostileRoundFrame(t *testing.T) {
 		{"drop of non-neighbor", hostileRound(7, []int{5}), "vertex 5 is not its next neighbor"},
 		{"drops out of order", hostileRound(7, []int{seg[1], seg[0]}), fmt.Sprintf("vertex %d is not its next neighbor", seg[0])},
 		{"duplicate drop", hostileRound(7, []int{seg[0], seg[0]}), fmt.Sprintf("vertex %d is not its next neighbor", seg[0])},
+		{"records of one sender out of order", appendRecord(appendRecord([]byte{0, 2}, 7, 2, nil), 7, 1, nil),
+			"records from vertex 7 out of msg.Less order"},
 		{"trailing bytes", append(hostileRound(7, nil), 0), "trailing bytes"},
 		{"truncated record", hostileRound(7, []int{seg[0]})[:5], "net: "},
 	}
@@ -940,14 +947,15 @@ func TestRunTCPHostileRoundFrame(t *testing.T) {
 // hostileOutbox hand-encodes shard 0's round-0 outbox frame: uvarint
 // round, flags byte, uvarint broadcast count, then per broadcast the
 // uvarint sender senders[i][0] and an invitation whose From is
-// senders[i][1], uvarint entry count, then (uvarint vertex, uvarint blob
-// length, blob) entries.
+// senders[i][1] on edge len(senders)-i, so that two broadcasts of one
+// sender are out of msg.Less order, uvarint entry count, then (uvarint
+// vertex, uvarint blob length, blob) entries.
 func hostileOutbox(senders [][2]int, vertices []int, blobs [][]byte) []byte {
 	buf := []byte{0, 0}
 	buf = binary.AppendUvarint(buf, uint64(len(senders)))
-	for _, s := range senders {
+	for i, s := range senders {
 		buf = binary.AppendUvarint(buf, uint64(s[0]))
-		buf = msg.Message{Kind: msg.KindInvite, From: int32(s[1]), To: msg.Broadcast, Edge: 1}.Append(buf)
+		buf = msg.Message{Kind: msg.KindInvite, From: int32(s[1]), To: msg.Broadcast, Edge: int32(len(senders) - i)}.Append(buf)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(vertices)))
 	for i, v := range vertices {
@@ -977,6 +985,8 @@ func TestRunTCPHostileStateSection(t *testing.T) {
 		{"truncated blob", hostileOutbox(nil, []int{4}, [][]byte{state})[:6], "net: state blob of 3 bytes exceeds"},
 		{"broadcast outside shard", hostileOutbox([][2]int{{9, 9}}, nil, nil), "broadcast from vertex 9 outside shard [0, 7)"},
 		{"broadcast out of order", hostileOutbox([][2]int{{3, 3}, {2, 2}}, nil, nil), "broadcast from vertex 2 after vertex 3"},
+		{"one sender's broadcasts out of order", hostileOutbox([][2]int{{3, 3}, {3, 3}}, nil, nil),
+			"broadcasts from vertex 3 out of msg.Less order"},
 		{"broadcast From mismatch", hostileOutbox([][2]int{{3, 4}}, nil, nil), "broadcast from vertex 3 carries a message from 4"},
 	}
 	for _, c := range cases {

@@ -120,8 +120,8 @@ func ServeNode(conn gonet.Conn, shard, shards int, token uint64) error {
 // the shard's nodes from the welcome frame, then answer round frames
 // until shutdown. Each round frame's records are expanded over the
 // shard's neighbor segments into one flat inbox arena, with the fill
-// RunShard's merge runs; inboxes are sorted and the shard's vertices
-// stepped in ascending id order, and their broadcasts go back in one
+// RunShard's merge runs; the shard's vertices are stepped in ascending
+// id order through stepNode, and their sorted outboxes go back in one
 // outbox frame, followed by the state changes of every node whose
 // state changed in the round. The coordinator keeps fault decisions
 // and traffic accounting; the node only applies the drop lists it is
@@ -191,9 +191,7 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 			outb, section = outb[:0], section[:0]
 			done, entries := true, 0
 			for i, sn := range states {
-				inbox := in.arena.inbox(i)
-				msg.Sort(inbox)
-				for _, m := range sn.Step(round, inbox) {
+				for _, m := range stepNode(sn, round, in.arena.inbox(i)) {
 					if int(m.From) != w.lo+i {
 						return fmt.Errorf("vertex %d sent a message from %d", w.lo+i, m.From)
 					}
@@ -254,7 +252,8 @@ func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
 
 // receive decodes one round frame into the arena and returns its
 // round. Records the coordinator cannot have sent are errors: a sender
-// outside the graph or out of ascending order, a sender with no
+// outside the graph, records out of msg.Less order (senders ascending,
+// each sender's records in its sorted outbox's order), a sender with no
 // neighbor in this shard, or a drop list that is not a subsequence of
 // the sender's neighbors here.
 func (ni *nodeInbox) receive(payload []byte) (int, error) {
@@ -264,17 +263,19 @@ func (ni *nodeInbox) receive(payload []byte) (int, error) {
 		return 0, err
 	}
 	n := len(ni.segs.segOf) - 1
-	prev := 0
 	for i := range b.recs {
 		r := &b.recs[i]
 		from := int(r.m.From)
 		if from >= n {
 			return 0, fmt.Errorf("net: record from vertex %d, graph has %d", from, n)
 		}
-		if from < prev {
-			return 0, fmt.Errorf("net: record from vertex %d after vertex %d", from, prev)
+		if i > 0 && msg.Less(r.m, b.recs[i-1].m) {
+			prev := b.recs[i-1].m
+			if int(prev.From) != from {
+				return 0, fmt.Errorf("net: record from vertex %d after vertex %d", from, prev.From)
+			}
+			return 0, fmt.Errorf("net: records from vertex %d out of msg.Less order: %v after %v", from, r.m, prev)
 		}
-		prev = from
 		lo, hi, ok := ni.segs.segment(from, 0)
 		if !ok {
 			return 0, fmt.Errorf("net: record from vertex %d, which has no neighbor in shard [%d, %d)", from, ni.lo, ni.hi)

@@ -199,10 +199,10 @@ const outboxFlagDone = 1 << 0
 
 // appendOutbox appends an outbox frame payload: uvarint round, a flags
 // byte, uvarint broadcast count, then (uvarint sender vertex, message)
-// pairs in the order the senders were stepped (ascending vertex id),
-// where the sender is the message's From, then the state section:
-// uvarint entry count and states, which holds that many entries
-// encoded by appendState in ascending vertex order.
+// pairs in msg.Less order (senders in ascending id, the order they were
+// stepped, each outbox sorted), where the sender is the message's From,
+// then the state section: uvarint entry count and states, which holds
+// that many entries encoded by appendState in ascending vertex order.
 func appendOutbox(buf []byte, round int, done bool, bs []msg.Message, nstates int, states []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
 	var flags byte
@@ -246,8 +246,9 @@ type outbox struct {
 }
 
 // decode parses an outbox frame strictly. Vertex ids are only
-// range-checked against maxVertex here, broadcasts for ascending
-// sender order and a message From equal to the sender, and state
+// range-checked against maxVertex here, broadcasts for msg.Less order
+// (ascending senders, each sender's outbox sorted, as stepNode leaves
+// it) and a message From equal to the sender, and state
 // entries for ascending order: whether they lie in the sending shard
 // is the coordinator's check.
 func (ob *outbox) decode(buf []byte) error {
@@ -272,8 +273,12 @@ func (ob *outbox) decode(buf []byte) error {
 		if int(m.From) != from {
 			return fmt.Errorf("net: broadcast from vertex %d carries a message from %d", from, m.From)
 		}
-		if i > 0 && m.From < ob.bs[i-1].From {
-			return fmt.Errorf("net: broadcast from vertex %d after vertex %d", from, ob.bs[i-1].From)
+		if i > 0 && msg.Less(m, ob.bs[i-1]) {
+			prev := ob.bs[i-1]
+			if prev.From != m.From {
+				return fmt.Errorf("net: broadcast from vertex %d after vertex %d", from, prev.From)
+			}
+			return fmt.Errorf("net: broadcasts from vertex %d out of msg.Less order: %v after %v", from, m, prev)
 		}
 		ob.bs = append(ob.bs, m)
 		d.Buf = d.Buf[used:]
