@@ -266,25 +266,25 @@ func main() {
 	if runAll || selected["compare"] {
 		start := time.Now()
 		reps := scaledReps(10, *scale)
-		runs, err := experiment.RunComparison(*seed, 200, []float64{4, 8, 16}, reps, *workers)
+		runs, err := experiment.RunComparison(false, *seed, 200, []float64{4, 8, 16}, reps, *workers)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println("== compare — Algorithm 1 vs the cited prior-work baseline (ref [10]) and centralized references")
 		fmt.Printf("   %d runs in %v\n\n", len(runs), time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.ComparisonTable(runs).String())
+		fmt.Println(experiment.ComparisonTable(runs, false).String())
 		fmt.Println("dima trades rounds (≈2Δ) for a Δ/Δ+1 palette; the simple algorithm")
 		fmt.Println("finishes in O(log m) rounds but spreads colors over the 2Δ-1 palette.")
 		fmt.Println()
 
 		start = time.Now()
-		strongRuns, err := experiment.RunStrongComparison(*seed, 100, []float64{4, 8}, reps, *workers)
+		strongRuns, err := experiment.RunComparison(true, *seed, 100, []float64{4, 8}, reps, *workers)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println("== compare-strong — Algorithm 2 (DiMa2Ed) vs the simple-strong baseline and centralized greedy")
 		fmt.Printf("   %d runs in %v\n\n", len(strongRuns), time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.StrongComparisonTable(strongRuns).String())
+		fmt.Println(experiment.ComparisonTable(strongRuns, true).String())
 		fmt.Println("same trade at distance 2: dima2ed spends Θ(Δ) rounds for a near-greedy channel")
 		fmt.Println("count; the simple-strong baseline finishes in O(log) rounds but needs a palette")
 		fmt.Println("sized to the worst-case conflict degree (global knowledge).")

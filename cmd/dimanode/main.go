@@ -26,7 +26,7 @@ import (
 	"os"
 	"strconv"
 
-	_ "dima/internal/core" // registers the dima/edge/v3 and dima/strong/v3 node factories
+	_ "dima/internal/core" // registers the dima/edge/v4 and dima/strong/v4 node factories
 	"dima/internal/net"
 )
 

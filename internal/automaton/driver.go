@@ -62,9 +62,9 @@ type Driver struct {
 
 	// Recovery state: the last invitation sent, kept while its response
 	// is outstanding. A node whose invitation went unanswered re-enters
-	// I after rec.Timeout() computation rounds and renegotiates the same
+	// I after RecoveryTimeout computation rounds and renegotiates the same
 	// edge — retransmitting with an incremented Seq — instead of
-	// flipping a fresh coin, until rec.Budget() retries are spent.
+	// flipping a fresh coin, until RecoveryBudget retries are spent.
 	sentInvite   msg.Message
 	pending      bool
 	pendingAge   int
@@ -293,14 +293,14 @@ func (d *Driver) recoverPending(inbox, out []msg.Message) ([]msg.Message, bool) 
 		}
 	}
 	d.pendingAge++
-	if d.pendingAge < d.rec.Timeout() {
+	if d.pendingAge < RecoveryTimeout {
 		// Still inside the timeout window: hold in L, responding to no
 		// one — the node is logically still waiting on its invitation.
 		d.mach.MustTransition(Listen)
 		d.holdRespond = true
 		return out, true
 	}
-	if d.pendingTries >= d.rec.Budget() {
+	if d.pendingTries >= RecoveryBudget {
 		// Budget spent: abandon the exchange. The normal protocol may
 		// still reach the neighbor through a fresh coin-flip invitation,
 		// which a Reaffirmer answers from committed state.

@@ -7,7 +7,7 @@ import "dima/internal/msg"
 // reliable synchronous delivery; under injected faults (package net) a
 // lost Response strands a negotiation half-committed. With recovery
 // enabled, a node that committed state on the strength of a message
-// retransmits it — bounded by a timeout and a retry budget — and peers
+// retransmits it — bounded by RecoveryTimeout and RecoveryBudget — and peers
 // answer authoritatively from their committed state instead of
 // defensively rejecting, so transient loss delays convergence instead of
 // corrupting it.
@@ -18,31 +18,18 @@ import "dima/internal/msg"
 type Recovery struct {
 	// Enabled turns the recovery protocol on.
 	Enabled bool
-	// TimeoutRounds is how many computation rounds a node waits for an
-	// expected message before retransmitting. 0 means the default of 2.
-	TimeoutRounds int
-	// RetryBudget bounds retransmissions per negotiation. After the
+}
+
+const (
+	// RecoveryTimeout is how many computation rounds a recovering node
+	// waits for an expected message before retransmitting.
+	RecoveryTimeout = 2
+	// RecoveryBudget bounds retransmissions per negotiation. After the
 	// budget is spent the node abandons the exchange and falls back to
 	// the normal protocol, which may still repair the edge through a
-	// fresh negotiation. 0 means the default of 8.
-	RetryBudget int
-}
-
-// Timeout returns TimeoutRounds with the default applied.
-func (r Recovery) Timeout() int {
-	if r.TimeoutRounds <= 0 {
-		return 2
-	}
-	return r.TimeoutRounds
-}
-
-// Budget returns RetryBudget with the default applied.
-func (r Recovery) Budget() int {
-	if r.RetryBudget <= 0 {
-		return 8
-	}
-	return r.RetryBudget
-}
+	// fresh negotiation.
+	RecoveryBudget = 8
+)
 
 // Reaffirmer is an optional Pairing extension consulted when recovery is
 // enabled. A node that receives an invitation for an edge it has already

@@ -26,8 +26,8 @@ import (
 // options blob, or the state blob must bump them so mixed-version
 // clusters fail the factory lookup instead of diverging silently.
 const (
-	edgeFactoryName   = "dima/edge/v3"
-	strongFactoryName = "dima/strong/v3"
+	edgeFactoryName   = "dima/edge/v4"
+	strongFactoryName = "dima/strong/v4"
 )
 
 func init() {
@@ -84,7 +84,7 @@ const (
 )
 
 // appendClusterOptions encodes the Options fields that influence node
-// behavior: seed, the behavior flags, and the recovery tuning. Engine-
+// behavior: the seed and the behavior flags. Engine-
 // side concerns (Fault, Observe, MaxCompRounds, Workers) stay at the
 // coordinator and are deliberately absent.
 func appendClusterOptions(buf []byte, o *Options) []byte {
@@ -105,10 +105,7 @@ func appendClusterOptions(buf []byte, o *Options) []byte {
 	if o.Metrics != nil {
 		flags |= cofTelemetry
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(o.Recovery.TimeoutRounds))
-	buf = binary.AppendUvarint(buf, uint64(o.Recovery.RetryBudget))
-	return buf
+	return append(buf, flags)
 }
 
 // decodeClusterOptions rebuilds the Options a node process constructs
@@ -118,8 +115,6 @@ func decodeClusterOptions(spec []byte) (*Options, error) {
 	o := &Options{}
 	o.Seed = d.Uvarint("seed")
 	flags := d.Byte("option flags")
-	o.Recovery.TimeoutRounds = d.Int("recovery timeout", maxCount)
-	o.Recovery.RetryBudget = d.Int("recovery budget", maxCount)
 	if err := d.Finish("options blob"); err != nil {
 		return nil, err
 	}

@@ -294,29 +294,32 @@ func TestClusterOptionConflicts(t *testing.T) {
 // TestClusterEdgelessGraph pins the initial all-done check of cluster
 // runs, which the coordinator makes on its board: on a graph without
 // edges both algorithms return RunSync's Result and round stream — 0
-// rounds, Terminated — without starting a node process. The cluster's
+// rounds, Terminated — without starting a node process, on a graph
+// with vertices and on one without (which once divided by zero while
+// splitting its vertices into shards). The cluster's
 // Command names no program, so any spawn would fail the run.
 func TestClusterEdgelessGraph(t *testing.T) {
-	g := graph.New(5)
 	cluster := &net.TCPCluster{Nodes: 2, Command: []string{"/nonexistent/dimanode"}}
-	for _, alg := range []struct {
-		name  string
-		color func(Options) (*Result, error)
-	}{
-		{"edge", func(o Options) (*Result, error) { return ColorEdges(g, o) }},
-		{"strong", func(o Options) (*Result, error) { return ColorStrong(graph.NewSymmetric(g), o) }},
-	} {
-		wantMem, mem := &metrics.Memory{}, &metrics.Memory{}
-		want, err := alg.color(Options{Seed: 4, Metrics: wantMem})
-		if err != nil || want.CommRounds != 0 || !want.Terminated {
-			t.Fatalf("%s: sync run on an edgeless graph: %+v, %v", alg.name, want, err)
-		}
-		res, err := alg.color(Options{Seed: 4, Metrics: mem, Cluster: cluster})
-		if err != nil {
-			t.Fatalf("%s: cluster run on an edgeless graph: %v", alg.name, err)
-		}
-		if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(mem.Rounds, wantMem.Rounds) {
-			t.Fatalf("%s: cluster run diverged from sync:\n%+v\n%+v", alg.name, res, want)
+	for _, g := range []*graph.Graph{graph.New(5), graph.New(0)} {
+		for _, alg := range []struct {
+			name  string
+			color func(Options) (*Result, error)
+		}{
+			{"edge", func(o Options) (*Result, error) { return ColorEdges(g, o) }},
+			{"strong", func(o Options) (*Result, error) { return ColorStrong(graph.NewSymmetric(g), o) }},
+		} {
+			wantMem, mem := &metrics.Memory{}, &metrics.Memory{}
+			want, err := alg.color(Options{Seed: 4, Metrics: wantMem})
+			if err != nil || want.CommRounds != 0 || !want.Terminated {
+				t.Fatalf("%s n=%d: sync run on an edgeless graph: %+v, %v", alg.name, g.N(), want, err)
+			}
+			res, err := alg.color(Options{Seed: 4, Metrics: mem, Cluster: cluster})
+			if err != nil {
+				t.Fatalf("%s n=%d: cluster run on an edgeless graph: %v", alg.name, g.N(), err)
+			}
+			if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(mem.Rounds, wantMem.Rounds) {
+				t.Fatalf("%s n=%d: cluster run diverged from sync:\n%+v\n%+v", alg.name, g.N(), res, want)
+			}
 		}
 	}
 	assertNoChildProcesses(t)

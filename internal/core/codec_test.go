@@ -46,14 +46,14 @@ func codecGraph() *graph.Graph {
 }
 
 // codecOptions is a configuration that sets every field of the options
-// blob: seed, all four flags, and the recovery tuning.
+// blob: the seed and every flag.
 func codecOptions() *Options {
 	return &Options{
 		Seed:                  2012,
 		ColorRule:             RandomAvailable,
 		DisableOverhearFilter: true,
 		UnsafeNoConfirm:       true,
-		Recovery:              automaton.Recovery{Enabled: true, TimeoutRounds: 3, RetryBudget: 5},
+		Recovery:              automaton.Recovery{Enabled: true},
 		Metrics:               discardSink{},
 	}
 }
@@ -119,8 +119,8 @@ func runBlobs(t testing.TB, factory net.NodeFactory, rounds int, g *graph.Graph,
 // the factory lookup instead of diverging silently.
 func TestClusterEncodingGolden(t *testing.T) {
 	golden := map[string]struct{ options, state string }{
-		"dima/edge/v3":   {"dc0f1f0305", "020103020201000000000000000000000000010001000000000000000001000101010302"},
-		"dima/strong/v3": {"dc0f1f0305", "0302010403050501000000000000000000000000010001000000000000000001000101010904"},
+		"dima/edge/v4":   {"dc0f1f", "020103020201000000000000000000000000010001000000000000000001000101010302"},
+		"dima/strong/v4": {"dc0f1f", "0302010403050501000000000000000000000000010001000000000000000001000101010904"},
 	}
 	for _, f := range codecFactories {
 		want, ok := golden[f.name]

@@ -241,10 +241,10 @@ func (n *ecNode) ageAcks() {
 	for _, e := range sortedEdgeKeys(n.pendingAck) {
 		pa := n.pendingAck[e]
 		pa.age++
-		if pa.age < n.opt.Recovery.Timeout() {
+		if pa.age < automaton.RecoveryTimeout {
 			continue
 		}
-		if pa.tries >= n.opt.Recovery.Budget() {
+		if pa.tries >= automaton.RecoveryBudget {
 			delete(n.pendingAck, e)
 			continue
 		}

@@ -274,7 +274,7 @@ func (n *scNode) phaseChooseInvite(inbox, out []msg.Message) []msg.Message {
 // period reports whether the current computation round is one of the
 // recovery timeout's periodic rounds (probes and re-announcements).
 func (n *scNode) period() bool {
-	return n.curRound > 0 && n.curRound%n.opt.Recovery.Timeout() == 0
+	return n.curRound > 0 && n.curRound%automaton.RecoveryTimeout == 0
 }
 
 // proposeColor picks the channel to propose for arc a, targeted at

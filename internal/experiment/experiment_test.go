@@ -213,7 +213,7 @@ func TestPairRateMatchesTheoryOnER(t *testing.T) {
 }
 
 func TestRunComparison(t *testing.T) {
-	runs, err := RunComparison(5, 80, []float64{4, 8}, 3, 0)
+	runs, err := RunComparison(false, 5, 80, []float64{4, 8}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRunComparison(t *testing.T) {
 			t.Fatalf("misra-gries exceeded Δ+1: %+v", v)
 		}
 	}
-	tbl := ComparisonTable(runs).String()
+	tbl := ComparisonTable(runs, false).String()
 	for _, want := range []string{"dima (alg 1)", "simple (ref 10)", "central matcher", "misra-gries"} {
 		if !strings.Contains(tbl, want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl)
@@ -247,17 +247,17 @@ func TestRunComparison(t *testing.T) {
 }
 
 func TestRunComparisonRejectsZeroReps(t *testing.T) {
-	if _, err := RunComparison(1, 10, []float64{4}, 0, 0); err == nil {
+	if _, err := RunComparison(false, 1, 10, []float64{4}, 0, 0); err == nil {
 		t.Fatal("accepted zero reps")
 	}
 }
 
 func TestRunComparisonDeterministic(t *testing.T) {
-	a, err := RunComparison(9, 50, []float64{4}, 2, 1)
+	a, err := RunComparison(false, 9, 50, []float64{4}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunComparison(9, 50, []float64{4}, 2, 4)
+	b, err := RunComparison(false, 9, 50, []float64{4}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestPairingProbabilityStrong(t *testing.T) {
 }
 
 func TestRunStrongComparison(t *testing.T) {
-	runs, err := RunStrongComparison(6, 50, []float64{4}, 2, 0)
+	runs, err := RunComparison(true, 6, 50, []float64{4}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +318,17 @@ func TestRunStrongComparison(t *testing.T) {
 		t.Fatalf("got %d strong comparison runs", len(runs))
 	}
 	for _, r := range runs {
-		if r.Channels < r.LowerBound {
-			t.Fatalf("%s reported %d channels below lower bound %d", r.Algo, r.Channels, r.LowerBound)
+		if r.Colors < r.LowerBound {
+			t.Fatalf("%s reported %d channels below lower bound %d", r.Algo, r.Colors, r.LowerBound)
 		}
 	}
-	tbl := StrongComparisonTable(runs).String()
+	tbl := ComparisonTable(runs, true).String()
 	for _, want := range []string{"dima2ed (alg 2)", "simple-strong", "greedy (central)", "lower bound"} {
 		if !strings.Contains(tbl, want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl)
 		}
 	}
-	if _, err := RunStrongComparison(1, 10, []float64{4}, 0, 0); err == nil {
+	if _, err := RunComparison(true, 1, 10, []float64{4}, 0, 0); err == nil {
 		t.Fatal("accepted zero reps")
 	}
 }

@@ -309,7 +309,9 @@ func runRounds(done bool, cfg Config, start func() (roundFunc, error)) (Result, 
 
 // RunSync executes the protocol with a deterministic sequential
 // scheduler: one goroutine, vertices stepped in id order each round.
-// It is the reference the other engines must reproduce.
+// It is the reference the other engines must reproduce: it reads each
+// vertex's receivers and their arrival ports from the one-shard
+// delivery table (buildShardSegments), but keeps its own delivery loop.
 func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
 		return Result{}, err
@@ -321,18 +323,18 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		// them out of a reused slice stay valid.
 		inboxes := make([][]msg.Message, g.N())
 		next := make([][]msg.Message, g.N())
-		ports := graph.NewPorts(g)
+		ss := buildShardSegments(g, make([]int32, g.N()), 1)
 		return func(round int, rt *RoundTraffic) (bool, error) {
 			for u := 0; u < g.N(); u++ {
-				nb, ie := g.Neighbors(u), g.IncidentEdges(u)
+				lo, hi, _ := ss.segment(u, 0)
 				for _, m := range stepNode(nodes[u], round, inboxes[u]) {
 					var delivered int64
-					for i, v := range nb {
-						if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
+					for j, v := range ss.flat[lo:hi] {
+						if cfg.Fault != nil && cfg.Fault.Drop(round, m, int(v)) {
 							continue
 						}
 						d := m
-						d.Port = ports.Port(ie[i], u, v)
+						d.Port = ss.port[int(lo)+j]
 						next[v] = append(next[v], d)
 						delivered++
 					}

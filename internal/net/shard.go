@@ -28,12 +28,11 @@ type shardDelivery struct {
 // dropSpan locates one record's drop list, drops[lo:hi] of its batch.
 type dropSpan struct{ lo, hi int32 }
 
-// recordBatch is a run of records in ascending sender order. spans[i],
-// when spans is set, locates recs[i]'s drop list: the receivers in its
-// segment that the fault injector dropped, in segment order. A batch
-// without drops fills as a reliable one. RunShard keeps one batch per
-// (source worker, destination shard); a TCP node process decodes one
-// per round frame.
+// recordBatch is a run of records in ascending sender order. spans[i]
+// locates recs[i]'s drop list: the receivers in its segment that the
+// fault injector dropped, in segment order, empty in a reliable run.
+// RunShard keeps one batch per (source worker, destination shard); a
+// TCP node process decodes one per round frame.
 type recordBatch struct {
 	recs  []shardDelivery
 	spans []dropSpan
@@ -81,10 +80,12 @@ func grow[T any](s []T, n int) []T {
 // across the batches, packed with its arrival port (ss.port) into its
 // inbox slot — one 8-byte scattered store rather than a 40-byte
 // message; then gather the messages into buf in slot order, stamping
-// each with its port, one sequential write. When the records arrive in
-// ascending sender order, as both RunShard's merge and RunTCP's round
-// frames guarantee, every inbox fills in ascending sender id: exactly
-// the append order RunSync produces.
+// each with its port, one sequential write. The count and place passes
+// walk every record's receivers past its drop list, which a reliable
+// run leaves empty. When the records arrive in ascending sender order,
+// as both RunShard's merge and RunTCP's round frames guarantee, every
+// inbox fills in ascending sender id: exactly the append order RunSync
+// produces.
 func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) {
 	flat := ss.flat
 	cnt := a.cnt
@@ -94,16 +95,9 @@ func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) 
 	total := int32(0)
 	for _, b := range batches {
 		for i, r := range b.recs {
-			total += r.hi - r.lo
-			if len(b.drops) == 0 {
-				for _, v := range flat[r.lo:r.hi] {
-					cnt[v-base]++
-				}
-				continue
-			}
 			sp := b.spans[i]
-			total -= sp.hi - sp.lo
 			drops := b.drops[sp.lo:sp.hi]
+			total += r.hi - r.lo - int32(len(drops))
 			for _, v := range flat[r.lo:r.hi] {
 				if len(drops) > 0 && drops[0] == v {
 					drops = drops[1:]
@@ -127,13 +121,6 @@ func (a *shardInbox) fill(base int32, ss *shardSegments, batches []recordBatch) 
 		for i, r := range b.recs {
 			rec := (first + uint64(i)) << 32
 			port := ss.port[r.lo:r.hi]
-			if len(b.drops) == 0 {
-				for j, v := range flat[r.lo:r.hi] {
-					idx[cnt[v-base]] = rec | uint64(port[j])
-					cnt[v-base]++
-				}
-				continue
-			}
 			sp := b.spans[i]
 			drops := b.drops[sp.lo:sp.hi]
 			for j, v := range flat[r.lo:r.hi] {
@@ -169,14 +156,18 @@ type nbrSeg struct {
 	lo, hi int32
 }
 
-// shardSegments is the per-run CSR of shard-grouped neighbor lists:
-// vertex u's segments are segs[segOf[u]:segOf[u+1]], each naming a
-// destination shard and a slice of flat holding u's neighbors in that
-// shard. Built once per run, it is what lets a sender emit one record
-// per (message, destination shard) and the fill phase expand records
-// to receivers without the sender ever touching per-neighbor state.
-// port, beside flat, holds each receiver's arrival port for a message
-// from u: the port fill stamps.
+// shardSegments is every engine's per-run delivery table, a CSR of
+// shard-grouped neighbor lists: vertex u's segments are
+// segs[segOf[u]:segOf[u+1]], each naming a destination shard and a
+// range of the receiver columns. flat holds u's neighbors in that
+// shard, in u's adjacency order, and port beside it each receiver's
+// arrival port for a message from u: u's position in the receiver's
+// neighbor list, the port every engine stamps. Built once per run, it
+// lets a sender emit one record per (message, destination shard) and
+// the fill phase expand records to receivers without the sender ever
+// touching per-neighbor state. RunSync reads a one-shard table, one
+// segment per vertex. The TCP coordinator builds the segments alone
+// (segmentsOf), all its router reads.
 type shardSegments struct {
 	flat  []int32
 	port  []int32
@@ -218,56 +209,62 @@ func shardBounds(n, k int) (bounds []int, owner []int32) {
 	return bounds, owner
 }
 
-// buildShardSegments groups every vertex's neighbor list by owning
-// shard. Within one segment the adjacency order is preserved; segments
-// are emitted in ascending shard order. The port column is filled from
-// ports, and left nil when ports is (the TCP coordinator only routes).
-// O(n·workers + m) time, one pass of scratch counters.
-func buildShardSegments(g *graph.Graph, owner []int32, workers int, ports graph.Ports) shardSegments {
+// segmentsOf lays out the segment half of g's delivery table for the
+// given vertex owners: each vertex's segments in ascending shard order,
+// sized by its neighbor count in that shard. The receiver columns are
+// left nil. O(n·shards + m) time.
+func segmentsOf(g *graph.Graph, owner []int32, shards int) shardSegments {
 	n := g.N()
-	total := 0
-	for u := 0; u < n; u++ {
-		total += g.Degree(u)
-	}
-	ss := shardSegments{
-		flat:  make([]int32, total),
-		segOf: make([]int32, n+1),
-	}
-	if ports != nil {
-		ss.port = make([]int32, total)
-	}
-	cnt := make([]int32, workers)
-	cur := make([]int32, workers)
+	ss := shardSegments{segOf: make([]int32, n+1)}
+	cnt := make([]int32, shards)
 	pos := int32(0)
 	for u := 0; u < n; u++ {
 		ss.segOf[u] = int32(len(ss.segs))
-		adj := g.Neighbors(u)
-		if len(adj) == 0 {
-			continue
-		}
-		for _, v := range adj {
+		for _, v := range g.Neighbors(u) {
 			cnt[owner[v]]++
 		}
-		for d := 0; d < workers; d++ {
-			c := cnt[d]
-			if c == 0 {
-				continue
+		for d, c := range cnt {
+			if c > 0 {
+				ss.segs = append(ss.segs, nbrSeg{dst: int32(d), lo: pos, hi: pos + c})
+				pos += c
+				cnt[d] = 0
 			}
-			ss.segs = append(ss.segs, nbrSeg{dst: int32(d), lo: pos, hi: pos + c})
-			cur[d] = pos
-			pos += c
-			cnt[d] = 0
-		}
-		for i, v := range adj {
-			d := owner[v]
-			ss.flat[cur[d]] = int32(v)
-			if ports != nil {
-				ss.port[cur[d]] = ports.Port(g.IncidentEdges(u)[i], u, v)
-			}
-			cur[d]++
 		}
 	}
 	ss.segOf[n] = int32(len(ss.segs))
+	return ss
+}
+
+// buildShardSegments builds g's whole delivery table: segmentsOf, then
+// the receiver columns in one pass over the vertices in ascending
+// order, with one int32 of scratch per edge id, so removal holes and
+// recycled ids are fine. An edge's smaller endpoint u comes first: it
+// parks its own port in the slot of its entry for the other endpoint
+// and records the slot. The larger endpoint reads the parked port for
+// its own entry and leaves its port in the slot in exchange.
+// O(n·shards + m) time.
+func buildShardSegments(g *graph.Graph, owner []int32, shards int) shardSegments {
+	ss := segmentsOf(g, owner, shards)
+	ss.flat = make([]int32, 2*g.M())
+	ss.port = make([]int32, 2*g.M())
+	slot := make([]int32, g.EdgeIDBound())
+	cur := make([]int32, shards)
+	for u := 0; u < g.N(); u++ {
+		for _, sg := range ss.of(u) {
+			cur[sg.dst] = sg.lo
+		}
+		inc := g.IncidentEdges(u)
+		for i, v := range g.Neighbors(u) {
+			c, e := cur[owner[v]], inc[i]
+			cur[owner[v]]++
+			ss.flat[c] = int32(v)
+			if v > u {
+				slot[e], ss.port[c] = c, int32(i)
+			} else {
+				ss.port[c], ss.port[slot[e]] = ss.port[slot[e]], int32(i)
+			}
+		}
+	}
 	return ss
 }
 
@@ -286,31 +283,25 @@ type router struct {
 }
 
 // route appends the records of u's broadcast m and returns how many of
-// its deliveries survive the fault injector. The injector is asked
-// about every delivery in u's adjacency order — RunSync's call order —
-// and each dropped receiver is appended straight to its shard's drop
-// list: u's segments lie in distinct batches, and a batch's drops end
-// where its last span does, so the drops appended here are exactly one
-// record's drop list, in segment order.
+// its deliveries survive the fault injector. The injector, when set, is
+// asked about every delivery in u's adjacency order — RunSync's call
+// order — and each dropped receiver is appended straight to its shard's
+// drop list: u's segments lie in distinct batches, and a batch's drops
+// end where its last span does, so the drops appended here are exactly
+// one record's drop list, in segment order.
 func (r *router) route(round, u int, m msg.Message) int64 {
-	segs := r.segs.of(u)
-	if r.fault == nil {
-		for _, sg := range segs {
-			b := &r.out[sg.dst]
-			b.recs = append(b.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
-		}
-		return int64(r.g.Degree(u))
-	}
 	adj := r.g.Neighbors(u)
 	dropped := 0
-	for _, v := range adj {
-		if r.fault.Drop(round, m, v) {
-			b := &r.out[r.owner[v]]
-			b.drops = append(b.drops, int32(v))
-			dropped++
+	if r.fault != nil {
+		for _, v := range adj {
+			if r.fault.Drop(round, m, v) {
+				b := &r.out[r.owner[v]]
+				b.drops = append(b.drops, int32(v))
+				dropped++
+			}
 		}
 	}
-	for _, sg := range segs {
+	for _, sg := range r.segs.of(u) {
 		b := &r.out[sg.dst]
 		lo := int32(0)
 		if len(b.spans) > 0 {
@@ -348,7 +339,9 @@ func (r *router) reset() {
 //     shard's one inbox arena from the non-empty buckets the previous
 //     round addressed to it, scanned in ascending sender shard order,
 //     expanding each record to the sender's neighbors inside this
-//     shard (shardInbox.fill, shared with the TCP node processes).
+//     shard and stamping their arrival ports, both read from the run's
+//     delivery table (shardInbox.fill, shared with the TCP node
+//     processes).
 //     Within one sender shard the records are already in sender id
 //     order (workers step in id order), so each inbox fills with the
 //     sorted outboxes in ascending sender id: RunSync's Less order.
@@ -399,7 +392,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		workers = max(min(workers, n), 1)
 
 		bounds, owner := shardBounds(n, workers)
-		segs := buildShardSegments(g, owner, workers, graph.NewPorts(g))
+		segs := buildShardSegments(g, owner, workers)
 
 		// routers[s].out[d] buffers shard s's records addressed to
 		// shard d. Worker s resets its buckets at the start of each

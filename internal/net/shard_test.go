@@ -101,7 +101,7 @@ func captureRun(t *testing.T, run Engine, n, limit int, seed uint64, fault Fault
 // record whose whole segment is dropped.
 func segmentCut(g *graph.Graph, side []bool, k int) bool {
 	_, owner := shardBounds(g.N(), k)
-	segs := buildShardSegments(g, owner, k, nil)
+	segs := buildShardSegments(g, owner, k)
 	for u := 0; u < g.N(); u++ {
 		for _, sg := range segs.of(u) {
 			cut := true
@@ -178,10 +178,22 @@ func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []*graph.Graph{dense, sparse} {
+	holes, err := gen.ErdosRenyiAvgDegree(rng.New(33), 200, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range append([]graph.Edge(nil), holes.Edges()...) {
+		if i%4 == 0 {
+			holes.RemoveEdge(e.U, e.V)
+		}
+	}
+	if holes.EdgeIDBound() == holes.M() {
+		t.Fatal("removals left no hole in the edge ids")
+	}
+	for _, g := range []*graph.Graph{dense, sparse, portGraph(t), holes} {
 		for _, workers := range []int{1, 2, 3, 4, 8, g.N()} {
 			_, owner := shardBounds(g.N(), workers)
-			segs := buildShardSegments(g, owner, workers, graph.NewPorts(g))
+			segs := buildShardSegments(g, owner, workers)
 			pos := int32(0)
 			for u := 0; u < g.N(); u++ {
 				us := segs.of(u)
@@ -230,33 +242,40 @@ func TestShardSegmentsPartitionNeighbors(t *testing.T) {
 // BenchmarkShardFill times one shard's inbox fill at the scale of
 // bench's edge-er workload (ER, n = 62,500, average degree 8), whose
 // arena outgrows the caches: every vertex broadcasts one message, and
-// one worker's arena takes all of them as one batch. It reports the
-// time per delivery and the bytes per delivery the fill writes into the
-// arena (the message plus its slot's record/port entry).
+// one worker's arena takes all of them as one batch, routed reliably
+// and with 5% of deliveries dropped. It reports the time per delivery
+// and the bytes per delivery the fill writes into the arena (the
+// message plus its slot's record/port entry).
 func BenchmarkShardFill(b *testing.B) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(1), 62_500, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	owner := make([]int32, g.N())
-	segs := buildShardSegments(g, owner, 1, graph.NewPorts(g))
-	var batch recordBatch
-	for u := 0; u < g.N(); u++ {
-		for _, sg := range segs.of(u) {
-			m := msg.Message{Kind: msg.KindInvite, From: int32(u), To: msg.Broadcast, Edge: int32(u), Color: 1}
-			batch.recs = append(batch.recs, shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
-		}
+	segs := buildShardSegments(g, owner, 1)
+	for _, c := range []struct {
+		name  string
+		fault FaultInjector
+	}{
+		{"reliable", nil},
+		{"drop=0.05", DropRate{Seed: 5, P: 0.05}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := router{g: g, owner: owner, segs: &segs, fault: c.fault, out: make([]recordBatch, 1)}
+			for u := 0; u < g.N(); u++ {
+				r.route(0, u, msg.Message{Kind: msg.KindInvite, From: int32(u), To: msg.Broadcast, Edge: int32(u), Color: 1})
+			}
+			arena := newShardInbox(g.N())
+			arena.fill(0, &segs, r.out)
+			deliveries := len(arena.buf)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arena.fill(0, &segs, r.out)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(deliveries), "ns/delivery")
+			written := len(arena.buf)*int(unsafe.Sizeof(msg.Message{})) + len(arena.idx)*int(unsafe.Sizeof(arena.idx[0]))
+			b.ReportMetric(float64(written)/float64(deliveries), "B/delivery")
+		})
 	}
-	batches := []recordBatch{batch}
-	arena := newShardInbox(g.N())
-	arena.fill(0, &segs, batches)
-	deliveries := len(arena.buf)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.fill(0, &segs, batches)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(deliveries), "ns/delivery")
-	written := len(arena.buf)*int(unsafe.Sizeof(msg.Message{})) + len(arena.idx)*int(unsafe.Sizeof(arena.idx[0]))
-	b.ReportMetric(float64(written)/float64(deliveries), "B/delivery")
 }

@@ -133,8 +133,10 @@ const (
 // each shard its batch as a round frame (appendRound) — the sender,
 // the re-encoded message and the receivers the fault injector dropped
 // per record. Each node process decodes the frame into a batch and
-// expands it over its own copy of the graph into a flat inbox arena
-// with RunShard's fill. Records travel in ascending sender order, so
+// expands it into a flat inbox arena with RunShard's fill, over the
+// delivery table it builds from its own copy of the graph. The
+// coordinator builds only that table's segments (segmentsOf), which is
+// all its router reads. Records travel in ascending sender order, so
 // every inbox fills in RunSync's order. Results, colorings, and per-round
 // telemetry are byte-identical to RunSync at every shard count,
 // including under faults and mid-round cancel.
@@ -167,7 +169,8 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, cfg Config) (Result, 
 		return Result{}, fmt.Errorf("net: node factory %q not registered", spec.Factory)
 	}
 
-	shards := min(tc.Nodes, g.N())
+	// At least one shard, as RunShard keeps one worker, when g has no vertex.
+	shards := max(min(tc.Nodes, g.N()), 1)
 	// Shard bounds identical to RunShard, so concatenating per-shard
 	// outboxes in shard order reproduces RunSync's ascending-sender
 	// order.
@@ -204,7 +207,7 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, cfg Config) (Result, 
 			}
 		}
 		// One router routes every outbox: out[d] is shard d's next frame.
-		segs := buildShardSegments(g, owner, shards, nil)
+		segs := segmentsOf(g, owner, shards)
 		rtr := router{g: g, owner: owner, segs: &segs, fault: cfg.Fault, out: make([]recordBatch, shards)}
 		var ob outbox
 		return func(round int, rt *RoundTraffic) (bool, error) {

@@ -18,7 +18,7 @@ import (
 // StateNode, constructed exactly as an in-process run constructs them —
 // same graph, same options decoded from spec, same derived RNG streams —
 // so the distributed run is byte-identical to an in-process one. Protocol packages register their factories in init (the core
-// package registers "dima/edge/v3" and "dima/strong/v3").
+// package registers "dima/edge/v4" and "dima/strong/v4").
 type NodeFactory func(g *graph.Graph, spec []byte, lo, hi int) ([]Node, error)
 
 var (
@@ -245,7 +245,7 @@ func newNodeInbox(g *graph.Graph, lo, hi int) *nodeInbox {
 	return &nodeInbox{
 		lo:    lo,
 		hi:    hi,
-		segs:  buildShardSegments(g, owner, 2, graph.NewPorts(g)),
+		segs:  buildShardSegments(g, owner, 2),
 		arena: newShardInbox(hi - lo),
 	}
 }

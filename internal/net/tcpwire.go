@@ -143,10 +143,7 @@ func appendRound(buf []byte, round int, b *recordBatch) []byte {
 	for i, r := range b.recs {
 		buf = binary.AppendUvarint(buf, uint64(r.m.From))
 		buf = r.m.Append(buf)
-		var drops []int32
-		if len(b.spans) > 0 {
-			drops = b.drops[b.spans[i].lo:b.spans[i].hi]
-		}
+		drops := b.drops[b.spans[i].lo:b.spans[i].hi]
 		buf = binary.AppendUvarint(buf, uint64(len(drops)))
 		for _, v := range drops {
 			buf = binary.AppendUvarint(buf, uint64(v))

@@ -218,7 +218,7 @@ func recordRound(tb testing.TB, g *graph.Graph, round int) []msg.Message {
 // processes.
 func coordRouter(g *graph.Graph, k int, fault FaultInjector) *router {
 	_, owner := shardBounds(g.N(), k)
-	segs := buildShardSegments(g, owner, k, nil)
+	segs := segmentsOf(g, owner, k)
 	return &router{g: g, owner: owner, segs: &segs, fault: fault, out: make([]recordBatch, k)}
 }
 
